@@ -70,9 +70,9 @@ func (uw *U8Weights) weightInRow(row []uint8, i, j int) int64 {
 }
 
 // u8Bidder is the tiled top-2 bid kernel shared by AuctionBlocked and
-// AuctionResume's U8 path. init detects the uniform-H case (every
-// multiplier equal, the common one: tub fabrics usually have one server
-// count) and compiles the scaled weight into a 256-entry lookup table;
+// AuctionResume. init detects the uniform-H case (every multiplier
+// equal, the common one: tub fabrics usually have one server count)
+// and compiles the scaled weight into a 256-entry lookup table;
 // otherwise it pre-scales the per-column multipliers once so the inner
 // loop is one multiply, one min and one subtract per column.
 type u8Bidder struct {
@@ -197,8 +197,8 @@ func (bd *u8Bidder) scan(blk []int, price []int64) {
 }
 
 // csCheck reports whether row i's assignment to column jAt still
-// satisfies 1-CS against price — the same arithmetic as the int64
-// prefilter in AuctionResume, computed from the uint8 row.
+// satisfies 1-CS against price: its scaled profit is within ε = 1 of the
+// row's best, computed from the uint8 row.
 func (bd *u8Bidder) csCheck(i, jAt int, price []int64) bool {
 	row := bd.rowsFn(i)[:bd.n]
 	price = price[:bd.n]
@@ -353,7 +353,7 @@ func (a *blockedArena) grow(n int) {
 // auctionBlock = 16 bidders per round there is no parallel width worth
 // the synchronization — the same reason AuctionSharded's sharded bid
 // path never triggers); the matching is identical for any worker
-// count. opt.Row is ignored.
+// count.
 func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionStats) {
 	var stats AuctionStats
 	workers := opt.Workers

@@ -1,7 +1,7 @@
 // Warm-started rematch: resume a finished ε-scaling auction after a
 // sparse weight change instead of re-running it from scratch.
 //
-// A completed AuctionSharded run ends with every (person, object) pair
+// A completed AuctionBlocked run ends with every (person, object) pair
 // satisfying 1-CS — complementary slackness with slack ε = 1 — against
 // its final prices in the scaled weight domain. When only a few rows of
 // the weight matrix change (a what-if query perturbs the distances of a
@@ -17,21 +17,20 @@
 // n + 1 certifies the exact optimum — the same argument that makes the
 // cold auction's last phase exact, independent of its starting prices.
 //
-// The bidding machinery mirrors AuctionSharded's block-synchronous loop
-// bit for bit (same block size, same frozen-price Jacobi bids, same
-// sequential strict-> resolution), so the resumed matching is identical
-// for every worker count. What the resume path deliberately skips is
-// everything amortizable: the O(n²) max-weight scan (callers pass the
-// bound), the weight matrix materialization, and all pre-final ε phases.
+// The bidding machinery is AuctionBlocked's (same block size, same
+// tiled uint8 bid scan against frozen prices, same sequential strict->
+// resolution), so the resumed matching is identical for every worker
+// count. What the resume path deliberately skips is everything
+// amortizable: the O(n²) max-weight scan (callers pass the bound) and
+// all pre-final ε phases.
 package match
 
 import (
 	"runtime"
 	"sort"
-	"sync"
 )
 
-// AuctionWarmStart is the retained state of a completed AuctionSharded
+// AuctionWarmStart is the retained state of a completed AuctionBlocked
 // run on the base weights: the final scaled prices (AuctionStats.Prices)
 // and the matching (Result.Col). AuctionResume treats both as read-only.
 type AuctionWarmStart struct {
@@ -39,46 +38,23 @@ type AuctionWarmStart struct {
 	Col    []int
 }
 
-// AuctionResumeOptions configures AuctionResume. The zero value (serial,
-// no row fast path, full max-weight scan, no round cap) is valid.
+// AuctionResumeOptions configures AuctionResume. The zero value (full
+// max-weight scan on a GOMAXPROCS-wide pool, no round cap) is valid.
 type AuctionResumeOptions struct {
-	// Workers bounds the bidding worker pool; <= 0 means GOMAXPROCS. The
-	// matching is identical for any worker count.
+	// Workers bounds the pool that shards the max-weight scan (only run
+	// when MaxWeight <= 0) and the cold fallback's; <= 0 means
+	// GOMAXPROCS. Bidding is serial, as in AuctionBlocked. The matching
+	// is identical for any worker count.
 	Workers int
-	// Row, when non-nil, fills out[j] = w(i, j) for every column j in one
-	// call (see AuctionOptions.Row).
-	Row func(i int, out []int64)
-	// ScaledRow, when non-nil, returns row i of the weight matrix with
-	// every entry already multiplied by the auction's scale factor
-	// (n + 1). The returned slice is borrowed: the auction only reads it
-	// and only until its next ScaledRow call from the same goroutine, so
-	// callers can return views of a precomputed matrix or a reused
-	// buffer. This skips both the per-bid materialization and the scale
-	// pass — the dominant cost when rows are cheap to cache. With
-	// Workers > 1 the callback must be safe for concurrent calls.
-	// Takes precedence over Row inside the bidding loop; Row (or the
-	// plain WeightFunc) still serves the cold-fallback path.
-	ScaledRow func(i int) []int64
-	// U8, when non-nil, supplies the weights as uint8 distance rows plus
-	// per-row multipliers (see U8Weights): the 1-CS prefilter and every
-	// bid then compute scaled weights in-register from the uint8 rows —
-	// the matrix-free path AuctionBlocked uses — instead of loading
-	// int64 rows. Takes precedence over ScaledRow and Row inside the
-	// bidding loop, and switches the round-cap fallback to
-	// AuctionBlocked. The weights U8 describes must agree with w (w
-	// still computes the Total and serves as documentation of the
-	// matrix); on equal weights the resumed run is bit-identical to the
-	// ScaledRow path's.
-	U8 *U8Weights
 	// MaxWeight is an upper bound on the raw (unscaled) weights after the
 	// change; <= 0 means scan all rows, which costs the O(n²) the resume
 	// path exists to avoid. An over-estimate is fine; an under-estimate
 	// only dampens bids (never breaks exactness, see the bid guard).
 	MaxWeight int64
 	// MaxRounds caps resumed bidding rounds before giving up and
-	// re-running the full cold auction; <= 0 means no cap. A cap bounds
-	// the worst case of heavily damaged instances where warm prices buy
-	// nothing.
+	// re-running the full cold AuctionBlocked; <= 0 means no cap. A cap
+	// bounds the worst case of heavily damaged instances where warm
+	// prices buy nothing.
 	MaxRounds int
 }
 
@@ -91,7 +67,7 @@ type ResumeStats struct {
 	// path, the cold run's work).
 	Rounds, Bids int
 	// FellBack reports that the round cap was hit and the result comes
-	// from a full cold AuctionSharded run instead.
+	// from a full cold AuctionBlocked run instead.
 	FellBack bool
 	// Prices holds the final scaled prices of this run, usable as the
 	// next warm start against the same weights.
@@ -99,12 +75,11 @@ type ResumeStats struct {
 }
 
 // AuctionResume computes the exact maximum-weight perfect matching for
-// weights w, given warm state from a completed auction on weights that
-// differ from w only in the rows listed in changed (duplicates and
-// order don't matter). The total always equals a cold run's; the
-// permutation attaining it may differ.
-func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, opt AuctionResumeOptions) (*Result, ResumeStats) {
-	scale := int64(n + 1)
+// weights uw, given warm state from a completed AuctionBlocked run on
+// weights that differ from uw only in the rows listed in changed
+// (duplicates and order don't matter). The total always equals a cold
+// run's; the permutation attaining it may differ.
+func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, opt AuctionResumeOptions) (*Result, ResumeStats) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -113,25 +88,9 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 		workers = n
 	}
 
-	rowOf := func(i int, buf []int64) {
-		if opt.Row != nil {
-			opt.Row(i, buf)
-			for j := range buf {
-				buf[j] *= scale
-			}
-			return
-		}
-		for j := range buf {
-			buf[j] = w(i, j) * scale
-		}
-	}
-
-	// Matrix-free path: bids and the prefilter scan uint8 rows directly.
-	var bd *u8Bidder
-	if opt.U8 != nil {
-		bd = new(u8Bidder)
-		bd.init(n, *opt.U8, nil, nil)
-	}
+	// Bids and the prefilter scan the uint8 rows directly.
+	bd := new(u8Bidder)
+	bd.init(n, uw, nil, nil)
 
 	price := append([]int64(nil), warm.Prices...)
 	assign := append([]int(nil), warm.Col...)
@@ -164,38 +123,14 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 	// end. Each check is one profit scan; each pruned row avoids not just
 	// its own re-bid but the whole bump cascade it would trigger, which
 	// is where lightly-damaged instances spend their time.
-	var csBuf []int64
-	if bd == nil && opt.ScaledRow == nil {
-		csBuf = make([]int64, n)
-	}
 	st := ResumeStats{}
 	violators := free[:0]
 	for _, i := range free {
-		if bd != nil {
-			if bd.csCheck(i, assign[i], price) {
-				st.Pruned++
-			} else {
-				violators = append(violators, i)
-			}
-			continue
-		}
-		row := csBuf
-		if opt.ScaledRow != nil {
-			row = opt.ScaledRow(i)
-		} else {
-			rowOf(i, csBuf)
-		}
-		best := int64(-1) << 62
-		for j, ww := range row {
-			if v := ww - price[j]; v > best {
-				best = v
-			}
-		}
-		if j := assign[i]; row[j]-price[j] >= best-1 {
+		if bd.csCheck(i, assign[i], price) {
 			st.Pruned++
-			continue
+		} else {
+			violators = append(violators, i)
 		}
-		violators = append(violators, i)
 	}
 	free = violators
 	st.Freed = len(free)
@@ -204,36 +139,9 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 		assign[i] = -1
 	}
 
-	maxW := opt.MaxWeight * scale
-	if opt.MaxWeight <= 0 && bd != nil {
-		maxW = u8MaxRaw(n, *opt.U8, workers) * scale
-	} else if opt.MaxWeight <= 0 {
-		// No hint: pay the sharded scan the cold path does.
-		maxes := make([]int64, workers)
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				buf := make([]int64, n)
-				m := int64(0)
-				for i := wk; i < n; i += workers {
-					rowOf(i, buf)
-					for _, ww := range buf {
-						if ww > m {
-							m = ww
-						}
-					}
-				}
-				maxes[wk] = m
-			}(wk)
-		}
-		wg.Wait()
-		for _, m := range maxes {
-			if m > maxW {
-				maxW = m
-			}
-		}
+	maxW := opt.MaxWeight * bd.scale
+	if opt.MaxWeight <= 0 {
+		maxW = u8MaxRaw(n, uw, workers) * bd.scale
 	}
 
 	bidObj := make([]int, n)
@@ -244,44 +152,6 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 		winner[j] = -1
 	}
 	touched := make([]int, 0, auctionBlock)
-	rowBufs := make([][]int64, workers)
-	if bd == nil && opt.ScaledRow == nil {
-		for s := range rowBufs {
-			rowBufs[s] = make([]int64, n)
-		}
-	}
-
-	// bid mirrors AuctionSharded's: best/second-best against the block's
-	// frozen prices, ε = 1. The maxW guard caps pathological spreads the
-	// warm prices can produce; a damped bid keeps ε-CS (the price still
-	// rises by ≥ ε), so a too-small MaxWeight hint costs rounds, never
-	// exactness.
-	bid := func(buf []int64, blk []int) {
-		for _, i := range blk {
-			bestJ, bestV, secondV := -1, int64(-1)<<62, int64(-1)<<62
-			row := buf
-			if opt.ScaledRow != nil {
-				row = opt.ScaledRow(i)
-			} else {
-				rowOf(i, buf)
-			}
-			for j, ww := range row {
-				v := ww - price[j]
-				if v > bestV {
-					secondV = bestV
-					bestV = v
-					bestJ = j
-				} else if v > secondV {
-					secondV = v
-				}
-			}
-			if secondV < bestV-maxW {
-				secondV = bestV
-			}
-			bidObj[i] = bestJ
-			bidAmt[i] = bestV - secondV + 1 // ε = 1
-		}
-	}
 
 	head := 0
 	for head < len(free) {
@@ -289,13 +159,7 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 			// Warm prices aren't converging; the cold auction's ε schedule
 			// handles heavy damage better. Deterministic: depends only on
 			// the round count, which is worker-independent.
-			var res *Result
-			var cold AuctionStats
-			if opt.U8 != nil {
-				res, cold = AuctionBlocked(n, *opt.U8, AuctionOptions{Workers: opt.Workers})
-			} else {
-				res, cold = AuctionSharded(n, w, AuctionOptions{Workers: opt.Workers, Row: opt.Row})
-			}
+			res, cold := AuctionBlocked(n, uw, AuctionOptions{Workers: opt.Workers})
 			st.FellBack = true
 			st.Rounds += cold.Rounds
 			st.Bids += cold.Bids
@@ -309,33 +173,19 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 		blk := free[head : head+b]
 		st.Rounds++
 		st.Bids += b
-		if bd != nil {
-			bd.scan(blk, price)
-			for bi, i := range blk {
-				bestV, secondV := bd.topV[bi], bd.topS[bi]
-				if secondV < bestV-maxW {
-					secondV = bestV
-				}
-				bidObj[i] = bd.topJ[bi]
-				bidAmt[i] = bestV - secondV + 1 // ε = 1
+		// Best/second-best against the block's frozen prices, ε = 1. The
+		// maxW guard caps pathological spreads the warm prices can
+		// produce; a damped bid keeps ε-CS (the price still rises by
+		// ≥ ε), so a too-small MaxWeight hint costs rounds, never
+		// exactness.
+		bd.scan(blk, price)
+		for bi, i := range blk {
+			bestV, secondV := bd.topV[bi], bd.topS[bi]
+			if secondV < bestV-maxW {
+				secondV = bestV
 			}
-		} else if workers <= 1 || b < 64 {
-			bid(rowBufs[0], blk)
-		} else {
-			var wg sync.WaitGroup
-			chunk := (b + workers - 1) / workers
-			for s, lo := 0, 0; lo < b; s, lo = s+1, lo+chunk {
-				hi := lo + chunk
-				if hi > b {
-					hi = b
-				}
-				wg.Add(1)
-				go func(s, lo, hi int) {
-					defer wg.Done()
-					bid(rowBufs[s], blk[lo:hi])
-				}(s, lo, hi)
-			}
-			wg.Wait()
+			bidObj[i] = bd.topJ[bi]
+			bidAmt[i] = bestV - secondV + 1 // ε = 1
 		}
 		touched = touched[:0]
 		for _, i := range blk {
@@ -374,7 +224,7 @@ func AuctionResume(n int, w WeightFunc, warm AuctionWarmStart, changed []int, op
 
 	res := &Result{Col: assign, Row: owner}
 	for i := 0; i < n; i++ {
-		res.Total += w(i, res.Col[i])
+		res.Total += uw.weightInRow(uw.Rows(i), i, assign[i])
 	}
 	st.Prices = price
 	return res, st

@@ -7,116 +7,8 @@ import (
 	"dctopo/internal/rng"
 )
 
-// perturbRows returns a copy of m with the listed rows' entries
-// re-drawn, keeping weights non-negative.
-func perturbRows(m [][]int64, rows []int, maxW int, seed uint64) [][]int64 {
-	r := rng.New(seed)
-	out := make([][]int64, len(m))
-	for i := range m {
-		out[i] = append([]int64(nil), m[i]...)
-	}
-	for _, i := range rows {
-		for j := range out[i] {
-			out[i][j] = int64(r.Intn(maxW + 1))
-		}
-	}
-	return out
-}
-
-// TestAuctionResumeMatchesExact: over randomized matrices and change
-// sets, the warm-resumed total must equal the exact (JV) optimum on the
-// perturbed weights — the warm start buys speed, never optimality.
-func TestAuctionResumeMatchesExact(t *testing.T) {
-	for _, n := range []int{2, 7, 24, 60} {
-		for seed := uint64(0); seed < 4; seed++ {
-			base := randomMatrix(n, 30, seed)
-			warmRes, warmStats := AuctionSharded(n, fn(base), AuctionOptions{})
-			r := rng.New(seed + 50)
-			for trial := 0; trial < 6; trial++ {
-				nc := 1 + r.Intn(n)
-				changed := make([]int, nc)
-				for k := range changed {
-					changed[k] = r.Intn(n)
-				}
-				pert := perturbRows(base, changed, 30, seed+uint64(trial)*13+1)
-				want := Exact(n, fn(pert)).Total
-				res, st := AuctionResume(n, fn(pert), AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}, changed, AuctionResumeOptions{MaxWeight: 30})
-				validPerm(t, res, n)
-				if res.Total != want {
-					t.Fatalf("n=%d seed=%d trial=%d: resumed total %d, exact %d (freed %d, rounds %d)",
-						n, seed, trial, res.Total, want, st.Freed, st.Rounds)
-				}
-			}
-		}
-	}
-}
-
-// TestAuctionResumeDeterministicAcrossWorkers: the resumed matching —
-// not just its total — must be identical for any worker count, like the
-// cold auction.
-func TestAuctionResumeDeterministicAcrossWorkers(t *testing.T) {
-	n := 120
-	base := symmetricMatrix(n, 9, 3)
-	warmRes, warmStats := AuctionSharded(n, fn(base), AuctionOptions{})
-	pert := perturbRows(base, []int{5, 17, 80}, 9, 4)
-	var ref *Result
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		res, _ := AuctionResume(n, fn(pert), AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}, []int{80, 5, 17, 5}, AuctionResumeOptions{Workers: workers, MaxWeight: 9})
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Total != ref.Total {
-			t.Fatalf("workers=%d: total %d != %d", workers, res.Total, ref.Total)
-		}
-		for i := range res.Col {
-			if res.Col[i] != ref.Col[i] {
-				t.Fatalf("workers=%d: Col[%d] = %d != %d — matching depends on worker count", workers, i, res.Col[i], ref.Col[i])
-			}
-		}
-	}
-}
-
-// TestAuctionResumeScaledRow: bidding against borrowed pre-scaled rows
-// must produce the identical matching (not just total) as the
-// materializing path — ScaledRow is a pure fast path.
-func TestAuctionResumeScaledRow(t *testing.T) {
-	n := 120
-	base := symmetricMatrix(n, 9, 3)
-	warmRes, warmStats := AuctionSharded(n, fn(base), AuctionOptions{})
-	pert := perturbRows(base, []int{5, 17, 80}, 9, 4)
-	warm := AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}
-	changed := []int{5, 17, 80}
-	ref, refStats := AuctionResume(n, fn(pert), warm, changed, AuctionResumeOptions{Workers: 1, MaxWeight: 9})
-	scaled := make([][]int64, n)
-	for i := range scaled {
-		scaled[i] = make([]int64, n)
-		for j := range scaled[i] {
-			scaled[i][j] = pert[i][j] * int64(n+1)
-		}
-	}
-	res, st := AuctionResume(n, fn(pert), warm, changed, AuctionResumeOptions{
-		Workers:   1,
-		ScaledRow: func(i int) []int64 { return scaled[i] },
-		MaxWeight: 9,
-	})
-	if res.Total != ref.Total {
-		t.Fatalf("scaled-row total %d != %d", res.Total, ref.Total)
-	}
-	for i := range res.Col {
-		if res.Col[i] != ref.Col[i] {
-			t.Fatalf("scaled-row Col[%d] = %d != %d", i, res.Col[i], ref.Col[i])
-		}
-	}
-	if st.Rounds != refStats.Rounds || st.Bids != refStats.Bids {
-		t.Fatalf("scaled-row work (%d rounds, %d bids) != (%d, %d)", st.Rounds, st.Bids, refStats.Rounds, refStats.Bids)
-	}
-	if want := Exact(n, fn(pert)).Total; res.Total != want {
-		t.Fatalf("scaled-row total %d != JV %d", res.Total, want)
-	}
-}
-
-// perturbU8Rows is perturbRows for uint8 distance matrices.
+// perturbU8Rows returns a copy of m with the listed rows' entries
+// re-drawn from [0, maxD].
 func perturbU8Rows(m [][]uint8, rows []int, maxD int, seed uint64) [][]uint8 {
 	r := rng.New(seed)
 	out := make([][]uint8, len(m))
@@ -131,40 +23,110 @@ func perturbU8Rows(m [][]uint8, rows []int, maxD int, seed uint64) [][]uint8 {
 	return out
 }
 
-// TestAuctionResumeU8: the matrix-free resume path (uint8 rows, weights
-// computed in-register) must reproduce the ScaledRow path bit for bit —
-// same matching, same work, same final prices — for both uniform and
-// non-uniform multipliers, and its total must equal JV. This is the
-// warm-rematch leg of the blocked kernel's bit-identity discipline.
-func TestAuctionResumeU8(t *testing.T) {
-	n := 120
-	for _, h := range [][]int64{nil, randomH(n, 77)} {
-		base := u8Matrix(n, 9, 3)
-		w := u8Fn(base, h)
-		warmRes, warmStats := AuctionSharded(n, w, AuctionOptions{})
-		pert := perturbU8Rows(base, []int{5, 17, 80}, 9, 4)
-		pw := u8Fn(pert, h)
-		warm := AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}
-		changed := []int{5, 17, 80}
-		scaled := make([][]int64, n)
-		for i := range scaled {
-			scaled[i] = make([]int64, n)
-			for j := range scaled[i] {
-				scaled[i][j] = pw(i, j) * int64(n+1)
+// warmStart runs the cold AuctionBlocked on m and returns its result
+// plus the warm state AuctionResume picks up.
+func warmStart(m [][]uint8, h []int64) (*Result, AuctionWarmStart) {
+	res, st := AuctionBlocked(len(m), U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: 1})
+	return res, AuctionWarmStart{Prices: st.Prices, Col: res.Col}
+}
+
+// multipliers returns the two multiplier shapes every resume test
+// covers: uniform (nil, the lookup-table bid path) and non-uniform.
+func multipliers(n int, seed uint64) [][]int64 {
+	return [][]int64{nil, randomH(n, seed)}
+}
+
+// TestAuctionResumeMatchesExact: over randomized matrices and change
+// sets, the warm-resumed total must equal the exact (JV) optimum on the
+// perturbed weights — the warm start buys speed, never optimality.
+func TestAuctionResumeMatchesExact(t *testing.T) {
+	for _, n := range []int{2, 7, 24, 60} {
+		for seed := uint64(0); seed < 4; seed++ {
+			for _, h := range multipliers(n, seed+90) {
+				base := u8Matrix(n, 30, seed)
+				_, warm := warmStart(base, h)
+				r := rng.New(seed + 50)
+				for trial := 0; trial < 6; trial++ {
+					nc := 1 + r.Intn(n)
+					changed := make([]int, nc)
+					for k := range changed {
+						changed[k] = r.Intn(n)
+					}
+					pert := perturbU8Rows(base, changed, 30, seed+uint64(trial)*13+1)
+					w := u8Fn(pert, h)
+					want := Exact(n, w).Total
+					res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed, AuctionResumeOptions{MaxWeight: 30 * 4})
+					checkPerfect(t, n, w, res)
+					if res.Total != want {
+						t.Fatalf("n=%d seed=%d uniform=%v trial=%d: resumed total %d, exact %d (freed %d, rounds %d)",
+							n, seed, h == nil, trial, res.Total, want, st.Freed, st.Rounds)
+					}
+				}
 			}
 		}
-		ref, refStats := AuctionResume(n, pw, warm, changed, AuctionResumeOptions{
-			Workers:   1,
-			ScaledRow: func(i int) []int64 { return scaled[i] },
-			MaxWeight: 9 * 4,
-		})
-		res, st := AuctionResume(n, pw, warm, changed, AuctionResumeOptions{
-			Workers:   1,
-			U8:        &U8Weights{Rows: u8Rows(pert), H: h},
-			MaxWeight: 9 * 4,
-		})
-		if res.Total != ref.Total {
-			t.Fatalf("uniform=%v: U8 total %d != %d", h == nil, res.Total, ref.Total)
+	}
+}
+
+// TestAuctionResumeDeterministicAcrossWorkers: the resumed matching —
+// not just its total — and the final prices must be identical for any
+// worker count, like the cold auction. MaxWeight is left at 0 so the
+// worker-sharded max-weight scan runs.
+func TestAuctionResumeDeterministicAcrossWorkers(t *testing.T) {
+	n := 120
+	for _, h := range multipliers(n, 3) {
+		base := u8Symmetric(n, 9, 3)
+		_, warm := warmStart(base, h)
+		pert := perturbU8Rows(base, []int{5, 17, 80}, 9, 4)
+		uw := U8Weights{Rows: u8Rows(pert), H: h}
+		var ref *Result
+		var refStats ResumeStats
+		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			res, st := AuctionResume(n, uw, warm, []int{80, 5, 17, 5}, AuctionResumeOptions{Workers: workers})
+			if ref == nil {
+				ref, refStats = res, st
+				if want := Exact(n, u8Fn(pert, h)).Total; res.Total != want {
+					t.Fatalf("uniform=%v: resumed total %d != JV %d", h == nil, res.Total, want)
+				}
+				continue
+			}
+			if res.Total != ref.Total {
+				t.Fatalf("uniform=%v workers=%d: total %d != %d", h == nil, workers, res.Total, ref.Total)
+			}
+			for i := range res.Col {
+				if res.Col[i] != ref.Col[i] {
+					t.Fatalf("uniform=%v workers=%d: Col[%d] = %d != %d — matching depends on worker count",
+						h == nil, workers, i, res.Col[i], ref.Col[i])
+				}
+			}
+			for j, p := range st.Prices {
+				if p != refStats.Prices[j] {
+					t.Fatalf("uniform=%v workers=%d: price[%d]=%d != %d", h == nil, workers, j, p, refStats.Prices[j])
+				}
+			}
+		}
+	}
+}
+
+// TestAuctionResumeU8: resuming over uint8 rows, from the warm state of
+// the reference AuctionSharded run on the same weights, reaches the JV
+// optimum with uniform and non-uniform multipliers, and does exactly the
+// work of a resume from AuctionBlocked's (bit-identical) warm state. The
+// returned prices must be a valid next warm start: a no-change resume
+// from them does no work and keeps the matching.
+func TestAuctionResumeU8(t *testing.T) {
+	n := 120
+	for _, h := range multipliers(n, 77) {
+		base := u8Matrix(n, 9, 3)
+		shRes, shStats := AuctionSharded(n, u8Fn(base, h), AuctionOptions{})
+		_, blkWarm := warmStart(base, h)
+		pert := perturbU8Rows(base, []int{5, 17, 80}, 9, 4)
+		uw := U8Weights{Rows: u8Rows(pert), H: h}
+		changed := []int{5, 17, 80}
+		opt := AuctionResumeOptions{Workers: 1, MaxWeight: 9 * 4}
+		res, st := AuctionResume(n, uw, AuctionWarmStart{Prices: shStats.Prices, Col: shRes.Col}, changed, opt)
+		ref, refStats := AuctionResume(n, uw, blkWarm, changed, opt)
+		if want := Exact(n, u8Fn(pert, h)).Total; res.Total != want {
+			t.Fatalf("uniform=%v: U8 total %d != JV %d", h == nil, res.Total, want)
 		}
 		for i := range res.Col {
 			if res.Col[i] != ref.Col[i] {
@@ -172,41 +134,40 @@ func TestAuctionResumeU8(t *testing.T) {
 			}
 		}
 		if st.Rounds != refStats.Rounds || st.Bids != refStats.Bids || st.Freed != refStats.Freed || st.Pruned != refStats.Pruned {
-			t.Fatalf("uniform=%v: U8 work %+v != scaled-row %+v", h == nil, st, refStats)
+			t.Fatalf("uniform=%v: work from sharded warm state %+v != from blocked %+v", h == nil, st, refStats)
 		}
 		for j, p := range st.Prices {
 			if p != refStats.Prices[j] {
 				t.Fatalf("uniform=%v: U8 price[%d]=%d != %d", h == nil, j, p, refStats.Prices[j])
 			}
 		}
-		if want := Exact(n, pw).Total; res.Total != want {
-			t.Fatalf("uniform=%v: U8 total %d != JV %d", h == nil, res.Total, want)
+		again, st2 := AuctionResume(n, uw, AuctionWarmStart{Prices: st.Prices, Col: res.Col}, nil, opt)
+		if st2.Rounds != 0 || st2.Bids != 0 || again.Total != res.Total {
+			t.Fatalf("uniform=%v: resumed prices are not a valid warm start: %+v, total %d != %d", h == nil, st2, again.Total, res.Total)
 		}
 	}
 }
 
-// TestAuctionResumeU8Fallback: the round-cap fallback on the U8 path
-// runs AuctionBlocked and must still be exact.
+// TestAuctionResumeU8Fallback: with every row changed and MaxRounds=1,
+// resuming over uint8 rows from the reference AuctionSharded warm state
+// falls back to the cold auction and still returns the exact total.
 func TestAuctionResumeU8Fallback(t *testing.T) {
 	n := 40
 	base := u8Matrix(n, 12, 11)
-	w := u8Fn(base, nil)
-	warmRes, warmStats := AuctionSharded(n, w, AuctionOptions{})
+	warmRes, warmStats := AuctionSharded(n, u8Fn(base, nil), AuctionOptions{})
 	changed := make([]int, n)
 	for i := range changed {
 		changed[i] = i
 	}
 	pert := perturbU8Rows(base, changed, 12, 12)
-	pw := u8Fn(pert, nil)
-	res, st := AuctionResume(n, pw, AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}, changed, AuctionResumeOptions{
-		U8:        &U8Weights{Rows: u8Rows(pert)},
+	res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert)}, AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}, changed, AuctionResumeOptions{
 		MaxWeight: 12,
 		MaxRounds: 1,
 	})
 	if !st.FellBack {
 		t.Fatalf("MaxRounds=1 with every row changed did not fall back: %+v", st)
 	}
-	if want := Exact(n, pw).Total; res.Total != want {
+	if want := Exact(n, u8Fn(pert, nil)).Total; res.Total != want {
 		t.Fatalf("U8 fallback total %d, exact %d", res.Total, want)
 	}
 }
@@ -215,34 +176,50 @@ func TestAuctionResumeU8Fallback(t *testing.T) {
 // matching unchanged with zero bidding work.
 func TestAuctionResumeNoChanges(t *testing.T) {
 	n := 20
-	base := randomMatrix(n, 15, 7)
-	warmRes, warmStats := AuctionSharded(n, fn(base), AuctionOptions{})
-	res, st := AuctionResume(n, fn(base), AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}, nil, AuctionResumeOptions{MaxWeight: 15})
-	if st.Rounds != 0 || st.Bids != 0 || st.Freed != 0 {
-		t.Fatalf("no-change resume did work: %+v", st)
-	}
-	if res.Total != warmRes.Total {
-		t.Fatalf("no-change resume total %d != %d", res.Total, warmRes.Total)
+	for _, h := range multipliers(n, 8) {
+		base := u8Matrix(n, 15, 7)
+		warmRes, warm := warmStart(base, h)
+		res, st := AuctionResume(n, U8Weights{Rows: u8Rows(base), H: h}, warm, nil, AuctionResumeOptions{MaxWeight: 15 * 4})
+		if st.Rounds != 0 || st.Bids != 0 || st.Freed != 0 {
+			t.Fatalf("uniform=%v: no-change resume did work: %+v", h == nil, st)
+		}
+		if res.Total != warmRes.Total {
+			t.Fatalf("uniform=%v: no-change resume total %d != %d", h == nil, res.Total, warmRes.Total)
+		}
+		for i := range res.Col {
+			if res.Col[i] != warmRes.Col[i] {
+				t.Fatalf("uniform=%v: no-change resume moved row %d", h == nil, i)
+			}
+		}
 	}
 }
 
 // TestAuctionResumeFallback: a tiny round cap forces the cold fallback,
-// which must still produce the exact total and say it fell back.
+// which must say it fell back and return exactly the cold
+// AuctionBlocked run on the new weights — so its total is exact.
 func TestAuctionResumeFallback(t *testing.T) {
 	n := 40
-	base := randomMatrix(n, 25, 11)
-	warmRes, warmStats := AuctionSharded(n, fn(base), AuctionOptions{})
-	changed := make([]int, n)
-	for i := range changed {
-		changed[i] = i
-	}
-	pert := perturbRows(base, changed, 25, 12)
-	res, st := AuctionResume(n, fn(pert), AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}, changed, AuctionResumeOptions{MaxWeight: 25, MaxRounds: 1})
-	if !st.FellBack {
-		t.Fatalf("MaxRounds=1 with every row changed did not fall back: %+v", st)
-	}
-	if want := Exact(n, fn(pert)).Total; res.Total != want {
-		t.Fatalf("fallback total %d, exact %d", res.Total, want)
+	for _, h := range multipliers(n, 13) {
+		base := u8Matrix(n, 25, 11)
+		_, warm := warmStart(base, h)
+		changed := make([]int, n)
+		for i := range changed {
+			changed[i] = i
+		}
+		pert := perturbU8Rows(base, changed, 25, 12)
+		res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed, AuctionResumeOptions{MaxWeight: 25 * 4, MaxRounds: 1})
+		if !st.FellBack {
+			t.Fatalf("uniform=%v: MaxRounds=1 with every row changed did not fall back: %+v", h == nil, st)
+		}
+		cold, _ := warmStart(pert, h)
+		for i := range res.Col {
+			if res.Col[i] != cold.Col[i] {
+				t.Fatalf("uniform=%v: fallback Col[%d]=%d != cold AuctionBlocked %d", h == nil, i, res.Col[i], cold.Col[i])
+			}
+		}
+		if want := Exact(n, u8Fn(pert, h)).Total; res.Total != want {
+			t.Fatalf("uniform=%v: fallback total %d, exact %d", h == nil, res.Total, want)
+		}
 	}
 }
 
@@ -250,11 +227,13 @@ func TestAuctionResumeFallback(t *testing.T) {
 // may dampen bids but never the total (the guard note in the bid loop).
 func TestAuctionResumeUnderestimatedMaxWeight(t *testing.T) {
 	n := 30
-	base := randomMatrix(n, 40, 21)
-	warmRes, warmStats := AuctionSharded(n, fn(base), AuctionOptions{})
-	pert := perturbRows(base, []int{0, 9, 13}, 40, 22)
-	res, _ := AuctionResume(n, fn(pert), AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}, []int{0, 9, 13}, AuctionResumeOptions{MaxWeight: 1})
-	if want := Exact(n, fn(pert)).Total; res.Total != want {
-		t.Fatalf("underestimated hint total %d, exact %d", res.Total, want)
+	for _, h := range multipliers(n, 23) {
+		base := u8Matrix(n, 40, 21)
+		_, warm := warmStart(base, h)
+		pert := perturbU8Rows(base, []int{0, 9, 13}, 40, 22)
+		res, _ := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, []int{0, 9, 13}, AuctionResumeOptions{MaxWeight: 1})
+		if want := Exact(n, u8Fn(pert, h)).Total; res.Total != want {
+			t.Fatalf("uniform=%v: underestimated hint total %d, exact %d", h == nil, res.Total, want)
+		}
 	}
 }

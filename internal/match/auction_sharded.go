@@ -24,24 +24,19 @@ const auctionBlock = 16
 // — no callback, no multiply; beyond it, rows are rematerialized per bid.
 const auctionMatBudget = 256 << 20
 
-// AuctionOptions configures AuctionSharded. The zero value (serial, no
-// row fast path, no phase callback) is valid.
+// AuctionOptions configures AuctionBlocked and AuctionSharded. The zero
+// value (GOMAXPROCS workers, no phase callback) is valid.
 type AuctionOptions struct {
 	// Workers bounds the bidding worker pool; <= 0 means GOMAXPROCS. The
 	// matching is identical for any worker count.
 	Workers int
-	// Row, when non-nil, fills out[j] = w(i, j) for every column j in one
-	// call. Weight materialization then scans a filled row instead of
-	// making n callback calls — the callback was the dominant cost of the
-	// Gauss-Seidel auction on distance-derived weights.
-	Row func(i int, out []int64)
 	// OnPhase, when non-nil, is called after each ε-scaling phase with
 	// the phase index (from 0), the ε it ran at, and the bidding rounds
 	// and bids it took. Observability only; never changes the matching.
 	OnPhase func(phase int, eps int64, rounds, bids int)
 }
 
-// AuctionStats reports how much work an AuctionSharded run did.
+// AuctionStats reports how much work an auction run did.
 type AuctionStats struct {
 	// Phases is the number of ε-scaling phases.
 	Phases int
@@ -60,10 +55,9 @@ type AuctionStats struct {
 
 // AuctionSharded computes a maximum-weight perfect matching with a
 // block-synchronous ε-scaling auction. Weights must be non-negative
-// integers; like Auction, weights are scaled by n+1 so the final ε = 1
-// phase certifies an exact optimum — the Total always equals the
-// Jonker–Volgenant optimum, though the permutation attaining it may
-// differ.
+// integers; weights are scaled by n+1 so the final ε = 1 phase certifies
+// an exact optimum — the Total always equals the Jonker–Volgenant
+// optimum, though the permutation attaining it may differ.
 //
 // Bidding proceeds in blocks: the first auctionBlock free persons (in
 // ascending index order) each compute their best bid against the block's
@@ -86,16 +80,8 @@ func AuctionSharded(n int, w WeightFunc, opt AuctionOptions) (*Result, AuctionSt
 		workers = n
 	}
 
-	// rowOf materializes scaled row i into buf, via the fast path when
-	// available.
+	// rowOf materializes scaled row i into buf.
 	rowOf := func(i int, buf []int64) {
-		if opt.Row != nil {
-			opt.Row(i, buf)
-			for j := range buf {
-				buf[j] *= scale
-			}
-			return
-		}
 		for j := range buf {
 			buf[j] = w(i, j) * scale
 		}

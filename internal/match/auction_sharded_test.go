@@ -1,8 +1,7 @@
 // Equivalence coverage for the sharded Jacobi auction: its Total must
 // equal the Jonker–Volgenant optimum on every weight matrix (it is an
 // exact algorithm, not an approximation), its matching must be a valid
-// permutation, and the result must be bit-identical across worker counts
-// and between the callback and materialized-row paths.
+// permutation, and the result must be bit-identical across worker counts.
 package match
 
 import (
@@ -64,35 +63,27 @@ func TestAuctionShardedMatchesBruteForce(t *testing.T) {
 }
 
 // TestAuctionShardedDeterministicAcrossWorkers: not just the Total — the
-// full permutation must be bit-identical for every worker count, and for
-// the Row fast path against the plain callback.
+// full permutation must be bit-identical for every worker count.
 func TestAuctionShardedDeterministicAcrossWorkers(t *testing.T) {
 	n := 120
 	m := randomMatrix(n, 9, 42)
-	row := func(i int, out []int64) { copy(out, m[i]) }
 	base, baseStats := AuctionSharded(n, fn(m), AuctionOptions{Workers: 1})
 	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0)} {
-		for _, useRow := range []bool{false, true} {
-			opt := AuctionOptions{Workers: workers}
-			if useRow {
-				opt.Row = row
+		res, stats := AuctionSharded(n, fn(m), AuctionOptions{Workers: workers})
+		if res.Total != base.Total {
+			t.Fatalf("workers=%d: total %d != %d", workers, res.Total, base.Total)
+		}
+		for i := range res.Col {
+			if res.Col[i] != base.Col[i] {
+				t.Fatalf("workers=%d: Col[%d]=%d != %d", workers, i, res.Col[i], base.Col[i])
 			}
-			res, stats := AuctionSharded(n, fn(m), opt)
-			if res.Total != base.Total {
-				t.Fatalf("workers=%d row=%v: total %d != %d", workers, useRow, res.Total, base.Total)
-			}
-			for i := range res.Col {
-				if res.Col[i] != base.Col[i] {
-					t.Fatalf("workers=%d row=%v: Col[%d]=%d != %d", workers, useRow, i, res.Col[i], base.Col[i])
-				}
-			}
-			if stats.Phases != baseStats.Phases || stats.Rounds != baseStats.Rounds || stats.Bids != baseStats.Bids {
-				t.Fatalf("workers=%d row=%v: stats %+v != %+v", workers, useRow, stats, baseStats)
-			}
-			for j, p := range stats.Prices {
-				if p != baseStats.Prices[j] {
-					t.Fatalf("workers=%d row=%v: price[%d]=%d != %d — final prices depend on worker count", workers, useRow, j, p, baseStats.Prices[j])
-				}
+		}
+		if stats.Phases != baseStats.Phases || stats.Rounds != baseStats.Rounds || stats.Bids != baseStats.Bids {
+			t.Fatalf("workers=%d: stats %+v != %+v", workers, stats, baseStats)
+		}
+		for j, p := range stats.Prices {
+			if p != baseStats.Prices[j] {
+				t.Fatalf("workers=%d: price[%d]=%d != %d — final prices depend on worker count", workers, j, p, baseStats.Prices[j])
 			}
 		}
 	}

@@ -3,23 +3,30 @@
 // permutation" traffic matrix (§2.2): the permutation that maximizes total
 // shortest-path length determines the throughput upper bound.
 //
-// Three algorithms are provided:
+// The kernels production runs:
 //
 //   - Exact: the Jonker–Volgenant shortest-augmenting-path algorithm with
 //     dual potentials (the same family as the Hungarian method the paper
-//     uses via igraph), O(n³) worst case but fast on the small-integer
-//     weights that arise from hop distances.
-//   - Auction: Bertsekas' ε-scaling auction algorithm, exact for integer
-//     weights once ε < 1/n, typically much faster at large n.
+//     uses via igraph), O(n³) worst case; tub uses it for host sets of at
+//     most 64.
+//   - AuctionBlocked: Bertsekas' ε-scaling auction in a block-synchronous,
+//     matrix-free form that bids straight off uint8 distance rows
+//     (U8Weights). Exact for integer weights; the TUB matcher above 64
+//     hosts.
+//   - AuctionResume: the final ε = 1 phase of AuctionBlocked resumed from
+//     its retained prices after a sparse row change — the what-if
+//     engine's warm rematch.
 //   - Greedy: the paper's Algorithm 1 (farthest-pair pairing), a heuristic
-//     used in the proof of Theorem 4.1 and as a fast approximation.
+//     used in the proof of Theorem 4.1 and as the fallback past the
+//     auction's size cap.
 //
-// Weights are supplied through a callback so callers can derive them from
-// a compact distance matrix without materializing an n×n int64 matrix.
+// AuctionSharded, the same auction over an int64 weight callback with a
+// materialized weight matrix, is kept as the reference AuctionBlocked
+// must reproduce bit for bit and as a benchmark baseline.
 package match
 
 // WeightFunc returns the weight of assigning row i to column j. It must be
-// non-negative for Auction and Greedy; Exact accepts any int64.
+// non-negative for AuctionSharded and Greedy; Exact accepts any int64.
 type WeightFunc func(i, j int) int64
 
 // Result is a perfect matching: Col[i] is the column assigned to row i,
@@ -93,90 +100,6 @@ func Exact(n int, w WeightFunc) *Result {
 		res.Col[p[j]-1] = j - 1
 		res.Row[j-1] = p[j] - 1
 	}
-	for i := 0; i < n; i++ {
-		res.Total += w(i, res.Col[i])
-	}
-	return res
-}
-
-// Auction computes a maximum-weight perfect matching via Bertsekas'
-// ε-scaling auction algorithm. Weights must be non-negative integers. The
-// result is exact (weights are internally scaled by n+1 so the final
-// ε = 1 certifies optimality).
-func Auction(n int, w WeightFunc) *Result {
-	scale := int64(n + 1)
-	price := make([]int64, n)
-	owner := make([]int, n) // column -> row, -1 if free
-	assign := make([]int, n)
-	for j := range owner {
-		owner[j] = -1
-	}
-	for i := range assign {
-		assign[i] = -1
-	}
-
-	maxW := int64(0)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if ww := w(i, j) * scale; ww > maxW {
-				maxW = ww
-			}
-		}
-	}
-	epsStart := maxW / 2
-	if epsStart < 1 {
-		epsStart = 1
-	}
-
-	free := make([]int, 0, n)
-	for eps := epsStart; ; eps /= 4 {
-		if eps < 1 {
-			eps = 1
-		}
-		// Unassign everything at the start of each scaling phase.
-		for j := range owner {
-			owner[j] = -1
-		}
-		for i := range assign {
-			assign[i] = -1
-		}
-		free = free[:0]
-		for i := 0; i < n; i++ {
-			free = append(free, i)
-		}
-		for len(free) > 0 {
-			i := free[len(free)-1]
-			free = free[:len(free)-1]
-			// Find best and second-best object for bidder i.
-			bestJ, bestV, secondV := -1, int64(-1)<<62, int64(-1)<<62
-			for j := 0; j < n; j++ {
-				v := w(i, j)*scale - price[j]
-				if v > bestV {
-					secondV = bestV
-					bestV = v
-					bestJ = j
-				} else if v > secondV {
-					secondV = v
-				}
-			}
-			if secondV < bestV-maxW { // n == 1: no second candidate
-				secondV = bestV
-			}
-			bid := bestV - secondV + eps
-			price[bestJ] += bid
-			if prev := owner[bestJ]; prev >= 0 {
-				assign[prev] = -1
-				free = append(free, prev)
-			}
-			owner[bestJ] = i
-			assign[i] = bestJ
-		}
-		if eps == 1 {
-			break
-		}
-	}
-
-	res := &Result{Col: assign, Row: owner}
 	for i := 0; i < n; i++ {
 		res.Total += w(i, res.Col[i])
 	}

@@ -86,15 +86,39 @@ func TestExactAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// u8Symmetric is u8Matrix made symmetric: the shape hop distances
+// have.
+func u8Symmetric(n, maxD int, seed uint64) [][]uint8 {
+	m := u8Matrix(n, maxD, seed)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m[j][i] = m[i][j]
+		}
+	}
+	return m
+}
+
+// blocked runs AuctionBlocked over m with multipliers h and checks that
+// the result is a perfect matching consistent with the weights.
+func blocked(t *testing.T, m [][]uint8, h []int64) *Result {
+	t.Helper()
+	n := len(m)
+	res, _ := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: 1})
+	checkPerfect(t, n, u8Fn(m, h), res)
+	return res
+}
+
 func TestAuctionAgainstBruteForce(t *testing.T) {
 	for seed := uint64(100); seed < 140; seed++ {
-		n := 2 + int(seed%6)
-		m := randomMatrix(n, 9, seed)
-		got := Auction(n, fn(m))
-		validPerm(t, got, n)
-		want := bruteForce(n, fn(m))
-		if got.Total != want {
-			t.Fatalf("seed %d n %d: Auction %d, brute %d", seed, n, got.Total, want)
+		n := 1 + int(seed%6)
+		m := u8Matrix(n, 9, seed)
+		var h []int64
+		if seed%2 == 1 {
+			h = randomH(n, seed)
+		}
+		got := blocked(t, m, h)
+		if want := bruteForce(n, u8Fn(m, h)); got.Total != want {
+			t.Fatalf("seed %d n %d: AuctionBlocked %d, brute %d", seed, n, got.Total, want)
 		}
 	}
 }
@@ -102,12 +126,10 @@ func TestAuctionAgainstBruteForce(t *testing.T) {
 func TestAuctionMatchesExactMedium(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		n := 40 + int(seed)*17
-		m := randomMatrix(n, 12, seed)
-		e := Exact(n, fn(m))
-		a := Auction(n, fn(m))
-		validPerm(t, a, n)
-		if e.Total != a.Total {
-			t.Fatalf("seed %d n %d: Exact %d, Auction %d", seed, n, e.Total, a.Total)
+		m := u8Matrix(n, 12, seed)
+		e := Exact(n, u8Fn(m, nil))
+		if a := blocked(t, m, nil); e.Total != a.Total {
+			t.Fatalf("seed %d n %d: Exact %d, AuctionBlocked %d", seed, n, e.Total, a.Total)
 		}
 	}
 }
@@ -157,7 +179,8 @@ func TestGreedyOddCount(t *testing.T) {
 
 func TestSingleNode(t *testing.T) {
 	w := func(i, j int) int64 { return 5 }
-	for _, r := range []*Result{Exact(1, w), Auction(1, w), Greedy(1, w)} {
+	one := [][]uint8{{5}}
+	for _, r := range []*Result{Exact(1, w), blocked(t, one, nil), Greedy(1, w)} {
 		if r.Col[0] != 0 {
 			t.Fatal("n=1 must self-assign")
 		}
@@ -165,34 +188,44 @@ func TestSingleNode(t *testing.T) {
 }
 
 func TestUniformWeights(t *testing.T) {
-	w := func(i, j int) int64 { return 3 }
 	n := 9
-	if e := Exact(n, w); e.Total != int64(3*n) {
+	m := make([][]uint8, n)
+	for i := range m {
+		m[i] = make([]uint8, n)
+		for j := range m[i] {
+			m[i][j] = 3
+		}
+	}
+	if e := Exact(n, u8Fn(m, nil)); e.Total != int64(3*n) {
 		t.Fatalf("Exact uniform total %d", e.Total)
 	}
-	if a := Auction(n, w); a.Total != int64(3*n) {
-		t.Fatalf("Auction uniform total %d", a.Total)
+	if a := blocked(t, m, nil); a.Total != int64(3*n) {
+		t.Fatalf("AuctionBlocked uniform total %d", a.Total)
 	}
 }
 
 func TestZeroWeights(t *testing.T) {
 	w := func(i, j int) int64 { return 0 }
-	if a := Auction(6, w); a.Total != 0 {
-		t.Fatalf("Auction zero total %d", a.Total)
+	for _, r := range []*Result{Exact(6, w), Greedy(6, w)} {
+		validPerm(t, r, 6)
+		if r.Total != 0 {
+			t.Fatalf("zero-weight total %d", r.Total)
+		}
 	}
-	validPerm(t, Auction(6, w), 6)
 }
 
-// Distance-like weights: small integer range, zero diagonal — the shape
-// TUB actually feeds the matcher.
+// Distance-like weights: small integer range, zero diagonal, symmetric —
+// the shape TUB actually feeds the matcher — with uniform and
+// non-uniform multipliers.
 func TestDistanceShapedWeights(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		n := 30
-		m := symmetricMatrix(n, 6, seed) // distances 0..6
-		e := Exact(n, fn(m))
-		a := Auction(n, fn(m))
-		if e.Total != a.Total {
-			t.Fatalf("seed %d: exact %d vs auction %d", seed, e.Total, a.Total)
+		m := u8Symmetric(n, 6, seed) // distances 0..6
+		for _, h := range [][]int64{nil, randomH(n, seed+40)} {
+			e := Exact(n, u8Fn(m, h))
+			if a := blocked(t, m, h); e.Total != a.Total {
+				t.Fatalf("seed %d uniform=%v: exact %d vs AuctionBlocked %d", seed, h == nil, e.Total, a.Total)
+			}
 		}
 	}
 }
@@ -205,11 +238,12 @@ func BenchmarkExact200(b *testing.B) {
 	}
 }
 
-func BenchmarkAuction200(b *testing.B) {
-	m := randomMatrix(200, 8, 1)
+func BenchmarkAuctionBlocked200(b *testing.B) {
+	m := u8Matrix(200, 8, 1)
+	uw := U8Weights{Rows: u8Rows(m)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Auction(200, fn(m))
+		_, _ = AuctionBlocked(200, uw, AuctionOptions{Workers: 1})
 	}
 }
 

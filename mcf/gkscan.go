@@ -7,11 +7,11 @@ import (
 	"dctopo/obs"
 )
 
-// gkIncSeqScanMax is the active-demand count below which the incremental
+// gkIncSeqScanMax is the active-demand count below which the per-round
 // cheapest-path scan runs inline rather than fanning out to goroutines.
-// The skip-mode scan does so little work per demand that parallelism only
-// pays off at very large rounds. A variable (not a const) so the
-// boundary test can drive both sides of the switch on a small instance.
+// The fan-out only pays off at very large rounds. A variable (not a
+// const) so the boundary test can drive both sides of the switch on a
+// small instance.
 var gkIncSeqScanMax = 4096
 
 // gkMaxTableG and gkMaxTableCaps bound the precomputed growth-factor
@@ -23,56 +23,52 @@ const (
 	gkMaxTableCaps = 256
 )
 
-// solveGKIncremental is the production Garg–Könemann kernel (ScanAuto /
-// ScanIncremental). It runs the same round-based phase structure as
-// solveGKSimple and produces bit-identical output: identical path
-// choices, flows, θ, and per-round convergence events. That equivalence
-// is a deliberate design constraint, not an accident — these instances
-// are full of cheapest-path ties (uniform capacities, equal hop counts),
-// ties are broken by comparing rounded float sums, and any cache
-// maintained by accumulating per-edge deltas — while within ~1e-13 of
-// the fresh sums — still flips ties whose fresh sums are bitwise equal.
-// One flipped tie cascades into a θ difference at the full FPTAS
+// solveGK runs a round-based variant of the Garg–Könemann / Fleischer
+// maximum concurrent flow algorithm over the fixed path sets, then
+// rescales the accumulated flow onto the feasible region. Each phase
+// routes every demand's full amount; a phase proceeds in rounds, where a
+// round (1) scans — in parallel, against the frozen length function — the
+// cheapest path of every still-active demand, then (2) applies one
+// augmentation per demand sequentially in demand order, updating the
+// length function as it goes. Path selection is a pure function of the
+// round-start lengths and updates are applied in a fixed order, so the
+// solution is bit-identical for any worker count. The result is a
+// feasible throughput and, for the path-restricted problem, within ≈(1−3ε)
+// of optimal.
+//
+// The scan re-sums every path fresh, left to right in edge order, and
+// the kernel stays bit-identical to the reference solveGKSimple kept in
+// gkscan_test.go: identical path choices, flows, θ, and per-round
+// convergence events. That is a deliberate design constraint — these
+// instances are full of cheapest-path ties (uniform capacities, equal
+// hop counts), ties are broken by comparing rounded float sums, and any
+// cache maintained by accumulating per-edge deltas — while within ~1e-13
+// of the fresh sums — still flips ties whose fresh sums are bitwise
+// equal. One flipped tie cascades into a θ difference at the full FPTAS
 // tolerance (~1e-4). See DESIGN.md ("Solver scaling") for the
 // measurements behind this.
 //
-// The speedups therefore change no arithmetic, only skip work whose
-// result is provably bitwise unchanged:
+// The one speedup over the reference therefore changes no arithmetic: a
+// precomputed growth-factor table in the apply loop. When all demand
+// amounts and capacities are integral, every augmentation amount
+// g = min(rem, bneck) stays exactly integral by induction, so eps·g/c_e
+// takes values from a small (g, capacity) table whose entries are
+// computed with the very same float expression — bit-identical results
+// with the per-edge division hoisted out. Non-integral instances fall
+// back to inline division.
 //
-//   - Stale-path skipping. The kernel keeps each path's last fresh sum
-//     (pathLen) plus a stale bit, and an edge→paths inverted index built
-//     once per instance. The apply loop marks every path through an
-//     updated edge stale; the scan re-sums only stale paths — with the
-//     same left-to-right edge order as solveGKSimple, so a refreshed sum
-//     is bitwise identical to the simple kernel's, and a clean path's
-//     cached sum equals what a re-summation would produce because none
-//     of its terms changed. Marking costs ~(paths-per-edge × path-len)
-//     per applied demand, which rivals the scan itself on dense rounds
-//     (many active demands relative to edges), so skipping is enabled
-//     per round by a deterministic model of the stale fraction — see
-//     modeSkip — and dense rounds fall back to a full re-scan identical
-//     to solveGKSimple's. The decision depends only on solver state, so
-//     it is reproducible across runs and worker counts.
+// A positive maxPhases stops the phase loop early; the rescaled flow is
+// still feasible, so the returned θ is a valid lower bound.
 //
-//   - A precomputed growth-factor table in the apply loop. When all
-//     demand amounts and capacities are integral, every augmentation
-//     amount g = min(rem, bneck) stays exactly integral by induction, so
-//     eps·g/c_e takes values from a small (g, capacity) table whose
-//     entries are computed with the very same float expression —
-//     bit-identical results with the per-edge division hoisted out.
-//     Non-integral instances fall back to inline division.
-//
-// The skip mode is where the scaling headroom lives: with a subsampled
-// traffic matrix on a 20k-switch fabric, a round touches a tiny fraction
-// of the edges, so nearly every path stays clean and the scan cost drops
-// from k·pathlen float gathers per demand to k cache hits. On dense
-// instances (permutation TM where active·pathlen² ≈ edges) the kernel
-// deliberately degenerates to the simple scan rather than paying
-// marking overhead for nothing.
-//
-// maxPhases and the "mcf.round" convergence events behave exactly as in
-// solveGKSimple.
-func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o *obs.Obs) (float64, []float64) {
+// When o is non-nil, every round emits an "mcf.round" point event with
+// the convergence state: round and phase index, active demand count, the
+// dual objective D = Σ c_e·l_e (termination at D ≥ 1), the running worst
+// link overload λ, and theta_lb = completed_phases/λ — the throughput the
+// flow accumulated so far would achieve if rescaled now, a primal lower
+// bound that climbs toward the final answer. Tracking λ incrementally
+// costs one extra pass per augmentation, paid only when o is non-nil; the
+// algorithm's arithmetic is untouched either way.
+func (inst *instance) solveGK(eps float64, workers, maxPhases int, o *obs.Obs) (float64, []float64) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -89,7 +85,6 @@ func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o 
 
 	// Static bottleneck capacity per path.
 	bneck := make([]float64, nPaths)
-	totalLen := 0
 	for pid, edges := range inst.edgeList {
 		cMin := math.Inf(1)
 		for _, e := range edges {
@@ -98,38 +93,7 @@ func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o 
 			}
 		}
 		bneck[pid] = cMin
-		totalLen += len(edges)
 	}
-	avgLen := float64(totalLen) / float64(nPaths)
-
-	// Edge → paths inverted index (CSR), built once; used by the apply
-	// loop to mark paths stale in skip mode.
-	invOff := make([]int32, inst.numEdges+1)
-	for _, edges := range inst.edgeList {
-		for _, e := range edges {
-			invOff[e+1]++
-		}
-	}
-	for e := 0; e < inst.numEdges; e++ {
-		invOff[e+1] += invOff[e]
-	}
-	invPid := make([]int32, totalLen)
-	next := make([]int32, inst.numEdges)
-	copy(next, invOff[:inst.numEdges])
-	for pid, edges := range inst.edgeList {
-		for _, e := range edges {
-			invPid[next[e]] = int32(pid)
-			next[e]++
-		}
-	}
-
-	// Cached fresh sums and staleness. pathLen[pid] is valid only while
-	// marking has been continuously maintained (skip-mode rounds); any
-	// round scanned without marking invalidates everything, tracked by
-	// allStale.
-	pathLen := make([]float64, nPaths)
-	stale := make([]bool, nPaths)
-	allStale := true
 
 	// Growth-factor table (nil ⇒ inline division fallback).
 	growTab, onePlusTab, capIdx, tabCaps := inst.buildGrowTable(eps)
@@ -153,55 +117,11 @@ func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o 
 		roundStart = time.Now()
 	}
 
-	// modeSkip predicts whether skip-mode scanning wins this round. The
-	// stale fraction s has two parts. Self-staleness: an active demand
-	// was applied last round, and its chosen path shares edges with its
-	// sibling paths (they all leave the same source switch), so a
-	// structural fraction of its own paths goes stale every round —
-	// selfOverlap measures this exactly from the path sets at init.
-	// Cross-staleness: the other applied demands touched
-	// ≈ appliedPrev·avgLen of the E edges, staling an avgLen-edge path
-	// with probability ≈ 1-(1-appliedPrev·avgLen/E)^avgLen. Break-even
-	// per active demand: full re-scan costs ~k·L adds; skip costs ~k
-	// cache reads + s·k·L refresh adds + L·P marking during apply
-	// (k = paths per demand, L = path length, P = paths per edge) — so
-	// skip wins while s < 1 - 1/L - P/k. On Jellyfish-like instances
-	// selfOverlap alone (~0.5-0.7 measured) exceeds the threshold and
-	// the kernel deliberately stays on the streaming full scan; skip
-	// engages when the path sets are near-edge-disjoint (Clos-style
-	// instances, small k on high-radix fabrics). Every input is a
-	// deterministic function of solver state and instance shape, so the
-	// mode sequence — and therefore the output — is reproducible across
-	// runs and worker counts.
-	// The add-counting model above is optimistic about skip mode — it
-	// prices the stale-bit branch and the refresh loop setup at zero,
-	// and measurements put the real break-even at roughly half the
-	// modeled one — so the threshold carries a 2× safety margin: skip
-	// only engages when it wins clearly, and borderline rounds take the
-	// branchless streaming scan.
-	avgK := float64(nPaths) / math.Max(float64(n), 1)
-	avgP := float64(totalLen) / mEdges
-	sThresh := (1 - 1/avgLen - avgP/avgK) / 2
-	selfOverlap := inst.selfOverlap()
-	modeSkip := func(appliedPrev int) bool {
-		if sThresh <= 0 || selfOverlap >= sThresh {
-			return false
-		}
-		touched := float64(appliedPrev) * avgLen / mEdges
-		if touched >= 1 {
-			return false
-		}
-		sCross := 1 - math.Pow(1-touched, avgLen)
-		sHat := selfOverlap + (1-selfOverlap)*sCross
-		return sHat < sThresh
-	}
-
-	// scanFull re-sums every path of every active demand in [lo, hi),
-	// exactly like solveGKSimple's scan. It does not refresh the cache:
-	// full-scan rounds skip marking too (allStale), so cached sums would
-	// be invalidated before their next use anyway. Read-only on shared
-	// state except choice (disjoint across demands).
-	scanFull := func(lo, hi int) {
+	// scan picks the cheapest path of each active demand in [lo, hi)
+	// under the current lengths. Read-only on shared state except choice
+	// (disjoint across demands); ties keep the lowest path id, matching
+	// a sequential first-wins scan.
+	scan := func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			j := active[x]
 			pids := inst.pathsOf[j]
@@ -223,43 +143,7 @@ func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o 
 			choice[j] = best
 		}
 	}
-	// scanSkip re-sums only stale paths; clean paths reuse their cached
-	// sum, which is bitwise identical to a re-summation because none of
-	// its terms changed since the cache was filled.
-	scanSkip := func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			j := active[x]
-			pids := inst.pathsOf[j]
-			best := pids[0]
-			bestLen := pathLen[best]
-			if stale[best] {
-				bestLen = 0.0
-				for _, e := range inst.edgeList[best] {
-					bestLen += length[e]
-				}
-				pathLen[best] = bestLen
-				stale[best] = false
-			}
-			for _, pid := range pids[1:] {
-				s := pathLen[pid]
-				if stale[pid] {
-					s = 0.0
-					for _, e := range inst.edgeList[pid] {
-						s += length[e]
-					}
-					pathLen[pid] = s
-					stale[pid] = false
-				}
-				if s < bestLen {
-					bestLen = s
-					best = pid
-				}
-			}
-			choice[j] = best
-		}
-	}
 
-	appliedPrev := n // first round: everything changes hands, scan fully
 	for d < 1 {
 		if maxPhases > 0 && phase >= maxPhases {
 			break
@@ -274,21 +158,6 @@ func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o 
 			}
 		}
 		for len(active) > 0 && d < 1 {
-			skip := modeSkip(appliedPrev)
-			if skip && allStale {
-				// Marking lapsed during full-scan rounds; every cached
-				// sum is suspect until refreshed.
-				for i := range stale {
-					stale[i] = true
-				}
-				allStale = false
-			}
-			scan := scanFull
-			if skip {
-				scan = scanSkip
-			} else {
-				allStale = true
-			}
 			if len(active) <= gkIncSeqScanMax || workers <= 1 {
 				scan(0, len(active))
 			} else {
@@ -296,7 +165,6 @@ func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o 
 			}
 			// Sequential apply, in demand order (in-place filter of the
 			// active list; writes trail reads).
-			appliedPrev = len(active)
 			keep := active[:0]
 			for _, j := range active {
 				if d >= 1 {
@@ -321,13 +189,6 @@ func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o 
 						grow := eps * g / inst.capOf[e]
 						d += inst.capOf[e] * length[e] * grow
 						length[e] *= 1 + grow
-					}
-				}
-				if !allStale {
-					for _, e := range inst.edgeList[pid] {
-						for _, p := range invPid[invOff[e]:invOff[e+1]] {
-							stale[p] = true
-						}
 					}
 				}
 				if obsLoad != nil {
@@ -364,52 +225,6 @@ func (inst *instance) solveGKIncremental(eps float64, workers, maxPhases int, o 
 	}
 
 	return inst.rescaleGK(flow)
-}
-
-// selfOverlap returns the expected fraction of a demand's paths that
-// share at least one edge with a uniformly chosen sibling path of the
-// same demand — the structural floor on the per-round stale fraction,
-// since every active demand had a path applied last round. Computed
-// exactly from the path sets; O(k²·pathlen) per demand, once per solve.
-func (inst *instance) selfOverlap() float64 {
-	if len(inst.demands) == 0 {
-		return 0
-	}
-	var acc float64
-	var seen map[int32]bool
-	for _, pids := range inst.pathsOf {
-		k := len(pids)
-		if k < 2 {
-			continue
-		}
-		sharing := 0
-		for _, p := range pids {
-			if seen == nil {
-				seen = make(map[int32]bool, 32)
-			} else {
-				for e := range seen {
-					delete(seen, e)
-				}
-			}
-			for _, e := range inst.edgeList[p] {
-				seen[e] = true
-			}
-			for _, q := range pids {
-				if q == p {
-					continue
-				}
-				for _, e := range inst.edgeList[q] {
-					if seen[e] {
-						sharing++
-						break
-					}
-				}
-			}
-		}
-		// sharing counts ordered (chosen, stale sibling) pairs.
-		acc += float64(sharing) / float64(k*k)
-	}
-	return acc / float64(len(inst.demands))
 }
 
 // buildGrowTable precomputes grow = eps·g/c and 1+grow for every

@@ -1,11 +1,12 @@
-// Equivalence coverage for the incremental Garg–Könemann kernel: it must
-// reproduce solveGKSimple bit-for-bit — identical θ and identical
-// per-path flows — on every instance family, worker count, and option
-// combination, including the non-integral fallbacks and the sequential/
-// parallel scan boundary.
+// Equivalence coverage for the production Garg–Könemann kernel: it must
+// reproduce the reference solveGKSimple (defined below, test-only)
+// bit-for-bit — identical θ and identical per-path flows — on every
+// instance family, worker count, and option combination, including the
+// non-integral fallbacks and the sequential/parallel scan boundary.
 package mcf
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,25 +14,165 @@ import (
 	"dctopo/traffic"
 )
 
-// runBothScans solves the same instance with the simple and incremental
-// kernels and fails the test unless θ and every path flow are bitwise
-// identical.
+// gkSeqScanMax is the active-demand count below which the reference
+// kernel's scan runs inline. Deliberately different from the production
+// kernel's gkIncSeqScanMax: the schedule must never influence the result.
+const gkSeqScanMax = 32
+
+// solveGKSimple runs a round-based variant of the Garg–Könemann /
+// Fleischer maximum concurrent flow algorithm over the fixed path sets,
+// then rescales the accumulated flow onto the feasible region. Each phase
+// routes every demand's full amount; a phase proceeds in rounds, where a
+// round (1) scans — in parallel, against the frozen length function — the
+// cheapest path of every still-active demand, then (2) applies one
+// augmentation per demand sequentially in demand order, updating the
+// length function as it goes. Path selection is a pure function of the
+// round-start lengths and updates are applied in a fixed order, so the
+// solution is bit-identical for any worker count. The result is a
+// feasible throughput and, for the path-restricted problem, within ≈(1−3ε)
+// of optimal.
+//
+// This is the reference the production kernel (solveGK in gkscan.go)
+// must reproduce bit for bit: the plain algorithm, with every growth
+// factor divided inline and its own inline-scan threshold. It carries no
+// instrumentation — the production kernel's obs hooks never touch the
+// arithmetic.
+func (inst *instance) solveGKSimple(eps float64, workers, maxPhases int) (float64, []float64) {
+	mEdges := float64(inst.numEdges)
+	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
+	if delta <= 0 || math.IsNaN(delta) {
+		delta = 1e-12
+	}
+	length := make([]float64, inst.numEdges)
+	d := 0.0 // Σ c_e l_e
+	for e := range length {
+		length[e] = delta / inst.capOf[e]
+		d += inst.capOf[e] * length[e]
+	}
+	flow := make([]float64, len(inst.edgeList))
+
+	// Static bottleneck capacity per path.
+	bneck := make([]float64, len(inst.edgeList))
+	for pid, edges := range inst.edgeList {
+		cMin := math.Inf(1)
+		for _, e := range edges {
+			if inst.capOf[e] < cMin {
+				cMin = inst.capOf[e]
+			}
+		}
+		bneck[pid] = cMin
+	}
+
+	n := len(inst.demands)
+	workers = poolSize(workers, n)
+	rem := make([]float64, n)
+	choice := make([]int32, n)
+	active := make([]int32, 0, n)
+	phase := 0
+
+	// scan picks the cheapest path of each active demand in [lo, hi)
+	// under the current lengths. Read-only on shared state; ties keep the
+	// lowest path id, matching a sequential first-wins scan.
+	scan := func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			j := active[x]
+			pids := inst.pathsOf[j]
+			best := pids[0]
+			bestLen := 0.0
+			for _, e := range inst.edgeList[best] {
+				bestLen += length[e]
+			}
+			for _, pid := range pids[1:] {
+				s := 0.0
+				for _, e := range inst.edgeList[pid] {
+					s += length[e]
+				}
+				if s < bestLen {
+					bestLen = s
+					best = pid
+				}
+			}
+			choice[j] = best
+		}
+	}
+
+	for d < 1 {
+		if maxPhases > 0 && phase >= maxPhases {
+			break
+		}
+		// New phase: every demand routes its full amount again.
+		phase++
+		active = active[:0]
+		for j := range inst.demands {
+			if inst.demands[j].Amount > 1e-15 {
+				rem[j] = inst.demands[j].Amount
+				active = append(active, int32(j))
+			}
+		}
+		for len(active) > 0 && d < 1 {
+			if len(active) <= gkSeqScanMax || workers <= 1 {
+				scan(0, len(active))
+			} else {
+				parallelChunks(workers, len(active), scan)
+			}
+			// Sequential apply, in demand order (in-place filter of the
+			// active list; writes trail reads).
+			keep := active[:0]
+			for _, j := range active {
+				if d >= 1 {
+					break
+				}
+				pid := choice[j]
+				g := rem[j]
+				if bneck[pid] < g {
+					g = bneck[pid]
+				}
+				flow[pid] += g
+				rem[j] -= g
+				for _, e := range inst.edgeList[pid] {
+					grow := eps * g / inst.capOf[e]
+					d += inst.capOf[e] * length[e] * grow
+					length[e] *= 1 + grow
+				}
+				if rem[j] > 1e-15 {
+					keep = append(keep, j)
+				}
+			}
+			active = keep
+		}
+	}
+
+	return inst.rescaleGK(flow)
+}
+
+// solveReference is ThroughputDetail's Garg–Könemann branch with the
+// reference kernel in place of the production one.
+func solveReference(top *topo.Topology, tm *traffic.Matrix, paths *Paths, opt Options) *Detail {
+	inst := newInstance(top, tm, paths)
+	theta, flat := inst.solveGKSimple(opt.eps(), opt.Workers, opt.MaxPhases)
+	d := &Detail{Theta: theta, PathFlows: make([][]float64, len(tm.Demands))}
+	for j, pids := range inst.pathsOf {
+		d.PathFlows[j] = make([]float64, len(pids))
+		for x, pid := range pids {
+			d.PathFlows[j][x] = flat[pid]
+		}
+	}
+	return d
+}
+
+// runBothScans solves the same instance with the reference and
+// production kernels and fails the test unless θ and every path flow
+// are bitwise identical.
 func runBothScans(t *testing.T, top *topo.Topology, tm *traffic.Matrix, k int, opt Options) (float64, float64) {
 	t.Helper()
 	paths := KShortest(top, tm, k)
-	optS, optI := opt, opt
-	optS.Method, optI.Method = Approx, Approx
-	optS.Scan, optI.Scan = ScanSimple, ScanIncremental
-	ds, err := ThroughputDetail(top, tm, paths, optS)
+	di, err := MaxConcurrentFlow(top, tm, paths, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	di, err := ThroughputDetail(top, tm, paths, optI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := solveReference(top, tm, paths, opt)
 	if ds.Theta != di.Theta {
-		t.Fatalf("theta diverged: simple=%.17g incremental=%.17g", ds.Theta, di.Theta)
+		t.Fatalf("theta diverged: simple=%.17g production=%.17g", ds.Theta, di.Theta)
 	}
 	if len(ds.PathFlows) != len(di.PathFlows) {
 		t.Fatalf("flow shape diverged: %d vs %d demands", len(ds.PathFlows), len(di.PathFlows))
@@ -42,7 +183,7 @@ func runBothScans(t *testing.T, top *topo.Topology, tm *traffic.Matrix, k int, o
 		}
 		for p, f := range ds.PathFlows[j] {
 			if di.PathFlows[j][p] != f {
-				t.Fatalf("demand %d path %d: flow diverged: simple=%.17g incremental=%.17g",
+				t.Fatalf("demand %d path %d: flow diverged: simple=%.17g production=%.17g",
 					j, p, f, di.PathFlows[j][p])
 			}
 		}
@@ -65,8 +206,8 @@ func TestScanKernelsAgree(t *testing.T) {
 		}
 		tm := traffic.RandomPermutation(top, uint64(trial+1))
 		if trial%2 == 1 && len(tm.Demands) > 4 {
-			// Subsampled matrix: the sparse regime the skip-mode scan
-			// targets.
+			// Subsampled matrix: rounds touch a small share of the
+			// edges.
 			tm = &traffic.Matrix{Switches: tm.Switches, Demands: tm.Demands[:len(tm.Demands)/2]}
 		}
 		k := 2 + rng.Intn(6)
@@ -80,7 +221,7 @@ func TestScanKernelsAgree(t *testing.T) {
 	}
 }
 
-// TestScanKernelsAgreeNonIntegral drives the incremental kernel's inline
+// TestScanKernelsAgreeNonIntegral drives the production kernel's inline
 // division fallback: fractional demand amounts make the growth-factor
 // table ineligible, and the kernels must still agree bitwise.
 func TestScanKernelsAgreeNonIntegral(t *testing.T) {
@@ -128,7 +269,7 @@ func TestGKIncScanBoundary(t *testing.T) {
 	tm := traffic.RandomPermutation(top, 3)
 	paths := KShortest(top, tm, 4)
 	solve := func() float64 {
-		th, err := Throughput(top, tm, paths, Options{Method: Approx, Eps: 0.05, Workers: 4, Scan: ScanIncremental})
+		th, err := Throughput(top, tm, paths, Options{Method: Approx, Eps: 0.05, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,9 +285,9 @@ func TestGKIncScanBoundary(t *testing.T) {
 	}
 }
 
-// FuzzGKScanEquivalence cross-checks the two kernels on fuzzer-chosen
-// topologies, matrices, and solver options; any bitwise divergence in θ
-// is a bug in the incremental kernel's work-skipping logic.
+// FuzzGKScanEquivalence cross-checks the production kernel against the
+// reference on fuzzer-chosen topologies, matrices, and solver options;
+// any bitwise divergence in θ is a bug in the production kernel.
 func FuzzGKScanEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint8(8), uint8(2), uint8(4), false)
 	f.Add(uint64(2), uint8(24), uint8(6), uint8(3), uint8(2), true)
@@ -175,17 +316,14 @@ func FuzzGKScanEquivalence(f *testing.F) {
 				t.Skip()
 			}
 		}
-		var theta [2]float64
-		for i, scan := range []Scan{ScanSimple, ScanIncremental} {
-			th, err := Throughput(top, tm, paths, Options{Method: Approx, Eps: 0.06, Workers: 1, Scan: scan})
-			if err != nil {
-				t.Skip()
-			}
-			theta[i] = th
+		opt := Options{Method: Approx, Eps: 0.06, Workers: 1}
+		got, err := Throughput(top, tm, paths, opt)
+		if err != nil {
+			t.Skip()
 		}
-		if theta[0] != theta[1] {
-			t.Fatalf("kernels diverged: simple=%.17g incremental=%.17g (sw=%d radix=%d hosts=%d)",
-				theta[0], theta[1], sw, radix, hosts)
+		if want := solveReference(top, tm, paths, opt).Theta; got != want {
+			t.Fatalf("kernels diverged: simple=%.17g production=%.17g (sw=%d radix=%d hosts=%d)",
+				want, got, sw, radix, hosts)
 		}
 	})
 }

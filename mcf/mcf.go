@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"dctopo/internal/lp"
 	"dctopo/obs"
@@ -51,39 +50,6 @@ const (
 	Approx
 )
 
-// Scan selects the Garg–Könemann cheapest-path scan kernel.
-type Scan int
-
-// Scan kernels.
-const (
-	// ScanAuto selects ScanIncremental, the production kernel.
-	ScanAuto Scan = iota
-	// ScanIncremental maintains a per-path length array plus an
-	// edge→paths inverted index, so each round's scan compares k cached
-	// sums per demand and each augmentation delta-updates only the paths
-	// crossing its edges. Path choices match ScanSimple exactly and θ
-	// agrees within 1e-12 relative (see DESIGN.md "Solver scaling" for
-	// why strict bit-identity gives way to a tolerance here).
-	ScanIncremental
-	// ScanSimple is the retained pre-incremental baseline: every round
-	// re-sums every active demand's path lengths edge by edge. Kept as
-	// the differential-testing and benchmark reference.
-	ScanSimple
-)
-
-// String names the scan kernel (used in trace attributes).
-func (s Scan) String() string {
-	switch s {
-	case ScanAuto:
-		return "auto"
-	case ScanIncremental:
-		return "incremental"
-	case ScanSimple:
-		return "simple"
-	}
-	return fmt.Sprintf("scan(%d)", int(s))
-}
-
 // Options configures Throughput. The zero value means Auto with ε = 0.02
 // on a GOMAXPROCS-wide pool.
 type Options struct {
@@ -95,10 +61,6 @@ type Options struct {
 	// bit-identical for any worker count; the exact simplex backend is
 	// single-threaded and ignores this field.
 	Workers int
-	// Scan selects the Garg–Könemann scan kernel. The zero value
-	// (ScanAuto = ScanIncremental) is right for all production uses;
-	// ScanSimple exists for differential tests and benchmarks.
-	Scan Scan
 	// MaxPhases, when positive, stops the Garg–Könemann solver after
 	// that many phases instead of running to dual termination. The
 	// rescaled result is still a feasible throughput — a valid lower
@@ -151,9 +113,6 @@ func MaxConcurrentFlow(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Option
 
 // ThroughputDetail is Throughput plus the realizing per-path flows.
 func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options) (*Detail, error) {
-	if opt.Scan < ScanAuto || opt.Scan > ScanSimple {
-		return nil, fmt.Errorf("mcf: invalid scan kernel %d (want ScanAuto, ScanIncremental or ScanSimple)", opt.Scan)
-	}
 	if len(m.Demands) == 0 {
 		return nil, errors.New("mcf: empty traffic matrix")
 	}
@@ -175,15 +134,8 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 		return theta, flat, err
 	}
 	approx := func() (float64, []float64) {
-		gko, sp := mo.Start("mcf.gk",
-			obs.Float("eps", opt.eps()), obs.String("scan", opt.scan().String()))
-		var theta float64
-		var flat []float64
-		if opt.scan() == ScanSimple {
-			theta, flat = inst.solveGKSimple(opt.eps(), opt.Workers, opt.MaxPhases, gko)
-		} else {
-			theta, flat = inst.solveGKIncremental(opt.eps(), opt.Workers, opt.MaxPhases, gko)
-		}
+		gko, sp := mo.Start("mcf.gk", obs.Float("eps", opt.eps()))
+		theta, flat := inst.solveGK(opt.eps(), opt.Workers, opt.MaxPhases, gko)
 		sp.End(obs.Float("theta", theta))
 		return theta, flat
 	}
@@ -223,14 +175,6 @@ func (o Options) eps() float64 {
 		return 0.02
 	}
 	return o.Eps
-}
-
-// scan resolves ScanAuto to the production kernel.
-func (o Options) scan() Scan {
-	if o.Scan == ScanAuto {
-		return ScanIncremental
-	}
-	return o.Scan
 }
 
 // instance is the flattened path-flow system shared by both backends.
@@ -308,189 +252,10 @@ func (inst *instance) solveExact() (float64, []float64, error) {
 	return sol.Obj, sol.X[1:], nil
 }
 
-// gkSeqScanMax is the active-demand count below which the per-round
-// cheapest-path scan runs inline: goroutine fan-out costs more than the
-// scan itself on small rounds. The algorithm is identical either way.
-const gkSeqScanMax = 32
-
-// solveGKSimple runs a round-based variant of the Garg–Könemann /
-// Fleischer maximum concurrent flow algorithm over the fixed path sets,
-// then rescales the accumulated flow onto the feasible region. Each phase
-// routes every demand's full amount; a phase proceeds in rounds, where a
-// round (1) scans — in parallel, against the frozen length function — the
-// cheapest path of every still-active demand, then (2) applies one
-// augmentation per demand sequentially in demand order, updating the
-// length function as it goes. Path selection is a pure function of the
-// round-start lengths and updates are applied in a fixed order, so the
-// solution is bit-identical for any worker count. The result is a
-// feasible throughput and, for the path-restricted problem, within ≈(1−3ε)
-// of optimal.
-//
-// This is the retained pre-incremental baseline (ScanSimple): every scan
-// re-sums every active demand's path lengths edge by edge, O(active ×
-// k × pathlen) per round. solveGKIncremental in gkscan.go is the
-// production kernel; this one anchors the differential tests and the
-// before/after benchmarks.
-//
-// A positive maxPhases stops the phase loop early; the rescaled flow is
-// still feasible, so the returned θ is a valid lower bound.
-//
-// When o is non-nil, every round emits an "mcf.round" point event with
-// the convergence state: round and phase index, active demand count, the
-// dual objective D = Σ c_e·l_e (termination at D ≥ 1), the running worst
-// link overload λ, and theta_lb = completed_phases/λ — the throughput the
-// flow accumulated so far would achieve if rescaled now, a primal lower
-// bound that climbs toward the final answer. Tracking λ incrementally
-// costs one extra pass per augmentation, paid only when o is non-nil; the
-// algorithm's arithmetic is untouched either way.
-func (inst *instance) solveGKSimple(eps float64, workers, maxPhases int, o *obs.Obs) (float64, []float64) {
-	mEdges := float64(inst.numEdges)
-	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
-	if delta <= 0 || math.IsNaN(delta) {
-		delta = 1e-12
-	}
-	length := make([]float64, inst.numEdges)
-	d := 0.0 // Σ c_e l_e
-	for e := range length {
-		length[e] = delta / inst.capOf[e]
-		d += inst.capOf[e] * length[e]
-	}
-	flow := make([]float64, len(inst.edgeList))
-
-	// Static bottleneck capacity per path.
-	bneck := make([]float64, len(inst.edgeList))
-	for pid, edges := range inst.edgeList {
-		cMin := math.Inf(1)
-		for _, e := range edges {
-			if inst.capOf[e] < cMin {
-				cMin = inst.capOf[e]
-			}
-		}
-		bneck[pid] = cMin
-	}
-
-	n := len(inst.demands)
-	workers = poolSize(workers, n)
-	rem := make([]float64, n)
-	choice := make([]int32, n)
-	active := make([]int32, 0, n)
-
-	// Convergence tracking, allocated only when observed.
-	var obsLoad []float64
-	var obsLambda float64
-	round, phase, phasesDone := 0, 0, 0
-	var roundHist *obs.Histogram
-	var roundStart time.Time
-	if o != nil {
-		obsLoad = make([]float64, inst.numEdges)
-		roundHist = o.Histogram("mcf.gk.round")
-		roundStart = time.Now()
-	}
-
-	// scan picks the cheapest path of each active demand in [lo, hi)
-	// under the current lengths. Read-only on shared state; ties keep the
-	// lowest path id, matching a sequential first-wins scan.
-	scan := func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			j := active[x]
-			pids := inst.pathsOf[j]
-			best := pids[0]
-			bestLen := 0.0
-			for _, e := range inst.edgeList[best] {
-				bestLen += length[e]
-			}
-			for _, pid := range pids[1:] {
-				s := 0.0
-				for _, e := range inst.edgeList[pid] {
-					s += length[e]
-				}
-				if s < bestLen {
-					bestLen = s
-					best = pid
-				}
-			}
-			choice[j] = best
-		}
-	}
-
-	for d < 1 {
-		if maxPhases > 0 && phase >= maxPhases {
-			break
-		}
-		// New phase: every demand routes its full amount again.
-		phase++
-		active = active[:0]
-		for j := range inst.demands {
-			if inst.demands[j].Amount > 1e-15 {
-				rem[j] = inst.demands[j].Amount
-				active = append(active, int32(j))
-			}
-		}
-		for len(active) > 0 && d < 1 {
-			if len(active) <= gkSeqScanMax || workers <= 1 {
-				scan(0, len(active))
-			} else {
-				parallelChunks(workers, len(active), scan)
-			}
-			// Sequential apply, in demand order (in-place filter of the
-			// active list; writes trail reads).
-			keep := active[:0]
-			for _, j := range active {
-				if d >= 1 {
-					break
-				}
-				pid := choice[j]
-				g := rem[j]
-				if bneck[pid] < g {
-					g = bneck[pid]
-				}
-				flow[pid] += g
-				rem[j] -= g
-				for _, e := range inst.edgeList[pid] {
-					grow := eps * g / inst.capOf[e]
-					d += inst.capOf[e] * length[e] * grow
-					length[e] *= 1 + grow
-				}
-				if obsLoad != nil {
-					for _, e := range inst.edgeList[pid] {
-						obsLoad[e] += g
-						if r := obsLoad[e] / inst.capOf[e]; r > obsLambda {
-							obsLambda = r
-						}
-					}
-				}
-				if rem[j] > 1e-15 {
-					keep = append(keep, j)
-				}
-			}
-			active = keep
-			if o != nil {
-				round++
-				now := time.Now()
-				roundHist.ObserveNs(int64(now.Sub(roundStart)))
-				roundStart = now
-				if len(active) == 0 {
-					phasesDone = phase
-				}
-				thetaLB := 0.0
-				if obsLambda > 0 {
-					thetaLB = float64(phasesDone) / obsLambda
-				}
-				o.Point("mcf.round",
-					obs.Int("round", round), obs.Int("phase", phase),
-					obs.Int("active", len(active)), obs.Float("dual", d),
-					obs.Float("lambda", obsLambda), obs.Float("theta_lb", thetaLB))
-			}
-		}
-	}
-
-	return inst.rescaleGK(flow)
-}
-
 // rescaleGK projects accumulated Garg–Könemann flow onto the feasible
 // region — divide by the worst link load, then take the worst satisfied
-// demand fraction — shared by both scan kernels so their results differ
-// only through path choices.
+// demand fraction — shared with the test-side reference kernel so the
+// two can differ only through path choices.
 func (inst *instance) rescaleGK(flow []float64) (float64, []float64) {
 	load := make([]float64, inst.numEdges)
 	for pid, f := range flow {

@@ -282,18 +282,6 @@ func (e *WhatIf) hostRow(sc *whatifScratch, i int) []uint8 {
 	return e.full[i*e.nsw : (i+1)*e.nsw]
 }
 
-// weightAt builds the matcher weight callback over the (possibly
-// overlaid) rows: w(i, j) = min(H_i, H_j) · L_ij.
-func (e *WhatIf) weightAt(sc *whatifScratch) match.WeightFunc {
-	return func(i, j int) int64 {
-		w := e.h[i]
-		if e.h[j] < w {
-			w = e.h[j]
-		}
-		return int64(e.hostRow(sc, i)[e.hosts[j]]) * w
-	}
-}
-
 // u8At builds the matrix-free matcher view over the (possibly
 // overlaid) rows: unchanged hosts borrow the precomputed hh row
 // directly; a changed host's full-width overlay is compacted onto host
@@ -582,13 +570,11 @@ func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*Qu
 			}
 		}
 	}
-	u8 := e.u8At(sc)
-	res, st := match.AuctionResume(len(e.hosts), e.weightAt(sc), match.AuctionWarmStart{
+	res, st := match.AuctionResume(len(e.hosts), e.u8At(sc), match.AuctionWarmStart{
 		Prices: e.prices,
 		Col:    e.base.Perm,
 	}, sc.changed, match.AuctionResumeOptions{
 		Workers:   1, // queries parallelize across the sweep, not within
-		U8:        &u8,
 		MaxWeight: maxRaw,
 		MaxRounds: defaultResumeRoundsPerHost * len(e.hosts),
 	})

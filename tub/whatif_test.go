@@ -6,6 +6,7 @@ package tub
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -56,10 +57,23 @@ func coldQuery(t *testing.T, tp *topo.Topology, u, v int) (bound float64, weight
 	return r.Bound, r.WeightedLen, r.TwoE, false
 }
 
+// requireLinkMonotone checks the invariant that removing a link never
+// raises TUB: 2E shrinks and no host distance shrinks, so the
+// maximal-permutation weight can only grow. Applies to connected link
+// removals only; a switch removal also drops hosts, so it is exempt.
+func requireLinkMonotone(t *testing.T, label string, e *WhatIf, q *QueryResult) {
+	t.Helper()
+	if q.Bound > e.Base().Bound || q.WeightedLen < e.Base().WeightedLen {
+		t.Fatalf("%s mode=%s: link removal raised TUB: bound %v > base %v or weighted length %d < base %d",
+			label, q.Mode, q.Bound, e.Base().Bound, q.WeightedLen, e.Base().WeightedLen)
+	}
+}
+
 // TestWhatIfLinkDifferential: every single-link removal, every family,
 // Workers ∈ {1, GOMAXPROCS} — the incremental bound must equal the cold
 // bound exactly (the integers behind it are identical, so the float64
-// division is bit-identical too).
+// division is bit-identical too), and no connected removal may raise
+// the bound above the base.
 func TestWhatIfLinkDifferential(t *testing.T) {
 	for _, tp := range whatifTopologies(t) {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -95,6 +109,7 @@ func TestWhatIfLinkDifferential(t *testing.T) {
 					t.Fatalf("%s workers=%d link (%d,%d) mode=%s: got (%v, %d, %d), cold (%v, %d, %d)",
 						tp.Name(), workers, u, v, q.Mode, q.Bound, q.WeightedLen, q.TwoE, wantB, wantWL, wantE)
 				}
+				requireLinkMonotone(t, fmt.Sprintf("%s workers=%d link (%d,%d)", tp.Name(), workers, u, v), e, q)
 			})
 		}
 	}
@@ -343,6 +358,9 @@ func FuzzWhatIfEquivalence(f *testing.F) {
 		}
 		if q.Bound != wantB || q.WeightedLen != wantWL {
 			t.Fatalf("mode=%s: got (%v, %d), cold (%v, %d)", q.Mode, q.Bound, q.WeightedLen, wantB, wantWL)
+		}
+		if !bySwitch {
+			requireLinkMonotone(t, "fuzz link", e, q)
 		}
 		if !q.Disconnected && (math.IsNaN(q.Bound) || q.Bound <= 0) {
 			t.Fatalf("implausible bound %v", q.Bound)
