@@ -13,7 +13,6 @@ import (
 
 	"dctopo/estimators"
 	"dctopo/expt"
-	"dctopo/internal/graph"
 	"dctopo/internal/match"
 	"dctopo/mcf"
 	"dctopo/obs"
@@ -235,43 +234,6 @@ func BenchmarkGKParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxConcurrentFlow times the Garg–Könemann solver in two
-// regimes; θ is reported so result drift stays visible in the metrics.
-// "dense" is the BenchmarkGKParallel instance — a full permutation TM,
-// where every round touches most edges. "sparse" routes a subsampled
-// permutation (64 demand pairs) over a 1000-switch fabric — the
-// ground-truth-at-scale regime, where a round touches a sliver of the
-// edges but every active demand still re-sums all of its paths.
-func BenchmarkMaxConcurrentFlow(b *testing.B) {
-	dense := benchTopology(b, 100, 12, 5)
-	denseTM := traffic.RandomPermutation(dense, 1)
-	sparse := benchTopology(b, 1000, 14, 7)
-	sparseTM := &traffic.Matrix{Switches: sparse.NumSwitches(), Demands: traffic.RandomPermutation(sparse, 1).Demands[:64]}
-	cases := []struct {
-		name string
-		t    *topo.Topology
-		tm   *traffic.Matrix
-		k    int
-	}{
-		{"dense", dense, denseTM, 12},
-		{"sparse", sparse, sparseTM, 12},
-	}
-	for _, c := range cases {
-		paths := mcf.KShortest(c.t, c.tm, c.k)
-		b.Run(c.name, func(b *testing.B) {
-			theta := 0.0
-			for i := 0; i < b.N; i++ {
-				d, err := mcf.MaxConcurrentFlow(c.t, c.tm, paths, mcf.Options{Eps: 0.03, Workers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				theta = d.Theta
-			}
-			b.ReportMetric(theta, "theta")
-		})
-	}
-}
-
 // BenchmarkFig3ThroughputGapParallel is BenchmarkFig3ThroughputGap swept
 // over worker counts: the end-to-end KSP-MCF-bound sweep whose speedup
 // the parallel pipeline targets. θ of the last row is reported so the
@@ -462,69 +424,4 @@ func BenchmarkMCFObsOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkHostDistances is the tentpole's acceptance benchmark: the
-// bit-parallel multi-source BFS kernel vs the retained scalar baseline on
-// a Jellyfish instance with >= 2048 host switches, at equal GOMAXPROCS.
-// The kernel must win by >= 3x; the CI bench job records both in
-// BENCH_msbfs.json. sources/s is full BFS traversals completed per
-// second (hosts / wall time).
-func BenchmarkHostDistances(b *testing.B) {
-	t := benchTopology(b, 2048, 16, 4)
-	hosts := len(t.Hosts())
-	run := func(b *testing.B, f func() ([][]uint8, error)) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			d, err := f()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(d) != hosts {
-				b.Fatalf("%d rows, want %d", len(d), hosts)
-			}
-		}
-		b.ReportMetric(float64(hosts)*float64(b.N)/b.Elapsed().Seconds(), "sources/s")
-	}
-	b.Run("kernel=bitparallel", func(b *testing.B) {
-		run(b, func() ([][]uint8, error) { return tub.HostDistancesWorkers(t, 0) })
-	})
-	b.Run("kernel=scalar", func(b *testing.B) {
-		run(b, func() ([][]uint8, error) { return tub.HostDistancesScalar(t, 0) })
-	})
-}
-
-// BenchmarkKShortest is this PR's acceptance benchmark: the goal-directed
-// allocation-free Yen kernel vs the retained simple baseline on a
-// 1024-switch Jellyfish at k=8, equal GOMAXPROCS. The goal kernel must
-// win by >= 3x, with -benchmem showing only the output paths allocated;
-// the CI bench job records both in BENCH_ksp.json. paths/s is result
-// paths produced per second of wall time.
-func BenchmarkKShortest(b *testing.B) {
-	t := benchTopology(b, 1024, 16, 4)
-	g := t.Graph()
-	n := g.N()
-	const k, nPairs = 8, 32
-	run := func(b *testing.B, f func(src, dst int) []graph.Path) {
-		b.Helper()
-		b.ReportAllocs()
-		paths := 0
-		for i := 0; i < b.N; i++ {
-			paths = 0
-			for p := 0; p < nPairs; p++ {
-				got := f(p, (p+n/2)%n)
-				if len(got) != k {
-					b.Fatalf("pair %d: %d paths, want %d", p, len(got), k)
-				}
-				paths += len(got)
-			}
-		}
-		b.ReportMetric(float64(paths)*float64(b.N)/b.Elapsed().Seconds(), "paths/s")
-	}
-	b.Run("kernel=goal", func(b *testing.B) {
-		run(b, func(src, dst int) []graph.Path { return g.KShortestPaths(src, dst, k) })
-	})
-	b.Run("kernel=simple", func(b *testing.B) {
-		run(b, func(src, dst int) []graph.Path { return g.KShortestPathsSimple(src, dst, k) })
-	})
 }

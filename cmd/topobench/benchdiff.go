@@ -12,8 +12,8 @@ import (
 )
 
 // benchDiffDoc is the schema-agnostic view of any BENCH_*.json document:
-// every report (msbfs, ksp, gk, matching) shares benchmark/entries, and
-// each entry is read as a flat map so one differ covers all four shapes.
+// each entry is read as a flat map, so committed entries that carry
+// extra instance fields diff against freshly written ones.
 type benchDiffDoc struct {
 	Benchmark string                   `json:"benchmark"`
 	Commit    string                   `json:"commit"`
@@ -48,34 +48,37 @@ type benchDelta struct {
 	NewNs     float64
 	Delta     float64 // (new-old)/old on ns_op; >0 is slower
 	Threshold float64
-	Status    string // "REGRESSION", "WARN", "improvement", "ok", "new", "removed"
+	Status    string // "MISMATCH", "REGRESSION", "WARN", "improvement", "ok", "new", "removed"
 	Notes     []string
 }
 
-// benchDiffMetricKeys are the secondary per-entry metrics compared
-// informationally (never gating): work-rate metrics warn when they move
-// more than the case threshold, and result metrics (theta,
-// weighted_len) warn on any change — those are determinism evidence,
-// not performance.
+// benchDiffMetricKeys are the secondary per-entry metrics. Work-rate
+// and cost metrics warn when they move more than the case threshold.
+// Result metrics are determinism evidence, not performance: theta warns
+// on any change (floats may differ across architectures), while
+// weighted_len is an exact integer from a seeded instance, so any
+// change is a bug and fails the diff.
 var benchDiffMetricKeys = []struct {
 	key    string
 	rate   bool // higher-is-better throughput metric
 	result bool // must not change at all
+	exact  bool // a change fails the diff
 }{
-	{"sources_per_sec", true, false},
-	{"paths_per_sec", true, false},
-	{"b_op", false, false},
-	{"allocs_op", false, false},
-	{"theta", false, true},
-	{"weighted_len", false, true},
+	{"sources_per_sec", true, false, false},
+	{"paths_per_sec", true, false, false},
+	{"b_op", false, false, false},
+	{"allocs_op", false, false, false},
+	{"theta", false, true, false},
+	{"weighted_len", false, true, true},
 }
 
 // cmdBenchDiff implements `topobench benchdiff OLD.json NEW.json`: align
 // benchmark entries by name, compute ns/op and metric deltas, print a
-// table ranked worst-first, and fail when a slowdown exceeds its noise
-// threshold (and, when -hard is set, the hard cap — deltas between the
-// two are printed as WARN but do not fail, absorbing runner noise in
-// CI). New and removed cases are reported but never fail the diff.
+// table ranked worst-first, and fail when an exact result changed or a
+// slowdown exceeds its noise threshold (and, when -hard is set, the
+// hard cap — deltas between the two are printed as WARN but do not
+// fail, absorbing runner noise in CI). New and removed cases are
+// reported but never fail the diff.
 func cmdBenchDiff(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ExitOnError)
 	thrFile := fs.String("thresholds", "", "per-case noise thresholds JSON ({\"default\":0.10,\"cases\":{name:frac}}); default 10%")
@@ -107,14 +110,17 @@ func cmdBenchDiff(w io.Writer, args []string) error {
 	}
 	deltas := diffBench(oldDoc, newDoc, thr, *hard)
 	writeBenchDiffTable(w, fs.Arg(0), fs.Arg(1), oldDoc, newDoc, deltas)
-	var regressions []string
+	var failures []string
 	for _, d := range deltas {
-		if d.Status == "REGRESSION" {
-			regressions = append(regressions, fmt.Sprintf("%s +%.1f%% (threshold %.0f%%)", d.Name, 100*d.Delta, 100*d.Threshold))
+		switch d.Status {
+		case "MISMATCH":
+			failures = append(failures, fmt.Sprintf("%s %s", d.Name, strings.Join(d.Notes, "; ")))
+		case "REGRESSION":
+			failures = append(failures, fmt.Sprintf("%s +%.1f%% (threshold %.0f%%)", d.Name, 100*d.Delta, 100*d.Threshold))
 		}
 	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("benchdiff: %d regression(s):\n  %s", len(regressions), strings.Join(regressions, "\n  "))
+	if len(failures) > 0 {
+		return fmt.Errorf("benchdiff: %d failure(s):\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
 }
@@ -199,6 +205,9 @@ func diffBench(oldDoc, newDoc *benchDiffDoc, thr *benchThresholds, hard float64)
 			if mk.result {
 				if ov != nv {
 					d.Notes = append(d.Notes, fmt.Sprintf("%s changed: %v -> %v", mk.key, ov, nv))
+					if mk.exact {
+						d.Status = "MISMATCH"
+					}
 				}
 				continue
 			}
@@ -220,8 +229,9 @@ func diffBench(oldDoc, newDoc *benchDiffDoc, thr *benchThresholds, hard float64)
 			out = append(out, benchDelta{Name: name, Status: "removed"})
 		}
 	}
-	// Worst first: regressions, then warns, by slowdown magnitude.
-	rank := map[string]int{"REGRESSION": 0, "WARN": 1, "improvement": 2, "ok": 3, "new": 4, "removed": 5}
+	// Worst first: changed exact results, regressions, then warns, by
+	// slowdown magnitude.
+	rank := map[string]int{"MISMATCH": 0, "REGRESSION": 1, "WARN": 2, "improvement": 3, "ok": 4, "new": 5, "removed": 6}
 	sort.SliceStable(out, func(i, j int) bool {
 		if rank[out[i].Status] != rank[out[j].Status] {
 			return rank[out[i].Status] < rank[out[j].Status]

@@ -235,7 +235,6 @@ func TestFlagValidation(t *testing.T) {
 		{"tub auction-max<0", func() error { return cmdTub(io.Discard, []string{"-auction-max", "-5"}) }, "-auction-max"},
 		{"mcf servers<0", func() error { return cmdMCF(io.Discard, []string{"-servers", "-1"}) }, "-servers"},
 		{"design radix=0", func() error { return cmdDesign(io.Discard, []string{"-radix", "0"}) }, "-radix"},
-		{"bench ksp-k=0", func() error { return cmdBench(io.Discard, []string{"-ksp-k", "0"}) }, "-ksp-k"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -247,47 +246,6 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("error %q does not name flag %s", err, tc.flag)
 			}
 		})
-	}
-}
-
-// TestCmdBenchKSPCase runs the ksp bench case on a tiny instance and
-// checks the emitted BENCH_ksp.json document.
-func TestCmdBenchKSPCase(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs testing.Benchmark")
-	}
-	out := t.TempDir() + "/BENCH_ksp.json"
-	args := []string{"-cases", "ksp", "-ksp-switches", "24", "-radix", "8", "-servers", "3",
-		"-ksp-k", "4", "-ksp-pairs", "4", "-ksp-o", out}
-	var buf bytes.Buffer
-	if err := cmdBench(&buf, args); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Benchmark string `json:"benchmark"`
-		Entries   []struct {
-			Kernel      string  `json:"kernel"`
-			PathsPerSec float64 `json:"paths_per_sec"`
-		} `json:"entries"`
-		Speedup map[string]float64 `json:"speedup"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Entries) != 2 {
-		t.Fatalf("%d entries, want 2", len(rep.Entries))
-	}
-	for _, e := range rep.Entries {
-		if e.PathsPerSec <= 0 {
-			t.Fatalf("kernel %s: paths_per_sec = %v", e.Kernel, e.PathsPerSec)
-		}
-	}
-	if rep.Speedup["switches=24"] <= 0 {
-		t.Fatalf("missing speedup: %v", rep.Speedup)
 	}
 }
 

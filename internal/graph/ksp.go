@@ -4,7 +4,7 @@
 // pair before a single unit of flow is routed (§5, §H), and the spur-path
 // searches inside Yen's algorithm dominate that stage. This kernel keeps
 // the simple implementation's exact output contract (KShortestPathsSimple,
-// retained in paths.go for differential testing) while removing its two
+// the differential reference in ksp_test.go) while removing its two
 // costs:
 //
 //  1. Goal-directed search. One reverse BFS row per pair gives an

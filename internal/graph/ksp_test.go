@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"container/heap"
 	"fmt"
 	"runtime"
 	"testing"
@@ -232,4 +233,134 @@ func BenchmarkKSPKernel(b *testing.B) {
 			}
 		}
 	})
+}
+
+func (p Path) equal(q Path) bool {
+	if len(p) != len(q) {
+		return false
+	}
+	for i := range p {
+		if p[i] != q[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// shortestPathMasked runs BFS from src to dst ignoring masked nodes and
+// directed masked edges, returning nil if no path exists.
+func (g *Graph) shortestPathMasked(src, dst int, nodeMasked []bool, edgeMasked map[[2]int32]bool) Path {
+	prev := make([]int32, g.n)
+	for i := range prev {
+		prev[i] = -2 // unvisited
+	}
+	queue := make([]int32, 0, g.n)
+	prev[src] = -1
+	queue = append(queue, int32(src))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		if int(u) == dst {
+			break
+		}
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			v := g.adj[i]
+			if prev[v] != -2 || nodeMasked[v] {
+				continue
+			}
+			if edgeMasked != nil && edgeMasked[[2]int32{u, v}] {
+				continue
+			}
+			prev[v] = u
+			queue = append(queue, v)
+		}
+	}
+	if prev[dst] == -2 {
+		return nil
+	}
+	var rev Path
+	for v := int32(dst); v != -1; v = prev[v] {
+		rev = append(rev, v)
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+type candHeap []Path
+
+func (h candHeap) Len() int            { return len(h) }
+func (h candHeap) Less(i, j int) bool  { return pathLess(h[i], h[j]) }
+func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(Path)) }
+func (h *candHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	p := old[n-1]
+	*h = old[:n-1]
+	return p
+}
+
+// KShortestPathsSimple is the straightforward Yen implementation: masked
+// BFS per spur search, a seen-map for duplicate suppression, allocating
+// masks and keys per spur. It is the differential reference for the
+// goal-directed kernel (KShortestPaths in ksp.go), whose output must be
+// bit-identical.
+func (g *Graph) KShortestPathsSimple(src, dst, k int) []Path {
+	if src == dst || k <= 0 {
+		return nil
+	}
+	nodeMasked := make([]bool, g.n)
+	first := g.shortestPathMasked(src, dst, nodeMasked, nil)
+	if first == nil {
+		return nil
+	}
+	result := []Path{first}
+	var cands candHeap
+	seen := map[string]bool{pathKey(first): true}
+
+	for len(result) < k {
+		prevPath := result[len(result)-1]
+		for i := 0; i < len(prevPath)-1; i++ {
+			spur := prevPath[i]
+			root := prevPath[:i+1]
+			edgeMasked := make(map[[2]int32]bool)
+			for _, p := range result {
+				if len(p) > i && Path(p[:i+1]).equal(root) {
+					edgeMasked[[2]int32{p[i], p[i+1]}] = true
+				}
+			}
+			for _, v := range root[:len(root)-1] {
+				nodeMasked[v] = true
+			}
+			spurPath := g.shortestPathMasked(int(spur), dst, nodeMasked, edgeMasked)
+			for _, v := range root[:len(root)-1] {
+				nodeMasked[v] = false
+			}
+			if spurPath == nil {
+				continue
+			}
+			total := make(Path, 0, i+len(spurPath))
+			total = append(total, root[:len(root)-1]...)
+			total = append(total, spurPath...)
+			key := pathKey(total)
+			if !seen[key] {
+				seen[key] = true
+				heap.Push(&cands, total)
+			}
+		}
+		if cands.Len() == 0 {
+			break
+		}
+		result = append(result, heap.Pop(&cands).(Path))
+	}
+	return result
+}
+
+func pathKey(p Path) string {
+	b := make([]byte, 0, len(p)*3)
+	for _, v := range p {
+		b = append(b, byte(v), byte(v>>8), byte(v>>16))
+	}
+	return string(b)
 }

@@ -1,14 +1,17 @@
-// Matrix-free blocked auction: the ε-scaling auction of AuctionSharded
+// Matrix-free blocked auction: the block-synchronous ε-scaling auction
 // with bids that scan uint8 distance rows directly, computing the
 // scaled weight in-register instead of loading a materialized int32
-// row.
+// row. Its reference is AuctionSharded, the same auction over an int64
+// weight callback and a materialized matrix, which lives with the
+// tests (auction_sharded_test.go).
 //
 // Every matcher in this repo sees weights of one shape:
 // w(i, j) = min(H_i, H_j) · D_ij with D a uint8 hop-distance matrix.
 // Materializing that product as int32 multiplies the working set 4×
-// (8 KB of distance row becomes 32 KB of weight row) and past
-// auctionMatBudget forces a per-bid rematerialization — the wall that
-// capped the exact matcher at n≈6000. A uint8 row for n=20000 is 20 KB;
+// (8 KB of distance row becomes 32 KB of weight row), and past the
+// reference kernel's 256 MiB materialization budget it forces a
+// per-bid rematerialization — the wall that capped the exact matcher
+// at n≈6000. A uint8 row for n=20000 is 20 KB;
 // the scaled weight is one multiply (or, when H is uniform, one 256-way
 // table lookup) away, which is cheaper than the cache misses the int32
 // row costs.
@@ -20,8 +23,8 @@
 // Scanning tiles in ascending column order with the running
 // best/second-best carried across tiles visits candidates in exactly
 // the order a full-row scan does, so the bids — and therefore the
-// matching, the stats, and the final prices — are bit-identical to
-// AuctionSharded on the same weights.
+// matching, the stats, and the final prices — are bit-identical to the
+// reference kernel on the same weights.
 package match
 
 import (
@@ -35,6 +38,48 @@ import (
 // ≤ 16 distance-row tiles add 4 KB each. Smaller tiles pay more loop
 // overhead for no locality gain; larger ones spill the price tile.
 const auctionTile = 4096
+
+// auctionBlock is the number of free persons that bid concurrently
+// against one snapshot of the prices. A fixed constant — not a function
+// of the worker count — so the block partition, and therefore the
+// matching, is identical however the bidding is sharded. The value
+// trades wasted bids against parallel width: with the tie-heavy
+// distance weights the matchers see, bidders in one block collide on
+// the same objects and only one wins, so total bids grow with block
+// size (measured on a 1000-host Jellyfish: 27.7k bids at block 1 —
+// pure Gauss-Seidel — 44.6k at 16, 104k at 256). 16 keeps the bid
+// count within ~1.6× of the sequential floor while still giving a
+// 16-way shardable scan per round.
+const auctionBlock = 16
+
+// AuctionOptions configures AuctionBlocked. The zero value (GOMAXPROCS
+// workers, no phase callback) is valid.
+type AuctionOptions struct {
+	// Workers bounds the bidding worker pool; <= 0 means GOMAXPROCS. The
+	// matching is identical for any worker count.
+	Workers int
+	// OnPhase, when non-nil, is called after each ε-scaling phase with
+	// the phase index (from 0), the ε it ran at, and the bidding rounds
+	// and bids it took. Observability only; never changes the matching.
+	OnPhase func(phase int, eps int64, rounds, bids int)
+}
+
+// AuctionStats reports how much work an auction run did.
+type AuctionStats struct {
+	// Phases is the number of ε-scaling phases.
+	Phases int
+	// Rounds is the total number of bidding blocks resolved across
+	// phases.
+	Rounds int
+	// Bids is the total number of bids computed (a person may bid many
+	// times before holding an object through the end of its phase).
+	Bids int
+	// Prices holds the final per-object prices in the scaled weight
+	// domain (weights × (n+1)). Together with Result.Col they are the
+	// warm-start state AuctionResume picks up after a sparse weight
+	// change; retaining them costs one []int64 per run.
+	Prices []int64
+}
 
 // U8Weights is the weight matrix shape shared by every matcher call
 // site in this repo: w(i, j) = min(H[i], H[j]) · Rows(i)[j]. Passing
@@ -340,19 +385,24 @@ func (a *blockedArena) grow(n int) {
 	a.winner = a.winner[:n]
 }
 
-// AuctionBlocked computes a maximum-weight perfect matching with the
-// same block-synchronous ε-scaling auction as AuctionSharded, for
-// weights of the U8Weights shape, without materializing a weight
-// matrix. On equal weights it reproduces AuctionSharded's run exactly:
-// same matching, same stats, same final prices (the ε schedule, block
-// partition, bid values and resolution order are all identical — see
-// the package comment for why the tiled scan preserves them). The
-// Total therefore always equals the Jonker–Volgenant optimum.
+// AuctionBlocked computes a maximum-weight perfect matching with a
+// block-synchronous ε-scaling auction, for weights of the U8Weights
+// shape, without materializing a weight matrix. Weights are scaled by
+// n+1 so the final ε = 1 phase certifies an exact optimum. Bidding
+// proceeds in blocks: the first auctionBlock free persons (in
+// ascending index order) bid against the block's frozen prices, and
+// the bids are resolved in ascending person order with strict
+// comparisons, so ties go to the lowest-indexed bidder. On equal
+// weights it reproduces the test-side reference AuctionSharded's run
+// exactly: same matching, same stats, same final prices (the ε
+// schedule, block partition, bid values and resolution order are all
+// identical — see the package comment for why the tiled scan preserves
+// them). The Total therefore always equals the Jonker–Volgenant
+// optimum.
 //
 // Workers shards only the max-weight scan (bidding is serial: with
 // auctionBlock = 16 bidders per round there is no parallel width worth
-// the synchronization — the same reason AuctionSharded's sharded bid
-// path never triggers); the matching is identical for any worker
+// the synchronization); the matching is identical for any worker
 // count.
 func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionStats) {
 	var stats AuctionStats
@@ -421,8 +471,8 @@ func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionSt
 				bidObj[i] = bd.topJ[bi]
 				bidAmt[i] = bestV - secondV + eps
 			}
-			// Sequential resolution in block order — verbatim from
-			// AuctionSharded, so ties keep the earliest bidder.
+			// Sequential resolution in block order — verbatim from the
+			// reference kernel, so ties keep the earliest bidder.
 			touched = touched[:0]
 			for _, i := range blk {
 				j := bidObj[i]

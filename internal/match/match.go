@@ -21,12 +21,12 @@
 //     auction's size cap.
 //
 // AuctionSharded, the same auction over an int64 weight callback with a
-// materialized weight matrix, is kept as the reference AuctionBlocked
-// must reproduce bit for bit and as a benchmark baseline.
+// materialized weight matrix, lives in auction_sharded_test.go as the
+// reference AuctionBlocked must reproduce bit for bit.
 package match
 
 // WeightFunc returns the weight of assigning row i to column j. It must be
-// non-negative for AuctionSharded and Greedy; Exact accepts any int64.
+// non-negative for Greedy; Exact accepts any int64.
 type WeightFunc func(i, j int) int64
 
 // Result is a perfect matching: Col[i] is the column assigned to row i,

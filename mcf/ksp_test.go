@@ -12,8 +12,11 @@ import (
 )
 
 // simpleKShortest is the per-pair reference pipeline: one
-// KShortestPathsSimple call per demand direction, no batching, no shared
-// state. The batched goal-directed pipeline must reproduce it bit for bit.
+// KShortestPaths call per demand direction, no batching, no shared
+// state. The batched pipeline must reproduce it bit for bit. The chain
+// of references ends at the straightforward Yen implementation: graph's
+// differential and fuzz tests pin KShortestPaths bit-identical to
+// KShortestPathsSimple, which lives with those tests.
 func simpleKShortest(t *topo.Topology, m *traffic.Matrix, k int) *Paths {
 	g := t.Graph()
 	out := &Paths{ByDemand: make([][]graph.Path, len(m.Demands))}
@@ -25,7 +28,7 @@ func simpleKShortest(t *topo.Topology, m *traffic.Matrix, k int) *Paths {
 		if a > b {
 			a, b = b, a
 		}
-		ps := g.KShortestPathsSimple(a, b, k)
+		ps := g.KShortestPaths(a, b, k)
 		if d.Src < d.Dst {
 			out.ByDemand[i] = ps
 			continue

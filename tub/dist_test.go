@@ -1,5 +1,6 @@
 // Regression and equivalence coverage for the HostDistances kernel swap:
-// the bit-parallel sweep must reproduce the scalar baseline bit for bit
+// the bit-parallel sweep must reproduce the scalar baseline
+// (HostDistancesScalar, at the end of this file) bit for bit
 // (and so must Bound, whose only non-trivial input is the distance
 // matrix), at both sides of the kernel crossover and for any worker
 // count; distance 254 — the top of the representable range, 255 being
@@ -9,6 +10,8 @@ package tub
 import (
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dctopo/internal/graph"
@@ -52,7 +55,7 @@ func sameDist(a, b [][]uint8) bool {
 }
 
 // TestHostDistancesMatchesScalar pins the bit-parallel kernel against the
-// retained scalar baseline on generated topologies, for worker counts 1
+// test-side scalar baseline on generated topologies, for worker counts 1
 // and GOMAXPROCS.
 func TestHostDistancesMatchesScalar(t *testing.T) {
 	jf, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 100, Radix: 10, Servers: 4, Seed: 5})
@@ -164,4 +167,59 @@ func TestDistKernelAttr(t *testing.T) {
 	if got := distKernel(graph.ScalarCrossover); got != "bitparallel" {
 		t.Fatalf("distKernel at crossover = %q", got)
 	}
+}
+
+// HostDistancesScalar is the pre-kernel reference implementation: one
+// scalar BFS per host switch on a goroutine pool. The bit-parallel
+// kernel behind HostDistances must reproduce it bit for bit.
+func HostDistancesScalar(t *topo.Topology, workers int) ([][]uint8, error) {
+	g := t.Graph()
+	hosts := t.Hosts()
+	n := len(hosts)
+	if err := graph.CheckDistMatrixSize(n, n); err != nil {
+		return nil, err
+	}
+	pos := hostPositions(g.N(), hosts)
+	out := make([][]uint8, n)
+	backing := make([]uint8, n*n)
+	for i := range out {
+		out[i] = backing[i*n : (i+1)*n]
+	}
+
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	errs := make([]error, n)
+	next := atomic.Int64{}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dist := make([]int32, g.N())
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || failed.Load() {
+					return
+				}
+				dist = g.BFS(hosts[i], dist)
+				if err := fillHostRow(out[i], dist, pos); err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -24,9 +24,6 @@ package tub
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dctopo/internal/graph"
@@ -304,63 +301,6 @@ func hostDistances(t *topo.Topology, workers int, onBatch func(sources int, d ti
 	}, onBatch)
 	if err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// HostDistancesScalar is the pre-kernel reference implementation: one
-// scalar BFS per host switch on a goroutine pool. It is retained as the
-// equivalence baseline for tests and the before/after benchmarks
-// (BenchmarkHostDistances, topobench bench); new code should call
-// HostDistances.
-func HostDistancesScalar(t *topo.Topology, workers int) ([][]uint8, error) {
-	g := t.Graph()
-	hosts := t.Hosts()
-	n := len(hosts)
-	if err := graph.CheckDistMatrixSize(n, n); err != nil {
-		return nil, err
-	}
-	pos := hostPositions(g.N(), hosts)
-	out := make([][]uint8, n)
-	backing := make([]uint8, n*n)
-	for i := range out {
-		out[i] = backing[i*n : (i+1)*n]
-	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	errs := make([]error, n)
-	next := atomic.Int64{}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dist := make([]int32, g.N())
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				dist = g.BFS(hosts[i], dist)
-				if err := fillHostRow(out[i], dist, pos); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
