@@ -96,7 +96,7 @@ var benchCases = []benchCase{
 func msbfsOp(t *topo.Topology) (benchOp, error) {
 	hosts := len(t.Hosts())
 	return func() (benchOut, error) {
-		d, err := tub.HostDistancesWorkers(t, 0)
+		d, err := tub.HostDistances(t)
 		if err == nil && len(d) != hosts {
 			err = fmt.Errorf("%d distance rows, want %d", len(d), hosts)
 		}

@@ -11,14 +11,13 @@ package estimators
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"dctopo/internal/graph"
 	"dctopo/internal/part"
 	"dctopo/mcf"
 	"dctopo/topo"
 	"dctopo/traffic"
+	"dctopo/tub"
 )
 
 // BisectionResult reports a (heuristically minimized, hence
@@ -209,7 +208,7 @@ func sortByKey(idx []int, key []float64) {
 // distance). It bounds *average* throughput under uniform traffic, which
 // the paper shows consistently over-estimates worst-case throughput.
 func Singla(t *topo.Topology) (float64, error) {
-	dist, err := hostDistances(t)
+	dist, err := tub.HostDistances(t)
 	if err != nil {
 		return 0, err
 	}
@@ -359,48 +358,5 @@ func flowHeuristic(t *topo.Topology, m *traffic.Matrix, p *mcf.Paths, rounds boo
 		out.MeanRatio += r
 	}
 	out.MeanRatio /= float64(len(m.Demands))
-	return out, nil
-}
-
-// hostDistances mirrors tub.HostDistances without importing tub (avoiding
-// a cycle is not required — tub does not import estimators — but keeping
-// the packages independent keeps the comparison honest: each estimator
-// computes its own inputs, as the paper times them end to end).
-func hostDistances(t *topo.Topology) ([][]uint8, error) {
-	g := t.Graph()
-	hosts := t.Hosts()
-	n := len(hosts)
-	pos := make([]int32, g.N())
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, u := range hosts {
-		pos[u] = int32(i)
-	}
-	out := make([][]uint8, n)
-	backing := make([]uint8, n*n)
-	for i := range out {
-		out[i] = backing[i*n : (i+1)*n]
-	}
-	err := g.MultiBFSRows(hosts, 0, func(i int, dist []int32) error {
-		row := out[i]
-		for v, d := range dist {
-			j := pos[v]
-			if j < 0 {
-				continue
-			}
-			if d < 0 {
-				return errors.New("estimators: topology disconnected")
-			}
-			if d > graph.MaxUint8Dist {
-				return fmt.Errorf("estimators: distance %d exceeds uint8 range [0,%d] (255 is the unreachable sentinel)", d, graph.MaxUint8Dist)
-			}
-			row[j] = uint8(d)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }

@@ -75,10 +75,13 @@ type AuctionStats struct {
 	// times before holding an object through the end of its phase).
 	Bids int
 	// Prices holds the final per-object prices in the scaled weight
-	// domain (weights × (n+1)). Together with Result.Col they are the
-	// warm-start state AuctionResume picks up after a sparse weight
-	// change; retaining them costs one []int64 per run.
+	// domain (weights × (n+1)). Together with Result.Col and MaxRaw they
+	// are the warm-start state AuctionResume picks up after a sparse
+	// weight change; retaining them costs one []int64 per run.
 	Prices []int64
+	// MaxRaw is the largest raw (unscaled) weight in the matrix, the
+	// value the run derived its ε schedule and bid guard from.
+	MaxRaw int64
 }
 
 // U8Weights is the weight matrix shape shared by every matcher call
@@ -112,6 +115,21 @@ func (uw *U8Weights) weightInRow(row []uint8, i, j int) int64 {
 		h = uw.H[j]
 	}
 	return d * h
+}
+
+// rowMaxRaw returns the largest raw weight in row i.
+func (uw U8Weights) rowMaxRaw(n, i int) int64 {
+	h, m := uw.H, int64(0)
+	for j, d := range uw.Rows(i)[:n] {
+		hw := int64(1)
+		if h != nil {
+			hw = min(h[i], h[j])
+		}
+		if v := int64(d) * hw; v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 // u8Bidder is the tiled top-2 bid kernel shared by AuctionBlocked and
@@ -308,16 +326,8 @@ func u8MaxRaw(n int, uw U8Weights, workers int) int64 {
 		}
 		m := int64(0)
 		for i := lo; i < n; i += workers {
-			row := uw.Rows(i)[:n]
-			hi := h[i]
-			for j, d := range row {
-				hw := hi
-				if h[j] < hw {
-					hw = h[j]
-				}
-				if v := int64(d) * hw; v > m {
-					m = v
-				}
+			if v := uw.rowMaxRaw(n, i); v > m {
+				m = v
 			}
 		}
 		return m
@@ -419,7 +429,8 @@ func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionSt
 	bd := &a.bd
 	bd.init(n, uw, &a.wTab, a.hsc)
 
-	maxW := u8MaxRaw(n, uw, workers) * bd.scale
+	stats.MaxRaw = u8MaxRaw(n, uw, workers)
+	maxW := stats.MaxRaw * bd.scale
 	epsStart := maxW / 2
 	if epsStart < 1 {
 		epsStart = 1

@@ -48,6 +48,20 @@ func u8Fn(m [][]uint8, h []int64) WeightFunc {
 	}
 }
 
+// bruteMaxRaw is the largest raw weight min(h[i], h[j]) · m[i][j].
+func bruteMaxRaw(m [][]uint8, h []int64) int64 {
+	w := u8Fn(m, h)
+	best := int64(0)
+	for i := range m {
+		for j := range m[i] {
+			if v := w(i, j); v > best {
+				best = v
+			}
+		}
+	}
+	return best
+}
+
 // randomH draws per-row multipliers in [1, 4] — non-uniform, so the
 // hsc (non-table) bid path is exercised.
 func randomH(n int, seed uint64) []int64 {
@@ -63,7 +77,7 @@ func TestAuctionBlockedMatchesExact(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 17, 40, 97} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			m := u8Matrix(n, 12, seed)
-			for _, h := range [][]int64{nil, randomH(n, seed + 100)} {
+			for _, h := range [][]int64{nil, randomH(n, seed+100)} {
 				w := u8Fn(m, h)
 				want := Exact(n, w).Total
 				res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: 1})
@@ -73,6 +87,9 @@ func TestAuctionBlockedMatchesExact(t *testing.T) {
 				}
 				if stats.Phases < 1 || stats.Rounds < 1 || stats.Bids < stats.Rounds {
 					t.Fatalf("n=%d seed=%d: implausible stats %+v", n, seed, stats)
+				}
+				if want := bruteMaxRaw(m, h); stats.MaxRaw != want {
+					t.Fatalf("n=%d seed=%d uniform=%v: MaxRaw %d, brute-force max %d", n, seed, h == nil, stats.MaxRaw, want)
 				}
 			}
 		}
@@ -108,7 +125,7 @@ func TestAuctionBlockedBitIdenticalToSharded(t *testing.T) {
 	for _, n := range []int{1, 2, 16, 17, 100, 257} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			m := u8Matrix(n, 9, seed)
-			for _, h := range [][]int64{nil, randomH(n, seed + 7)} {
+			for _, h := range [][]int64{nil, randomH(n, seed+7)} {
 				w := u8Fn(m, h)
 				ref, refStats := AuctionSharded(n, w, AuctionOptions{Workers: 1})
 				for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {

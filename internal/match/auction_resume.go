@@ -19,38 +19,27 @@
 //
 // The bidding machinery is AuctionBlocked's (same block size, same
 // tiled uint8 bid scan against frozen prices, same sequential strict->
-// resolution), so the resumed matching is identical for every worker
-// count. What the resume path deliberately skips is everything
-// amortizable: the O(n²) max-weight scan (callers pass the bound) and
-// all pre-final ε phases.
+// resolution). What the resume path deliberately skips is everything
+// amortizable: the O(n²) max-weight scan (the warm start carries the
+// base maximum; only the changed rows are rescanned) and all pre-final
+// ε phases.
 package match
 
-import (
-	"runtime"
-	"sort"
-)
+import "sort"
 
 // AuctionWarmStart is the retained state of a completed AuctionBlocked
-// run on the base weights: the final scaled prices (AuctionStats.Prices)
-// and the matching (Result.Col). AuctionResume treats both as read-only.
+// run on the base weights: the final scaled prices (AuctionStats.Prices),
+// the matching (Result.Col) and the largest raw weight
+// (AuctionStats.MaxRaw). AuctionResume treats all three as read-only.
 type AuctionWarmStart struct {
 	Prices []int64
 	Col    []int
+	MaxRaw int64
 }
 
-// AuctionResumeOptions configures AuctionResume. The zero value (full
-// max-weight scan on a GOMAXPROCS-wide pool, no round cap) is valid.
+// AuctionResumeOptions configures AuctionResume. The zero value (no
+// round cap) is valid.
 type AuctionResumeOptions struct {
-	// Workers bounds the pool that shards the max-weight scan (only run
-	// when MaxWeight <= 0) and the cold fallback's; <= 0 means
-	// GOMAXPROCS. Bidding is serial, as in AuctionBlocked. The matching
-	// is identical for any worker count.
-	Workers int
-	// MaxWeight is an upper bound on the raw (unscaled) weights after the
-	// change; <= 0 means scan all rows, which costs the O(n²) the resume
-	// path exists to avoid. An over-estimate is fine; an under-estimate
-	// only dampens bids (never breaks exactness, see the bid guard).
-	MaxWeight int64
 	// MaxRounds caps resumed bidding rounds before giving up and
 	// re-running the full cold AuctionBlocked; <= 0 means no cap. A cap
 	// bounds the worst case of heavily damaged instances where warm
@@ -69,8 +58,10 @@ type ResumeStats struct {
 	// FellBack reports that the round cap was hit and the result comes
 	// from a full cold AuctionBlocked run instead.
 	FellBack bool
-	// Prices holds the final scaled prices of this run, usable as the
-	// next warm start against the same weights.
+	// Prices holds the final scaled prices of this run. With Result.Col
+	// and a MaxRaw covering the new weights (the warm MaxRaw and the
+	// changed rows' maximum, whichever is larger) they form the next
+	// warm start against the same weights.
 	Prices []int64
 }
 
@@ -80,14 +71,6 @@ type ResumeStats struct {
 // (duplicates and order don't matter). The total always equals a cold
 // run's; the permutation attaining it may differ.
 func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, opt AuctionResumeOptions) (*Result, ResumeStats) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
 	// Bids and the prefilter scan the uint8 rows directly.
 	bd := new(u8Bidder)
 	bd.init(n, uw, nil, nil)
@@ -115,6 +98,17 @@ func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, op
 	}
 	free = uniq
 
+	// Unchanged rows keep their base weights, all covered by
+	// warm.MaxRaw; fold in the changed rows' new weights (removals may
+	// grow distances past the base maximum).
+	maxRaw := warm.MaxRaw
+	for _, i := range free {
+		if w := uw.rowMaxRaw(n, i); w > maxRaw {
+			maxRaw = w
+		}
+	}
+	maxW := maxRaw * bd.scale
+
 	// 1-CS prefilter: a changed row whose current assignment still
 	// satisfies 1-CS against the warm prices keeps it. Sound for the same
 	// reason unchanged rows keep theirs — during the resumed bidding,
@@ -139,11 +133,6 @@ func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, op
 		assign[i] = -1
 	}
 
-	maxW := opt.MaxWeight * bd.scale
-	if opt.MaxWeight <= 0 {
-		maxW = u8MaxRaw(n, uw, workers) * bd.scale
-	}
-
 	bidObj := make([]int, n)
 	bidAmt := make([]int64, n)
 	best := make([]int64, n)
@@ -158,8 +147,8 @@ func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, op
 		if opt.MaxRounds > 0 && st.Rounds >= opt.MaxRounds {
 			// Warm prices aren't converging; the cold auction's ε schedule
 			// handles heavy damage better. Deterministic: depends only on
-			// the round count, which is worker-independent.
-			res, cold := AuctionBlocked(n, uw, AuctionOptions{Workers: opt.Workers})
+			// the round count.
+			res, cold := AuctionBlocked(n, uw, AuctionOptions{Workers: 1})
 			st.FellBack = true
 			st.Rounds += cold.Rounds
 			st.Bids += cold.Bids
@@ -176,8 +165,8 @@ func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, op
 		// Best/second-best against the block's frozen prices, ε = 1. The
 		// maxW guard caps pathological spreads the warm prices can
 		// produce; a damped bid keeps ε-CS (the price still rises by
-		// ≥ ε), so a too-small MaxWeight hint costs rounds, never
-		// exactness.
+		// ≥ ε), so a warm MaxRaw below the true maximum costs rounds,
+		// never exactness.
 		bd.scan(blk, price)
 		for bi, i := range blk {
 			bestV, secondV := bd.topV[bi], bd.topS[bi]

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"runtime"
 	"testing"
 
 	"dctopo/internal/rng"
@@ -27,7 +26,7 @@ func perturbU8Rows(m [][]uint8, rows []int, maxD int, seed uint64) [][]uint8 {
 // plus the warm state AuctionResume picks up.
 func warmStart(m [][]uint8, h []int64) (*Result, AuctionWarmStart) {
 	res, st := AuctionBlocked(len(m), U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: 1})
-	return res, AuctionWarmStart{Prices: st.Prices, Col: res.Col}
+	return res, AuctionWarmStart{Prices: st.Prices, Col: res.Col, MaxRaw: st.MaxRaw}
 }
 
 // multipliers returns the two multiplier shapes every resume test
@@ -55,52 +54,12 @@ func TestAuctionResumeMatchesExact(t *testing.T) {
 					pert := perturbU8Rows(base, changed, 30, seed+uint64(trial)*13+1)
 					w := u8Fn(pert, h)
 					want := Exact(n, w).Total
-					res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed, AuctionResumeOptions{MaxWeight: 30 * 4})
+					res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed, AuctionResumeOptions{})
 					checkPerfect(t, n, w, res)
 					if res.Total != want {
 						t.Fatalf("n=%d seed=%d uniform=%v trial=%d: resumed total %d, exact %d (freed %d, rounds %d)",
 							n, seed, h == nil, trial, res.Total, want, st.Freed, st.Rounds)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestAuctionResumeDeterministicAcrossWorkers: the resumed matching —
-// not just its total — and the final prices must be identical for any
-// worker count, like the cold auction. MaxWeight is left at 0 so the
-// worker-sharded max-weight scan runs.
-func TestAuctionResumeDeterministicAcrossWorkers(t *testing.T) {
-	n := 120
-	for _, h := range multipliers(n, 3) {
-		base := u8Symmetric(n, 9, 3)
-		_, warm := warmStart(base, h)
-		pert := perturbU8Rows(base, []int{5, 17, 80}, 9, 4)
-		uw := U8Weights{Rows: u8Rows(pert), H: h}
-		var ref *Result
-		var refStats ResumeStats
-		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			res, st := AuctionResume(n, uw, warm, []int{80, 5, 17, 5}, AuctionResumeOptions{Workers: workers})
-			if ref == nil {
-				ref, refStats = res, st
-				if want := Exact(n, u8Fn(pert, h)).Total; res.Total != want {
-					t.Fatalf("uniform=%v: resumed total %d != JV %d", h == nil, res.Total, want)
-				}
-				continue
-			}
-			if res.Total != ref.Total {
-				t.Fatalf("uniform=%v workers=%d: total %d != %d", h == nil, workers, res.Total, ref.Total)
-			}
-			for i := range res.Col {
-				if res.Col[i] != ref.Col[i] {
-					t.Fatalf("uniform=%v workers=%d: Col[%d] = %d != %d — matching depends on worker count",
-						h == nil, workers, i, res.Col[i], ref.Col[i])
-				}
-			}
-			for j, p := range st.Prices {
-				if p != refStats.Prices[j] {
-					t.Fatalf("uniform=%v workers=%d: price[%d]=%d != %d", h == nil, workers, j, p, refStats.Prices[j])
 				}
 			}
 		}
@@ -122,8 +81,8 @@ func TestAuctionResumeU8(t *testing.T) {
 		pert := perturbU8Rows(base, []int{5, 17, 80}, 9, 4)
 		uw := U8Weights{Rows: u8Rows(pert), H: h}
 		changed := []int{5, 17, 80}
-		opt := AuctionResumeOptions{Workers: 1, MaxWeight: 9 * 4}
-		res, st := AuctionResume(n, uw, AuctionWarmStart{Prices: shStats.Prices, Col: shRes.Col}, changed, opt)
+		opt := AuctionResumeOptions{}
+		res, st := AuctionResume(n, uw, AuctionWarmStart{Prices: shStats.Prices, Col: shRes.Col, MaxRaw: shStats.MaxRaw}, changed, opt)
 		ref, refStats := AuctionResume(n, uw, blkWarm, changed, opt)
 		if want := Exact(n, u8Fn(pert, h)).Total; res.Total != want {
 			t.Fatalf("uniform=%v: U8 total %d != JV %d", h == nil, res.Total, want)
@@ -141,7 +100,7 @@ func TestAuctionResumeU8(t *testing.T) {
 				t.Fatalf("uniform=%v: U8 price[%d]=%d != %d", h == nil, j, p, refStats.Prices[j])
 			}
 		}
-		again, st2 := AuctionResume(n, uw, AuctionWarmStart{Prices: st.Prices, Col: res.Col}, nil, opt)
+		again, st2 := AuctionResume(n, uw, AuctionWarmStart{Prices: st.Prices, Col: res.Col, MaxRaw: bruteMaxRaw(pert, h)}, nil, opt)
 		if st2.Rounds != 0 || st2.Bids != 0 || again.Total != res.Total {
 			t.Fatalf("uniform=%v: resumed prices are not a valid warm start: %+v, total %d != %d", h == nil, st2, again.Total, res.Total)
 		}
@@ -160,8 +119,7 @@ func TestAuctionResumeU8Fallback(t *testing.T) {
 		changed[i] = i
 	}
 	pert := perturbU8Rows(base, changed, 12, 12)
-	res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert)}, AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col}, changed, AuctionResumeOptions{
-		MaxWeight: 12,
+	res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert)}, AuctionWarmStart{Prices: warmStats.Prices, Col: warmRes.Col, MaxRaw: warmStats.MaxRaw}, changed, AuctionResumeOptions{
 		MaxRounds: 1,
 	})
 	if !st.FellBack {
@@ -179,7 +137,7 @@ func TestAuctionResumeNoChanges(t *testing.T) {
 	for _, h := range multipliers(n, 8) {
 		base := u8Matrix(n, 15, 7)
 		warmRes, warm := warmStart(base, h)
-		res, st := AuctionResume(n, U8Weights{Rows: u8Rows(base), H: h}, warm, nil, AuctionResumeOptions{MaxWeight: 15 * 4})
+		res, st := AuctionResume(n, U8Weights{Rows: u8Rows(base), H: h}, warm, nil, AuctionResumeOptions{})
 		if st.Rounds != 0 || st.Bids != 0 || st.Freed != 0 {
 			t.Fatalf("uniform=%v: no-change resume did work: %+v", h == nil, st)
 		}
@@ -207,7 +165,7 @@ func TestAuctionResumeFallback(t *testing.T) {
 			changed[i] = i
 		}
 		pert := perturbU8Rows(base, changed, 25, 12)
-		res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed, AuctionResumeOptions{MaxWeight: 25 * 4, MaxRounds: 1})
+		res, st := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed, AuctionResumeOptions{MaxRounds: 1})
 		if !st.FellBack {
 			t.Fatalf("uniform=%v: MaxRounds=1 with every row changed did not fall back: %+v", h == nil, st)
 		}
@@ -223,17 +181,25 @@ func TestAuctionResumeFallback(t *testing.T) {
 	}
 }
 
-// TestAuctionResumeUnderestimatedMaxWeight: a too-small MaxWeight hint
-// may dampen bids but never the total (the guard note in the bid loop).
-func TestAuctionResumeUnderestimatedMaxWeight(t *testing.T) {
-	n := 30
-	for _, h := range multipliers(n, 23) {
-		base := u8Matrix(n, 40, 21)
+// TestAuctionResumeRaisedMax: changed rows whose new weights exceed the
+// warm start's MaxRaw (base drawn from [0, 10], changed rows from
+// [0, 40]) must still resume to the JV optimum — the resume folds the
+// changed rows into the maximum its bid guard uses.
+func TestAuctionResumeRaisedMax(t *testing.T) {
+	n := 50
+	for _, h := range multipliers(n, 31) {
+		base := u8Matrix(n, 10, 29)
 		_, warm := warmStart(base, h)
-		pert := perturbU8Rows(base, []int{0, 9, 13}, 40, 22)
-		res, _ := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, []int{0, 9, 13}, AuctionResumeOptions{MaxWeight: 1})
-		if want := Exact(n, u8Fn(pert, h)).Total; res.Total != want {
-			t.Fatalf("uniform=%v: underestimated hint total %d, exact %d", h == nil, res.Total, want)
+		changed := []int{2, 11, 37}
+		pert := perturbU8Rows(base, changed, 40, 30)
+		if got := bruteMaxRaw(pert, h); got <= warm.MaxRaw {
+			t.Fatalf("uniform=%v: perturbed max %d does not exceed warm MaxRaw %d", h == nil, got, warm.MaxRaw)
+		}
+		w := u8Fn(pert, h)
+		res, _ := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed, AuctionResumeOptions{})
+		checkPerfect(t, n, w, res)
+		if want := Exact(n, w).Total; res.Total != want {
+			t.Fatalf("uniform=%v: resumed total %d, exact %d", h == nil, res.Total, want)
 		}
 	}
 }

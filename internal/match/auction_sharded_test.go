@@ -442,5 +442,6 @@ func AuctionSharded(n int, w WeightFunc, opt AuctionOptions) (*Result, AuctionSt
 		res.Total += w(i, res.Col[i])
 	}
 	stats.Prices = price
+	stats.MaxRaw = maxW / scale
 	return res, stats
 }

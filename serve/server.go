@@ -338,11 +338,11 @@ type WhatIfRequest struct {
 // reports whether this request paid the base build), and the query or
 // sweep payload.
 type WhatIfResponse struct {
-	Engine      string            `json:"engine"`
-	EngineBuilt bool              `json:"engine_built"`
-	BaseBound   float64           `json:"base_bound"`
-	Query       *tub.QueryResult  `json:"query,omitempty"`
-	Impacts     []tub.LinkImpact  `json:"impacts,omitempty"`
+	Engine      string           `json:"engine"`
+	EngineBuilt bool             `json:"engine_built"`
+	BaseBound   float64          `json:"base_bound"`
+	Query       *tub.QueryResult `json:"query,omitempty"`
+	Impacts     []tub.LinkImpact `json:"impacts,omitempty"`
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {

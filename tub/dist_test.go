@@ -72,7 +72,7 @@ func TestHostDistancesMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			got, err := HostDistancesWorkers(tp, workers)
+			got, err := hostDistances(tp, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,26 +134,30 @@ func TestHostDistances254(t *testing.T) {
 	}
 }
 
-// TestFillHostRow unit-tests the row-fill helper directly: transit
-// switches are skipped, 254 fits, 255 (the sentinel) overflows,
-// unreachable hosts are a disconnection error.
-func TestFillHostRow(t *testing.T) {
-	pos := []int32{0, -1, 1} // switch 1 is transit
+// TestFillRow unit-tests the row-fill helper directly: columns outside
+// cols (transit switches) are skipped, the gather follows cols' order,
+// 254 fits, 255 (the sentinel) overflows, and an unreachable column is
+// a disconnection error.
+func TestFillRow(t *testing.T) {
+	cols := []int{0, 2} // switch 1 is transit
 	row := make([]uint8, 2)
-	if err := fillHostRow(row, []int32{0, 7, 254}, pos); err != nil {
+	if err := fillRow(row, []int32{0, 7, 254}, cols); err != nil {
 		t.Fatal(err)
 	}
 	if row[0] != 0 || row[1] != 254 {
 		t.Fatalf("row = %v, want [0 254]", row)
 	}
-	if err := fillHostRow(row, []int32{0, 7, 255}, pos); err == nil || !strings.Contains(err.Error(), "exceeds uint8 range") {
+	if err := fillRow(row, []int32{0, 7, 3}, []int{2, 1}); err != nil || row[0] != 3 || row[1] != 7 {
+		t.Fatalf("gather by cols: row = %v, err = %v, want [3 7]", row, err)
+	}
+	if err := fillRow(row, []int32{0, 7, 255}, cols); err == nil || !strings.Contains(err.Error(), "exceeds uint8 range") {
 		t.Fatalf("d=255: err = %v, want overflow", err)
 	}
 	// Unreachable transit switch is fine; unreachable host is not.
-	if err := fillHostRow(row, []int32{0, graph.Unreachable, 2}, pos); err != nil {
+	if err := fillRow(row, []int32{0, graph.Unreachable, 2}, cols); err != nil {
 		t.Fatalf("unreachable transit switch: %v", err)
 	}
-	if err := fillHostRow(row, []int32{0, 7, graph.Unreachable}, pos); err == nil || !strings.Contains(err.Error(), "disconnected") {
+	if err := fillRow(row, []int32{0, 7, graph.Unreachable}, cols); err == nil || !strings.Contains(err.Error(), "disconnected") {
 		t.Fatalf("unreachable host: err = %v, want disconnected", err)
 	}
 }
@@ -179,7 +183,6 @@ func HostDistancesScalar(t *topo.Topology, workers int) ([][]uint8, error) {
 	if err := graph.CheckDistMatrixSize(n, n); err != nil {
 		return nil, err
 	}
-	pos := hostPositions(g.N(), hosts)
 	out := make([][]uint8, n)
 	backing := make([]uint8, n*n)
 	for i := range out {
@@ -207,7 +210,7 @@ func HostDistancesScalar(t *topo.Topology, workers int) ([][]uint8, error) {
 					return
 				}
 				dist = g.BFS(hosts[i], dist)
-				if err := fillHostRow(out[i], dist, pos); err != nil {
+				if err := fillRow(out[i], dist, hosts); err != nil {
 					errs[i] = err
 					failed.Store(true)
 					return

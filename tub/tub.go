@@ -271,18 +271,13 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 // below graph.ScalarCrossover use one scalar BFS per host instead; both
 // kernels produce identical matrices.
 func HostDistances(t *topo.Topology) ([][]uint8, error) {
-	return HostDistancesWorkers(t, 0)
-}
-
-// HostDistancesWorkers is HostDistances with an explicit worker count
-// (<= 0 means GOMAXPROCS). The result is identical for any worker count.
-func HostDistancesWorkers(t *topo.Topology, workers int) ([][]uint8, error) {
-	return hostDistances(t, workers, nil)
+	return hostDistances(t, 0, nil)
 }
 
 // hostDistances is the shared implementation behind HostDistances and
-// Bound, with an optional per-batch timing hook (see
-// graph.MultiBFSRowsTimed); nil means no timing.
+// Bound, with an explicit worker count (<= 0 means GOMAXPROCS; the
+// result is identical for any count) and an optional per-batch timing
+// hook (see graph.MultiBFSRowsTimed); nil means no timing.
 func hostDistances(t *topo.Topology, workers int, onBatch func(sources int, d time.Duration)) ([][]uint8, error) {
 	g := t.Graph()
 	hosts := t.Hosts()
@@ -290,14 +285,13 @@ func hostDistances(t *topo.Topology, workers int, onBatch func(sources int, d ti
 	if err := graph.CheckDistMatrixSize(n, n); err != nil {
 		return nil, err
 	}
-	pos := hostPositions(g.N(), hosts)
 	out := make([][]uint8, n)
 	backing := make([]uint8, n*n)
 	for i := range out {
 		out[i] = backing[i*n : (i+1)*n]
 	}
 	err := g.MultiBFSRowsTimed(hosts, workers, func(i int, dist []int32) error {
-		return fillHostRow(out[i], dist, pos)
+		return fillRow(out[i], dist, hosts)
 	}, onBatch)
 	if err != nil {
 		return nil, err
@@ -327,17 +321,14 @@ func hostPositions(numSwitches int, hosts []int) []int32 {
 	return pos
 }
 
-// fillHostRow compacts one full-graph BFS distance row onto host
-// positions. An unreachable host is a disconnection error; distances
-// must fit uint8 — graph.MaxUint8Dist (254) is the largest representable
-// hop count, since 255 is reserved as graph.UnreachableDist (the what-if
+// fillRow is the one BFS → uint8 row fill: row[j] = dist[cols[j]]. An
+// unreachable column is a disconnection error; distances must fit
+// uint8 — graph.MaxUint8Dist (254) is the largest representable hop
+// count, since 255 is reserved as graph.UnreachableDist (the what-if
 // engine writes it into repaired rows when a removal disconnects hosts).
-func fillHostRow(row []uint8, dist []int32, pos []int32) error {
-	for v, d := range dist {
-		j := pos[v]
-		if j < 0 {
-			continue
-		}
+func fillRow(row []uint8, dist []int32, cols []int) error {
+	for j, v := range cols {
+		d := dist[v]
 		if d < 0 {
 			return errors.New("tub: topology disconnected")
 		}

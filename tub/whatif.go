@@ -15,7 +15,8 @@
 //     rows are skipped);
 //  2. graph.RepairRowEdge / RepairRowSwitch delta repair of the few
 //     affected rows into copy-on-write overlays, bit-identical to a
-//     cold BFS on the damaged graph;
+//     cold BFS on the damaged graph, each compacted onto host columns
+//     as it is repaired;
 //  3. match.AuctionResume, which frees exactly the hosts whose rows
 //     changed and re-runs the auction's final ε = 1 bidding loop from
 //     the retained prices — exact by the same complementary-slackness
@@ -27,7 +28,7 @@
 // the condition is a sentinel scan, never a silent 255-hop "distance".
 // Per-query latency lands in the "whatif.query" histogram and repair
 // cone sizes in "whatif.frontier"; mode counts (trunk / unchanged /
-// warm / coldmatch / disconnected / switch) are "whatif.<mode>"
+// warm / coldmatch / disconnected / switch-host) are "whatif.<mode>"
 // counters.
 package tub
 
@@ -46,10 +47,10 @@ import (
 	"dctopo/topo"
 )
 
-// DefaultMaxAffectedFrac is the repair damage threshold: when one row's
+// maxAffectedFrac is the repair damage threshold: when one row's
 // affected cone exceeds this fraction of the switches, delta repair
 // stops paying for itself and the row is recomputed with a plain BFS.
-const DefaultMaxAffectedFrac = 0.25
+const maxAffectedFrac = 0.25
 
 // defaultResumeRoundsPerHost scales the warm rematch round cap: past
 // it the retained prices are evidently not helping and the engine
@@ -65,9 +66,6 @@ type WhatIfOptions struct {
 	// Obs, when non-nil, records base-build spans plus the per-query
 	// "whatif.query" / "whatif.frontier" histograms and mode counters.
 	Obs *obs.Obs
-	// MaxAffectedFrac overrides DefaultMaxAffectedFrac (0 keeps the
-	// default; values >= 1 disable the fallback).
-	MaxAffectedFrac float64
 }
 
 // QueryResult is the outcome of one what-if query.
@@ -113,24 +111,21 @@ type WhatIf struct {
 	h      []int64 // servers per host
 	nsw    int
 	full   []uint8 // hosts × nsw base distance rows, flat
-	hh     []uint8 // hosts × hosts base rows compacted to host columns
+	hh     []uint8 // hosts × hosts base rows on host columns
 	base   Result  // cold-equivalent base bound (Dist left nil)
-	prices []int64 // base auction prices (scaled domain)
-	maxRaw int64   // max raw weight over the base matrix
-	maxAff int     // resolved damage threshold in switches
+	warm   match.AuctionWarmStart
+	maxAff int // resolved damage threshold in switches
 	opt    WhatIfOptions
 	pool   sync.Pool // *whatifScratch
 }
 
 type whatifScratch struct {
 	arena     graph.RepairArena
-	overlays  [][]uint8
-	used      int     // overlays handed out this query
-	overlayOf []int32 // host index -> overlay slot + 1, 0 = base row
+	overlays  [][]uint8 // repaired full-width rows
+	hostCols  [][]uint8 // the same rows on host columns, slot for slot
+	used      int       // overlays handed out this query
+	overlayOf []int32   // host index -> overlay slot + 1, 0 = base row
 	changed   []int
-	crows     [][]uint8 // changed hosts' overlays compacted to host columns, cached lazily
-	crowUsed  int
-	crowOf    []int32 // host index -> crows slot + 1, 0 = not cached
 	red       []uint8 // reduced host×host matrix for switch-host queries
 	redH      []int64 // reduced multipliers, ditto
 }
@@ -139,11 +134,9 @@ type whatifScratch struct {
 func (sc *whatifScratch) reset() {
 	for _, i := range sc.changed {
 		sc.overlayOf[i] = 0
-		sc.crowOf[i] = 0
 	}
 	sc.changed = sc.changed[:0]
 	sc.used = 0
-	sc.crowUsed = 0
 }
 
 // Base returns the base-topology bound the engine was built from
@@ -151,9 +144,10 @@ func (sc *whatifScratch) reset() {
 func (e *WhatIf) Base() Result { return e.base }
 
 // NewWhatIf builds the amortized base state: full-width distance rows
-// for every host (hosts × switches, uint8) and a completed sharded
-// auction whose prices seed every warm rematch. The base bound equals
-// a cold Bound with AuctionMatcher bit for bit.
+// for every host (hosts × switches, uint8), the same rows on host
+// columns, and a completed AuctionBlocked run whose prices, matching
+// and max weight seed every warm rematch. The base bound equals a cold
+// Bound with AuctionMatcher bit for bit.
 func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	hosts := t.Hosts()
 	n := len(hosts)
@@ -179,75 +173,34 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	for i, u := range hosts {
 		e.h[i] = int64(t.Servers(u))
 	}
-	frac := opt.MaxAffectedFrac
-	if frac <= 0 {
-		frac = DefaultMaxAffectedFrac
-	}
-	e.maxAff = int(frac * float64(g.N()))
-	if frac >= 1 {
-		e.maxAff = 0 // no fallback
-	} else if e.maxAff < 1 {
+	e.maxAff = int(maxAffectedFrac * float64(g.N()))
+	if e.maxAff < 1 {
 		e.maxAff = 1
 	}
 
 	// Full-width rows: unlike Bound's host×host matrix, what-if repair
 	// needs distances to transit switches too — the repair cone grows
-	// through them.
+	// through them. The host-column rows are what every matcher touch
+	// point — the base auction, the warm rematch's bids and its 1-CS
+	// prefilter — scans directly (match.U8Weights); the scaled weight is
+	// computed in-register, so there is no n×n int64 matrix to budget.
+	// One byte per pair: 400 MB at 20k hosts, same as Bound's Dist.
 	_, dsp := o.Start("whatif.dist")
 	e.full = make([]uint8, n*e.nsw)
+	e.hh = make([]uint8, n*n)
+	switches := make([]int, e.nsw)
+	for v := range switches {
+		switches[v] = v
+	}
 	err := g.MultiBFSRows(hosts, opt.Workers, func(i int, dist []int32) error {
-		row := e.full[i*e.nsw : (i+1)*e.nsw]
-		for v, d := range dist {
-			if d < 0 {
-				return errors.New("tub: topology disconnected")
-			}
-			if d > graph.MaxUint8Dist {
-				return fmt.Errorf("tub: distance %d exceeds uint8 range [0,%d] (255 is the unreachable sentinel)", d, graph.MaxUint8Dist)
-			}
-			row[v] = uint8(d)
+		if err := fillRow(e.full[i*e.nsw:(i+1)*e.nsw], dist, switches); err != nil {
+			return err
 		}
-		return nil
+		return fillRow(e.hh[i*n:(i+1)*n], dist, hosts)
 	})
 	dsp.End()
 	if err != nil {
 		return nil, err
-	}
-	// Host-compacted base matrix: every matcher touch point — the base
-	// auction, the warm rematch's bids and its 1-CS prefilter — scans
-	// these uint8 rows directly (match.U8Weights); the scaled weight is
-	// computed in-register, so there is no n×n int64 matrix to budget.
-	// One byte per pair: 400 MB at 20k hosts, same as Bound's Dist.
-	e.hh = make([]uint8, n*n)
-	{
-		workers := clampPool(opt.Workers, n)
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				for i := wk; i < n; i += workers {
-					row := e.full[i*e.nsw:]
-					out := e.hh[i*n : (i+1)*n]
-					for j, u := range hosts {
-						out[j] = row[u]
-					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-	}
-	for i := 0; i < n; i++ {
-		row := e.hh[i*n : (i+1)*n]
-		hi := e.h[i]
-		for j, d := range row {
-			w := hi
-			if e.h[j] < w {
-				w = e.h[j]
-			}
-			if raw := int64(d) * w; raw > e.maxRaw {
-				e.maxRaw = raw
-			}
-		}
 	}
 
 	_, msp := o.Start("whatif.match")
@@ -258,7 +211,7 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation (zero total path length)")
 	}
-	e.prices = stats.Prices
+	e.warm = match.AuctionWarmStart{Prices: stats.Prices, Col: res.Col, MaxRaw: stats.MaxRaw}
 	e.base = Result{
 		Bound:       float64(2*t.Links()) / float64(res.Total),
 		Perm:        res.Col,
@@ -266,54 +219,27 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 		TwoE:        2 * t.Links(),
 	}
 	e.pool.New = func() interface{} {
-		return &whatifScratch{overlayOf: make([]int32, n), crowOf: make([]int32, n)}
+		return &whatifScratch{overlayOf: make([]int32, n)}
 	}
 	return e, nil
 }
 
-// hostRow returns host i's distance row under the query's overlays
-// (the base row when untouched).
+// hostRow returns host i's distance row on host columns under the
+// query's overlays (the base row when untouched or sc is nil).
 func (e *WhatIf) hostRow(sc *whatifScratch, i int) []uint8 {
 	if sc != nil {
 		if k := sc.overlayOf[i]; k > 0 {
-			return sc.overlays[k-1]
+			return sc.hostCols[k-1]
 		}
 	}
-	return e.full[i*e.nsw : (i+1)*e.nsw]
+	n := len(e.hosts)
+	return e.hh[i*n : (i+1)*n]
 }
 
-// u8At builds the matrix-free matcher view over the (possibly
-// overlaid) rows: unchanged hosts borrow the precomputed hh row
-// directly; a changed host's full-width overlay is compacted onto host
-// columns once per query and cached in the scratch. The base engine
-// passes sc == nil (all hh rows — safe for concurrent calls, as the
-// blocked auction's max-weight scan requires); per-query views mutate
-// the scratch lazily and match the Workers: 1 warm rematch.
+// u8At is the matcher view over the (possibly overlaid) host-column
+// rows. It only reads, so it is safe for concurrent calls.
 func (e *WhatIf) u8At(sc *whatifScratch) match.U8Weights {
-	n := len(e.hosts)
-	rows := func(i int) []uint8 {
-		if sc != nil && sc.overlayOf[i] > 0 {
-			if k := sc.crowOf[i]; k > 0 {
-				return sc.crows[k-1]
-			}
-			var buf []uint8
-			if sc.crowUsed < len(sc.crows) {
-				buf = sc.crows[sc.crowUsed]
-			} else {
-				buf = make([]uint8, n)
-				sc.crows = append(sc.crows, buf)
-			}
-			sc.crowUsed++
-			full := sc.overlays[sc.overlayOf[i]-1]
-			for j, u := range e.hosts {
-				buf[j] = full[u]
-			}
-			sc.crowOf[i] = int32(sc.crowUsed)
-			return buf
-		}
-		return e.hh[i*n : (i+1)*n]
-	}
-	return match.U8Weights{Rows: rows, H: e.h}
+	return match.U8Weights{Rows: func(i int) []uint8 { return e.hostRow(sc, i) }, H: e.h}
 }
 
 func (e *WhatIf) getScratch() *whatifScratch {
@@ -326,7 +252,8 @@ func (e *WhatIf) putScratch(sc *whatifScratch) {
 }
 
 // overlay copies host i's base row into a reusable buffer and registers
-// it as the query view of that host.
+// it as the query view of that host; noteRepair fills the slot's
+// host-column copy once the row is repaired.
 func (sc *whatifScratch) overlay(e *WhatIf, i int) []uint8 {
 	var buf []uint8
 	if sc.used < len(sc.overlays) {
@@ -334,6 +261,7 @@ func (sc *whatifScratch) overlay(e *WhatIf, i int) []uint8 {
 	} else {
 		buf = make([]uint8, e.nsw)
 		sc.overlays = append(sc.overlays, buf)
+		sc.hostCols = append(sc.hostCols, make([]uint8, len(e.hosts)))
 	}
 	sc.used++
 	copy(buf, e.full[i*e.nsw:(i+1)*e.nsw])
@@ -466,7 +394,7 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 		r := e.hostRow(sc, ki)
 		out := red[i*m : (i+1)*m]
 		for j, kj := range keep {
-			out[j] = r[e.hosts[kj]]
+			out[j] = r[kj]
 		}
 		redH[i] = e.h[ki]
 	}
@@ -484,7 +412,8 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	return q, nil
 }
 
-// noteRepair folds one repaired row into the query accumulators.
+// noteRepair folds one repaired row into the query accumulators and
+// compacts it onto host columns for the matcher.
 func (e *WhatIf) noteRepair(q *QueryResult, sc *whatifScratch, i int, base, row []uint8, st graph.RepairStats) {
 	q.ChangedRows++
 	if st.Affected > q.Frontier {
@@ -493,7 +422,9 @@ func (e *WhatIf) noteRepair(q *QueryResult, sc *whatifScratch, i int, base, row 
 	if st.Recomputed {
 		q.RecomputedRows++
 	}
-	for _, u := range e.hosts {
+	hc := sc.hostCols[sc.overlayOf[i]-1]
+	for j, u := range e.hosts {
+		hc[j] = row[u]
 		if base[u] != row[u] {
 			q.ChangedPairs++
 		}
@@ -513,12 +444,8 @@ func (e *WhatIf) disconnectedPair(q *QueryResult, sc *whatifScratch, skipHost in
 		if i == skipHost {
 			continue
 		}
-		row := e.hostRow(sc, i)
-		for j, u := range e.hosts {
-			if j == skipHost {
-				continue
-			}
-			if row[u] == graph.UnreachableDist {
+		for j, d := range e.hostRow(sc, i) {
+			if j != skipHost && d == graph.UnreachableDist {
 				return true
 			}
 		}
@@ -552,30 +479,10 @@ func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*Qu
 		return q, nil
 	}
 
-	// Warm rematch: free exactly the hosts whose rows changed. The
-	// max-weight hint folds the changed rows' new weights into the
-	// base maximum; distances only stay equal or grow under removal,
-	// but a disconnect-then-reroute can shrink entries too, so scan.
-	maxRaw := e.maxRaw
-	for _, i := range sc.changed {
-		row := e.hostRow(sc, i)
-		hi := e.h[i]
-		for j, u := range e.hosts {
-			w := hi
-			if e.h[j] < w {
-				w = e.h[j]
-			}
-			if raw := int64(row[u]) * w; raw > maxRaw {
-				maxRaw = raw
-			}
-		}
-	}
-	res, st := match.AuctionResume(len(e.hosts), e.u8At(sc), match.AuctionWarmStart{
-		Prices: e.prices,
-		Col:    e.base.Perm,
-	}, sc.changed, match.AuctionResumeOptions{
-		Workers:   1, // queries parallelize across the sweep, not within
-		MaxWeight: maxRaw,
+	// Warm rematch: free exactly the hosts whose rows changed.
+	// AuctionResume folds their new weights into the base maximum the
+	// warm start carries.
+	res, st := match.AuctionResume(len(e.hosts), e.u8At(sc), e.warm, sc.changed, match.AuctionResumeOptions{
 		MaxRounds: defaultResumeRoundsPerHost * len(e.hosts),
 	})
 	if res.Total <= 0 {

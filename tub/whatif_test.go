@@ -144,28 +144,45 @@ func TestWhatIfSwitchDifferential(t *testing.T) {
 	}
 }
 
-// TestWhatIfForcedFallbacks drives the same differential with repair
-// and rematch fallbacks forced (damage threshold of one switch), so the
-// fallback paths get the same bit-identical guarantee.
+// TestWhatIfForcedFallbacks drives the link differential through the
+// repair fallback: on a 16-switch ring with one server per switch, a
+// cut implicates about half the ring from its endpoints' rows, past
+// the damage threshold, so rows are recomputed with a plain BFS. Every
+// link query must still match the cold recompute exactly.
 func TestWhatIfForcedFallbacks(t *testing.T) {
-	tp := whatifTopologies(t)[0]
-	e, err := NewWhatIf(tp, WhatIfOptions{MaxAffectedFrac: 1.0 / float64(tp.NumSwitches())})
+	const n = 16
+	b := graph.NewBuilder(n)
+	servers := make([]int, n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(i, (i+1)%n)
+		servers[i] = 1
+	}
+	tp, err := topo.New("ring", b.Build(), servers)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, err := NewWhatIf(tp, WhatIfOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recomputed := 0
 	tp.Graph().Edges(func(u, v, c int) {
 		q, err := e.QueryLink(u, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantB, _, _, wantDisc := coldQuery(t, tp, u, v)
-		if q.Disconnected != wantDisc {
-			t.Fatalf("link (%d,%d): Disconnected = %v, want %v", u, v, q.Disconnected, wantDisc)
+		wantB, wantWL, _, wantDisc := coldQuery(t, tp, u, v)
+		if q.Disconnected || wantDisc {
+			t.Fatalf("link (%d,%d): a ring cut must not disconnect (engine %v, cold %v)", u, v, q.Disconnected, wantDisc)
 		}
-		if !wantDisc && q.Bound != wantB {
-			t.Fatalf("link (%d,%d) mode=%s: bound %v, cold %v", u, v, q.Mode, q.Bound, wantB)
+		if q.Bound != wantB || q.WeightedLen != wantWL {
+			t.Fatalf("link (%d,%d) mode=%s: got (%v, %d), cold (%v, %d)", u, v, q.Mode, q.Bound, q.WeightedLen, wantB, wantWL)
 		}
+		recomputed += q.RecomputedRows
 	})
+	if recomputed == 0 {
+		t.Fatal("no row crossed the damage threshold: the recompute fallback was never exercised")
+	}
 }
 
 // bridgeTopology: two K4 islands with one server per switch joined by a
