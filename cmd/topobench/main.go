@@ -602,7 +602,7 @@ func cmdMCF(w io.Writer, args []string) error {
 	rf.register(fs)
 	k := fs.Int("k", 16, "paths per pair (KSP-MCF)")
 	method := fs.String("method", "auto", "auto | exact | approx")
-	eps := fs.Float64("eps", 0.02, "Garg–Könemann ε")
+	eps := fs.Float64("eps", 0.02, "Garg–Könemann ε: the solve stops once theta_ub <= (1+ε)·theta")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -647,12 +647,12 @@ func cmdMCF(w io.Writer, args []string) error {
 	defer stop()
 	start := time.Now()
 	paths := mcf.KShortestObs(t, tm, *k, rf.workers, o)
-	theta, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: m, Eps: *eps, Workers: rf.workers, Obs: o})
+	d, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: m, Eps: *eps, Workers: rf.workers, Obs: o})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s\nKSP-MCF (K=%d): theta = %.4f   TUB = %.4f   gap = %.4f   (%v)\n",
-		t, *k, theta, ub.Bound, ub.Bound-theta, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "%s\nKSP-MCF (K=%d): theta = %.4f   theta_ub = %.4f   TUB = %.4f   gap = %.4f   (%v)\n",
+		t, *k, d.Theta, d.ThetaUB, ub.Bound, ub.Bound-d.Theta, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -747,7 +747,7 @@ func cmdReport(w io.Writer, args []string) error {
 	rf.register(fs)
 	markdown := fs.Bool("markdown", false, "emit markdown tables")
 	heavy := fs.Bool("heavy", false, "also run the paper-scale demonstrations (minutes)")
-	convergence := fs.Bool("convergence", false, "append a table of MCF convergence trajectories (rounds, dual, theta_lb per solve)")
+	convergence := fs.Bool("convergence", false, "append a table of MCF convergence trajectories (rounds, dual, theta_lb, theta_ub per solve)")
 	cache := fs.String("cache", "", "persist finished steps in this directory; a repeated or interrupted report replays them")
 	only := fs.String("only", "", "comma-separated experiment ids to run (see `topobench expt -list`)")
 	if err := fs.Parse(args); err != nil {

@@ -129,6 +129,6 @@ func (r *AblationResult) Tables() []*Table {
 	for _, row := range r.Backends {
 		t2.Rows = append(t2.Rows, []string{row.Name, fmt.Sprintf("%.4f", row.Value), row.Elapsed.Round(time.Microsecond).String()})
 	}
-	t2.Notes = append(t2.Notes, "Garg–Könemann output is always feasible (a valid lower bound), within ~(1-eps) of the simplex optimum")
+	t2.Notes = append(t2.Notes, "Garg–Könemann output is always feasible (a valid lower bound), certified within a factor 1+eps of the simplex optimum")
 	return []*Table{t1, t2}
 }

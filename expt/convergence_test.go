@@ -9,7 +9,8 @@ import (
 
 // TestFig3InstrumentedMatchesBare: attaching the full sink stack must not
 // change a single byte of the rendered table, and the trace must contain
-// every pipeline stage plus per-round convergence points.
+// every pipeline stage plus per-round convergence points carrying the
+// certified band, and one mcf.gk.gap observation per solve.
 func TestFig3InstrumentedMatchesBare(t *testing.T) {
 	p := Fig3Params{
 		Family: FamilyJellyfish, Radix: 8, Servers: []int{3},
@@ -22,7 +23,8 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 
 	rec := &ConvergenceRecorder{}
 	cap := &obs.Capture{}
-	traced, err := RunFig3(p, RunOptions{Workers: 2, Obs: obs.New(rec, cap)})
+	o := obs.New(rec, cap)
+	traced, err := RunFig3(p, RunOptions{Workers: 2, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +40,14 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 		}
 		if e.Kind == obs.KindPoint && e.Name == "mcf.round" {
 			rounds++
+			if e.Float("theta_ub") <= 0 {
+				t.Errorf("mcf.round without a positive theta_ub: %+v", e.Attrs)
+			}
+		}
+		if e.Kind == obs.KindSpanEnd && e.Name == "mcf.gk" {
+			if th, ub := e.Float("theta"), e.Float("theta_ub"); ub < th || ub > 1.02*th*(1+1e-9) {
+				t.Errorf("mcf.gk ended with theta %v, theta_ub %v: not a certified 2%% band", th, ub)
+			}
 		}
 	}
 	for _, name := range []string{"expt.fig3", "fig3.job", "topo.build", "tub.bound", "mcf.ksp", "mcf.solve"} {
@@ -51,8 +61,11 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 	if rec.Solves() != starts["mcf.gk"] || rec.Solves() == 0 {
 		t.Errorf("recorder tracked %d solves, trace has %d mcf.gk spans", rec.Solves(), starts["mcf.gk"])
 	}
+	if n := o.Registry().Histograms()["mcf.gk.gap"].Count; n != uint64(rec.Solves()) {
+		t.Errorf("mcf.gk.gap has %d observations for %d solves", n, rec.Solves())
+	}
 	tbl := rec.Table().String()
-	if !strings.Contains(tbl, "theta_lb") || len(rec.Table().Rows) != rec.Solves() {
+	if !strings.Contains(tbl, "theta_lb") || !strings.Contains(tbl, "theta_ub") || len(rec.Table().Rows) != rec.Solves() {
 		t.Errorf("convergence table malformed:\n%s", tbl)
 	}
 }

@@ -15,9 +15,10 @@ import (
 )
 
 // storeVersion is baked into every content address. Bump it whenever a
-// Result type's JSON shape changes incompatibly: old cache directories
-// then read as misses instead of decoding garbage.
-const storeVersion = 1
+// Result type's JSON shape changes incompatibly or a solver's answers
+// move: old cache directories then read as misses instead of decoding
+// garbage or serving stale numbers.
+const storeVersion = 2
 
 // StoreKey returns the full content address for (id, params): sha256
 // over (store version, experiment ID, canonical params JSON). This is

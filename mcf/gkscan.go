@@ -32,9 +32,19 @@ const (
 // augmentation per demand sequentially in demand order, updating the
 // length function as it goes. Path selection is a pure function of the
 // round-start lengths and updates are applied in a fixed order, so the
-// solution is bit-identical for any worker count. The result is a
-// feasible throughput and, for the path-restricted problem, within ≈(1−3ε)
-// of optimal.
+// solution is bit-identical for any worker count.
+//
+// The solve certifies its own answer and stops as soon as it can. The
+// first round of every phase scans all demands under one frozen length
+// function l, so it yields the LP dual bound θ* ≤ D/α, where
+// D = Σ c_e·l_e and α = Σ_j d_j·min_{p∈P_j} l(p); thetaUB is the least
+// such bound over all phases. At the end of a completed phase k the
+// accumulated flow, divided by its worst link load λ, is feasible with
+// throughput θ_lb = k/λ. The loop stops once thetaUB ≤ (1+eps)·θ_lb, so
+// the returned θ (≥ θ_lb) is within a factor 1+eps of the
+// path-restricted optimum θ*. The classical termination D ≥ 1 stays as
+// the backstop, with its worst-case ≈(1−3ε) guarantee; thetaUB is a
+// valid bound either way.
 //
 // The scan re-sums every path fresh, left to right in edge order, and
 // the kernel stays bit-identical to the reference solveGKSimple kept in
@@ -57,18 +67,12 @@ const (
 // with the per-edge division hoisted out. Non-integral instances fall
 // back to inline division.
 //
-// A positive maxPhases stops the phase loop early; the rescaled flow is
-// still feasible, so the returned θ is a valid lower bound.
-//
 // When o is non-nil, every round emits an "mcf.round" point event with
 // the convergence state: round and phase index, active demand count, the
-// dual objective D = Σ c_e·l_e (termination at D ≥ 1), the running worst
-// link overload λ, and theta_lb = completed_phases/λ — the throughput the
-// flow accumulated so far would achieve if rescaled now, a primal lower
-// bound that climbs toward the final answer. Tracking λ incrementally
-// costs one extra pass per augmentation, paid only when o is non-nil; the
-// algorithm's arithmetic is untouched either way.
-func (inst *instance) solveGK(eps float64, workers, maxPhases int, o *obs.Obs) (float64, []float64) {
+// dual objective D (backstop at D ≥ 1), and the certified band as of
+// the last completed phase — its worst link overload λ, theta_lb = k/λ
+// and theta_ub. Observation never changes the arithmetic.
+func (inst *instance) solveGK(eps float64, workers int, o *obs.Obs) (theta, thetaUB float64, flow []float64) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -81,7 +85,8 @@ func (inst *instance) solveGK(eps float64, workers, maxPhases int, o *obs.Obs) (
 		d += inst.capOf[e] * length[e]
 	}
 	nPaths := len(inst.edgeList)
-	flow := make([]float64, nPaths)
+	flow = make([]float64, nPaths)
+	load := make([]float64, inst.numEdges)
 
 	// Static bottleneck capacity per path.
 	bneck := make([]float64, nPaths)
@@ -103,53 +108,50 @@ func (inst *instance) solveGK(eps float64, workers, maxPhases int, o *obs.Obs) (
 	workers = poolSize(workers, n)
 	rem := make([]float64, n)
 	choice := make([]int32, n)
+	bestLen := make([]float64, n)
 	active := make([]int32, 0, n)
+	thetaUB = math.Inf(1)
+	var lambda, thetaLB float64
 
-	// Convergence tracking, allocated only when observed.
-	var obsLoad []float64
-	var obsLambda float64
-	round, phase, phasesDone := 0, 0, 0
+	round := 0
 	var roundHist *obs.Histogram
 	var roundStart time.Time
 	if o != nil {
-		obsLoad = make([]float64, inst.numEdges)
 		roundHist = o.Histogram("mcf.gk.round")
 		roundStart = time.Now()
 	}
 
 	// scan picks the cheapest path of each active demand in [lo, hi)
-	// under the current lengths. Read-only on shared state except choice
-	// (disjoint across demands); ties keep the lowest path id, matching
-	// a sequential first-wins scan.
+	// under the current lengths, and records its length. Read-only on
+	// shared state except choice and bestLen (disjoint across demands);
+	// ties keep the lowest path id, matching a sequential first-wins scan.
 	scan := func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			j := active[x]
 			pids := inst.pathsOf[j]
 			best := pids[0]
-			bestLen := 0.0
+			bl := 0.0
 			for _, e := range inst.edgeList[best] {
-				bestLen += length[e]
+				bl += length[e]
 			}
 			for _, pid := range pids[1:] {
 				s := 0.0
 				for _, e := range inst.edgeList[pid] {
 					s += length[e]
 				}
-				if s < bestLen {
-					bestLen = s
+				if s < bl {
+					bl = s
 					best = pid
 				}
 			}
 			choice[j] = best
+			bestLen[j] = bl
 		}
 	}
 
-	for d < 1 {
-		if maxPhases > 0 && phase >= maxPhases {
-			break
-		}
+phases:
+	for phase := 1; d < 1; phase++ {
 		// New phase: every demand routes its full amount again.
-		phase++
 		active = active[:0]
 		for j := range inst.demands {
 			if inst.demands[j].Amount > 1e-15 {
@@ -157,11 +159,22 @@ func (inst *instance) solveGK(eps float64, workers, maxPhases int, o *obs.Obs) (
 				active = append(active, int32(j))
 			}
 		}
-		for len(active) > 0 && d < 1 {
+		for first := true; len(active) > 0 && d < 1; first = false {
 			if len(active) <= gkIncSeqScanMax || workers <= 1 {
 				scan(0, len(active))
 			} else {
 				parallelChunks(workers, len(active), scan)
+			}
+			if first {
+				// Every demand was scanned under one length function:
+				// D/α bounds θ* from above.
+				alpha := 0.0
+				for _, j := range active {
+					alpha += inst.demands[j].Amount * bestLen[j]
+				}
+				if ub := d / alpha; ub < thetaUB {
+					thetaUB = ub
+				}
 			}
 			// Sequential apply, in demand order (in-place filter of the
 			// active list; writes trail reads).
@@ -183,20 +196,14 @@ func (inst *instance) solveGK(eps float64, workers, maxPhases int, o *obs.Obs) (
 						ci := gi + int(capIdx[e])
 						d += inst.capOf[e] * length[e] * growTab[ci]
 						length[e] *= onePlusTab[ci]
+						load[e] += g
 					}
 				} else {
 					for _, e := range inst.edgeList[pid] {
 						grow := eps * g / inst.capOf[e]
 						d += inst.capOf[e] * length[e] * grow
 						length[e] *= 1 + grow
-					}
-				}
-				if obsLoad != nil {
-					for _, e := range inst.edgeList[pid] {
-						obsLoad[e] += g
-						if r := obsLoad[e] / inst.capOf[e]; r > obsLambda {
-							obsLambda = r
-						}
+						load[e] += g
 					}
 				}
 				if rem[j] > 1e-15 {
@@ -204,27 +211,38 @@ func (inst *instance) solveGK(eps float64, workers, maxPhases int, o *obs.Obs) (
 				}
 			}
 			active = keep
+			certified := false
+			if len(active) == 0 && d < 1 {
+				// Phase complete: the flow routes phase·d_j for every
+				// demand, so rescaled by λ it achieves phase/λ.
+				lambda = 0
+				for e, l := range load {
+					if r := l / inst.capOf[e]; r > lambda {
+						lambda = r
+					}
+				}
+				thetaLB = float64(phase) / lambda
+				certified = thetaUB <= (1+eps)*thetaLB
+			}
 			if o != nil {
 				round++
 				now := time.Now()
 				roundHist.ObserveNs(int64(now.Sub(roundStart)))
 				roundStart = now
-				if len(active) == 0 {
-					phasesDone = phase
-				}
-				thetaLB := 0.0
-				if obsLambda > 0 {
-					thetaLB = float64(phasesDone) / obsLambda
-				}
 				o.Point("mcf.round",
 					obs.Int("round", round), obs.Int("phase", phase),
 					obs.Int("active", len(active)), obs.Float("dual", d),
-					obs.Float("lambda", obsLambda), obs.Float("theta_lb", thetaLB))
+					obs.Float("lambda", lambda), obs.Float("theta_lb", thetaLB),
+					obs.Float("theta_ub", thetaUB))
+			}
+			if certified {
+				break phases
 			}
 		}
 	}
 
-	return inst.rescaleGK(flow)
+	theta, flow = inst.rescaleGK(flow)
+	return theta, thetaUB, flow
 }
 
 // buildGrowTable precomputes grow = eps·g/c and 1+grow for every

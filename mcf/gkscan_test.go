@@ -26,18 +26,18 @@ const gkSeqScanMax = 32
 // round (1) scans — in parallel, against the frozen length function — the
 // cheapest path of every still-active demand, then (2) applies one
 // augmentation per demand sequentially in demand order, updating the
-// length function as it goes. Path selection is a pure function of the
-// round-start lengths and updates are applied in a fixed order, so the
-// solution is bit-identical for any worker count. The result is a
-// feasible throughput and, for the path-restricted problem, within ≈(1−3ε)
-// of optimal.
+// length function as it goes. It stops at the end of the first complete
+// phase whose certified gap closes — the least dual bound D/α seen at a
+// phase start is within a factor 1+eps of phases/λ — or at D ≥ 1.
 //
 // This is the reference the production kernel (solveGK in gkscan.go)
 // must reproduce bit for bit: the plain algorithm, with every growth
-// factor divided inline and its own inline-scan threshold. It carries no
-// instrumentation — the production kernel's obs hooks never touch the
-// arithmetic.
-func (inst *instance) solveGKSimple(eps float64, workers, maxPhases int) (float64, []float64) {
+// factor divided inline, its own inline-scan threshold, and its own
+// certificate: α from a separate cheapest-length pass before the
+// phase's first scan, λ from the path flows rather than per-edge loads
+// kept during the apply loop. It carries no instrumentation — the
+// production kernel's obs hooks never touch the arithmetic.
+func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB float64, flow []float64) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -49,7 +49,7 @@ func (inst *instance) solveGKSimple(eps float64, workers, maxPhases int) (float6
 		length[e] = delta / inst.capOf[e]
 		d += inst.capOf[e] * length[e]
 	}
-	flow := make([]float64, len(inst.edgeList))
+	flow = make([]float64, len(inst.edgeList))
 
 	// Static bottleneck capacity per path.
 	bneck := make([]float64, len(inst.edgeList))
@@ -68,8 +68,15 @@ func (inst *instance) solveGKSimple(eps float64, workers, maxPhases int) (float6
 	rem := make([]float64, n)
 	choice := make([]int32, n)
 	active := make([]int32, 0, n)
-	phase := 0
+	thetaUB = math.Inf(1)
 
+	pathLen := func(pid int32) float64 {
+		s := 0.0
+		for _, e := range inst.edgeList[pid] {
+			s += length[e]
+		}
+		return s
+	}
 	// scan picks the cheapest path of each active demand in [lo, hi)
 	// under the current lengths. Read-only on shared state; ties keep the
 	// lowest path id, matching a sequential first-wins scan.
@@ -78,16 +85,9 @@ func (inst *instance) solveGKSimple(eps float64, workers, maxPhases int) (float6
 			j := active[x]
 			pids := inst.pathsOf[j]
 			best := pids[0]
-			bestLen := 0.0
-			for _, e := range inst.edgeList[best] {
-				bestLen += length[e]
-			}
+			bestLen := pathLen(best)
 			for _, pid := range pids[1:] {
-				s := 0.0
-				for _, e := range inst.edgeList[pid] {
-					s += length[e]
-				}
-				if s < bestLen {
+				if s := pathLen(pid); s < bestLen {
 					bestLen = s
 					best = pid
 				}
@@ -95,20 +95,38 @@ func (inst *instance) solveGKSimple(eps float64, workers, maxPhases int) (float6
 			choice[j] = best
 		}
 	}
-
-	for d < 1 {
-		if maxPhases > 0 && phase >= maxPhases {
-			break
+	// gapClosed reports whether the flow after `phases` complete phases,
+	// rescaled by its worst link overload, is within 1+eps of thetaUB.
+	gapClosed := func(phases int) bool {
+		load := make([]float64, inst.numEdges)
+		for pid, f := range flow {
+			for _, e := range inst.edgeList[pid] {
+				load[e] += f
+			}
 		}
+		lambda := 0.0
+		for e, l := range load {
+			lambda = math.Max(lambda, l/inst.capOf[e])
+		}
+		return thetaUB <= (1+eps)*(float64(phases)/lambda)
+	}
+
+	for phase := 1; d < 1; phase++ {
 		// New phase: every demand routes its full amount again.
-		phase++
 		active = active[:0]
+		alpha := 0.0
 		for j := range inst.demands {
 			if inst.demands[j].Amount > 1e-15 {
 				rem[j] = inst.demands[j].Amount
 				active = append(active, int32(j))
+				minLen := math.Inf(1)
+				for _, pid := range inst.pathsOf[j] {
+					minLen = math.Min(minLen, pathLen(pid))
+				}
+				alpha += inst.demands[j].Amount * minLen
 			}
 		}
+		thetaUB = math.Min(thetaUB, d/alpha)
 		for len(active) > 0 && d < 1 {
 			if len(active) <= gkSeqScanMax || workers <= 1 {
 				scan(0, len(active))
@@ -140,17 +158,21 @@ func (inst *instance) solveGKSimple(eps float64, workers, maxPhases int) (float6
 			}
 			active = keep
 		}
+		if len(active) == 0 && d < 1 && gapClosed(phase) {
+			break
+		}
 	}
 
-	return inst.rescaleGK(flow)
+	theta, flow = inst.rescaleGK(flow)
+	return theta, thetaUB, flow
 }
 
 // solveReference is ThroughputDetail's Garg–Könemann branch with the
 // reference kernel in place of the production one.
 func solveReference(top *topo.Topology, tm *traffic.Matrix, paths *Paths, opt Options) *Detail {
 	inst := newInstance(top, tm, paths)
-	theta, flat := inst.solveGKSimple(opt.eps(), opt.Workers, opt.MaxPhases)
-	d := &Detail{Theta: theta, PathFlows: make([][]float64, len(tm.Demands))}
+	theta, thetaUB, flat := inst.solveGKSimple(opt.eps(), opt.Workers)
+	d := &Detail{Theta: theta, ThetaUB: thetaUB, PathFlows: make([][]float64, len(tm.Demands))}
 	for j, pids := range inst.pathsOf {
 		d.PathFlows[j] = make([]float64, len(pids))
 		for x, pid := range pids {
@@ -173,6 +195,9 @@ func runBothScans(t *testing.T, top *topo.Topology, tm *traffic.Matrix, k int, o
 	ds := solveReference(top, tm, paths, opt)
 	if ds.Theta != di.Theta {
 		t.Fatalf("theta diverged: simple=%.17g production=%.17g", ds.Theta, di.Theta)
+	}
+	if ds.ThetaUB != di.ThetaUB {
+		t.Fatalf("theta_ub diverged: simple=%.17g production=%.17g", ds.ThetaUB, di.ThetaUB)
 	}
 	if len(ds.PathFlows) != len(di.PathFlows) {
 		t.Fatalf("flow shape diverged: %d vs %d demands", len(ds.PathFlows), len(di.PathFlows))
@@ -240,23 +265,6 @@ func TestScanKernelsAgreeNonIntegral(t *testing.T) {
 	}
 }
 
-// TestScanKernelsAgreeMaxPhases pins the truncated-solve path: with a
-// phase cap the kernels must still agree bitwise, and the truncated θ
-// must stay a valid (positive, feasible) bound.
-func TestScanKernelsAgreeMaxPhases(t *testing.T) {
-	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 20, Radix: 8, Servers: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := traffic.RandomPermutation(top, 2)
-	for _, mp := range []int{1, 2} {
-		th, _ := runBothScans(t, top, tm, 4, Options{Eps: 0.05, Workers: 1, MaxPhases: mp})
-		if th <= 0 {
-			t.Fatalf("MaxPhases=%d: non-positive theta %v", mp, th)
-		}
-	}
-}
-
 // TestGKIncScanBoundary pins both sides of the sequential/parallel scan
 // switch: with the threshold forced below the active-demand count, every
 // round takes the parallelChunks path, and the result must stay bitwise
@@ -287,7 +295,8 @@ func TestGKIncScanBoundary(t *testing.T) {
 
 // FuzzGKScanEquivalence cross-checks the production kernel against the
 // reference on fuzzer-chosen topologies, matrices, and solver options;
-// any bitwise divergence in θ is a bug in the production kernel.
+// any bitwise divergence in θ or θ_ub is a bug in the production kernel,
+// and so is a θ_ub below θ.
 func FuzzGKScanEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint8(8), uint8(2), uint8(4), false)
 	f.Add(uint64(2), uint8(24), uint8(6), uint8(3), uint8(2), true)
@@ -317,13 +326,18 @@ func FuzzGKScanEquivalence(f *testing.F) {
 			}
 		}
 		opt := Options{Method: Approx, Eps: 0.06, Workers: 1}
-		got, err := Throughput(top, tm, paths, opt)
+		got, err := ThroughputDetail(top, tm, paths, opt)
 		if err != nil {
 			t.Skip()
 		}
-		if want := solveReference(top, tm, paths, opt).Theta; got != want {
-			t.Fatalf("kernels diverged: simple=%.17g production=%.17g (sw=%d radix=%d hosts=%d)",
-				want, got, sw, radix, hosts)
+		want := solveReference(top, tm, paths, opt)
+		if got.Theta != want.Theta || got.ThetaUB != want.ThetaUB {
+			t.Fatalf("kernels diverged: simple=(%.17g, %.17g) production=(%.17g, %.17g) (sw=%d radix=%d hosts=%d)",
+				want.Theta, want.ThetaUB, got.Theta, got.ThetaUB, sw, radix, hosts)
+		}
+		if got.ThetaUB < got.Theta*(1-certTol) {
+			t.Fatalf("theta_ub %.17g below theta %.17g (sw=%d radix=%d hosts=%d)",
+				got.ThetaUB, got.Theta, sw, radix, hosts)
 		}
 	})
 }

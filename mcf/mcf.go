@@ -54,24 +54,22 @@ const (
 // on a GOMAXPROCS-wide pool.
 type Options struct {
 	Method Method
-	// Eps is the Garg–Könemann approximation parameter (default 0.02).
+	// Eps is the Garg–Könemann tolerance (default 0.02): the solver stops
+	// once its certified duality gap is within it, Detail.ThetaUB ≤
+	// (1+Eps)·Detail.Theta. It also sets the FPTAS step size and initial
+	// lengths.
 	Eps float64
 	// Workers bounds the goroutines used by the Garg–Könemann backend's
 	// per-round cheapest-path scan (0 = GOMAXPROCS). The solution is
 	// bit-identical for any worker count; the exact simplex backend is
 	// single-threaded and ignores this field.
 	Workers int
-	// MaxPhases, when positive, stops the Garg–Könemann solver after
-	// that many phases instead of running to dual termination. The
-	// rescaled result is still a feasible throughput — a valid lower
-	// bound — just farther from the (1−ε) guarantee. Used by large-scale
-	// smoke tests and incremental what-if sweeps; 0 means run to
-	// completion. The exact simplex backend ignores this field.
-	MaxPhases int
 	// Obs, when non-nil, receives an "mcf.solve" span with a per-backend
 	// child span; the Garg–Könemann child emits one "mcf.round" point
-	// event per round (round, phase, active, dual, lambda, theta_lb).
-	// Instrumentation never changes the solution.
+	// event per round (round, phase, active, dual, lambda, theta_lb,
+	// theta_ub), ends with theta and theta_ub, and records θ_ub/θ − 1 in
+	// the "mcf.gk.gap" histogram. Instrumentation never changes the
+	// solution.
 	Obs *obs.Obs
 }
 
@@ -82,10 +80,18 @@ const (
 	autoMaxRows     = 2500
 )
 
-// Detail is a full throughput solution: the achieved θ plus the per-path
-// flows realizing it, shaped like Paths.ByDemand.
+// Detail is a full throughput solution: the achieved θ, a certified
+// upper bound on the path-restricted optimum, and the per-path flows
+// realizing θ, shaped like Paths.ByDemand.
 type Detail struct {
-	Theta     float64
+	// Theta is a feasible throughput: the flows route Theta·T.
+	Theta float64
+	// ThetaUB bounds the path-restricted optimum from above, so the
+	// optimum lies in [Theta, ThetaUB]. The exact backend reports its LP
+	// optimum for both. The Garg–Könemann backend reports its best LP
+	// dual bound; a solve that stops on its certificate has ThetaUB ≤
+	// (1+Eps)·Theta.
+	ThetaUB   float64
 	PathFlows [][]float64
 }
 
@@ -111,7 +117,8 @@ func MaxConcurrentFlow(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Option
 	return ThroughputDetail(t, m, p, opt)
 }
 
-// ThroughputDetail is Throughput plus the realizing per-path flows.
+// ThroughputDetail is Throughput plus the certified upper bound ThetaUB
+// and the realizing per-path flows.
 func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options) (*Detail, error) {
 	if len(m.Demands) == 0 {
 		return nil, errors.New("mcf: empty traffic matrix")
@@ -127,32 +134,38 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 	inst := newInstance(t, m, p)
 	mo, solve := opt.Obs.Start("mcf.solve",
 		obs.Int("demands", len(m.Demands)), obs.Int("paths", p.NumPaths()), obs.Int("edges", inst.numEdges))
-	exact := func() (float64, []float64, error) {
+	// exact reports its LP optimum as both θ and θ_ub.
+	exact := func() (float64, float64, []float64, error) {
 		_, sp := mo.Start("mcf.exact")
 		theta, flat, err := inst.solveExact()
 		sp.End(obs.Float("theta", theta))
-		return theta, flat, err
+		return theta, theta, flat, err
 	}
-	approx := func() (float64, []float64) {
+	approx := func() (float64, float64, []float64) {
 		gko, sp := mo.Start("mcf.gk", obs.Float("eps", opt.eps()))
-		theta, flat := inst.solveGK(opt.eps(), opt.Workers, opt.MaxPhases, gko)
-		sp.End(obs.Float("theta", theta))
-		return theta, flat
+		theta, thetaUB, flat := inst.solveGK(opt.eps(), opt.Workers, gko)
+		sp.End(obs.Float("theta", theta), obs.Float("theta_ub", thetaUB))
+		if theta > 0 {
+			// Parts per million, so the histogram's *_ms statistics read
+			// as the relative gap itself.
+			gko.Histogram("mcf.gk.gap").ObserveNs(int64((thetaUB/theta - 1) * 1e6))
+		}
+		return theta, thetaUB, flat
 	}
-	var theta float64
+	var theta, thetaUB float64
 	var flat []float64
 	var err error
 	switch opt.Method {
 	case Exact:
-		theta, flat, err = exact()
+		theta, thetaUB, flat, err = exact()
 	case Approx:
-		theta, flat = approx()
+		theta, thetaUB, flat = approx()
 	default:
 		rows := len(m.Demands) + inst.numEdges
 		if p.NumPaths() <= autoMaxPathVars && rows <= autoMaxRows {
-			theta, flat, err = exact()
+			theta, thetaUB, flat, err = exact()
 		} else {
-			theta, flat = approx()
+			theta, thetaUB, flat = approx()
 		}
 	}
 	if err != nil {
@@ -160,7 +173,7 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 		return nil, err
 	}
 	solve.End(obs.Float("theta", theta))
-	d := &Detail{Theta: theta, PathFlows: make([][]float64, len(m.Demands))}
+	d := &Detail{Theta: theta, ThetaUB: thetaUB, PathFlows: make([][]float64, len(m.Demands))}
 	for j, pids := range inst.pathsOf {
 		d.PathFlows[j] = make([]float64, len(pids))
 		for x, pid := range pids {

@@ -7,8 +7,10 @@
 // Two backends replace the paper's Gurobi dependency: an exact simplex LP
 // (internal/lp) for small instances and the Garg–Könemann multiplicative-
 // weights FPTAS for larger ones. The FPTAS output is rescaled onto the
-// feasible region, so it is always a valid throughput lower bound, within
-// (1−ε) of the LP optimum over the same path set.
+// feasible region, so it is always a valid throughput lower bound, and
+// comes with an LP-duality upper bound (Detail.ThetaUB) on the optimum
+// over the same path set; the solver stops once the two are within a
+// factor 1+ε.
 package mcf
 
 import (

@@ -81,18 +81,18 @@ func TestScale20kSmoke(t *testing.T) {
 		t.Fatalf("implausible TUB bound %v", res.Bound)
 	}
 
-	// One Garg–Könemann phase on a subsampled permutation: exercises the
-	// incremental scan's index build and apply path at scale without
-	// paying a full FPTAS solve.
+	// A full certified Garg–Könemann solve on a subsampled permutation:
+	// the solve must stop on its own certificate, within ε = 0.1 of the
+	// path-restricted optimum.
 	tm := traffic.RandomPermutation(top, 1)
 	tm = &traffic.Matrix{Switches: tm.Switches, Demands: tm.Demands[:64]}
 	paths := mcf.KShortest(top, tm, 4)
-	th, err := mcf.Throughput(top, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.1, MaxPhases: 1, Obs: so})
+	det, err := mcf.MaxConcurrentFlow(top, tm, paths, mcf.Options{Eps: 0.1, Obs: so})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if th <= 0 {
-		t.Fatalf("non-positive truncated theta %v", th)
+	if th, ub := det.Theta, det.ThetaUB; th <= 0 || ub < th || ub > 1.1*th*(1+1e-9) {
+		t.Fatalf("theta %v, theta_ub %v: not a certified 10%% band", th, ub)
 	}
 
 	// Delta-repair spot check at 20k: cut one link, repair two of the
@@ -171,6 +171,6 @@ func TestScale20kSmoke(t *testing.T) {
 		t.Fatalf("what-if (%d,%d) disagrees with cold bound: %v/%d != %v/%d",
 			probe.U, probe.V, probe.Bound, probe.WeightedLen, coldRes.Bound, coldRes.WeightedLen)
 	}
-	t.Logf("tub bound %.4f, one-phase theta %.4f, whatif sweep %d links (base %.4f)",
-		res.Bound, th, len(impacts), eng.Base().Bound)
+	t.Logf("tub bound %.4f, theta %.4f (theta_ub %.4f), whatif sweep %d links (base %.4f)",
+		res.Bound, det.Theta, det.ThetaUB, len(impacts), eng.Base().Bound)
 }
