@@ -199,7 +199,7 @@ func benchWorkerCounts() []int {
 	return out
 }
 
-// BenchmarkKShortestParallel measures the sharded Yen KSP stage.
+// BenchmarkKShortestParallel measures the sharded KSP stage.
 func BenchmarkKShortestParallel(b *testing.B) {
 	t := benchTopology(b, 80, 12, 4)
 	tm := traffic.RandomPermutation(t, 1)

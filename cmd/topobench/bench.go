@@ -104,7 +104,7 @@ func msbfsOp(t *topo.Topology) (benchOp, error) {
 	}, nil
 }
 
-// kspOp times the goal-directed Yen kernel over a fixed antipodal pair
+// kspOp times the exact-length DFS kernel over a fixed antipodal pair
 // sweep and checks it finds k paths for every pair.
 func kspOp(t *topo.Topology) (benchOp, error) {
 	g := t.Graph()
@@ -335,7 +335,7 @@ func runBench(c benchCase) (benchEntry, benchOut, error) {
 
 // cmdBench runs the gated kernel cases of the selected BENCH files and
 // writes DIR/BENCH_<file>.json for each: msbfs (bit-parallel
-// HostDistances), ksp (goal-directed Yen), gk (Garg–Könemann), matching
+// HostDistances), ksp (exact-length DFS), gk (Garg–Könemann), matching
 // (tub.Bound per matcher and the bare blocked auction) and whatif (warm
 // incremental failure queries vs cold recomputation).
 func cmdBench(w io.Writer, args []string) error {

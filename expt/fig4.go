@@ -104,8 +104,8 @@ func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 		}
 
 		// (b) pairwise path-count classes for the maximal permutation.
-		// One pooled Scratch serves every pair's BFS row and DFS marker
-		// row, so the loop allocates only the paths themselves.
+		// One pooled Scratch serves every pair's BFS row, so the loop
+		// allocates only the paths themselves.
 		g := t.Graph()
 		hosts := t.Hosts()
 		s := run.Scratch(g.N())
@@ -118,7 +118,7 @@ func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 			}
 			src, dst := hosts[i], hosts[j]
 			s.Dist = g.BFS(dst, s.Dist)
-			all := g.PathsWithinDist(src, dst, s.Dist, 2, PathCap, s.OnPath)
+			all := g.PathsWithinDist(src, dst, s.Dist, 2, PathCap)
 			spl := int(ub.Dist[i][j])
 			for _, path := range all {
 				switch path.Len() - spl {

@@ -5,17 +5,13 @@ import (
 )
 
 // Scratch is per-solve reusable buffer space for one experiment job: a
-// BFS distance row and the on-path marker row of bounded path
-// enumeration. Figure drivers that loop over many (src, dst) pairs in one
-// job check a Scratch out of the Runner pool once and reuse it for every
-// pair, so steady-state sweep iterations allocate nothing.
+// BFS distance row. Figure drivers that loop over many (src, dst) pairs
+// in one job check a Scratch out of the Runner pool once and reuse it for
+// every pair, so steady-state sweep iterations allocate nothing.
 type Scratch struct {
 	// Dist is a BFS distance row (pass to Graph.BFS, which resizes it in
 	// place as needed).
 	Dist []int32
-	// OnPath is the marker row for Graph.PathsWithinDist. It is all-false
-	// between uses — PathsWithinDist restores it before returning.
-	OnPath []bool
 }
 
 var scratchPool sync.Pool
@@ -34,10 +30,6 @@ func (r *Runner) Scratch(n int) *Scratch {
 		s.Dist = make([]int32, n)
 	}
 	s.Dist = s.Dist[:n]
-	if cap(s.OnPath) < n {
-		s.OnPath = make([]bool, n)
-	}
-	s.OnPath = s.OnPath[:n]
 	return s
 }
 

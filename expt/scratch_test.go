@@ -15,7 +15,6 @@ func TestScratchAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		s := r.Scratch(4096)
 		s.Dist[0] = 1
-		s.OnPath[4095] = false
 		r.Release(s)
 	})
 	if allocs != 0 {
@@ -30,23 +29,17 @@ func TestScratchAllocs(t *testing.T) {
 	}
 }
 
-// TestScratchSizing checks the buffers are resized to the requested n and
-// OnPath arrives all-false even after dirty use.
+// TestScratchSizing checks the buffer is resized to the requested n.
 func TestScratchSizing(t *testing.T) {
 	r := NewRunner(1)
 	s := r.Scratch(64)
-	if len(s.Dist) != 64 || len(s.OnPath) != 64 {
-		t.Fatalf("len(Dist)=%d len(OnPath)=%d, want 64, 64", len(s.Dist), len(s.OnPath))
-	}
-	for i := range s.OnPath {
-		if s.OnPath[i] {
-			t.Fatalf("OnPath[%d] true on fresh Scratch", i)
-		}
+	if len(s.Dist) != 64 {
+		t.Fatalf("len(Dist)=%d, want 64", len(s.Dist))
 	}
 	r.Release(s)
 	s2 := r.Scratch(32)
-	if len(s2.Dist) != 32 || len(s2.OnPath) != 32 {
-		t.Fatalf("len(Dist)=%d len(OnPath)=%d, want 32, 32", len(s2.Dist), len(s2.OnPath))
+	if len(s2.Dist) != 32 {
+		t.Fatalf("len(Dist)=%d, want 32", len(s2.Dist))
 	}
 	r.Release(s2)
 }

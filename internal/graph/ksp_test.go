@@ -37,13 +37,29 @@ func randomSparse(n, edges int, seed uint64) *Graph {
 	return b.Build()
 }
 
+// guardModes runs f twice: with the reachability guard at its default
+// budget and with it forced on from the first descent. The output must
+// not depend on the mode.
+func guardModes(f func(mode string)) {
+	defer func(old int) { kspGuardFactor = old }(kspGuardFactor)
+	for _, m := range []struct {
+		name   string
+		factor int
+	}{{"default", kspGuardFactor}, {"forced", 0}} {
+		kspGuardFactor = m.factor
+		f(m.name)
+	}
+}
+
 func checkDifferential(t *testing.T, g *Graph, src, dst, k int) {
 	t.Helper()
-	got := g.KShortestPaths(src, dst, k)
 	want := g.KShortestPathsSimple(src, dst, k)
-	if !pathsListEqual(got, want) {
-		t.Fatalf("KShortestPaths(%d,%d,%d) mismatch:\n goal   %v\n simple %v", src, dst, k, got, want)
-	}
+	guardModes(func(mode string) {
+		got := g.KShortestPaths(src, dst, k)
+		if !pathsListEqual(got, want) {
+			t.Fatalf("KShortestPaths(%d,%d,%d) guard=%s mismatch:\n dfs    %v\n simple %v", src, dst, k, mode, got, want)
+		}
+	})
 }
 
 func TestKShortestMatchesSimpleStructured(t *testing.T) {
@@ -75,8 +91,8 @@ func TestKShortestMatchesSimpleRandom(t *testing.T) {
 }
 
 func TestKShortestMatchesSimpleDense(t *testing.T) {
-	// Denser connected instances produce deep candidate pools, exercising
-	// the k-th-candidate bound and the pool-edge banning.
+	// Denser connected instances have many paths per length, exercising
+	// the lexicographic order within a sweep and sweeps past d+1.
 	for seed := uint64(1); seed <= 4; seed++ {
 		g := randomConnected(24, 60, seed)
 		r := rng.New(seed * 7)
@@ -92,23 +108,91 @@ func TestKShortestMatchesSimpleDense(t *testing.T) {
 	}
 }
 
+// cutVertexClique returns K_c on nodes 0..c-1 plus a direct link 0–c and
+// a chain of c+1 hops from 0 to c through fresh nodes: src 0 is a cut
+// vertex between the clique and dst c, and the only two src→dst paths
+// have 1 and c+1 hops.
+func cutVertexClique(c int) *Graph {
+	b := NewBuilder(2*c + 1)
+	for u := 0; u < c; u++ {
+		for v := u + 1; v < c; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	b.AddEdge(0, c)
+	prev := 0
+	for v := c + 1; v <= 2*c; v++ {
+		b.AddEdge(prev, v)
+		prev = v
+	}
+	b.AddEdge(prev, c)
+	return b.Build()
+}
+
+// TestKShortestGuardCutVertexClique is the guard's regression case. The
+// sweep for the (c+1)-hop path admits every simple walk through the
+// clique on h alone (each clique node is d(0,dst)+1 from dst), so the
+// unguarded DFS would make more than (c-1)! > 10^15 descents. The guard
+// must switch on and hold the work polynomial.
+func TestKShortestGuardCutVertexClique(t *testing.T) {
+	const c, k = 20, 2
+	g := cutVertexClique(c)
+	n := g.N()
+	want := g.KShortestPathsSimple(0, c, k)
+	if len(want) != 2 || want[1].Len() != c+1 {
+		t.Fatalf("reference paths %v, want a 1-hop and a %d-hop path", want, c+1)
+	}
+	guardModes(func(mode string) {
+		var st KSPStats
+		got := g.KShortestPathsDist(0, c, k, nil, nil, &st)
+		if !pathsListEqual(got, want) {
+			t.Fatalf("guard=%s: got %v, want %v", mode, got, want)
+		}
+		if st.Guarded != 1 {
+			t.Fatalf("guard=%s: guarded=%d, want 1", mode, st.Guarded)
+		}
+		// One sweep per length; each spends at most the guard budget
+		// before strict mode, then at most k·n descents along prefixes
+		// of the outputs.
+		bound := int64(n) * int64(kspGuardFactor+1) * k * int64(n)
+		if st.Expanded > bound {
+			t.Fatalf("guard=%s: expanded=%d > bound %d", mode, st.Expanded, bound)
+		}
+	})
+}
+
+// TestKShortestStopsWhenExhausted: a ring has exactly two simple paths
+// between any pair, so asking for 64 must end one sweep past the longer
+// path instead of sweeping every length up to n-1.
+func TestKShortestStopsWhenExhausted(t *testing.T) {
+	const n = 40
+	g := ring(n)
+	var st KSPStats
+	got := g.KShortestPathsDist(0, n/2-5, 64, nil, nil, &st)
+	if len(got) != 2 || got[0].Len() != n/2-5 || got[1].Len() != n/2+5 {
+		t.Fatalf("got %v, want the two arcs of the ring", got)
+	}
+	// The sweeps at lengths 15..26 make ~200 descents; sweeping on to
+	// length 39 would add ~500 more.
+	if st.Expanded > 300 {
+		t.Fatalf("expanded=%d > 300: the walk did not stop once the paths ran out", st.Expanded)
+	}
+}
+
 // TestKShortestDistSharedState pins the KShortestPathsDist contract: any
-// combination of caller-supplied row/first/scratch/stats yields the same
+// combination of caller-supplied row/scratch/stats yields the same
 // paths, and a reused scratch arena carries no state across pairs.
 func TestKShortestDistSharedState(t *testing.T) {
 	g := randomConnected(30, 45, 5)
 	s := NewKSPScratch()
 	var st KSPStats
-	dist, prev := g.ShortestPathTree(0, nil, nil)
-	_ = dist
 	for _, dst := range []int{7, 15, 29, 7} { // repeat 7: scratch reuse
 		row := g.BFS(dst, nil)
-		first := PathFromTree(prev, dst)
 		want := g.KShortestPathsSimple(0, dst, 8)
 		for i, got := range [][]Path{
-			g.KShortestPathsDist(0, dst, 8, row, first, s, &st),
-			g.KShortestPathsDist(0, dst, 8, row, nil, s, nil),
-			g.KShortestPathsDist(0, dst, 8, nil, nil, nil, nil),
+			g.KShortestPathsDist(0, dst, 8, row, s, &st),
+			g.KShortestPathsDist(0, dst, 8, row, s, nil),
+			g.KShortestPathsDist(0, dst, 8, nil, nil, nil),
 			g.KShortestPaths(0, dst, 8),
 		} {
 			if !pathsListEqual(got, want) {
@@ -116,53 +200,30 @@ func TestKShortestDistSharedState(t *testing.T) {
 			}
 		}
 	}
-	if st.Spurs == 0 || st.Pops == 0 {
+	if st.Expanded == 0 {
 		t.Fatalf("stats not accumulated: %+v", st)
-	}
-}
-
-func TestShortestPathTreeMatchesShortestPath(t *testing.T) {
-	g := randomSparse(25, 30, 11)
-	var dist, prev []int32
-	for src := 0; src < 25; src += 6 {
-		dist, prev = g.ShortestPathTree(src, dist, prev)
-		ref := g.BFS(src, nil)
-		for dst := 0; dst < 25; dst++ {
-			if dist[dst] != ref[dst] {
-				t.Fatalf("src=%d dst=%d dist %d != BFS %d", src, dst, dist[dst], ref[dst])
-			}
-			p := PathFromTree(prev, dst)
-			want := g.ShortestPath(src, dst)
-			if !p.equal(want) {
-				t.Fatalf("src=%d dst=%d tree path %v != ShortestPath %v", src, dst, p, want)
-			}
-		}
 	}
 }
 
 // TestKShortestSteadyStateAllocs pins the zero-steady-state-allocation
 // contract: with a warmed arena, a full k-shortest computation allocates
-// only its output paths (one per materialized candidate plus the first
-// path and the result slice) — the spur-search inner loop itself never
-// allocates.
+// only its output — the result slice and one slice per path. The walk
+// and the guard never allocate.
 func TestKShortestSteadyStateAllocs(t *testing.T) {
 	g := randomConnected(200, 420, 7)
 	s := NewKSPScratch()
 	row := g.BFS(150, nil)
-	g.KShortestPathsDist(0, 150, 8, row, nil, s, nil) // warm the arena
-	var st KSPStats
-	allocs := testing.AllocsPerRun(20, func() {
-		st = KSPStats{}
-		if got := g.KShortestPathsDist(0, 150, 8, row, nil, s, &st); len(got) != 8 {
-			t.Fatalf("expected 8 paths, got %d", len(got))
+	g.KShortestPathsDist(0, 150, 8, row, s, nil) // warm the arena
+	guardModes(func(mode string) {
+		allocs := testing.AllocsPerRun(20, func() {
+			if got := g.KShortestPathsDist(0, 150, 8, row, s, nil); len(got) != 8 {
+				t.Fatalf("expected 8 paths, got %d", len(got))
+			}
+		})
+		if allocs > 8+1 {
+			t.Fatalf("guard=%s: steady-state allocs %.0f > budget 9", mode, allocs)
 		}
 	})
-	// Unavoidable: the first path, the result slice, and one allocation
-	// per materialized candidate (the output paths themselves).
-	budget := float64(st.Candidates) + 2
-	if allocs > budget {
-		t.Fatalf("steady-state allocs %.0f > budget %.0f (candidates=%d)", allocs, budget, st.Candidates)
-	}
 }
 
 func TestKShortestStatsDeterministic(t *testing.T) {
@@ -171,7 +232,7 @@ func TestKShortestStatsDeterministic(t *testing.T) {
 		var st KSPStats
 		s := NewKSPScratch()
 		for dst := 1; dst < 40; dst += 7 {
-			g.KShortestPathsDist(0, dst, 8, nil, nil, s, &st)
+			g.KShortestPathsDist(0, dst, 8, nil, s, &st)
 		}
 		return st
 	}
@@ -179,13 +240,80 @@ func TestKShortestStatsDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("stats not deterministic: %+v vs %+v", a, b)
 	}
-	if a.Pruned == 0 {
-		t.Fatalf("expected goal-directed pruning to fire: %+v", a)
+	if a.Expanded == 0 || a.Guarded != 0 {
+		t.Fatalf("expected descents and no guard on a connected random graph: %+v", a)
 	}
 }
 
-// FuzzKShortest fuzzes the goal-directed kernel against the simple
-// baseline on arbitrary small (multi)graphs decoded from raw bytes.
+// pathsWithinSimple is the recursive reference for PathsWithinDist: the
+// same pruned DFS over sorted adjacency, with a bool marker row.
+func (g *Graph) pathsWithinSimple(src, dst, slack, limit int) []Path {
+	toDst := g.BFS(dst, nil)
+	if src == dst || toDst[src] == Unreachable {
+		return nil
+	}
+	maxLen := int(toDst[src]) + slack
+	var out []Path
+	onPath := make([]bool, g.n)
+	var cur Path
+	var dfs func(u int32, length int) bool
+	dfs = func(u int32, length int) bool {
+		cur = append(cur, u)
+		onPath[u] = true
+		defer func() {
+			cur = cur[:len(cur)-1]
+			onPath[u] = false
+		}()
+		if int(u) == dst {
+			out = append(out, append(Path(nil), cur...))
+			return limit > 0 && len(out) >= limit
+		}
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			v := g.adj[i]
+			if onPath[v] || toDst[v] == Unreachable || length+1+int(toDst[v]) > maxLen {
+				continue
+			}
+			if dfs(v, length+1) {
+				return true
+			}
+		}
+		return false
+	}
+	dfs(int32(src), 0)
+	return out
+}
+
+// TestPathsWithinMatchesSimple pins the walker's "at most L hops" mode to
+// the recursive DFS, order included, with the guard at its default and
+// forced on.
+func TestPathsWithinMatchesSimple(t *testing.T) {
+	r := rng.New(5)
+	graphs := []*Graph{grid(4, 4), ring(9), cutVertexClique(6)}
+	for seed := uint64(0); seed < 12; seed++ {
+		graphs = append(graphs, randomSparse(12, 20+int(seed), seed))
+	}
+	for _, g := range graphs {
+		n := g.N()
+		for trial := 0; trial < 4; trial++ {
+			src, dst := r.Intn(n), r.Intn(n)
+			for _, slack := range []int{0, 1, 3} {
+				for _, limit := range []int{0, 5} {
+					want := g.pathsWithinSimple(src, dst, slack, limit)
+					guardModes(func(mode string) {
+						if got := g.PathsWithin(src, dst, slack, limit); !pathsListEqual(got, want) {
+							t.Fatalf("PathsWithin(%d,%d,%d,%d) guard=%s:\n got  %v\n want %v",
+								src, dst, slack, limit, mode, got, want)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// FuzzKShortest fuzzes the DFS kernel, guard at its default and forced
+// on, against the simple baseline on arbitrary small (multi)graphs
+// decoded from raw bytes.
 func FuzzKShortest(f *testing.F) {
 	f.Add([]byte{6, 3, 0, 5, 0x01, 0x12, 0x23, 0x34, 0x45, 0x50})
 	f.Add([]byte{9, 8, 2, 7, 0x01, 0x12, 0x10, 0x23, 0x67})
@@ -206,11 +334,12 @@ func FuzzKShortest(f *testing.F) {
 			}
 		}
 		g := b.Build()
-		got := g.KShortestPaths(src, dst, k)
 		want := g.KShortestPathsSimple(src, dst, k)
-		if !pathsListEqual(got, want) {
-			t.Fatalf("n=%d k=%d src=%d dst=%d:\n goal   %v\n simple %v", n, k, src, dst, got, want)
-		}
+		guardModes(func(mode string) {
+			if got := g.KShortestPaths(src, dst, k); !pathsListEqual(got, want) {
+				t.Fatalf("n=%d k=%d src=%d dst=%d guard=%s:\n dfs    %v\n simple %v", n, k, src, dst, mode, got, want)
+			}
+		})
 	})
 }
 
@@ -287,6 +416,19 @@ func (g *Graph) shortestPathMasked(src, dst int, nodeMasked []bool, edgeMasked m
 	return rev
 }
 
+// pathLess orders by hop length, then lexicographically for determinism.
+func pathLess(a, b Path) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
+
 type candHeap []Path
 
 func (h candHeap) Len() int            { return len(h) }
@@ -304,7 +446,7 @@ func (h *candHeap) Pop() interface{} {
 // KShortestPathsSimple is the straightforward Yen implementation: masked
 // BFS per spur search, a seen-map for duplicate suppression, allocating
 // masks and keys per spur. It is the differential reference for the
-// goal-directed kernel (KShortestPaths in ksp.go), whose output must be
+// exact-length DFS kernel (KShortestPaths in ksp.go), whose output must be
 // bit-identical.
 func (g *Graph) KShortestPathsSimple(src, dst, k int) []Path {
 	if src == dst || k <= 0 {

@@ -8,63 +8,15 @@ type Path []int32
 func (p Path) Len() int { return len(p) - 1 }
 
 // ShortestPath returns the lexicographically smallest shortest path from
-// src to dst, or nil if unreachable. The search runs on a pooled
-// epoch-stamped arena, so the only allocation is the returned path.
+// src to dst, or nil if unreachable: the first path of KShortestPaths.
 func (g *Graph) ShortestPath(src, dst int) Path {
 	if src == dst {
 		return Path{int32(src)}
 	}
-	s := getKSPScratch(g.n)
-	defer putKSPScratch(s)
-	ep := s.nextEpoch()
-	queue := s.queue[:0]
-	queue = append(queue, int32(src))
-	s.visited[src] = ep
-	found := false
-	for head := 0; head < len(queue) && !found; head++ {
-		u := queue[head]
-		for e := g.off[u]; e < g.off[u+1]; e++ {
-			v := g.adj[e]
-			if s.visited[v] == ep {
-				continue
-			}
-			s.visited[v] = ep
-			s.prev[v] = u
-			if int(v) == dst {
-				found = true
-				break
-			}
-			queue = append(queue, v)
-		}
+	if ps := g.KShortestPaths(src, dst, 1); len(ps) > 0 {
+		return ps[0]
 	}
-	s.queue = queue[:0]
-	if !found {
-		return nil
-	}
-	n := 1
-	for v := int32(dst); v != int32(src); v = s.prev[v] {
-		n++
-	}
-	p := make(Path, n)
-	p[0] = int32(src)
-	for v := int32(dst); v != int32(src); v = s.prev[v] {
-		n--
-		p[n] = v
-	}
-	return p
-}
-
-// pathLess orders by hop length, then lexicographically for determinism.
-func pathLess(a, b Path) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return nil
 }
 
 // PathsWithin enumerates simple paths from src to dst whose hop length is
@@ -75,56 +27,26 @@ func (g *Graph) PathsWithin(src, dst, slack, limit int) []Path {
 	if src == dst {
 		return nil
 	}
-	return g.PathsWithinDist(src, dst, g.BFS(dst, nil), slack, limit, nil)
+	return g.PathsWithinDist(src, dst, g.BFS(dst, nil), slack, limit)
 }
 
 // PathsWithinDist is PathsWithin with the BFS-from-dst distance row
 // precomputed by the caller — sweeps over many (src, dst) pairs batch the
 // rows through the MultiBFSRows kernel instead of re-running one scalar
-// BFS per pair. toDst must be exactly BFS(dst, ...) output; onPath is
-// optional scratch of length >= N with every element false (it is
-// restored to all-false before returning), letting repeated calls reuse
-// one marker row. The result is identical to PathsWithin.
-func (g *Graph) PathsWithinDist(src, dst int, toDst []int32, slack, limit int, onPath []bool) []Path {
+// BFS per pair. toDst must be exactly BFS(dst, ...) output. The walk is
+// the k-shortest-paths kernel's DFS in "at most shortest+slack hops"
+// mode, guard included, on a pooled arena. The result is identical to
+// PathsWithin.
+func (g *Graph) PathsWithinDist(src, dst int, toDst []int32, slack, limit int) []Path {
 	if src == dst || toDst[src] == Unreachable {
 		return nil
 	}
-	maxLen := int(toDst[src]) + slack
-	var out []Path
-	if len(onPath) < g.n {
-		onPath = make([]bool, g.n)
-	}
-	cur := make(Path, 0, maxLen+1)
-	var dfs func(u int32, length int) bool
-	dfs = func(u int32, length int) bool {
-		cur = append(cur, u)
-		onPath[u] = true
-		defer func() {
-			cur = cur[:len(cur)-1]
-			onPath[u] = false
-		}()
-		if int(u) == dst {
-			p := make(Path, len(cur))
-			copy(p, cur)
-			out = append(out, p)
-			return limit > 0 && len(out) >= limit
-		}
-		for i := g.off[u]; i < g.off[u+1]; i++ {
-			v := g.adj[i]
-			if onPath[v] || toDst[v] == Unreachable {
-				continue
-			}
-			if length+1+int(toDst[v]) > maxLen {
-				continue
-			}
-			if dfs(v, length+1) {
-				return true
-			}
-		}
-		return false
-	}
-	dfs(int32(src), 0)
-	return out
+	s := getKSPScratch(g.n)
+	defer putKSPScratch(s)
+	w := walk{g: g, s: s, toDst: toDst, src: int32(src), dst: int32(dst),
+		want: limit, st: &s.selfStats}
+	w.sweep(toDst[src] + int32(slack))
+	return w.out
 }
 
 // CountShortestPaths returns the number of distinct shortest paths between

@@ -46,7 +46,7 @@ func simpleKShortest(t *topo.Topology, m *traffic.Matrix, k int) *Paths {
 	return out
 }
 
-// TestKShortestDifferentialTopologies pins the batched goal-directed
+// TestKShortestDifferentialTopologies pins the batched DFS-kernel
 // pipeline against the simple per-pair reference across topology
 // families, k values, and worker counts.
 func TestKShortestDifferentialTopologies(t *testing.T) {
@@ -87,28 +87,32 @@ func TestKShortestDifferentialTopologies(t *testing.T) {
 	}
 }
 
-// TestKShortestObsKernelCounters: the goal-directed kernel counters must
-// be emitted and be identical for any worker count.
+// TestKShortestObsKernelCounters: the DFS kernel counters must be
+// emitted and be identical for any worker count, and the reachability
+// guard must never switch on for a Jellyfish instance.
 func TestKShortestObsKernelCounters(t *testing.T) {
 	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 30, Radix: 8, Servers: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tm := traffic.RandomPermutation(top, 4)
-	read := func(workers int) (pruned, pops int64) {
+	read := func(workers int) (expanded, guarded int64) {
 		o := obs.New()
 		KShortestObs(top, tm, 8, workers, o)
-		return o.Counter("mcf.ksp.pruned").Value(), o.Counter("mcf.ksp.pops").Value()
+		return o.Counter("mcf.ksp.expanded").Value(), o.Counter("mcf.ksp.guarded").Value()
 	}
-	wantPruned, wantPops := read(1)
-	if wantPops == 0 {
-		t.Fatal("expected mcf.ksp.pops > 0 at k=8")
+	wantExpanded, wantGuarded := read(1)
+	if wantExpanded == 0 {
+		t.Fatal("expected mcf.ksp.expanded > 0 at k=8")
+	}
+	if wantGuarded != 0 {
+		t.Fatalf("mcf.ksp.guarded = %d on Jellyfish, want 0", wantGuarded)
 	}
 	for _, w := range workerCounts() {
-		pruned, pops := read(w)
-		if pruned != wantPruned || pops != wantPops {
-			t.Fatalf("workers=%d counters (pruned=%d pops=%d) != workers=1 (pruned=%d pops=%d)",
-				w, pruned, pops, wantPruned, wantPops)
+		expanded, guarded := read(w)
+		if expanded != wantExpanded || guarded != wantGuarded {
+			t.Fatalf("workers=%d counters (expanded=%d guarded=%d) != workers=1 (expanded=%d guarded=%d)",
+				w, expanded, guarded, wantExpanded, wantGuarded)
 		}
 	}
 }

@@ -99,7 +99,7 @@ func TestThroughputDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestKShortestSharedAcrossDuplicateDemands: duplicate and reverse
-// demands of the same pair share one Yen computation.
+// demands of the same pair share one kernel computation.
 func TestKShortestSharedAcrossDuplicateDemands(t *testing.T) {
 	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 12, Radix: 6, Servers: 2, Seed: 1})
 	if err != nil {

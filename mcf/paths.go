@@ -56,11 +56,11 @@ func (p *Paths) MinLen(i int) int {
 }
 
 // KShortest computes the k shortest loopless paths for every demand of m
-// on t's switch graph (Yen's algorithm). Yen runs once per unique
-// unordered endpoint pair — the reverse direction reuses the forward
-// computation with reversed paths — sharded across GOMAXPROCS
-// goroutines. The output depends only on (t, m, k), never on the worker
-// count or schedule.
+// on t's switch graph (the exact-length DFS kernel of
+// graph.KShortestPaths). The kernel runs once per unique unordered
+// endpoint pair — the reverse direction reuses the forward computation
+// with reversed paths — sharded across GOMAXPROCS goroutines. The output
+// depends only on (t, m, k), never on the worker count or schedule.
 func KShortest(t *topo.Topology, m *traffic.Matrix, k int) *Paths {
 	return KShortestWorkers(t, m, k, 0)
 }
@@ -74,29 +74,29 @@ func KShortestWorkers(t *topo.Topology, m *traffic.Matrix, k, workers int) *Path
 
 // KShortestObs is KShortestWorkers with instrumentation: when o is
 // non-nil it wraps the computation in an "mcf.ksp" span and bumps the
-// "mcf.ksp.pairs" / "mcf.ksp.paths" counters (unique Yen invocations and
-// total paths produced) plus the kernel counters "mcf.ksp.pruned"
-// (spur-search expansions cut by the goal-directed bound) and
-// "mcf.ksp.pops" (candidate-heap pops). The result is identical with or
+// "mcf.ksp.pairs" / "mcf.ksp.paths" counters (unique kernel invocations
+// and total paths produced) plus the kernel counters "mcf.ksp.expanded"
+// (DFS descents) and "mcf.ksp.guarded" (pairs on which the kernel's
+// reachability guard switched on). The result is identical with or
 // without o.
 //
-// The sweep batches shared state across the unique pairs: one forward
-// shortest-path tree per unique source (each pair's first Yen path is
-// extracted from its source's tree instead of re-running a BFS per
-// pair), one reverse distance row per unique destination (batched
-// through the bit-parallel MultiBFSRows kernel; the rows drive the
-// goal-directed spur searches), and one scratch arena per worker. Pairs
-// are sharded across workers a source group at a time; counter totals
-// depend only on (t, m, k), never on the schedule.
+// The sweep batches one reverse distance row per unique destination
+// through the bit-parallel MultiBFSRows kernel (the rows drive the DFS
+// pruning) and gives each worker one scratch arena. Pairs are sharded
+// across workers one at a time; counter totals depend only on (t, m, k),
+// never on the schedule.
 func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Obs) *Paths {
 	_, sp := o.Start("mcf.ksp", obs.Int("k", k), obs.Int("demands", len(m.Demands)))
 	g := t.Graph()
 	// Deduplicate demands down to unique unordered pairs, canonically
-	// ordered (src < dst) so the Yen direction does not depend on demand
-	// order. Self-pairs have no paths and are skipped, matching
-	// KShortestPaths.
+	// ordered (src < dst) so the kernel direction does not depend on
+	// demand order. Self-pairs have no paths and are skipped, matching
+	// KShortestPaths. One reverse row per unique destination is shared
+	// by every pair targeting it.
 	pairIdx := make(map[[2]int]int32)
 	var pairs [][2]int
+	dstIdx := make(map[int]int)
+	var dsts []int
 	for _, d := range m.Demands {
 		a, b := d.Src, d.Dst
 		if a == b {
@@ -106,31 +106,14 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 			a, b = b, a
 		}
 		key := [2]int{a, b}
-		if _, ok := pairIdx[key]; !ok {
-			pairIdx[key] = int32(len(pairs))
-			pairs = append(pairs, key)
+		if _, ok := pairIdx[key]; ok {
+			continue
 		}
-	}
-	// Group pairs by canonical source: one shortest-path tree per group.
-	srcIdx := make(map[int]int)
-	var srcs []int
-	var groups [][]int32
-	// One reverse row per unique destination, shared by every pair
-	// targeting it.
-	dstIdx := make(map[int]int)
-	var dsts []int
-	for i, pr := range pairs {
-		gi, ok := srcIdx[pr[0]]
-		if !ok {
-			gi = len(srcs)
-			srcIdx[pr[0]] = gi
-			srcs = append(srcs, pr[0])
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], int32(i))
-		if _, ok := dstIdx[pr[1]]; !ok {
-			dstIdx[pr[1]] = len(dsts)
-			dsts = append(dsts, pr[1])
+		pairIdx[key] = int32(len(pairs))
+		pairs = append(pairs, key)
+		if _, ok := dstIdx[b]; !ok {
+			dstIdx[b] = len(dsts)
+			dsts = append(dsts, b)
 		}
 	}
 	rows := make([][]int32, len(dsts))
@@ -144,29 +127,23 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 	rv := make([][]graph.Path, len(pairs)) // the same paths reversed
 	var stats graph.KSPStats
 	var statsMu sync.Mutex
-	runGroup := func(gi int, s *graph.KSPScratch, dist, prev *[]int32, st *graph.KSPStats) {
-		src := srcs[gi]
-		*dist, *prev = g.ShortestPathTree(src, *dist, *prev)
-		for _, pi := range groups[gi] {
-			dst := pairs[pi][1]
-			ps := g.KShortestPathsDist(src, dst, k,
-				rows[dstIdx[dst]], graph.PathFromTree(*prev, dst), s, st)
-			rev := make([]graph.Path, len(ps))
-			for j, p := range ps {
-				rp := make(graph.Path, len(p))
-				for x := range p {
-					rp[len(p)-1-x] = p[x]
-				}
-				rev[j] = rp
+	runPair := func(pi int, s *graph.KSPScratch, st *graph.KSPStats) {
+		src, dst := pairs[pi][0], pairs[pi][1]
+		ps := g.KShortestPathsDist(src, dst, k, rows[dstIdx[dst]], s, st)
+		rev := make([]graph.Path, len(ps))
+		for j, p := range ps {
+			rp := make(graph.Path, len(p))
+			for x := range p {
+				rp[len(p)-1-x] = p[x]
 			}
-			fw[pi], rv[pi] = ps, rev
+			rev[j] = rp
 		}
+		fw[pi], rv[pi] = ps, rev
 	}
-	if w := poolSize(workers, len(groups)); w <= 1 {
+	if w := poolSize(workers, len(pairs)); w <= 1 {
 		s := graph.NewKSPScratch()
-		var dist, prev []int32
-		for gi := range groups {
-			runGroup(gi, s, &dist, &prev, &stats)
+		for pi := range pairs {
+			runPair(pi, s, &stats)
 		}
 	} else {
 		var next atomic.Int64
@@ -176,14 +153,13 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 			go func() {
 				defer wg.Done()
 				s := graph.NewKSPScratch()
-				var dist, prev []int32
 				var st graph.KSPStats
 				for {
-					gi := int(next.Add(1)) - 1
-					if gi >= len(groups) {
+					pi := int(next.Add(1)) - 1
+					if pi >= len(pairs) {
 						break
 					}
-					runGroup(gi, s, &dist, &prev, &st)
+					runPair(pi, s, &st)
 				}
 				statsMu.Lock()
 				stats.Add(st)
@@ -210,10 +186,10 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 		}
 		o.Counter("mcf.ksp.pairs").Add(int64(len(pairs)))
 		o.Counter("mcf.ksp.paths").Add(int64(yielded))
-		o.Counter("mcf.ksp.pruned").Add(stats.Pruned)
-		o.Counter("mcf.ksp.pops").Add(stats.Pops)
+		o.Counter("mcf.ksp.expanded").Add(stats.Expanded)
+		o.Counter("mcf.ksp.guarded").Add(stats.Guarded)
 		sp.End(obs.Int("pairs", len(pairs)), obs.Int("paths", yielded),
-			obs.Int("pruned", int(stats.Pruned)), obs.Int("pops", int(stats.Pops)))
+			obs.Int("expanded", int(stats.Expanded)), obs.Int("guarded", int(stats.Guarded)))
 	}
 	return out
 }
@@ -261,12 +237,11 @@ func WithinSlack(t *topo.Topology, m *traffic.Matrix, slack, limit int) *Paths {
 		copy(rows[i], dist)
 		return nil
 	})
-	onPath := make([]bool, g.N())
 	for i, d := range m.Demands {
 		if d.Src == d.Dst {
 			continue
 		}
-		out.ByDemand[i] = g.PathsWithinDist(d.Src, d.Dst, rows[dstIdx[d.Dst]], slack, limit, onPath)
+		out.ByDemand[i] = g.PathsWithinDist(d.Src, d.Dst, rows[dstIdx[d.Dst]], slack, limit)
 	}
 	return out
 }
