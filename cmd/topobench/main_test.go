@@ -68,8 +68,13 @@ func TestCmdMetrics(t *testing.T) {
 func TestCmdMCF(t *testing.T) {
 	for _, m := range []string{"auto", "exact", "approx"} {
 		args := []string{"-family", "jellyfish", "-switches", "16", "-radix", "8", "-servers", "3", "-k", "4", "-method", m}
-		if err := cmdMCF(io.Discard, args); err != nil {
+		var buf bytes.Buffer
+		if err := cmdMCF(&buf, args); err != nil {
 			t.Errorf("mcf %s: %v", m, err)
+		}
+		// Only a Garg–Könemann solve reports its stop phase and window.
+		if got, want := strings.Contains(buf.String(), "phases = "), m == "approx"; got != want {
+			t.Errorf("mcf %s: result line reports phases: %v, want %v:\n%s", m, got, want, buf.String())
 		}
 	}
 	if err := cmdMCF(io.Discard, []string{"-method", "bogus"}); err == nil {

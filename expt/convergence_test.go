@@ -10,7 +10,9 @@ import (
 // TestFig3InstrumentedMatchesBare: attaching the full sink stack must not
 // change a single byte of the rendered table, and the trace must contain
 // every pipeline stage plus per-round convergence points carrying the
-// certified band, and one mcf.gk.gap observation per solve.
+// certified band, one mcf.gk.gap observation per solve, and a stop
+// reason on every mcf.gk span end that the mcf.gk.backstop counter
+// agrees with.
 func TestFig3InstrumentedMatchesBare(t *testing.T) {
 	p := Fig3Params{
 		Family: FamilyJellyfish, Radix: 8, Servers: []int{3},
@@ -33,7 +35,7 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 	}
 
 	starts := map[string]int{}
-	rounds := 0
+	rounds, backstops := 0, 0
 	for _, e := range cap.Events() {
 		if e.Kind == obs.KindSpanStart {
 			starts[e.Name]++
@@ -47,6 +49,15 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 		if e.Kind == obs.KindSpanEnd && e.Name == "mcf.gk" {
 			if th, ub := e.Float("theta"), e.Float("theta_ub"); ub < th || ub > 1.02*th*(1+1e-9) {
 				t.Errorf("mcf.gk ended with theta %v, theta_ub %v: not a certified 2%% band", th, ub)
+			}
+			stop, _ := e.Attr("stop")
+			if stop == "backstop" {
+				backstops++
+			} else if stop != "cert" {
+				t.Errorf("mcf.gk ended with stop %v, want cert or backstop", stop)
+			}
+			if p, w := e.Float("phases"), e.Float("window"); p < 1 || w < 0 || w >= p {
+				t.Errorf("mcf.gk ended with phases %v, window %v", p, w)
 			}
 		}
 	}
@@ -64,8 +75,11 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 	if n := o.Registry().Histograms()["mcf.gk.gap"].Count; n != uint64(rec.Solves()) {
 		t.Errorf("mcf.gk.gap has %d observations for %d solves", n, rec.Solves())
 	}
+	if n := o.Registry().Counter("mcf.gk.backstop").Value(); n != int64(backstops) {
+		t.Errorf("mcf.gk.backstop counts %d, %d spans ended on the backstop", n, backstops)
+	}
 	tbl := rec.Table().String()
-	if !strings.Contains(tbl, "theta_lb") || !strings.Contains(tbl, "theta_ub") || len(rec.Table().Rows) != rec.Solves() {
+	if !strings.Contains(tbl, "theta_lb") || !strings.Contains(tbl, "theta_ub") || !strings.Contains(tbl, "window") || len(rec.Table().Rows) != rec.Solves() {
 		t.Errorf("convergence table malformed:\n%s", tbl)
 	}
 }

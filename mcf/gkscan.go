@@ -38,18 +38,28 @@ const (
 // first round of every phase scans all demands under one frozen length
 // function l, so it yields the LP dual bound θ* ≤ D/α, where
 // D = Σ c_e·l_e and α = Σ_j d_j·min_{p∈P_j} l(p); thetaUB is the least
-// such bound over all phases. At the end of a completed phase k the
-// accumulated flow, divided by its worst link load λ, is feasible with
-// throughput θ_lb = k/λ. The loop stops once thetaUB ≤ (1+eps)·θ_lb, so
-// the returned θ (≥ θ_lb) is within a factor 1+eps of the
-// path-restricted optimum θ*. The classical termination D ≥ 1 stays as
-// the backstop, with its worst-case ≈(1−3ε) guarantee; thetaUB is a
-// valid bound either way.
+// such bound over all phases. Every completed phase routes exactly d_j
+// for every demand j, so the flow of any run of completed phases k₀+1…k,
+// divided by its worst link load λ_w, is feasible with throughput
+// (k−k₀)/λ_w. The solve checkpoints load and flow at completed phases
+// 1, 2, 4, 8, …, keeping the two most recent, and at the end of each
+// completed phase k takes θ_lb as the best of the full history (k/λ)
+// and the window since each kept checkpoint. The early phases, routed
+// under near-uniform lengths, drag the full-history average down long
+// after the recent phases have converged; the window drops them. The
+// loop stops once thetaUB ≤ (1+eps)·θ_lb and returns the rescaled flow
+// of the window that certified, so the returned θ (≥ θ_lb) is within a
+// factor 1+eps of the path-restricted optimum θ*. The classical
+// termination D ≥ 1 stays as the backstop: it returns whichever of the
+// full history and the kept windows rescales to the larger θ, so the
+// full history's worst-case ≈(1−3ε) guarantee holds; thetaUB is a valid
+// bound either way. Lengths never depend on the checkpoints, so the
+// windows can only move the stop earlier.
 //
 // The scan re-sums every path fresh, left to right in edge order, and
 // the kernel stays bit-identical to the reference solveGKSimple kept in
-// gkscan_test.go: identical path choices, flows, θ, and per-round
-// convergence events. That is a deliberate design constraint — these
+// gkscan_test.go: identical path choices, flows, θ, θ_ub and stop
+// (phase, window, backstop or not). That is a deliberate design constraint — these
 // instances are full of cheapest-path ties (uniform capacities, equal
 // hop counts), ties are broken by comparing rounded float sums, and any
 // cache maintained by accumulating per-edge deltas — while within ~1e-13
@@ -70,9 +80,11 @@ const (
 // When o is non-nil, every round emits an "mcf.round" point event with
 // the convergence state: round and phase index, active demand count, the
 // dual objective D (backstop at D ≥ 1), and the certified band as of
-// the last completed phase — its worst link overload λ, theta_lb = k/λ
-// and theta_ub. Observation never changes the arithmetic.
-func (inst *instance) solveGK(eps float64, workers int, o *obs.Obs) (theta, thetaUB float64, flow []float64) {
+// the last completed phase — the full history's worst link overload λ,
+// theta_lb (the best of k/λ and the window bounds), the checkpoint
+// phase k₀ of the window giving it (0 = full history) and theta_ub.
+// Observation never changes the arithmetic.
+func (inst *instance) solveGK(eps float64, workers int, o *obs.Obs) (theta, thetaUB float64, flow []float64, stop gkStop) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -112,6 +124,15 @@ func (inst *instance) solveGK(eps float64, workers int, o *obs.Obs) (theta, thet
 	active := make([]int32, 0, n)
 	thetaUB = math.Inf(1)
 	var lambda, thetaLB float64
+	window := 0 // checkpoint phase of the window giving thetaLB; 0 = full history
+	// ck holds the two most recent power-of-two checkpoints, older
+	// first. A slot not yet written holds phase 0 and zero loads: the
+	// full history again, which never beats it (ties keep the earlier
+	// candidate).
+	var ck [2]gkCheckpoint
+	for i := range ck {
+		ck[i] = gkCheckpoint{load: make([]float64, inst.numEdges), flow: make([]float64, nPaths)}
+	}
 
 	round := 0
 	var roundHist *obs.Histogram
@@ -149,8 +170,32 @@ func (inst *instance) solveGK(eps float64, workers int, o *obs.Obs) (theta, thet
 		}
 	}
 
+	// overloads sets lam[0] to the full history's worst link overload
+	// max_e load_e/c_e and lam[1+i] to that of the flow since ck[i], in
+	// one pass over the edges.
+	var lam [1 + len(ck)]float64
+	overloads := func() {
+		c0, c1 := ck[0].load, ck[1].load
+		lam = [len(lam)]float64{}
+		for e, l := range load {
+			c := inst.capOf[e]
+			if r := l / c; r > lam[0] {
+				lam[0] = r
+			}
+			if r := (l - c0[e]) / c; r > lam[1] {
+				lam[1] = r
+			}
+			if r := (l - c1[e]) / c; r > lam[2] {
+				lam[2] = r
+			}
+		}
+	}
+
+	phase := 0
+	certified := false
 phases:
-	for phase := 1; d < 1; phase++ {
+	for d < 1 {
+		phase++
 		// New phase: every demand routes its full amount again.
 		active = active[:0]
 		for j := range inst.demands {
@@ -211,18 +256,27 @@ phases:
 				}
 			}
 			active = keep
-			certified := false
 			if len(active) == 0 && d < 1 {
 				// Phase complete: the flow routes phase·d_j for every
-				// demand, so rescaled by λ it achieves phase/λ.
-				lambda = 0
-				for e, l := range load {
-					if r := l / inst.capOf[e]; r > lambda {
-						lambda = r
+				// demand, so rescaled by λ it achieves phase/λ, and the
+				// flow since checkpoint k₀ achieves (phase−k₀)/λ_w.
+				overloads()
+				lambda = lam[0]
+				thetaLB, window = float64(phase)/lambda, 0
+				for i, c := range ck {
+					if t := float64(phase-c.phase) / lam[1+i]; t > thetaLB {
+						thetaLB, window = t, c.phase
 					}
 				}
-				thetaLB = float64(phase) / lambda
 				certified = thetaUB <= (1+eps)*thetaLB
+				if !certified && phase&(phase-1) == 0 {
+					// Power-of-two phase: overwrite the older slot.
+					ck[0], ck[1] = ck[1], ck[0]
+					c := &ck[1]
+					copy(c.load, load)
+					copy(c.flow, flow)
+					c.phase = phase
+				}
 			}
 			if o != nil {
 				round++
@@ -233,7 +287,7 @@ phases:
 					obs.Int("round", round), obs.Int("phase", phase),
 					obs.Int("active", len(active)), obs.Float("dual", d),
 					obs.Float("lambda", lambda), obs.Float("theta_lb", thetaLB),
-					obs.Float("theta_ub", thetaUB))
+					obs.Int("window", window), obs.Float("theta_ub", thetaUB))
 			}
 			if certified {
 				break phases
@@ -241,8 +295,55 @@ phases:
 		}
 	}
 
+	stop = gkStop{phase: phase, window: window, backstop: !certified}
+	if certified {
+		if window > 0 {
+			c := &ck[0]
+			if c.phase != window {
+				c = &ck[1]
+			}
+			for pid, f := range c.flow {
+				flow[pid] -= f
+			}
+		}
+		theta, flow = inst.rescaleGK(flow)
+		return theta, thetaUB, flow, stop
+	}
+	// Backstop: the full history and every kept window compete on
+	// rescaled θ, earliest first on ties. Each slot's flow buffer turns
+	// into its window flow in place.
+	for _, c := range ck {
+		for pid, f := range c.flow {
+			c.flow[pid] = flow[pid] - f
+		}
+	}
 	theta, flow = inst.rescaleGK(flow)
-	return theta, thetaUB, flow
+	stop.window = 0
+	for _, c := range ck {
+		if c.phase == 0 {
+			continue
+		}
+		if t, w := inst.rescaleGK(c.flow); t > theta {
+			theta, flow, stop.window = t, w, c.phase
+		}
+	}
+	return theta, thetaUB, flow, stop
+}
+
+// gkCheckpoint is the solve state at the end of completed phase `phase`:
+// the per-edge loads and per-path flows accumulated so far.
+type gkCheckpoint struct {
+	phase      int
+	load, flow []float64
+}
+
+// gkStop says how a Garg–Könemann solve ended: the phase it stopped in,
+// the checkpoint phase k₀ whose window flow it returned (0 = the full
+// history), and whether the D ≥ 1 backstop ended it rather than the
+// certificate.
+type gkStop struct {
+	phase, window int
+	backstop      bool
 }
 
 // buildGrowTable precomputes grow = eps·g/c and 1+grow for every

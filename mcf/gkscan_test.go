@@ -1,8 +1,9 @@
 // Equivalence coverage for the production Garg–Könemann kernel: it must
 // reproduce the reference solveGKSimple (defined below, test-only)
-// bit-for-bit — identical θ and identical per-path flows — on every
-// instance family, worker count, and option combination, including the
-// non-integral fallbacks and the sequential/parallel scan boundary.
+// bit-for-bit — identical θ, θ_ub, stop phase, certifying window and
+// per-path flows — on every instance family, worker count, and option
+// combination, including the non-integral fallbacks and the
+// sequential/parallel scan boundary.
 package mcf
 
 import (
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dctopo/internal/graph"
 	"dctopo/topo"
 	"dctopo/traffic"
 )
@@ -28,16 +30,22 @@ const gkSeqScanMax = 32
 // augmentation per demand sequentially in demand order, updating the
 // length function as it goes. It stops at the end of the first complete
 // phase whose certified gap closes — the least dual bound D/α seen at a
-// phase start is within a factor 1+eps of phases/λ — or at D ≥ 1.
+// phase start is within a factor 1+eps of the best primal bound: the
+// full history's phases/λ, or the flow routed since one of the two most
+// recent power-of-two phase checkpoints, rescaled — or at D ≥ 1, where
+// it returns the full history or a window, whichever rescales to the
+// larger θ.
 //
 // This is the reference the production kernel (solveGK in gkscan.go)
 // must reproduce bit for bit: the plain algorithm, with every growth
 // factor divided inline, its own inline-scan threshold, and its own
 // certificate: α from a separate cheapest-length pass before the
-// phase's first scan, λ from the path flows rather than per-edge loads
-// kept during the apply loop. It carries no instrumentation — the
-// production kernel's obs hooks never touch the arithmetic.
-func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB float64, flow []float64) {
+// phase's first scan, every checkpoint kept as a path-flow copy, and
+// each λ summed per edge from path flows (or path-flow differences)
+// rather than per-edge loads kept during the apply loop. It carries no
+// instrumentation — the production kernel's obs hooks never touch the
+// arithmetic.
+func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB float64, flow []float64, stop gkStop) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -95,11 +103,31 @@ func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB fl
 			choice[j] = best
 		}
 	}
-	// gapClosed reports whether the flow after `phases` complete phases,
-	// rescaled by its worst link overload, is within 1+eps of thetaUB.
-	gapClosed := func(phases int) bool {
+	// Every power-of-two phase checkpoint, as a copy of the path flows.
+	// The zero checkpoint stands for the full history.
+	type checkpoint struct {
+		phase int
+		flow  []float64
+	}
+	var cks []checkpoint
+	// candidates lists the full history, then the last two checkpoints,
+	// oldest first: the order ties are broken in.
+	candidates := func() []checkpoint {
+		return append([]checkpoint{{}}, cks[max(0, len(cks)-2):]...)
+	}
+	// since returns the flow routed after checkpoint c.
+	since := func(c checkpoint) []float64 {
+		w := append([]float64(nil), flow...)
+		for pid, f := range c.flow {
+			w[pid] -= f
+		}
+		return w
+	}
+	// primal returns the throughput of the flow routed over completed
+	// phases c.phase+1 … phases, rescaled by its worst link overload.
+	primal := func(phases int, c checkpoint) float64 {
 		load := make([]float64, inst.numEdges)
-		for pid, f := range flow {
+		for pid, f := range since(c) {
 			for _, e := range inst.edgeList[pid] {
 				load[e] += f
 			}
@@ -108,10 +136,12 @@ func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB fl
 		for e, l := range load {
 			lambda = math.Max(lambda, l/inst.capOf[e])
 		}
-		return thetaUB <= (1+eps)*(float64(phases)/lambda)
+		return float64(phases-c.phase) / lambda
 	}
 
-	for phase := 1; d < 1; phase++ {
+	phase := 0
+	for d < 1 {
+		phase++
 		// New phase: every demand routes its full amount again.
 		active = active[:0]
 		alpha := 0.0
@@ -158,62 +188,81 @@ func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB fl
 			}
 			active = keep
 		}
-		if len(active) == 0 && d < 1 && gapClosed(phase) {
+		if len(active) > 0 || d >= 1 {
 			break
 		}
-	}
-
-	theta, flow = inst.rescaleGK(flow)
-	return theta, thetaUB, flow
-}
-
-// solveReference is ThroughputDetail's Garg–Könemann branch with the
-// reference kernel in place of the production one.
-func solveReference(top *topo.Topology, tm *traffic.Matrix, paths *Paths, opt Options) *Detail {
-	inst := newInstance(top, tm, paths)
-	theta, thetaUB, flat := inst.solveGKSimple(opt.eps(), opt.Workers)
-	d := &Detail{Theta: theta, ThetaUB: thetaUB, PathFlows: make([][]float64, len(tm.Demands))}
-	for j, pids := range inst.pathsOf {
-		d.PathFlows[j] = make([]float64, len(pids))
-		for x, pid := range pids {
-			d.PathFlows[j][x] = flat[pid]
+		var best checkpoint
+		lb := 0.0
+		for _, c := range candidates() {
+			if v := primal(phase, c); v > lb {
+				lb, best = v, c
+			}
+		}
+		if thetaUB <= (1+eps)*lb {
+			theta, flow = inst.rescaleGK(since(best))
+			return theta, thetaUB, flow, gkStop{phase: phase, window: best.phase}
+		}
+		if phase&(phase-1) == 0 {
+			cks = append(cks, checkpoint{phase, since(checkpoint{})})
 		}
 	}
-	return d
+
+	// Backstop: the candidates compete on rescaled θ, earliest first on
+	// ties.
+	stop = gkStop{phase: phase, backstop: true}
+	theta = math.Inf(-1)
+	var best []float64
+	for _, c := range candidates() {
+		if t, w := inst.rescaleGK(since(c)); t > theta {
+			theta, best, stop.window = t, w, c.phase
+		}
+	}
+	return theta, thetaUB, best, stop
 }
 
-// runBothScans solves the same instance with the reference and
-// production kernels and fails the test unless θ and every path flow
-// are bitwise identical.
-func runBothScans(t *testing.T, top *topo.Topology, tm *traffic.Matrix, k int, opt Options) (float64, float64) {
+// checkKernelsAgree solves paths with the reference and production
+// kernels on separate instances and fails the test unless θ, θ_ub, the
+// stop (phase, certifying window, backstop or not) and every path flow
+// are bitwise identical. It returns the production answer.
+func checkKernelsAgree(t *testing.T, top *topo.Topology, tm *traffic.Matrix, paths *Paths, opt Options) (theta, thetaUB float64, stop gkStop) {
+	t.Helper()
+	st, sub, sflow, sstop := newInstance(top, tm, paths).solveGKSimple(opt.eps(), opt.Workers)
+	pt, pub, pflow, pstop := newInstance(top, tm, paths).solveGK(opt.eps(), opt.Workers, nil)
+	if st != pt {
+		t.Fatalf("theta diverged: simple=%.17g production=%.17g", st, pt)
+	}
+	if sub != pub {
+		t.Fatalf("theta_ub diverged: simple=%.17g production=%.17g", sub, pub)
+	}
+	if sstop != pstop {
+		t.Fatalf("stop diverged: simple=%+v production=%+v", sstop, pstop)
+	}
+	if len(sflow) != len(pflow) {
+		t.Fatalf("flow shape diverged: %d vs %d paths", len(sflow), len(pflow))
+	}
+	for pid, f := range sflow {
+		if pflow[pid] != f {
+			t.Fatalf("path %d: flow diverged: simple=%.17g production=%.17g", pid, f, pflow[pid])
+		}
+	}
+	return pt, pub, pstop
+}
+
+// runBothScans builds the k-shortest path sets and checks that the
+// kernels agree on them; it also requires MaxConcurrentFlow to report
+// the production kernel's θ and θ_ub.
+func runBothScans(t *testing.T, top *topo.Topology, tm *traffic.Matrix, k int, opt Options) float64 {
 	t.Helper()
 	paths := KShortest(top, tm, k)
-	di, err := MaxConcurrentFlow(top, tm, paths, opt)
+	theta, thetaUB, _ := checkKernelsAgree(t, top, tm, paths, opt)
+	d, err := MaxConcurrentFlow(top, tm, paths, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := solveReference(top, tm, paths, opt)
-	if ds.Theta != di.Theta {
-		t.Fatalf("theta diverged: simple=%.17g production=%.17g", ds.Theta, di.Theta)
+	if d.Theta != theta || d.ThetaUB != thetaUB {
+		t.Fatalf("MaxConcurrentFlow (%.17g, %.17g) != kernel (%.17g, %.17g)", d.Theta, d.ThetaUB, theta, thetaUB)
 	}
-	if ds.ThetaUB != di.ThetaUB {
-		t.Fatalf("theta_ub diverged: simple=%.17g production=%.17g", ds.ThetaUB, di.ThetaUB)
-	}
-	if len(ds.PathFlows) != len(di.PathFlows) {
-		t.Fatalf("flow shape diverged: %d vs %d demands", len(ds.PathFlows), len(di.PathFlows))
-	}
-	for j := range ds.PathFlows {
-		if len(ds.PathFlows[j]) != len(di.PathFlows[j]) {
-			t.Fatalf("demand %d: flow shape diverged", j)
-		}
-		for p, f := range ds.PathFlows[j] {
-			if di.PathFlows[j][p] != f {
-				t.Fatalf("demand %d path %d: flow diverged: simple=%.17g production=%.17g",
-					j, p, f, di.PathFlows[j][p])
-			}
-		}
-	}
-	return ds.Theta, di.Theta
+	return theta
 }
 
 // TestScanKernelsAgree sweeps randomized Jellyfish instances (dense
@@ -238,7 +287,7 @@ func TestScanKernelsAgree(t *testing.T) {
 		k := 2 + rng.Intn(6)
 		eps := []float64{0.02, 0.05, 0.1}[rng.Intn(3)]
 		for _, w := range workerCounts() {
-			th, _ := runBothScans(t, top, tm, k, Options{Eps: eps, Workers: w})
+			th := runBothScans(t, top, tm, k, Options{Eps: eps, Workers: w})
 			if th <= 0 || th > 1.000001 {
 				t.Fatalf("trial %d workers %d: implausible theta %v", trial, w, th)
 			}
@@ -248,20 +297,57 @@ func TestScanKernelsAgree(t *testing.T) {
 
 // TestScanKernelsAgreeNonIntegral drives the production kernel's inline
 // division fallback: fractional demand amounts make the growth-factor
-// table ineligible, and the kernels must still agree bitwise.
+// table ineligible, and the kernels must still agree bitwise, on the
+// stop and the certifying window too.
 func TestScanKernelsAgreeNonIntegral(t *testing.T) {
-	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 16, Radix: 8, Servers: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	for seed := uint64(1); seed <= 3; seed++ {
+		top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 16, Radix: 8, Servers: 3, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := traffic.RandomPermutation(top, seed)
+		scaled := &traffic.Matrix{Switches: tm.Switches, Demands: make([]traffic.Demand, len(tm.Demands))}
+		copy(scaled.Demands, tm.Demands)
+		for i := range scaled.Demands {
+			scaled.Demands[i].Amount *= 0.7
+		}
+		for _, eps := range []float64{0.02, 0.05} {
+			for _, w := range workerCounts() {
+				runBothScans(t, top, scaled, 4, Options{Eps: eps, Workers: w})
+			}
+		}
 	}
-	tm := traffic.RandomPermutation(top, 1)
-	scaled := &traffic.Matrix{Switches: tm.Switches, Demands: make([]traffic.Demand, len(tm.Demands))}
-	copy(scaled.Demands, tm.Demands)
-	for i := range scaled.Demands {
-		scaled.Demands[i].Amount *= 0.7
-	}
-	for _, w := range workerCounts() {
-		runBothScans(t, top, scaled, 4, Options{Eps: 0.05, Workers: w})
+}
+
+// TestScanKernelsAgreeMixedCapacities covers non-uniform capacities:
+// multigraphs whose link bundles carry 1–3 parallel links give several
+// capacity classes in the growth table and in the per-edge overloads,
+// and the kernels must still agree bitwise.
+func TestScanKernelsAgreeMixedCapacities(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 4; trial++ {
+		n := 10 + rng.Intn(10)
+		b := graph.NewBuilder(n)
+		for i := 0; i < n; i++ {
+			b.AddEdgeMult(i, (i+1)%n, 1+rng.Intn(3))
+		}
+		for c := 0; c < n; c++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v && !b.HasEdge(u, v) {
+				b.AddEdgeMult(u, v, 1+rng.Intn(3))
+			}
+		}
+		servers := make([]int, n)
+		for i := range servers {
+			servers[i] = 1 + rng.Intn(3)
+		}
+		top, err := topo.New("multigraph", b.Build(), servers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := traffic.RandomPermutation(top, uint64(trial+1))
+		for _, eps := range []float64{0.05, 0.3} {
+			runBothScans(t, top, tm, 4, Options{Eps: eps, Workers: 1})
+		}
 	}
 }
 
@@ -295,8 +381,9 @@ func TestGKIncScanBoundary(t *testing.T) {
 
 // FuzzGKScanEquivalence cross-checks the production kernel against the
 // reference on fuzzer-chosen topologies, matrices, and solver options;
-// any bitwise divergence in θ or θ_ub is a bug in the production kernel,
-// and so is a θ_ub below θ.
+// any bitwise divergence in θ, θ_ub, the stop phase, the certifying
+// window or a path flow is a bug in the production kernel, and so is a
+// θ_ub below θ.
 func FuzzGKScanEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint8(8), uint8(2), uint8(4), false)
 	f.Add(uint64(2), uint8(24), uint8(6), uint8(3), uint8(2), true)
@@ -326,18 +413,10 @@ func FuzzGKScanEquivalence(f *testing.F) {
 			}
 		}
 		opt := Options{Method: Approx, Eps: 0.06, Workers: 1}
-		got, err := ThroughputDetail(top, tm, paths, opt)
-		if err != nil {
-			t.Skip()
-		}
-		want := solveReference(top, tm, paths, opt)
-		if got.Theta != want.Theta || got.ThetaUB != want.ThetaUB {
-			t.Fatalf("kernels diverged: simple=(%.17g, %.17g) production=(%.17g, %.17g) (sw=%d radix=%d hosts=%d)",
-				want.Theta, want.ThetaUB, got.Theta, got.ThetaUB, sw, radix, hosts)
-		}
-		if got.ThetaUB < got.Theta*(1-certTol) {
+		theta, thetaUB, _ := checkKernelsAgree(t, top, tm, paths, opt)
+		if thetaUB < theta*(1-certTol) {
 			t.Fatalf("theta_ub %.17g below theta %.17g (sw=%d radix=%d hosts=%d)",
-				got.ThetaUB, got.Theta, sw, radix, hosts)
+				thetaUB, theta, sw, radix, hosts)
 		}
 	})
 }

@@ -67,9 +67,10 @@ type Options struct {
 	// Obs, when non-nil, receives an "mcf.solve" span with a per-backend
 	// child span; the Garg–Könemann child emits one "mcf.round" point
 	// event per round (round, phase, active, dual, lambda, theta_lb,
-	// theta_ub), ends with theta and theta_ub, and records θ_ub/θ − 1 in
-	// the "mcf.gk.gap" histogram. Instrumentation never changes the
-	// solution.
+	// window, theta_ub), ends with theta, theta_ub, phases, window and
+	// stop (cert or backstop), records θ_ub/θ − 1 in the "mcf.gk.gap"
+	// histogram and counts backstop stops on "mcf.gk.backstop".
+	// Instrumentation never changes the solution.
 	Obs *obs.Obs
 }
 
@@ -84,13 +85,16 @@ const (
 // upper bound on the path-restricted optimum, and the per-path flows
 // realizing θ, shaped like Paths.ByDemand.
 type Detail struct {
-	// Theta is a feasible throughput: the flows route Theta·T.
+	// Theta is a feasible throughput: the flows route Theta·T. The
+	// Garg–Könemann backend returns the flow of its whole run or of its
+	// phases since a power-of-two checkpoint, rescaled onto the link
+	// capacities.
 	Theta float64
 	// ThetaUB bounds the path-restricted optimum from above, so the
 	// optimum lies in [Theta, ThetaUB]. The exact backend reports its LP
-	// optimum for both. The Garg–Könemann backend reports its best LP
-	// dual bound; a solve that stops on its certificate has ThetaUB ≤
-	// (1+Eps)·Theta.
+	// optimum for both. The Garg–Könemann backend reports the least LP
+	// dual bound of the phases it ran; a solve that stops on its
+	// certificate has ThetaUB ≤ (1+Eps)·Theta.
 	ThetaUB   float64
 	PathFlows [][]float64
 }
@@ -143,8 +147,14 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 	}
 	approx := func() (float64, float64, []float64) {
 		gko, sp := mo.Start("mcf.gk", obs.Float("eps", opt.eps()))
-		theta, thetaUB, flat := inst.solveGK(opt.eps(), opt.Workers, gko)
-		sp.End(obs.Float("theta", theta), obs.Float("theta_ub", thetaUB))
+		theta, thetaUB, flat, stop := inst.solveGK(opt.eps(), opt.Workers, gko)
+		how := "cert"
+		if stop.backstop {
+			how = "backstop"
+			gko.Counter("mcf.gk.backstop").Add(1)
+		}
+		sp.End(obs.Float("theta", theta), obs.Float("theta_ub", thetaUB),
+			obs.Int("phases", stop.phase), obs.Int("window", stop.window), obs.String("stop", how))
 		if theta > 0 {
 			// Parts per million, so the histogram's *_ms statistics read
 			// as the relative gap itself.
