@@ -212,26 +212,21 @@ func BenchmarkKShortestParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkGKParallel measures the round-parallel Garg–Könemann solve
-// and reports the achieved θ so the perf trajectory can be tracked
-// alongside solution quality.
-func BenchmarkGKParallel(b *testing.B) {
+// BenchmarkGK measures the Garg–Könemann solve and reports the achieved
+// θ so the perf trajectory can be tracked alongside solution quality.
+func BenchmarkGK(b *testing.B) {
 	t := benchTopology(b, 100, 12, 5)
 	tm := traffic.RandomPermutation(t, 1)
 	paths := mcf.KShortest(t, tm, 12)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			theta := 0.0
-			for i := 0; i < b.N; i++ {
-				th, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.03, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				theta = th
-			}
-			b.ReportMetric(theta, "theta")
-		})
+	theta := 0.0
+	for i := 0; i < b.N; i++ {
+		th, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.03})
+		if err != nil {
+			b.Fatal(err)
+		}
+		theta = th
 	}
+	b.ReportMetric(theta, "theta")
 }
 
 // BenchmarkFig3ThroughputGapParallel is BenchmarkFig3ThroughputGap swept
@@ -417,7 +412,7 @@ func BenchmarkMCFObsOverhead(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := mcf.Throughput(t, tm, paths, mcf.Options{
-					Method: mcf.Approx, Eps: 0.05, Workers: 1, Obs: tc.o,
+					Method: mcf.Approx, Eps: 0.05, Obs: tc.o,
 				}); err != nil {
 					b.Fatal(err)
 				}

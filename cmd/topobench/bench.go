@@ -126,7 +126,7 @@ func gkOp(t *topo.Topology) (benchOp, error) {
 	tm = &traffic.Matrix{Switches: tm.Switches, Demands: tm.Demands[:gkDemands]}
 	paths := mcf.KShortest(t, tm, gkK)
 	return func() (benchOut, error) {
-		th, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: gkEps, Workers: 1})
+		th, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: gkEps})
 		return benchOut{theta: th}, err
 	}, nil
 }

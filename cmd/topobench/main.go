@@ -242,7 +242,7 @@ type runFlags struct {
 }
 
 func (rf *runFlags) register(fs *flag.FlagSet) {
-	fs.IntVar(&rf.workers, "workers", 0, "worker goroutines for parallel stages (0 = GOMAXPROCS); results are identical for any value")
+	fs.IntVar(&rf.workers, "workers", 0, "worker goroutines for K-shortest paths, experiment sweeps and what-if queries (0 = GOMAXPROCS); results are identical for any value")
 	fs.StringVar(&rf.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&rf.memprofile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	fs.BoolVar(&rf.verbose, "v", false, "log completed spans (stage timings) to stderr")
@@ -469,12 +469,8 @@ func cmdTub(w io.Writer, args []string) error {
 	tf.register(fs)
 	rf.register(fs)
 	matcher := fs.String("matcher", "auto", "auto | exact | auction | greedy")
-	auctionMax := fs.Int("auction-max", 0, "auto matcher auction→greedy crossover in hosts (0 = built-in default)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *auctionMax < 0 {
-		return fmt.Errorf("-auction-max must be >= 0, got %d", *auctionMax)
 	}
 	o, done, err := rf.observe()
 	if err != nil {
@@ -504,7 +500,7 @@ func cmdTub(w io.Writer, args []string) error {
 		return fmt.Errorf("unknown matcher %q", *matcher)
 	}
 	start := time.Now()
-	res, err := tub.Bound(t, tub.Options{Matcher: m, AuctionMax: *auctionMax, Obs: o})
+	res, err := tub.Bound(t, tub.Options{Matcher: m, Obs: o})
 	if err != nil {
 		return err
 	}
@@ -612,7 +608,7 @@ func cmdMCF(w io.Writer, args []string) error {
 	if err := checkPositive(intFlag{"k", *k}); err != nil {
 		return err
 	}
-	if *eps <= 0 || *eps >= 1 {
+	if !(*eps > 0 && *eps < 1) {
 		return fmt.Errorf("-eps must be in (0, 1) (got %g)", *eps)
 	}
 	// The gkEnd sink makes the handle live on every run, so the timed
@@ -655,7 +651,7 @@ func cmdMCF(w io.Writer, args []string) error {
 	defer stop()
 	start := time.Now()
 	paths := mcf.KShortestObs(t, tm, *k, rf.workers, o)
-	d, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: m, Eps: *eps, Workers: rf.workers, Obs: o})
+	d, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: m, Eps: *eps, Obs: o})
 	if err != nil {
 		return err
 	}

@@ -36,18 +36,19 @@ func TestCmdTubMatchers(t *testing.T) {
 	}
 }
 
-// TestCmdTubAuctionMax: -auction-max moves the auto crossover (and the
-// matcher actually used is reported), negative values fail fast.
+// TestCmdTubAuctionMax: the result line names the matcher that actually
+// ran — an explicit greedy, and the auction Auto resolves to under the
+// auction→greedy crossover.
 func TestCmdTubAuctionMax(t *testing.T) {
-	// 80 host switches: past the exact cutoff, so the crossover between
-	// auction and greedy is what -auction-max moves.
+	// 80 host switches: past the exact cutoff, under the auction→greedy
+	// crossover.
 	base := []string{"-family", "jellyfish", "-switches", "80", "-radix", "6", "-servers", "1"}
 	var buf bytes.Buffer
-	if err := cmdTub(&buf, append(base, "-auction-max", "70")); err != nil {
-		t.Fatalf("tub -auction-max 70: %v", err)
+	if err := cmdTub(&buf, append(base, "-matcher", "greedy")); err != nil {
+		t.Fatalf("tub -matcher greedy: %v", err)
 	}
 	if !strings.Contains(buf.String(), "matcher=greedy") {
-		t.Errorf("80 hosts over a crossover of 70 should degrade to greedy:\n%s", buf.String())
+		t.Errorf("-matcher greedy should report the greedy matcher:\n%s", buf.String())
 	}
 	buf.Reset()
 	if err := cmdTub(&buf, base); err != nil {
@@ -235,9 +236,9 @@ func TestFlagValidation(t *testing.T) {
 		{"metrics k=0", func() error { return cmdMetrics(io.Discard, []string{"-k", "0"}) }, "-k"},
 		{"mcf eps=0", func() error { return cmdMCF(io.Discard, []string{"-eps", "0"}) }, "-eps"},
 		{"mcf eps>=1", func() error { return cmdMCF(io.Discard, []string{"-eps", "1.5"}) }, "-eps"},
+		{"mcf eps=NaN", func() error { return cmdMCF(io.Discard, []string{"-eps", "NaN"}) }, "-eps"},
 		{"gen switches=0", func() error { return cmdGen(io.Discard, []string{"-switches", "0"}) }, "-switches"},
 		{"tub radix=0", func() error { return cmdTub(io.Discard, []string{"-radix", "0"}) }, "-radix"},
-		{"tub auction-max<0", func() error { return cmdTub(io.Discard, []string{"-auction-max", "-5"}) }, "-auction-max"},
 		{"mcf servers<0", func() error { return cmdMCF(io.Discard, []string{"-servers", "-1"}) }, "-servers"},
 		{"design radix=0", func() error { return cmdDesign(io.Discard, []string{"-radix", "0"}) }, "-radix"},
 	}

@@ -393,7 +393,7 @@ func RunFigA5(p FigA5Params, opt RunOptions) (_ *FigA5Result, err error) {
 		rows := make([]FigA5Row, 0, len(p.KList))
 		for _, k := range p.KList {
 			paths := mcf.KShortestObs(t, tm, k, inner, jo)
-			theta, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Workers: inner, Obs: jo})
+			theta, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo})
 			if err != nil {
 				return err
 			}

@@ -81,7 +81,7 @@ func RunFig3(p Fig3Params, opt RunOptions) (_ *Fig3Result, err error) {
 			return err
 		}
 		paths := mcf.KShortestObs(t, tm, p.K, inner, jo)
-		det, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Workers: inner, Obs: jo})
+		det, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo})
 		if err != nil {
 			return err
 		}

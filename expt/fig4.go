@@ -78,7 +78,7 @@ func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 			return err
 		}
 		paths := mcf.KShortestObs(t, tm, p.K, inner, jo)
-		det, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Workers: inner, Obs: jo})
+		det, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo})
 		if err != nil {
 			return err
 		}
@@ -104,12 +104,11 @@ func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 		}
 
 		// (b) pairwise path-count classes for the maximal permutation.
-		// One pooled Scratch serves every pair's BFS row, so the loop
-		// allocates only the paths themselves.
+		// One BFS row serves every pair, so the loop allocates only the
+		// paths themselves.
 		g := t.Graph()
 		hosts := t.Hosts()
-		s := run.Scratch(g.N())
-		defer run.Release(s)
+		var dist []int32
 		var cnt [3]float64
 		pairs := 0
 		for i, j := range ub.Perm {
@@ -117,8 +116,8 @@ func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 				continue
 			}
 			src, dst := hosts[i], hosts[j]
-			s.Dist = g.BFS(dst, s.Dist)
-			all := g.PathsWithinDist(src, dst, s.Dist, 2, PathCap)
+			dist = g.BFS(dst, dist)
+			all := g.PathsWithinDist(src, dst, dist, 2, PathCap)
 			spl := int(ub.Dist[i][j])
 			for _, path := range all {
 				switch path.Len() - spl {

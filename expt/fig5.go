@@ -138,7 +138,7 @@ func RunFig5(p Fig5Params, opt RunOptions) (_ *Fig5Result, err error) {
 
 		if p.WithReference {
 			start = time.Now()
-			theta, err := mcf.Throughput(t, tm, paths, mcf.Options{Workers: inner, Obs: jo})
+			theta, err := mcf.Throughput(t, tm, paths, mcf.Options{Obs: jo})
 			if err != nil {
 				return err
 			}

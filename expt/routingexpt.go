@@ -72,7 +72,7 @@ func RunRouting(p RoutingParams, opt RunOptions) (_ *RoutingResult, err error) {
 		}
 		row := RoutingRow{Servers: t.NumServers(), TUB: ub.Bound}
 		paths := mcf.KShortestObs(t, tm, p.K, inner, jo)
-		if row.MCF, err = mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Workers: inner, Obs: jo}); err != nil {
+		if row.MCF, err = mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo}); err != nil {
 			return err
 		}
 		e, err := routing.ECMP(t, tm)

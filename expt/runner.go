@@ -53,11 +53,11 @@ func (r *Runner) Observe(o *obs.Obs, name string) *Runner {
 // Workers returns the pool size.
 func (r *Runner) Workers() int { return r.workers }
 
-// InnerWorkers picks the worker count for nested parallel stages (KSP,
-// Garg–Könemann) inside one ForEach job: when the sweep itself has
-// enough jobs to saturate the pool the inner stages run sequentially,
-// otherwise the leftover workers are split among the jobs. Purely a
-// scheduling hint — results never depend on it.
+// InnerWorkers picks the worker count for the nested K-shortest-paths
+// stage inside one ForEach job: when the sweep itself has enough jobs
+// to saturate the pool the stage runs sequentially, otherwise the
+// leftover workers are split among the jobs. Purely a scheduling hint —
+// results never depend on it.
 func (r *Runner) InnerWorkers(jobs int) int {
 	if jobs <= 0 || jobs >= r.workers {
 		return 1

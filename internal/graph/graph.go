@@ -2,8 +2,7 @@
 // CSR (compressed sparse row) representation of undirected multigraphs,
 // breadth-first shortest paths, all-pairs distances, k shortest simple
 // paths (an exact-length lexicographic DFS, with Yen's algorithm as its
-// test oracle), bounded simple-path enumeration on the same walker, and
-// Dinic's maximum flow.
+// test oracle) and bounded simple-path enumeration on the same walker.
 //
 // Switch-to-switch links in datacenter topologies are unit capacity but may
 // be trunked (parallel links between the same switch pair), so edges carry

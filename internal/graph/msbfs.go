@@ -136,9 +136,9 @@ func (g *Graph) msbfsBatch(sources []int, a *msArena) {
 	}
 }
 
-// clampWorkers resolves a requested worker count (<= 0 means GOMAXPROCS)
-// against the number of available jobs.
-func clampWorkers(workers, jobs int) int {
+// ClampWorkers resolves a requested worker count (<= 0 means GOMAXPROCS)
+// against the number of available jobs: at most jobs, at least 1.
+func ClampWorkers(workers, jobs int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -186,7 +186,7 @@ func (g *Graph) MultiBFSRowsTimed(sources []int, workers int, fill func(i int, d
 		jobs = (ns + msbfsLanes - 1) / msbfsLanes
 		lanes = msbfsLanes
 	}
-	workers = clampWorkers(workers, jobs)
+	workers = ClampWorkers(workers, jobs)
 
 	var (
 		stop    atomic.Bool

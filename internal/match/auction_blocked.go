@@ -28,7 +28,6 @@
 package match
 
 import (
-	"runtime"
 	"sync"
 )
 
@@ -52,12 +51,9 @@ const auctionTile = 4096
 // 16-way shardable scan per round.
 const auctionBlock = 16
 
-// AuctionOptions configures AuctionBlocked. The zero value (GOMAXPROCS
-// workers, no phase callback) is valid.
+// AuctionOptions configures AuctionBlocked. The zero value (no phase
+// callback) is valid.
 type AuctionOptions struct {
-	// Workers bounds the bidding worker pool; <= 0 means GOMAXPROCS. The
-	// matching is identical for any worker count.
-	Workers int
 	// OnPhase, when non-nil, is called after each ε-scaling phase with
 	// the phase index (from 0), the ε it ran at, and the bidding rounds
 	// and bids it took. Observability only; never changes the matching.
@@ -94,9 +90,7 @@ type U8Weights struct {
 	// auctionBlock rows at once (one per bidder of the current block)
 	// and releases them when the block resolves, so callers may return
 	// views of a shared matrix or per-row caches that stay valid for
-	// the whole run. Must be safe for concurrent calls when
-	// AuctionOptions.Workers > 1 — the max-weight scan shards rows
-	// across workers.
+	// the whole run.
 	Rows func(i int) []uint8
 	// H holds the per-row multipliers (the pairwise min is taken
 	// in-register); nil means all ones.
@@ -292,11 +286,8 @@ func (bd *u8Bidder) csCheck(i, jAt int, price []int64) bool {
 	return sc(jAt)-price[jAt] >= best-1
 }
 
-// u8MaxRaw returns the maximum raw weight over the matrix, sharded
-// across workers. The per-worker maxima combine with max — order
-// independent — so the result, and everything the auction derives from
-// it (ε schedule, bid guard), is identical for any worker count.
-func u8MaxRaw(n int, uw U8Weights, workers int) int64 {
+// u8MaxRaw returns the maximum raw weight over the matrix.
+func u8MaxRaw(n int, uw U8Weights) int64 {
 	h := uw.H
 	uniform := true
 	h0 := int64(1)
@@ -309,45 +300,20 @@ func u8MaxRaw(n int, uw U8Weights, workers int) int64 {
 			}
 		}
 	}
-	if workers <= 1 {
-		workers = 1
-	}
-	scan := func(lo int) int64 {
-		if uniform {
-			var md uint8
-			for i := lo; i < n; i += workers {
-				for _, d := range uw.Rows(i)[:n] {
-					if d > md {
-						md = d
-					}
+	if uniform {
+		var md uint8
+		for i := 0; i < n; i++ {
+			for _, d := range uw.Rows(i)[:n] {
+				if d > md {
+					md = d
 				}
 			}
-			return int64(md) * h0
 		}
-		m := int64(0)
-		for i := lo; i < n; i += workers {
-			if v := uw.rowMaxRaw(n, i); v > m {
-				m = v
-			}
-		}
-		return m
+		return int64(md) * h0
 	}
-	if workers == 1 {
-		return scan(0)
-	}
-	maxes := make([]int64, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			maxes[wk] = scan(wk)
-		}(wk)
-	}
-	wg.Wait()
 	m := int64(0)
-	for _, v := range maxes {
-		if v > m {
+	for i := 0; i < n; i++ {
+		if v := uw.rowMaxRaw(n, i); v > m {
 			m = v
 		}
 	}
@@ -408,28 +374,17 @@ func (a *blockedArena) grow(n int) {
 // schedule, block partition, bid values and resolution order are all
 // identical — see the package comment for why the tiled scan preserves
 // them). The Total therefore always equals the Jonker–Volgenant
-// optimum.
-//
-// Workers shards only the max-weight scan (bidding is serial: with
-// auctionBlock = 16 bidders per round there is no parallel width worth
-// the synchronization); the matching is identical for any worker
-// count.
+// optimum. The whole run is serial: with auctionBlock = 16 bidders per
+// round there is no parallel width worth the synchronization.
 func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionStats) {
 	var stats AuctionStats
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 
 	a := blockedArenas.Get().(*blockedArena)
 	a.grow(n)
 	bd := &a.bd
 	bd.init(n, uw, &a.wTab, a.hsc)
 
-	stats.MaxRaw = u8MaxRaw(n, uw, workers)
+	stats.MaxRaw = u8MaxRaw(n, uw)
 	maxW := stats.MaxRaw * bd.scale
 	epsStart := maxW / 2
 	if epsStart < 1 {

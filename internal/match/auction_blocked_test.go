@@ -6,7 +6,6 @@
 package match
 
 import (
-	"runtime"
 	"testing"
 
 	"dctopo/internal/rng"
@@ -80,7 +79,7 @@ func TestAuctionBlockedMatchesExact(t *testing.T) {
 			for _, h := range [][]int64{nil, randomH(n, seed+100)} {
 				w := u8Fn(m, h)
 				want := Exact(n, w).Total
-				res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: 1})
+				res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{})
 				checkPerfect(t, n, w, res)
 				if res.Total != want {
 					t.Fatalf("n=%d seed=%d uniform=%v: blocked total %d != JV %d", n, seed, h == nil, res.Total, want)
@@ -119,20 +118,17 @@ func requireSameRun(t *testing.T, label string, n int, res, ref *Result, stats, 
 }
 
 // TestAuctionBlockedBitIdenticalToSharded: moderate sizes, uniform and
-// non-uniform multipliers, both worker extremes (workers only shard the
-// max-weight scan, whose max-of-max combination is order independent).
+// non-uniform multipliers.
 func TestAuctionBlockedBitIdenticalToSharded(t *testing.T) {
 	for _, n := range []int{1, 2, 16, 17, 100, 257} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			m := u8Matrix(n, 9, seed)
 			for _, h := range [][]int64{nil, randomH(n, seed+7)} {
 				w := u8Fn(m, h)
-				ref, refStats := AuctionSharded(n, w, AuctionOptions{Workers: 1})
-				for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-					res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: workers})
-					checkPerfect(t, n, w, res)
-					requireSameRun(t, "blocked", n, res, ref, stats, refStats)
-				}
+				ref, refStats := AuctionSharded(n, w, 1, AuctionOptions{})
+				res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{})
+				checkPerfect(t, n, w, res)
+				requireSameRun(t, "blocked", n, res, ref, stats, refStats)
 			}
 		}
 	}
@@ -151,8 +147,8 @@ func TestAuctionBlockedTileBoundaries(t *testing.T) {
 	for _, n := range []int{auctionTile - 1, auctionTile, auctionTile + 1} {
 		m := u8Matrix(n, 4, uint64(n))
 		w := u8Fn(m, nil)
-		ref, refStats := AuctionSharded(n, w, AuctionOptions{Workers: 1})
-		res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m)}, AuctionOptions{Workers: 1})
+		ref, refStats := AuctionSharded(n, w, 1, AuctionOptions{})
+		res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m)}, AuctionOptions{})
 		checkPerfect(t, n, w, res)
 		requireSameRun(t, "tile boundary", n, res, ref, stats, refStats)
 	}
@@ -160,8 +156,8 @@ func TestAuctionBlockedTileBoundaries(t *testing.T) {
 	m := u8Matrix(n, 6, 5)
 	h := randomH(n, 9)
 	w := u8Fn(m, h)
-	ref, refStats := AuctionSharded(n, w, AuctionOptions{Workers: 1})
-	res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: runtime.GOMAXPROCS(0)})
+	ref, refStats := AuctionSharded(n, w, 1, AuctionOptions{})
+	res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{})
 	checkPerfect(t, n, w, res)
 	requireSameRun(t, "n=1000", n, res, ref, stats, refStats)
 	if want := Exact(n, w).Total; res.Total != want {
@@ -178,7 +174,7 @@ func TestAuctionBlockedZeroWeights(t *testing.T) {
 		m[i] = make([]uint8, n)
 	}
 	w := func(i, j int) int64 { return 0 }
-	res, _ := AuctionBlocked(n, U8Weights{Rows: u8Rows(m)}, AuctionOptions{Workers: 2})
+	res, _ := AuctionBlocked(n, U8Weights{Rows: u8Rows(m)}, AuctionOptions{})
 	checkPerfect(t, n, w, res)
 	if res.Total != 0 {
 		t.Fatalf("total %d != 0", res.Total)
@@ -192,7 +188,7 @@ func TestAuctionBlockedAllocs(t *testing.T) {
 	n := 256
 	m := u8Matrix(n, 7, 3)
 	uw := U8Weights{Rows: u8Rows(m)}
-	opt := AuctionOptions{Workers: 1}
+	opt := AuctionOptions{}
 	AuctionBlocked(n, uw, opt) // warm the pool
 	allocs := testing.AllocsPerRun(10, func() {
 		AuctionBlocked(n, uw, opt)

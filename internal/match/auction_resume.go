@@ -148,7 +148,7 @@ func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, op
 			// Warm prices aren't converging; the cold auction's ε schedule
 			// handles heavy damage better. Deterministic: depends only on
 			// the round count.
-			res, cold := AuctionBlocked(n, uw, AuctionOptions{Workers: 1})
+			res, cold := AuctionBlocked(n, uw, AuctionOptions{})
 			st.FellBack = true
 			st.Rounds += cold.Rounds
 			st.Bids += cold.Bids

@@ -25,7 +25,7 @@ func perturbU8Rows(m [][]uint8, rows []int, maxD int, seed uint64) [][]uint8 {
 // warmStart runs the cold AuctionBlocked on m and returns its result
 // plus the warm state AuctionResume picks up.
 func warmStart(m [][]uint8, h []int64) (*Result, AuctionWarmStart) {
-	res, st := AuctionBlocked(len(m), U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: 1})
+	res, st := AuctionBlocked(len(m), U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{})
 	return res, AuctionWarmStart{Prices: st.Prices, Col: res.Col, MaxRaw: st.MaxRaw}
 }
 
@@ -76,7 +76,7 @@ func TestAuctionResumeU8(t *testing.T) {
 	n := 120
 	for _, h := range multipliers(n, 77) {
 		base := u8Matrix(n, 9, 3)
-		shRes, shStats := AuctionSharded(n, u8Fn(base, h), AuctionOptions{})
+		shRes, shStats := AuctionSharded(n, u8Fn(base, h), 0, AuctionOptions{})
 		_, blkWarm := warmStart(base, h)
 		pert := perturbU8Rows(base, []int{5, 17, 80}, 9, 4)
 		uw := U8Weights{Rows: u8Rows(pert), H: h}
@@ -113,7 +113,7 @@ func TestAuctionResumeU8(t *testing.T) {
 func TestAuctionResumeU8Fallback(t *testing.T) {
 	n := 40
 	base := u8Matrix(n, 12, 11)
-	warmRes, warmStats := AuctionSharded(n, u8Fn(base, nil), AuctionOptions{})
+	warmRes, warmStats := AuctionSharded(n, u8Fn(base, nil), 0, AuctionOptions{})
 	changed := make([]int, n)
 	for i := range changed {
 		changed[i] = i

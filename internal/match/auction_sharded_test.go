@@ -44,7 +44,7 @@ func TestAuctionShardedMatchesExact(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			m := randomMatrix(n, 12, seed) // small maxW forces duplicate weights
 			want := Exact(n, fn(m)).Total
-			res, stats := AuctionSharded(n, fn(m), AuctionOptions{Workers: 1})
+			res, stats := AuctionSharded(n, fn(m), 1, AuctionOptions{})
 			checkPerfect(t, n, fn(m), res)
 			if res.Total != want {
 				t.Fatalf("n=%d seed=%d: sharded auction total %d != JV %d", n, seed, res.Total, want)
@@ -61,7 +61,7 @@ func TestAuctionShardedMatchesBruteForce(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			m := randomMatrix(n, 5, seed)
 			want := bruteForce(n, fn(m))
-			res, _ := AuctionSharded(n, fn(m), AuctionOptions{})
+			res, _ := AuctionSharded(n, fn(m), 0, AuctionOptions{})
 			if res.Total != want {
 				t.Fatalf("n=%d seed=%d: total %d != brute force %d", n, seed, res.Total, want)
 			}
@@ -74,9 +74,9 @@ func TestAuctionShardedMatchesBruteForce(t *testing.T) {
 func TestAuctionShardedDeterministicAcrossWorkers(t *testing.T) {
 	n := 120
 	m := randomMatrix(n, 9, 42)
-	base, baseStats := AuctionSharded(n, fn(m), AuctionOptions{Workers: 1})
+	base, baseStats := AuctionSharded(n, fn(m), 1, AuctionOptions{})
 	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0)} {
-		res, stats := AuctionSharded(n, fn(m), AuctionOptions{Workers: workers})
+		res, stats := AuctionSharded(n, fn(m), workers, AuctionOptions{})
 		if res.Total != base.Total {
 			t.Fatalf("workers=%d: total %d != %d", workers, res.Total, base.Total)
 		}
@@ -101,7 +101,7 @@ func TestAuctionShardedOnPhase(t *testing.T) {
 	m := randomMatrix(n, 50, 7)
 	var phases, rounds, bids int
 	lastEps := int64(-1)
-	res, stats := AuctionSharded(n, fn(m), AuctionOptions{
+	res, stats := AuctionSharded(n, fn(m), 0, AuctionOptions{
 		OnPhase: func(phase int, eps int64, r, b int) {
 			if phase != phases {
 				t.Fatalf("phase callback out of order: got %d want %d", phase, phases)
@@ -129,7 +129,7 @@ func TestAuctionShardedOnPhase(t *testing.T) {
 func TestAuctionShardedZeroWeights(t *testing.T) {
 	n := 9
 	w := func(i, j int) int64 { return 0 }
-	res, _ := AuctionSharded(n, w, AuctionOptions{Workers: 2})
+	res, _ := AuctionSharded(n, w, 2, AuctionOptions{})
 	checkPerfect(t, n, w, res)
 	if res.Total != 0 {
 		t.Fatalf("total %d != 0", res.Total)
@@ -139,9 +139,9 @@ func TestAuctionShardedZeroWeights(t *testing.T) {
 // FuzzMatching cross-checks the sharded and blocked auctions against
 // Jonker–Volgenant on fuzzer-chosen integer matrices: duplicate-heavy
 // weights, tiny and odd sizes, uniform and non-uniform multipliers,
-// and both worker extremes. Any Total mismatch is a bug — all three
-// algorithms are exact — and the blocked kernel must additionally
-// reproduce the sharded run bit for bit.
+// and 1–4 workers for the sharded reference. Any Total mismatch is a
+// bug — all three algorithms are exact — and the blocked kernel must
+// additionally reproduce the sharded run bit for bit.
 func FuzzMatching(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(6), uint8(1))
 	f.Add(uint64(2), uint8(1), uint8(0), uint8(4))
@@ -164,13 +164,13 @@ func FuzzMatching(f *testing.F) {
 		}
 		w := u8Fn(d, h)
 		want := Exact(n, w).Total
-		res, stats := AuctionSharded(n, w, AuctionOptions{Workers: workers})
+		res, stats := AuctionSharded(n, w, workers, AuctionOptions{})
 		checkPerfect(t, n, w, res)
 		if res.Total != want {
 			t.Fatalf("n=%d maxD=%d workers=%d seed=%d: sharded auction total %d != JV %d",
 				n, maxD, workers, seed, res.Total, want)
 		}
-		blk, blkStats := AuctionBlocked(n, U8Weights{Rows: u8Rows(d), H: h}, AuctionOptions{Workers: workers})
+		blk, blkStats := AuctionBlocked(n, U8Weights{Rows: u8Rows(d), H: h}, AuctionOptions{})
 		checkPerfect(t, n, w, blk)
 		requireSameRun(t, "fuzz blocked", n, blk, res, blkStats, stats)
 	})
@@ -194,13 +194,12 @@ const auctionMatBudget = 256 << 20
 // with strict comparisons, so for each object the highest bid wins and
 // ties go to the lowest-indexed bidder. The block partition and the
 // resolution order are pure functions of the free list and the frozen
-// prices, so the matching is bit-identical for every worker count.
-// Bertsekas' termination argument is unaffected by within-block Jacobi
+// prices, so the matching is bit-identical for every worker count
+// (workers <= 0 means GOMAXPROCS). Bertsekas' termination argument is unaffected by within-block Jacobi
 // scheduling: every resolved block raises at least one price by ≥ ε.
-func AuctionSharded(n int, w WeightFunc, opt AuctionOptions) (*Result, AuctionStats) {
+func AuctionSharded(n int, w WeightFunc, workers int, opt AuctionOptions) (*Result, AuctionStats) {
 	var stats AuctionStats
 	scale := int64(n + 1)
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

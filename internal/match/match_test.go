@@ -103,7 +103,7 @@ func u8Symmetric(n, maxD int, seed uint64) [][]uint8 {
 func blocked(t *testing.T, m [][]uint8, h []int64) *Result {
 	t.Helper()
 	n := len(m)
-	res, _ := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{Workers: 1})
+	res, _ := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{})
 	checkPerfect(t, n, u8Fn(m, h), res)
 	return res
 }
@@ -243,7 +243,7 @@ func BenchmarkAuctionBlocked200(b *testing.B) {
 	uw := U8Weights{Rows: u8Rows(m)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = AuctionBlocked(200, uw, AuctionOptions{Workers: 1})
+		_, _ = AuctionBlocked(200, uw, AuctionOptions{})
 	}
 }
 

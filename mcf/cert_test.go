@@ -14,8 +14,8 @@ const certTol = 1e-9
 // TestGKCertificateBracketsExact checks the certified interval against
 // the simplex optimum on instances small enough for Method Exact:
 // θ_GK ≤ θ_exact ≤ ThetaUB ≤ (1+ε)·θ_GK for every ε. The non-integral
-// instance scales every demand by 0.7, which turns off the growth-factor
-// table so the inline-division path is certified too.
+// instance scales every demand by 0.7, so non-integral augmentation
+// amounts are certified too.
 func TestGKCertificateBracketsExact(t *testing.T) {
 	jf, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 20, Radix: 8, Servers: 3, Seed: 4})
 	if err != nil {
@@ -47,7 +47,7 @@ func TestGKCertificateBracketsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{0.02, 0.05, 0.1} {
-			d, err := MaxConcurrentFlow(tc.top, tc.tm, paths, Options{Eps: eps, Workers: 1})
+			d, err := MaxConcurrentFlow(tc.top, tc.tm, paths, Options{Eps: eps})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,32 +7,13 @@ import (
 	"dctopo/obs"
 )
 
-// gkIncSeqScanMax is the active-demand count below which the per-round
-// cheapest-path scan runs inline rather than fanning out to goroutines.
-// The fan-out only pays off at very large rounds. A variable (not a
-// const) so the boundary test can drive both sides of the switch on a
-// small instance.
-var gkIncSeqScanMax = 4096
-
-// gkMaxTableG and gkMaxTableCaps bound the precomputed growth-factor
-// table: demands whose integral amounts exceed gkMaxTableG, or instances
-// with more distinct capacities than gkMaxTableCaps, fall back to inline
-// division (identical arithmetic, just slower).
-const (
-	gkMaxTableG    = 4096
-	gkMaxTableCaps = 256
-)
-
 // solveGK runs a round-based variant of the Garg–Könemann / Fleischer
 // maximum concurrent flow algorithm over the fixed path sets, then
 // rescales the accumulated flow onto the feasible region. Each phase
 // routes every demand's full amount; a phase proceeds in rounds, where a
-// round (1) scans — in parallel, against the frozen length function — the
-// cheapest path of every still-active demand, then (2) applies one
-// augmentation per demand sequentially in demand order, updating the
-// length function as it goes. Path selection is a pure function of the
-// round-start lengths and updates are applied in a fixed order, so the
-// solution is bit-identical for any worker count.
+// round (1) scans, against the frozen length function, the cheapest path
+// of every still-active demand, then (2) applies one augmentation per
+// demand in demand order, updating the length function as it goes.
 //
 // The solve certifies its own answer and stops as soon as it can. The
 // first round of every phase scans all demands under one frozen length
@@ -68,15 +49,6 @@ const (
 // tolerance (~1e-4). See DESIGN.md ("Solver scaling") for the
 // measurements behind this.
 //
-// The one speedup over the reference therefore changes no arithmetic: a
-// precomputed growth-factor table in the apply loop. When all demand
-// amounts and capacities are integral, every augmentation amount
-// g = min(rem, bneck) stays exactly integral by induction, so eps·g/c_e
-// takes values from a small (g, capacity) table whose entries are
-// computed with the very same float expression — bit-identical results
-// with the per-edge division hoisted out. Non-integral instances fall
-// back to inline division.
-//
 // When o is non-nil, every round emits an "mcf.round" point event with
 // the convergence state: round and phase index, active demand count, the
 // dual objective D (backstop at D ≥ 1), and the certified band as of
@@ -84,7 +56,7 @@ const (
 // theta_lb (the best of k/λ and the window bounds), the checkpoint
 // phase k₀ of the window giving it (0 = full history) and theta_ub.
 // Observation never changes the arithmetic.
-func (inst *instance) solveGK(eps float64, workers int, o *obs.Obs) (theta, thetaUB float64, flow []float64, stop gkStop) {
+func (inst *instance) solveGK(eps float64, o *obs.Obs) (theta, thetaUB float64, flow []float64, stop gkStop) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -112,12 +84,7 @@ func (inst *instance) solveGK(eps float64, workers int, o *obs.Obs) (theta, thet
 		bneck[pid] = cMin
 	}
 
-	// Growth-factor table (nil ⇒ inline division fallback).
-	growTab, onePlusTab, capIdx, tabCaps := inst.buildGrowTable(eps)
-	useTab := growTab != nil
-
 	n := len(inst.demands)
-	workers = poolSize(workers, n)
 	rem := make([]float64, n)
 	choice := make([]int32, n)
 	bestLen := make([]float64, n)
@@ -142,13 +109,11 @@ func (inst *instance) solveGK(eps float64, workers int, o *obs.Obs) (theta, thet
 		roundStart = time.Now()
 	}
 
-	// scan picks the cheapest path of each active demand in [lo, hi)
-	// under the current lengths, and records its length. Read-only on
-	// shared state except choice and bestLen (disjoint across demands);
-	// ties keep the lowest path id, matching a sequential first-wins scan.
-	scan := func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			j := active[x]
+	// scan picks the cheapest path of each active demand under the
+	// current lengths, and records its length; ties keep the lowest path
+	// id.
+	scan := func() {
+		for _, j := range active {
 			pids := inst.pathsOf[j]
 			best := pids[0]
 			bl := 0.0
@@ -205,11 +170,7 @@ phases:
 			}
 		}
 		for first := true; len(active) > 0 && d < 1; first = false {
-			if len(active) <= gkIncSeqScanMax || workers <= 1 {
-				scan(0, len(active))
-			} else {
-				parallelChunks(workers, len(active), scan)
-			}
+			scan()
 			if first {
 				// Every demand was scanned under one length function:
 				// D/α bounds θ* from above.
@@ -221,8 +182,8 @@ phases:
 					thetaUB = ub
 				}
 			}
-			// Sequential apply, in demand order (in-place filter of the
-			// active list; writes trail reads).
+			// Apply, in demand order (in-place filter of the active
+			// list; writes trail reads).
 			keep := active[:0]
 			for _, j := range active {
 				if d >= 1 {
@@ -235,21 +196,11 @@ phases:
 				}
 				flow[pid] += g
 				rem[j] -= g
-				if useTab {
-					gi := int(g) * tabCaps
-					for _, e := range inst.edgeList[pid] {
-						ci := gi + int(capIdx[e])
-						d += inst.capOf[e] * length[e] * growTab[ci]
-						length[e] *= onePlusTab[ci]
-						load[e] += g
-					}
-				} else {
-					for _, e := range inst.edgeList[pid] {
-						grow := eps * g / inst.capOf[e]
-						d += inst.capOf[e] * length[e] * grow
-						length[e] *= 1 + grow
-						load[e] += g
-					}
+				for _, e := range inst.edgeList[pid] {
+					grow := eps * g / inst.capOf[e]
+					d += inst.capOf[e] * length[e] * grow
+					length[e] *= 1 + grow
+					load[e] += g
 				}
 				if rem[j] > 1e-15 {
 					keep = append(keep, j)
@@ -344,55 +295,4 @@ type gkCheckpoint struct {
 type gkStop struct {
 	phase, window int
 	backstop      bool
-}
-
-// buildGrowTable precomputes grow = eps·g/c and 1+grow for every
-// reachable augmentation amount g and distinct capacity c, when the
-// instance is fully integral — then every g = min(rem, bneck) stays an
-// exact integer by induction and the table entries, computed with the
-// identical float expression, give bit-identical results to the inline
-// division. Returns nils when the instance is non-integral or out of
-// table bounds; callers then divide inline.
-func (inst *instance) buildGrowTable(eps float64) (growTab, onePlusTab []float64, capIdx []uint8, tabCaps int) {
-	maxG := 0.0
-	for _, dm := range inst.demands {
-		if dm.Amount != math.Trunc(dm.Amount) {
-			return nil, nil, nil, 0
-		}
-		if dm.Amount > maxG {
-			maxG = dm.Amount
-		}
-	}
-	if maxG > gkMaxTableG {
-		return nil, nil, nil, 0
-	}
-	caps := make([]float64, 0, 8)
-	idxOf := make(map[float64]uint8, 8)
-	capIdx = make([]uint8, inst.numEdges)
-	for e, c := range inst.capOf {
-		if c != math.Trunc(c) {
-			return nil, nil, nil, 0
-		}
-		i, ok := idxOf[c]
-		if !ok {
-			if len(caps) == gkMaxTableCaps {
-				return nil, nil, nil, 0
-			}
-			i = uint8(len(caps))
-			idxOf[c] = i
-			caps = append(caps, c)
-		}
-		capIdx[e] = i
-	}
-	tabCaps = len(caps)
-	growTab = make([]float64, (int(maxG)+1)*tabCaps)
-	onePlusTab = make([]float64, len(growTab))
-	for g := 0; g <= int(maxG); g++ {
-		for ci, c := range caps {
-			grow := eps * float64(g) / c
-			growTab[g*tabCaps+ci] = grow
-			onePlusTab[g*tabCaps+ci] = 1 + grow
-		}
-	}
-	return growTab, onePlusTab, capIdx, tabCaps
 }

@@ -1,9 +1,8 @@
 // Equivalence coverage for the production Garg–Könemann kernel: it must
 // reproduce the reference solveGKSimple (defined below, test-only)
 // bit-for-bit — identical θ, θ_ub, stop phase, certifying window and
-// per-path flows — on every instance family, worker count, and option
-// combination, including the non-integral fallbacks and the
-// sequential/parallel scan boundary.
+// per-path flows — on every instance family and option combination,
+// including non-integral demands and mixed capacities.
 package mcf
 
 import (
@@ -16,36 +15,30 @@ import (
 	"dctopo/traffic"
 )
 
-// gkSeqScanMax is the active-demand count below which the reference
-// kernel's scan runs inline. Deliberately different from the production
-// kernel's gkIncSeqScanMax: the schedule must never influence the result.
-const gkSeqScanMax = 32
-
 // solveGKSimple runs a round-based variant of the Garg–Könemann /
 // Fleischer maximum concurrent flow algorithm over the fixed path sets,
-// then rescales the accumulated flow onto the feasible region. Each phase
-// routes every demand's full amount; a phase proceeds in rounds, where a
-// round (1) scans — in parallel, against the frozen length function — the
+// then rescales the accumulated flow onto the feasible region. Each
+// phase routes every demand's full amount; a phase proceeds in rounds,
+// where a round (1) scans, against the frozen length function, the
 // cheapest path of every still-active demand, then (2) applies one
-// augmentation per demand sequentially in demand order, updating the
-// length function as it goes. It stops at the end of the first complete
-// phase whose certified gap closes — the least dual bound D/α seen at a
-// phase start is within a factor 1+eps of the best primal bound: the
-// full history's phases/λ, or the flow routed since one of the two most
-// recent power-of-two phase checkpoints, rescaled — or at D ≥ 1, where
-// it returns the full history or a window, whichever rescales to the
+// augmentation per demand in demand order, updating the length function
+// as it goes. It stops at the end of the first complete phase whose
+// certified gap closes — the least dual bound D/α seen at a phase start
+// is within a factor 1+eps of the best primal bound: the full history's
+// phases/λ, or the flow routed since one of the two most recent
+// power-of-two phase checkpoints, rescaled — or at D ≥ 1, where it
+// returns the full history or a window, whichever rescales to the
 // larger θ.
 //
 // This is the reference the production kernel (solveGK in gkscan.go)
-// must reproduce bit for bit: the plain algorithm, with every growth
-// factor divided inline, its own inline-scan threshold, and its own
+// must reproduce bit for bit: the plain algorithm with its own
 // certificate: α from a separate cheapest-length pass before the
 // phase's first scan, every checkpoint kept as a path-flow copy, and
 // each λ summed per edge from path flows (or path-flow differences)
 // rather than per-edge loads kept during the apply loop. It carries no
 // instrumentation — the production kernel's obs hooks never touch the
 // arithmetic.
-func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB float64, flow []float64, stop gkStop) {
+func (inst *instance) solveGKSimple(eps float64) (theta, thetaUB float64, flow []float64, stop gkStop) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -72,7 +65,6 @@ func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB fl
 	}
 
 	n := len(inst.demands)
-	workers = poolSize(workers, n)
 	rem := make([]float64, n)
 	choice := make([]int32, n)
 	active := make([]int32, 0, n)
@@ -85,12 +77,10 @@ func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB fl
 		}
 		return s
 	}
-	// scan picks the cheapest path of each active demand in [lo, hi)
-	// under the current lengths. Read-only on shared state; ties keep the
-	// lowest path id, matching a sequential first-wins scan.
-	scan := func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			j := active[x]
+	// scan picks the cheapest path of each active demand under the
+	// current lengths; ties keep the lowest path id.
+	scan := func() {
+		for _, j := range active {
 			pids := inst.pathsOf[j]
 			best := pids[0]
 			bestLen := pathLen(best)
@@ -158,13 +148,9 @@ func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB fl
 		}
 		thetaUB = math.Min(thetaUB, d/alpha)
 		for len(active) > 0 && d < 1 {
-			if len(active) <= gkSeqScanMax || workers <= 1 {
-				scan(0, len(active))
-			} else {
-				parallelChunks(workers, len(active), scan)
-			}
-			// Sequential apply, in demand order (in-place filter of the
-			// active list; writes trail reads).
+			scan()
+			// Apply, in demand order (in-place filter of the active
+			// list; writes trail reads).
 			keep := active[:0]
 			for _, j := range active {
 				if d >= 1 {
@@ -226,8 +212,8 @@ func (inst *instance) solveGKSimple(eps float64, workers int) (theta, thetaUB fl
 // are bitwise identical. It returns the production answer.
 func checkKernelsAgree(t *testing.T, top *topo.Topology, tm *traffic.Matrix, paths *Paths, opt Options) (theta, thetaUB float64, stop gkStop) {
 	t.Helper()
-	st, sub, sflow, sstop := newInstance(top, tm, paths).solveGKSimple(opt.eps(), opt.Workers)
-	pt, pub, pflow, pstop := newInstance(top, tm, paths).solveGK(opt.eps(), opt.Workers, nil)
+	st, sub, sflow, sstop := newInstance(top, tm, paths).solveGKSimple(opt.eps())
+	pt, pub, pflow, pstop := newInstance(top, tm, paths).solveGK(opt.eps(), nil)
 	if st != pt {
 		t.Fatalf("theta diverged: simple=%.17g production=%.17g", st, pt)
 	}
@@ -266,8 +252,8 @@ func runBothScans(t *testing.T, top *topo.Topology, tm *traffic.Matrix, k int, o
 }
 
 // TestScanKernelsAgree sweeps randomized Jellyfish instances (dense
-// permutations and subsampled matrices, both worker extremes, several ε
-// values) and requires bitwise agreement between the scan kernels.
+// permutations and subsampled matrices, several ε values) and requires
+// bitwise agreement between the scan kernels.
 func TestScanKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
@@ -286,19 +272,17 @@ func TestScanKernelsAgree(t *testing.T) {
 		}
 		k := 2 + rng.Intn(6)
 		eps := []float64{0.02, 0.05, 0.1}[rng.Intn(3)]
-		for _, w := range workerCounts() {
-			th := runBothScans(t, top, tm, k, Options{Eps: eps, Workers: w})
-			if th <= 0 || th > 1.000001 {
-				t.Fatalf("trial %d workers %d: implausible theta %v", trial, w, th)
-			}
+		th := runBothScans(t, top, tm, k, Options{Eps: eps})
+		if th <= 0 || th > 1.000001 {
+			t.Fatalf("trial %d: implausible theta %v", trial, th)
 		}
 	}
 }
 
-// TestScanKernelsAgreeNonIntegral drives the production kernel's inline
-// division fallback: fractional demand amounts make the growth-factor
-// table ineligible, and the kernels must still agree bitwise, on the
-// stop and the certifying window too.
+// TestScanKernelsAgreeNonIntegral: with fractional demand amounts the
+// augmentation amounts and growth factors are non-integral, and the
+// kernels must still agree bitwise, on the stop and the certifying
+// window too.
 func TestScanKernelsAgreeNonIntegral(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 16, Radix: 8, Servers: 3, Seed: seed})
@@ -312,16 +296,14 @@ func TestScanKernelsAgreeNonIntegral(t *testing.T) {
 			scaled.Demands[i].Amount *= 0.7
 		}
 		for _, eps := range []float64{0.02, 0.05} {
-			for _, w := range workerCounts() {
-				runBothScans(t, top, scaled, 4, Options{Eps: eps, Workers: w})
-			}
+			runBothScans(t, top, scaled, 4, Options{Eps: eps})
 		}
 	}
 }
 
 // TestScanKernelsAgreeMixedCapacities covers non-uniform capacities:
 // multigraphs whose link bundles carry 1–3 parallel links give several
-// capacity classes in the growth table and in the per-edge overloads,
+// capacity classes in the growth factors and the per-edge overloads,
 // and the kernels must still agree bitwise.
 func TestScanKernelsAgreeMixedCapacities(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -346,35 +328,7 @@ func TestScanKernelsAgreeMixedCapacities(t *testing.T) {
 		}
 		tm := traffic.RandomPermutation(top, uint64(trial+1))
 		for _, eps := range []float64{0.05, 0.3} {
-			runBothScans(t, top, tm, 4, Options{Eps: eps, Workers: 1})
-		}
-	}
-}
-
-// TestGKIncScanBoundary pins both sides of the sequential/parallel scan
-// switch: with the threshold forced below the active-demand count, every
-// round takes the parallelChunks path, and the result must stay bitwise
-// identical to the default inline path.
-func TestGKIncScanBoundary(t *testing.T) {
-	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 24, Radix: 8, Servers: 3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := traffic.RandomPermutation(top, 3)
-	paths := KShortest(top, tm, 4)
-	solve := func() float64 {
-		th, err := Throughput(top, tm, paths, Options{Method: Approx, Eps: 0.05, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return th
-	}
-	want := solve()
-	defer func(old int) { gkIncSeqScanMax = old }(gkIncSeqScanMax)
-	for _, max := range []int{0, 1, len(tm.Demands) - 1, len(tm.Demands)} {
-		gkIncSeqScanMax = max
-		if got := solve(); got != want {
-			t.Fatalf("gkIncSeqScanMax=%d: theta %v != %v", max, got, want)
+			runBothScans(t, top, tm, 4, Options{Eps: eps})
 		}
 	}
 }
@@ -412,7 +366,7 @@ func FuzzGKScanEquivalence(f *testing.F) {
 				t.Skip()
 			}
 		}
-		opt := Options{Method: Approx, Eps: 0.06, Workers: 1}
+		opt := Options{Method: Approx, Eps: 0.06}
 		theta, thetaUB, _ := checkKernelsAgree(t, top, tm, paths, opt)
 		if thetaUB < theta*(1-certTol) {
 			t.Fatalf("theta_ub %.17g below theta %.17g (sw=%d radix=%d hosts=%d)",

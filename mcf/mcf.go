@@ -4,38 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"dctopo/internal/lp"
 	"dctopo/obs"
 	"dctopo/topo"
 	"dctopo/traffic"
 )
-
-// parallelChunks partitions [0, n) into one contiguous chunk per worker
-// and runs fn on each chunk concurrently. fn must only write state that
-// is disjoint across indices; the chunk boundaries never influence the
-// values computed, only the schedule.
-func parallelChunks(workers, n int, fn func(lo, hi int)) {
-	if workers <= 1 || n <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // Method selects the throughput backend.
 type Method int
@@ -50,20 +24,15 @@ const (
 	Approx
 )
 
-// Options configures Throughput. The zero value means Auto with ε = 0.02
-// on a GOMAXPROCS-wide pool.
+// Options configures Throughput. The zero value means Auto with ε = 0.02.
 type Options struct {
 	Method Method
-	// Eps is the Garg–Könemann tolerance (default 0.02): the solver stops
-	// once its certified duality gap is within it, Detail.ThetaUB ≤
+	// Eps is the Garg–Könemann tolerance in (0, 1); any other value, NaN
+	// included, means the default 0.02. The solver stops once its
+	// certified duality gap is within it, Detail.ThetaUB ≤
 	// (1+Eps)·Detail.Theta. It also sets the FPTAS step size and initial
 	// lengths.
 	Eps float64
-	// Workers bounds the goroutines used by the Garg–Könemann backend's
-	// per-round cheapest-path scan (0 = GOMAXPROCS). The solution is
-	// bit-identical for any worker count; the exact simplex backend is
-	// single-threaded and ignores this field.
-	Workers int
 	// Obs, when non-nil, receives an "mcf.solve" span with a per-backend
 	// child span; the Garg–Könemann child emits one "mcf.round" point
 	// event per round (round, phase, active, dual, lambda, theta_lb,
@@ -147,7 +116,7 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 	}
 	approx := func() (float64, float64, []float64) {
 		gko, sp := mo.Start("mcf.gk", obs.Float("eps", opt.eps()))
-		theta, thetaUB, flat, stop := inst.solveGK(opt.eps(), opt.Workers, gko)
+		theta, thetaUB, flat, stop := inst.solveGK(opt.eps(), gko)
 		how := "cert"
 		if stop.backstop {
 			how = "backstop"
@@ -193,8 +162,9 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 	return d, nil
 }
 
+// eps returns Eps, or the 0.02 default when Eps is outside (0, 1) or NaN.
 func (o Options) eps() float64 {
-	if o.Eps <= 0 || o.Eps >= 1 {
+	if !(o.Eps > 0 && o.Eps < 1) {
 		return 0.02
 	}
 	return o.Eps

@@ -120,6 +120,31 @@ func TestGKMatchesExactOnFigure7(t *testing.T) {
 	}
 }
 
+// TestEpsOutOfRangeUsesDefault: an Eps outside (0, 1), NaN included,
+// solves exactly as the documented 0.02 default does.
+func TestEpsOutOfRangeUsesDefault(t *testing.T) {
+	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 24, Radix: 8, Servers: 3, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := traffic.RandomPermutation(top, 2)
+	paths := KShortest(top, tm, 4)
+	want, err := MaxConcurrentFlow(top, tm, paths, Options{Eps: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{0, -0.1, 1, 2, math.NaN(), math.Inf(1)} {
+		got, err := MaxConcurrentFlow(top, tm, paths, Options{Eps: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Theta != want.Theta || got.ThetaUB != want.ThetaUB {
+			t.Errorf("Eps=%v: theta %v theta_ub %v, want the default's %v and %v",
+				eps, got.Theta, got.ThetaUB, want.Theta, want.ThetaUB)
+		}
+	}
+}
+
 func TestFatTreePermutationFullThroughput(t *testing.T) {
 	ft, err := topo.FatTree(4)
 	if err != nil {

@@ -67,37 +67,6 @@ func TestKShortestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestThroughputDeterministicAcrossWorkers: the Garg–Könemann theta and
-// per-path flows must be bit-identical for any worker count.
-func TestThroughputDeterministicAcrossWorkers(t *testing.T) {
-	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 40, Radix: 10, Servers: 4, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := traffic.RandomPermutation(top, 9)
-	paths := KShortest(top, tm, 8)
-	ref, err := ThroughputDetail(top, tm, paths, Options{Method: Approx, Eps: 0.05, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts() {
-		got, err := ThroughputDetail(top, tm, paths, Options{Method: Approx, Eps: 0.05, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Theta != ref.Theta {
-			t.Fatalf("workers=%d theta %v != workers=1 theta %v", w, got.Theta, ref.Theta)
-		}
-		for j := range ref.PathFlows {
-			for x := range ref.PathFlows[j] {
-				if got.PathFlows[j][x] != ref.PathFlows[j][x] {
-					t.Fatalf("workers=%d flow[%d][%d] %v != %v", w, j, x, got.PathFlows[j][x], ref.PathFlows[j][x])
-				}
-			}
-		}
-	}
-}
-
 // TestKShortestSharedAcrossDuplicateDemands: duplicate and reverse
 // demands of the same pair share one kernel computation.
 func TestKShortestSharedAcrossDuplicateDemands(t *testing.T) {

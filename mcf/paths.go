@@ -15,7 +15,6 @@ package mcf
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -140,7 +139,7 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 		}
 		fw[pi], rv[pi] = ps, rev
 	}
-	if w := poolSize(workers, len(pairs)); w <= 1 {
+	if w := graph.ClampWorkers(workers, len(pairs)); w <= 1 {
 		s := graph.NewKSPScratch()
 		for pi := range pairs {
 			runPair(pi, s, &stats)
@@ -192,21 +191,6 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 			obs.Int("expanded", int(stats.Expanded)), obs.Int("guarded", int(stats.Guarded)))
 	}
 	return out
-}
-
-// poolSize clamps a requested worker count (<= 0 means GOMAXPROCS) to
-// the number of available jobs.
-func poolSize(workers, jobs int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }
 
 // WithinSlack enumerates, for every demand, all simple paths of length at

@@ -87,7 +87,7 @@ func TestGKBackstopWindow(t *testing.T) {
 	}
 	tm := traffic.RandomPermutation(top, 5)
 	paths := KShortest(top, tm, 4)
-	opt := Options{Eps: 0.6, Workers: 1}
+	opt := Options{Eps: 0.6}
 	theta, _, stop := checkKernelsAgree(t, top, tm, paths, opt)
 	if !stop.backstop || stop.window == 0 {
 		t.Fatalf("stop %+v, want a backstop that returns a window", stop)

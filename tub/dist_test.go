@@ -71,13 +71,14 @@ func TestHostDistancesMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			got, err := hostDistances(tp, workers, nil)
+		for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+			var got [][]uint8
+			atProcs(procs, func() { got, err = HostDistances(tp) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameDist(got, want) {
-				t.Fatalf("%s workers=%d: kernel distances differ from scalar baseline", tp.Name(), workers)
+				t.Fatalf("%s GOMAXPROCS=%d: kernel distances differ from scalar baseline", tp.Name(), procs)
 			}
 		}
 	}
@@ -85,7 +86,8 @@ func TestHostDistancesMatchesScalar(t *testing.T) {
 
 // TestBoundBitIdenticalAcrossKernels checks that Bound is bit-identical
 // at both sides of the kernel crossover (host counts ScalarCrossover-1
-// and well above) for Workers ∈ {1, GOMAXPROCS}.
+// and well above), at GOMAXPROCS 1 and at the default: GOMAXPROCS sizes
+// the distance sweep's worker pool.
 func TestBoundBitIdenticalAcrossKernels(t *testing.T) {
 	for _, n := range []int{graph.ScalarCrossover - 1, 60} {
 		tp, err := topo.Jellyfish(topo.JellyfishConfig{Switches: n, Radix: 6, Servers: 2, Seed: 3})
@@ -93,8 +95,9 @@ func TestBoundBitIdenticalAcrossKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		var bounds []float64
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			r, err := Bound(tp, Options{Workers: workers})
+		for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+			var r *Result
+			atProcs(procs, func() { r, err = Bound(tp, Options{}) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +105,7 @@ func TestBoundBitIdenticalAcrossKernels(t *testing.T) {
 		}
 		for _, b := range bounds[1:] {
 			if b != bounds[0] {
-				t.Fatalf("n=%d: Bound differs across worker counts: %v", n, bounds)
+				t.Fatalf("n=%d: Bound differs across GOMAXPROCS: %v", n, bounds)
 			}
 		}
 	}
@@ -225,4 +228,10 @@ func HostDistancesScalar(t *topo.Topology, workers int) ([][]uint8, error) {
 		}
 	}
 	return out, nil
+}
+
+// atProcs runs fn with GOMAXPROCS set to procs and restores it after.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
 }

@@ -40,60 +40,61 @@ func TestBoundRejectsInvalidMatcher(t *testing.T) {
 	}
 }
 
-// TestBoundRejectsInvalidAuctionMax: a negative crossover fails fast.
-func TestBoundRejectsInvalidAuctionMax(t *testing.T) {
-	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 12, Radix: 6, Servers: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Bound(top, Options{AuctionMax: -1})
-	if err == nil || !strings.Contains(err.Error(), "invalid AuctionMax") {
-		t.Fatalf("AuctionMax=-1: err = %v, want invalid AuctionMax", err)
-	}
-}
-
-// TestBoundAuctionMaxCrossover: AuctionMax moves the Auto auction→greedy
-// crossover, the fallback is counted and recorded in Result.Matcher, and
-// an explicit Matcher ignores AuctionMax entirely.
+// TestBoundAuctionMaxCrossover: past the auctionMax crossover Auto
+// degrades to greedy, the fallback is counted, tagged on the tub.match
+// span and recorded in Result.Matcher, and an explicit Matcher ignores
+// the crossover entirely.
 func TestBoundAuctionMaxCrossover(t *testing.T) {
 	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 80, Radix: 6, Servers: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New()
+	fl := obs.NewFlight(4096)
+	o := obs.New(fl)
+	// bound runs Bound and returns the result with the "fallback"
+	// attribute of its tub.match span ("" when absent).
+	bound := func(opt Options) (*Result, string) {
+		t.Helper()
+		opt.Obs = o
+		res, err := Bound(top, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := ""
+		for _, e := range fl.Events() {
+			if e.Kind == obs.KindSpanStart && e.Name == "tub.match" {
+				v, _ := e.Attr("fallback")
+				tag, _ = v.(string)
+			}
+		}
+		return res, tag
+	}
 
 	// 80 hosts under the default crossover: Auto runs the exact auction.
-	res, err := Bound(top, Options{Obs: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matcher != AuctionMatcher {
-		t.Fatalf("default crossover: Matcher = %v, want auction", res.Matcher)
+	res, tag := bound(Options{})
+	if res.Matcher != AuctionMatcher || tag != "" {
+		t.Fatalf("default crossover: Matcher = %v, fallback = %q, want auction and none", res.Matcher, tag)
 	}
 	if c := o.Counter("tub.match.fallback").Value(); c != 0 {
 		t.Fatalf("no degradation, but fallback counter = %d", c)
 	}
 
-	// A crossover below the host count degrades Auto to greedy — counted,
-	// never silent.
-	res, err = Bound(top, Options{AuctionMax: 70, Obs: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matcher != GreedyMatcher {
-		t.Fatalf("AuctionMax=70 with 80 hosts: Matcher = %v, want greedy", res.Matcher)
+	// A crossover below the host count degrades Auto to greedy — counted
+	// and tagged, never silent.
+	defer func(old int) { auctionMax = old }(auctionMax)
+	auctionMax = 70
+	res, tag = bound(Options{})
+	if res.Matcher != GreedyMatcher || tag != "greedy" {
+		t.Fatalf("crossover 70 with 80 hosts: Matcher = %v, fallback = %q, want greedy twice", res.Matcher, tag)
 	}
 	if c := o.Counter("tub.match.fallback").Value(); c != 1 {
 		t.Fatalf("fallback counter = %d, want 1", c)
 	}
 
-	// An explicit matcher is not a degradation and ignores AuctionMax.
-	res, err = Bound(top, Options{Matcher: AuctionMatcher, AuctionMax: 70, Obs: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matcher != AuctionMatcher {
-		t.Fatalf("explicit auction: Matcher = %v", res.Matcher)
+	// An explicit matcher is not a degradation and ignores the crossover.
+	res, tag = bound(Options{Matcher: AuctionMatcher})
+	if res.Matcher != AuctionMatcher || tag != "" {
+		t.Fatalf("explicit auction: Matcher = %v, fallback = %q", res.Matcher, tag)
 	}
 	if c := o.Counter("tub.match.fallback").Value(); c != 1 {
 		t.Fatalf("explicit matcher bumped the fallback counter to %d", c)

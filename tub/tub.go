@@ -61,14 +61,15 @@ const (
 // materialized int32 matrix blowing the 256MB budget and last-level
 // cache — is gone: n=20000 now solves exactly within the 20k smoke
 // budget (see BENCH_matching.json for the measured crossover data).
-// defaultAuctionMax sits at the largest size the smoke test exercises;
-// beyond it Auto degrades to the linear-time greedy heuristic — and
-// says so via the "tub.match.fallback" counter and span attribute.
-// Options.AuctionMax overrides the crossover.
-const (
-	autoExactMax      = 64
-	defaultAuctionMax = 20000
-)
+// auctionMax sits at the largest size the smoke test exercises; beyond
+// it Auto degrades to the linear-time greedy heuristic — and says so
+// via the "tub.match.fallback" counter and span attribute. An explicit
+// AuctionMatcher runs the exact auction at any size.
+const autoExactMax = 64
+
+// auctionMax is Auto's auction→greedy crossover. It is a variable so
+// tests can lower it.
+var auctionMax = 20000
 
 // String names the matcher (used in trace attributes and logs).
 func (m Matcher) String() string {
@@ -90,24 +91,16 @@ func (m Matcher) String() string {
 // count n — ExactMatcher (Jonker–Volgenant, O(n³)) for n ≤ 64,
 // AuctionMatcher (the matrix-free blocked ε-scaling auction, exact on
 // the integer weights used here but with much better constants) up to
-// the AuctionMax crossover (default 20000), and GreedyMatcher (the
-// paper's Algorithm 1; a valid but possibly slightly looser bound)
-// beyond. The crossovers are where the next-cheaper matcher starts
-// winning by wall clock on commodity hardware.
+// 20000, and GreedyMatcher (the paper's Algorithm 1; a valid but
+// possibly slightly looser bound) beyond. The crossovers are where the
+// next-cheaper matcher starts winning by wall clock on commodity
+// hardware; set Matcher to AuctionMatcher for an exact bound past 20000.
 //
 // Bound validates the Matcher value up front and returns an error for
 // values outside [AutoMatcher, GreedyMatcher], so a mis-initialized or
 // garbage Options never silently falls through to the wrong matcher.
 type Options struct {
 	Matcher Matcher
-	// Workers bounds the distance-sweep worker pool; <= 0 means
-	// GOMAXPROCS. The bound is identical for any worker count.
-	Workers int
-	// AuctionMax overrides AutoMatcher's auction→greedy crossover (a
-	// host-switch count): 0 means the default (20000), negative is an
-	// error. Raising it trades wall clock for an exact bound at larger
-	// scales; it has no effect when Matcher is explicit.
-	AuctionMax int
 	// Obs, when non-nil, records a "tub.bound" span with "tub.dist" and
 	// "tub.match" children; the match span's attributes name the matcher
 	// actually selected (after Auto resolution) so matcher crossovers are
@@ -146,13 +139,6 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 	if opt.Matcher < AutoMatcher || opt.Matcher > GreedyMatcher {
 		return nil, fmt.Errorf("tub: invalid matcher %d (want AutoMatcher, ExactMatcher, AuctionMatcher or GreedyMatcher)", opt.Matcher)
 	}
-	if opt.AuctionMax < 0 {
-		return nil, fmt.Errorf("tub: invalid AuctionMax %d (want 0 for the default crossover, or a positive host count)", opt.AuctionMax)
-	}
-	auctionMax := opt.AuctionMax
-	if auctionMax == 0 {
-		auctionMax = defaultAuctionMax
-	}
 	hosts := t.Hosts()
 	n := len(hosts)
 	if n < 2 {
@@ -170,7 +156,7 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 		bh := opt.Obs.Histogram("tub.dist.batch")
 		onBatch = func(_ int, d time.Duration) { bh.Observe(d) }
 	}
-	dist, err := hostDistances(t, opt.Workers, onBatch)
+	dist, err := hostDistances(t, onBatch)
 	dsp.End()
 	if err != nil {
 		return nil, err
@@ -225,7 +211,6 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 			Rows: func(i int) []uint8 { return dist[i] },
 			H:    h,
 		}, match.AuctionOptions{
-			Workers: opt.Workers,
 			OnPhase: func(phase int, eps int64, rounds, bids int) {
 				now := time.Now()
 				ph.ObserveNs(int64(now.Sub(phaseStart)))
@@ -271,14 +256,13 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 // below graph.ScalarCrossover use one scalar BFS per host instead; both
 // kernels produce identical matrices.
 func HostDistances(t *topo.Topology) ([][]uint8, error) {
-	return hostDistances(t, 0, nil)
+	return hostDistances(t, nil)
 }
 
 // hostDistances is the shared implementation behind HostDistances and
-// Bound, with an explicit worker count (<= 0 means GOMAXPROCS; the
-// result is identical for any count) and an optional per-batch timing
-// hook (see graph.MultiBFSRowsTimed); nil means no timing.
-func hostDistances(t *topo.Topology, workers int, onBatch func(sources int, d time.Duration)) ([][]uint8, error) {
+// Bound, with an optional per-batch timing hook (see
+// graph.MultiBFSRowsTimed); nil means no timing.
+func hostDistances(t *topo.Topology, onBatch func(sources int, d time.Duration)) ([][]uint8, error) {
 	g := t.Graph()
 	hosts := t.Hosts()
 	n := len(hosts)
@@ -290,7 +274,7 @@ func hostDistances(t *topo.Topology, workers int, onBatch func(sources int, d ti
 	for i := range out {
 		out[i] = backing[i*n : (i+1)*n]
 	}
-	err := g.MultiBFSRowsTimed(hosts, workers, func(i int, dist []int32) error {
+	err := g.MultiBFSRowsTimed(hosts, 0, func(i int, dist []int32) error {
 		return fillRow(out[i], dist, hosts)
 	}, onBatch)
 	if err != nil {

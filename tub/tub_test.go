@@ -422,30 +422,32 @@ func BenchmarkBoundGreedy1000(b *testing.B) {
 	}
 }
 
-// TestBoundAuctionDeterministicAcrossWorkers: the auction matcher's
-// block partition is a pure function of the free queue, so the full
-// matching — not just the bound — must be bit-identical however the
-// bidding is sharded.
+// TestBoundAuctionDeterministicAcrossWorkers: the distance sweep is
+// sharded across GOMAXPROCS workers and the auction's block partition
+// is a pure function of the free queue, so the full matching — not just
+// the bound — must be bit-identical for any GOMAXPROCS.
 func TestBoundAuctionDeterministicAcrossWorkers(t *testing.T) {
 	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 120, Radix: 10, Servers: 5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Bound(top, Options{Matcher: AuctionMatcher, Workers: 1})
+	var base *Result
+	atProcs(1, func() { base, err = Bound(top, Options{Matcher: AuctionMatcher}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 8} {
-		res, err := Bound(top, Options{Matcher: AuctionMatcher, Workers: w})
+		var res *Result
+		atProcs(w, func() { res, err = Bound(top, Options{Matcher: AuctionMatcher}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Bound != base.Bound || res.WeightedLen != base.WeightedLen {
-			t.Fatalf("workers=%d: bound %v/%d != %v/%d", w, res.Bound, res.WeightedLen, base.Bound, base.WeightedLen)
+			t.Fatalf("GOMAXPROCS=%d: bound %v/%d != %v/%d", w, res.Bound, res.WeightedLen, base.Bound, base.WeightedLen)
 		}
 		for i := range res.Perm {
 			if res.Perm[i] != base.Perm[i] {
-				t.Fatalf("workers=%d: Perm[%d]=%d != %d", w, i, res.Perm[i], base.Perm[i])
+				t.Fatalf("GOMAXPROCS=%d: Perm[%d]=%d != %d", w, i, res.Perm[i], base.Perm[i])
 			}
 		}
 	}

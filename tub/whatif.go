@@ -35,7 +35,6 @@ package tub
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,9 +58,8 @@ const defaultResumeRoundsPerHost = 16
 
 // WhatIfOptions configures NewWhatIf.
 type WhatIfOptions struct {
-	// Workers bounds the base-state sweep and single-query matcher
-	// pools; <= 0 means GOMAXPROCS. Results are identical for any
-	// worker count.
+	// Workers bounds the base-state distance sweep's pool; <= 0 means
+	// GOMAXPROCS. Results are identical for any worker count.
 	Workers int
 	// Obs, when non-nil, records base-build spans plus the per-query
 	// "whatif.query" / "whatif.frontier" histograms and mode counters.
@@ -204,9 +202,7 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	}
 
 	_, msp := o.Start("whatif.match")
-	res, stats := match.AuctionBlocked(n, e.u8At(nil), match.AuctionOptions{
-		Workers: opt.Workers,
-	})
+	res, stats := match.AuctionBlocked(n, e.u8At(nil), match.AuctionOptions{})
 	msp.End(obs.Int64("weighted_len", res.Total))
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation (zero total path length)")
@@ -401,7 +397,7 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	res, _ := match.AuctionBlocked(m, match.U8Weights{
 		Rows: func(i int) []uint8 { return red[i*m : (i+1)*m] },
 		H:    redH,
-	}, match.AuctionOptions{Workers: e.opt.Workers})
+	}, match.AuctionOptions{})
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation after switch removal")
 	}
@@ -529,7 +525,7 @@ func (e *WhatIf) SweepLinks(opt SweepOptions) ([]LinkImpact, error) {
 
 	out := make([]LinkImpact, len(links))
 	errs := make([]error, len(links))
-	workers := clampPool(opt.Workers, len(links))
+	workers := graph.ClampWorkers(opt.Workers, len(links))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -579,19 +575,4 @@ func RankByDrop(impacts []LinkImpact) []LinkImpact {
 		return out[a].V < out[b].V
 	})
 	return out
-}
-
-// clampPool resolves a worker count against a job count (<= 0 means
-// GOMAXPROCS).
-func clampPool(workers, jobs int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }

@@ -81,7 +81,7 @@ func TestWhatIfLinkDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := Bound(tp, Options{Matcher: AuctionMatcher, Workers: workers})
+			base, err := Bound(tp, Options{Matcher: AuctionMatcher})
 			if err != nil {
 				t.Fatal(err)
 			}
