@@ -108,6 +108,11 @@ func TestCmdWhatIf(t *testing.T) {
 	if err := cmdWhatIf(io.Discard, append(base, "-link", "zero:one")); err == nil {
 		t.Error("expected error for malformed -link")
 	}
+	for _, l := range []string{"-1:0", "20:0", "0:20"} {
+		if err := cmdWhatIf(io.Discard, append(base, "-link", l)); err == nil || !strings.Contains(err.Error(), "invalid link") {
+			t.Errorf("whatif -link %s on 20 switches: err = %v, want an invalid-link error", l, err)
+		}
+	}
 }
 
 func TestCmdExptCheapIDs(t *testing.T) {

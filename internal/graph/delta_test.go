@@ -31,10 +31,12 @@ func randomMultiConnected(n, extra int, seed uint64) *Graph {
 // be connected with diameter <= MaxUint8Dist).
 func baseUint8Row(t *testing.T, g *Graph, src int) []uint8 {
 	t.Helper()
-	dist := g.BFS(src, nil)
 	row := make([]uint8, g.N())
-	if err := fillUint8Row(row, dist); err != nil {
-		t.Fatalf("base row from %d: %v", src, err)
+	for v, d := range g.BFS(src, nil) {
+		if d == Unreachable || d > MaxUint8Dist {
+			t.Fatalf("base row from %d: distance %d to %d does not fit a uint8 row", src, d, v)
+		}
+		row[v] = uint8(d)
 	}
 	return row
 }

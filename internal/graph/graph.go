@@ -1,8 +1,10 @@
 // Package graph implements the graph kernel underlying dctopo: a compact
 // CSR (compressed sparse row) representation of undirected multigraphs,
-// breadth-first shortest paths, all-pairs distances, k shortest simple
-// paths (an exact-length lexicographic DFS, with Yen's algorithm as its
-// test oracle) and bounded simple-path enumeration on the same walker.
+// scalar and bit-parallel multi-source BFS (MultiBFSRows, the one sweep
+// entry point), in-place delta repair of uint8 distance rows after a
+// link or switch removal, k shortest simple paths (an exact-length
+// lexicographic DFS, with Yen's algorithm as its test oracle) and
+// bounded simple-path enumeration on the same walker.
 //
 // Switch-to-switch links in datacenter topologies are unit capacity but may
 // be trunked (parallel links between the same switch pair), so edges carry
@@ -10,11 +12,8 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Graph is an immutable undirected multigraph in CSR form. Build one with
@@ -200,10 +199,6 @@ func (g *Graph) Edges(fn func(u, v, capacity int)) {
 	}
 }
 
-// ErrDisconnected is returned by distance computations when the graph is
-// not connected.
-var ErrDisconnected = errors.New("graph: not connected")
-
 // Unreachable marks an unreachable node in BFS output.
 const Unreachable int32 = -1
 
@@ -247,68 +242,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// APSP computes all-pairs hop distances as an n×n matrix of uint8 (at
-// most MaxUint8Dist = 254), which suffices for datacenter topologies. It
-// returns ErrDisconnected if any pair is unreachable. The per-source
-// traversals run on the bit-parallel kernel across GOMAXPROCS workers.
-func (g *Graph) APSP() ([][]uint8, error) {
-	return g.AllDistancesWorkers(g.allSources(), 0)
-}
-
-// Diameter returns the largest hop distance between any pair, or an error
-// if disconnected.
-func (g *Graph) Diameter() (int, error) {
-	var mu sync.Mutex
-	max := int32(0)
-	err := g.MultiBFSRows(g.allSources(), 0, func(_ int, dist []int32) error {
-		local := int32(0)
-		for _, d := range dist {
-			if d == Unreachable {
-				return ErrDisconnected
-			}
-			if d > local {
-				local = d
-			}
-		}
-		mu.Lock()
-		if local > max {
-			max = local
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return int(max), nil
-}
-
-// AvgPathLength returns the mean hop distance over ordered distinct pairs,
-// or an error if disconnected. Distances are summed as integers per
-// source and combined exactly, so the result does not depend on worker
-// scheduling.
-func (g *Graph) AvgPathLength() (float64, error) {
-	if g.n < 2 {
-		return 0, nil
-	}
-	var sum atomic.Int64
-	err := g.MultiBFSRows(g.allSources(), 0, func(_ int, dist []int32) error {
-		local := int64(0)
-		for _, d := range dist {
-			if d == Unreachable {
-				return ErrDisconnected
-			}
-			local += int64(d) // the source itself contributes 0
-		}
-		sum.Add(local)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return float64(sum.Load()) / float64(g.n*(g.n-1)), nil
 }
 
 // CopyBuilder returns a Builder pre-populated with g's edges, for mutation

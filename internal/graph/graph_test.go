@@ -115,27 +115,33 @@ func TestBFSDisconnected(t *testing.T) {
 	if g.Connected() {
 		t.Fatal("Connected = true on disconnected graph")
 	}
-	if _, err := g.APSP(); err != ErrDisconnected {
-		t.Fatalf("APSP err = %v, want ErrDisconnected", err)
+}
+
+// apsp is the all-pairs hop matrix, one MultiBFSRows sweep over every
+// source (rows copied out of the sweep's scratch).
+func apsp(t *testing.T, g *Graph) [][]int32 {
+	t.Helper()
+	sources := make([]int, g.N())
+	for i := range sources {
+		sources[i] = i
 	}
-	if _, err := g.Diameter(); err != ErrDisconnected {
-		t.Fatalf("Diameter err = %v", err)
+	out := make([][]int32, g.N())
+	if err := g.MultiBFSRows(sources, 0, func(i int, dist []int32) error {
+		out[i] = append([]int32(nil), dist...)
+		return nil
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := g.AvgPathLength(); err != ErrDisconnected {
-		t.Fatalf("AvgPathLength err = %v", err)
-	}
+	return out
 }
 
 func TestAPSPMatchesBFS(t *testing.T) {
 	g := randomConnected(60, 120, 1)
-	ap, err := g.APSP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ap := apsp(t, g)
 	for s := 0; s < g.N(); s += 7 {
 		d := g.BFS(s, nil)
 		for v := 0; v < g.N(); v++ {
-			if int32(ap[s][v]) != d[v] {
+			if ap[s][v] != d[v] {
 				t.Fatalf("APSP[%d][%d]=%d, BFS=%d", s, v, ap[s][v], d[v])
 			}
 		}
@@ -144,10 +150,7 @@ func TestAPSPMatchesBFS(t *testing.T) {
 
 func TestAPSPSymmetric(t *testing.T) {
 	g := randomConnected(50, 80, 2)
-	ap, err := g.APSP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ap := apsp(t, g)
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {
 			if ap[u][v] != ap[v][u] {
@@ -158,22 +161,27 @@ func TestAPSPSymmetric(t *testing.T) {
 }
 
 func TestDiameterRing(t *testing.T) {
-	g := ring(12)
-	d, err := g.Diameter()
-	if err != nil || d != 6 {
-		t.Fatalf("Diameter = %d, %v; want 6", d, err)
+	d := int32(0)
+	for _, row := range apsp(t, ring(12)) {
+		for _, v := range row {
+			d = max(d, v)
+		}
+	}
+	if d != 6 {
+		t.Fatalf("diameter = %d, want 6", d)
 	}
 }
 
 func TestAvgPathLengthGrid(t *testing.T) {
 	g := grid(2, 2) // square: 4 nodes, distances 1,1,2 per node
-	apl, err := g.AvgPathLength()
-	if err != nil {
-		t.Fatal(err)
+	sum := int32(0)
+	for _, row := range apsp(t, g) {
+		for _, v := range row {
+			sum += v
+		}
 	}
-	want := 4.0 / 3.0
-	if apl < want-1e-9 || apl > want+1e-9 {
-		t.Fatalf("AvgPathLength = %v, want %v", apl, want)
+	if apl, want := float64(sum)/float64(g.N()*(g.N()-1)), 4.0/3.0; apl != want {
+		t.Fatalf("average path length = %v, want %v", apl, want)
 	}
 }
 
@@ -219,8 +227,12 @@ func TestCopyBuilderRoundTrip(t *testing.T) {
 
 func TestShortestPathEndpoints(t *testing.T) {
 	g := grid(4, 4)
-	p := g.ShortestPath(0, 15)
-	if p == nil || p[0] != 0 || p[len(p)-1] != 15 {
+	ps := g.KShortestPaths(0, 15, 1)
+	if len(ps) != 1 {
+		t.Fatalf("got %d paths, want 1", len(ps))
+	}
+	p := ps[0]
+	if p[0] != 0 || p[len(p)-1] != 15 {
 		t.Fatalf("bad path %v", p)
 	}
 	if p.Len() != 6 {
@@ -331,11 +343,12 @@ func TestKShortestPathsCountsOnGrid(t *testing.T) {
 
 func TestPathsWithin(t *testing.T) {
 	g := grid(3, 3)
-	sp := g.PathsWithin(0, 8, 0, 0)
+	toDst := g.BFS(8, nil)
+	sp := g.PathsWithinDist(0, 8, toDst, 0, 0)
 	if len(sp) != 6 {
 		t.Fatalf("PathsWithin slack=0: %d paths, want 6", len(sp))
 	}
-	withSlack := g.PathsWithin(0, 8, 2, 0)
+	withSlack := g.PathsWithinDist(0, 8, toDst, 2, 0)
 	if len(withSlack) <= 6 {
 		t.Fatalf("PathsWithin slack=2 should find more: %d", len(withSlack))
 	}
@@ -344,7 +357,7 @@ func TestPathsWithin(t *testing.T) {
 			t.Fatalf("path %v exceeds slack bound", p)
 		}
 	}
-	limited := g.PathsWithin(0, 8, 2, 3)
+	limited := g.PathsWithinDist(0, 8, toDst, 2, 3)
 	if len(limited) != 3 {
 		t.Fatalf("limit not honored: %d", len(limited))
 	}
@@ -352,18 +365,18 @@ func TestPathsWithin(t *testing.T) {
 
 func TestCountShortestPaths(t *testing.T) {
 	g := grid(3, 3)
-	if got := g.CountShortestPaths(0, 8, 0); got != 6 {
-		t.Fatalf("CountShortestPaths = %d, want 6", got)
+	if got := countShortestPaths(g, 0, 8, 0); got != 6 {
+		t.Fatalf("countShortestPaths = %d, want 6", got)
 	}
-	if got := g.CountShortestPaths(0, 8, 4); got != 4 {
+	if got := countShortestPaths(g, 0, 8, 4); got != 4 {
 		t.Fatalf("capped count = %d, want 4", got)
 	}
-	if got := g.CountShortestPaths(0, 1, 0); got != 1 {
+	if got := countShortestPaths(g, 0, 1, 0); got != 1 {
 		t.Fatalf("adjacent count = %d, want 1", got)
 	}
 	b := NewBuilder(3)
 	b.AddEdge(0, 1)
-	if got := b.Build().CountShortestPaths(0, 2, 0); got != 0 {
+	if got := countShortestPaths(b.Build(), 0, 2, 0); got != 0 {
 		t.Fatalf("unreachable count = %d, want 0", got)
 	}
 }
@@ -376,7 +389,7 @@ func TestKSPMatchesEnumerationOnRandomGraphs(t *testing.T) {
 		if d[dst] == Unreachable {
 			continue
 		}
-		nShort := g.CountShortestPaths(0, dst, 0)
+		nShort := countShortestPaths(g, 0, dst, 0)
 		paths := g.KShortestPaths(0, dst, nShort)
 		if len(paths) != nShort {
 			t.Fatalf("seed %d: KSP found %d shortest, want %d", seed, len(paths), nShort)
@@ -395,16 +408,6 @@ func BenchmarkBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dist = g.BFS(i%g.N(), dist)
-	}
-}
-
-func BenchmarkAPSP1000(b *testing.B) {
-	g := randomConnected(1000, 3000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.APSP(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -300,8 +300,8 @@ func TestPathsWithinMatchesSimple(t *testing.T) {
 				for _, limit := range []int{0, 5} {
 					want := g.pathsWithinSimple(src, dst, slack, limit)
 					guardModes(func(mode string) {
-						if got := g.PathsWithin(src, dst, slack, limit); !pathsListEqual(got, want) {
-							t.Fatalf("PathsWithin(%d,%d,%d,%d) guard=%s:\n got  %v\n want %v",
+						if got := g.PathsWithinDist(src, dst, g.BFS(dst, nil), slack, limit); !pathsListEqual(got, want) {
+							t.Fatalf("PathsWithinDist(%d,%d,%d,%d) guard=%s:\n got  %v\n want %v",
 								src, dst, slack, limit, mode, got, want)
 						}
 					})
@@ -505,4 +505,54 @@ func pathKey(p Path) string {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16))
 	}
 	return string(b)
+}
+
+// countShortestPaths returns the number of distinct shortest paths
+// between src and dst, capped at capCount (0 means no cap), using BFS
+// DAG dynamic programming — the oracle for how many equal-length paths
+// the KSP kernel must return. Multiplicity of link bundles is ignored: paths are node
+// sequences.
+func countShortestPaths(g *Graph, src, dst int, capCount int) int {
+	dist := g.BFS(src, nil)
+	if dist[dst] == Unreachable {
+		return 0
+	}
+	// Process nodes in BFS order; count[v] = sum of count[u] over
+	// predecessors u with dist[u]+1 == dist[v].
+	order := make([]int32, 0, g.n)
+	for v := 0; v < g.n; v++ {
+		if dist[v] != Unreachable {
+			order = append(order, int32(v))
+		}
+	}
+	// counting sort by distance
+	maxD := int32(0)
+	for _, v := range order {
+		if dist[v] > maxD {
+			maxD = dist[v]
+		}
+	}
+	buckets := make([][]int32, maxD+1)
+	for _, v := range order {
+		buckets[dist[v]] = append(buckets[dist[v]], v)
+	}
+	count := make([]int, g.n)
+	count[src] = 1
+	for d := int32(1); d <= maxD; d++ {
+		for _, v := range buckets[d] {
+			c := 0
+			for i := g.off[v]; i < g.off[v+1]; i++ {
+				u := g.adj[i]
+				if dist[u] == d-1 {
+					c += count[u]
+					if capCount > 0 && c >= capCount {
+						c = capCount
+						break
+					}
+				}
+			}
+			count[v] = c
+		}
+	}
+	return count[dst]
 }

@@ -12,10 +12,12 @@
 // the low-diameter switch graphs this repository evaluates (diameter
 // 2–6), that is a 5–20× single-thread win over per-source scalar BFS
 // before the source batches are additionally sharded across a worker
-// pool. All-pairs consumers (tub.HostDistances, APSP, the estimators'
-// path-length sweeps, routing's per-destination DAGs) sit on this kernel;
-// sweeps with fewer than ScalarCrossover sources fall back to per-source
-// scalar BFS so tiny topologies don't pay the bitset setup.
+// pool. Every multi-source sweep in the repository runs on this kernel
+// through MultiBFSRows: tub.HostDistances (which the estimators'
+// path-length sweeps call), the what-if engine's base rows, mcf's KSP
+// destination rows and routing's per-destination DAGs. Sweeps with
+// fewer than ScalarCrossover sources fall back to per-source scalar BFS
+// so tiny topologies don't pay the bitset setup.
 package graph
 
 import (
@@ -165,16 +167,12 @@ func ClampWorkers(workers, jobs int) int {
 // during the call and never to be retained. When fill returns an error
 // the sweep stops early — remaining sources may be skipped — and the
 // error with the lowest source index among those observed is returned.
-func (g *Graph) MultiBFSRows(sources []int, workers int, fill func(i int, dist []int32) error) error {
-	return g.MultiBFSRowsTimed(sources, workers, fill, nil)
-}
-
-// MultiBFSRowsTimed is MultiBFSRows with a per-batch timing hook:
-// onBatch(sources, d) is called after each completed batch (or scalar
-// row) with the number of sources it covered and its wall-clock
-// duration, including the fill calls. onBatch may be called concurrently
+//
+// onBatch, when non-nil, is called after each completed batch (or
+// scalar row) with the number of sources it covered and its wall-clock
+// duration, including the fill calls. It may be called concurrently
 // from different workers; nil means no timing (and no clock reads).
-func (g *Graph) MultiBFSRowsTimed(sources []int, workers int, fill func(i int, dist []int32) error, onBatch func(sources int, d time.Duration)) error {
+func (g *Graph) MultiBFSRows(sources []int, workers int, fill func(i int, dist []int32) error, onBatch func(sources int, d time.Duration)) error {
 	ns := len(sources)
 	if ns == 0 || g.n == 0 {
 		return nil
@@ -264,32 +262,6 @@ func (g *Graph) MultiBFSRowsTimed(sources []int, workers int, fill func(i int, d
 	return callErr
 }
 
-// MultiBFS runs a BFS from every source and calls emit(src, v, dist) for
-// every vertex v reachable from src (including src itself at distance 0).
-// Sources are processed in order and each row is emitted in ascending
-// vertex order, so the emit sequence is deterministic; internally the
-// traversals still advance 64 sources per word.
-func (g *Graph) MultiBFS(sources []int, emit func(src, v, dist int)) {
-	g.MultiBFSRows(sources, 1, func(i int, dist []int32) error {
-		src := sources[i]
-		for v, d := range dist {
-			if d >= 0 {
-				emit(src, v, int(d))
-			}
-		}
-		return nil
-	})
-}
-
-// AllDistances computes hop distances from every source to every vertex
-// as a len(sources)×N matrix of uint8 (at most MaxUint8Dist = 254; 255
-// is reserved as the UnreachableDist sentinel). It returns
-// ErrDisconnected if any vertex is unreachable from any source, and an
-// error if a distance exceeds the representable range.
-func (g *Graph) AllDistances(sources []int) ([][]uint8, error) {
-	return g.AllDistancesWorkers(sources, 0)
-}
-
 // MaxDistMatrixBytes caps the size of a uint8 distance matrix a single
 // call may allocate. uint8 rows already cut the footprint 4× against
 // int32 (a 100k-host matrix is 10 GB instead of 40 GB), but past this
@@ -309,48 +281,4 @@ func CheckDistMatrixSize(rows, cols int) error {
 			rows, cols, need, MaxDistMatrixBytes)
 	}
 	return nil
-}
-
-// AllDistancesWorkers is AllDistances with an explicit worker count
-// (<= 0 means GOMAXPROCS). The result is identical for any worker count.
-func (g *Graph) AllDistancesWorkers(sources []int, workers int) ([][]uint8, error) {
-	if err := CheckDistMatrixSize(len(sources), g.n); err != nil {
-		return nil, err
-	}
-	out := make([][]uint8, len(sources))
-	backing := make([]uint8, len(sources)*g.n)
-	err := g.MultiBFSRows(sources, workers, func(i int, dist []int32) error {
-		row := backing[i*g.n : (i+1)*g.n]
-		out[i] = row
-		return fillUint8Row(row, dist)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// fillUint8Row narrows one BFS row to uint8, rejecting unreachable
-// vertices and distances beyond MaxUint8Dist (255 is reserved as the
-// UnreachableDist sentinel, never a hop count).
-func fillUint8Row(row []uint8, dist []int32) error {
-	for v, d := range dist {
-		if d == Unreachable {
-			return ErrDisconnected
-		}
-		if d > MaxUint8Dist {
-			return fmt.Errorf("graph: distance %d exceeds uint8 range [0,%d] (255 is the unreachable sentinel)", d, MaxUint8Dist)
-		}
-		row[v] = uint8(d)
-	}
-	return nil
-}
-
-// allSources returns [0, n).
-func (g *Graph) allSources() []int {
-	s := make([]int, g.n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
 }

@@ -6,12 +6,14 @@
 package graph_test
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dctopo/internal/graph"
 	"dctopo/topo"
@@ -65,7 +67,7 @@ func checkRowsMatchScalar(t *testing.T, g *graph.Graph, sources []int, workers i
 			}
 		}
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -136,8 +138,7 @@ func TestMultiBFSRowsMatchesScalarGenerated(t *testing.T) {
 }
 
 // TestMultiBFSRowsDisconnected checks that unreachable vertices carry
-// Unreachable in batch mode exactly as in scalar BFS, and that the
-// uint8 narrowing surfaces ErrDisconnected.
+// Unreachable in batch mode exactly as in scalar BFS.
 func TestMultiBFSRowsDisconnected(t *testing.T) {
 	// Two components: a 40-ring and a 30-ring.
 	b := graph.NewBuilder(70)
@@ -154,9 +155,6 @@ func TestMultiBFSRowsDisconnected(t *testing.T) {
 	}
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		checkRowsMatchScalar(t, g, all, workers)
-	}
-	if _, err := g.AllDistances(all); !errors.Is(err, graph.ErrDisconnected) {
-		t.Fatalf("AllDistances on disconnected graph: err = %v, want ErrDisconnected", err)
 	}
 }
 
@@ -176,63 +174,6 @@ func TestMultiBFSRowsMultigraph(t *testing.T) {
 	checkRowsMatchScalar(t, g, all, 1)
 }
 
-// TestMultiBFSEmitOrder pins the deterministic emit sequence: sources in
-// order, vertices ascending, unreachable vertices skipped.
-func TestMultiBFSEmitOrder(t *testing.T) {
-	g := randomGraph(30, 20, 3)
-	sources := []int{5, 1, 28, 5, 0, 13, 7, 19, 2}
-	var got [][3]int
-	g.MultiBFS(sources, func(src, v, dist int) {
-		got = append(got, [3]int{src, v, dist})
-	})
-	var want [][3]int
-	for _, s := range sources {
-		dist := g.BFS(s, nil)
-		for v, d := range dist {
-			if d >= 0 {
-				want = append(want, [3]int{s, v, int(d)})
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("emitted %d tuples, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("emit[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestAllDistances254 pins the uint8 boundary: 255 is reserved as the
-// unreachable sentinel, so a 255-node path (diameter 254 =
-// graph.MaxUint8Dist) must be accepted, and a 256-node path (diameter
-// 255) must overflow with a distance error, not silently collide with
-// the sentinel.
-func TestAllDistances254(t *testing.T) {
-	g := pathGraph(255)
-	all := make([]int, g.N())
-	for i := range all {
-		all[i] = i
-	}
-	d, err := g.AllDistances(all)
-	if err != nil {
-		t.Fatalf("255-node path: %v", err)
-	}
-	if d[0][254] != graph.MaxUint8Dist || d[254][0] != graph.MaxUint8Dist {
-		t.Fatalf("corner distances = %d, %d, want %d", d[0][254], d[254][0], graph.MaxUint8Dist)
-	}
-	if _, err := g.APSP(); err != nil {
-		t.Fatalf("APSP on 255-node path: %v", err)
-	}
-
-	g = pathGraph(256)
-	all = append(all, 255)
-	if _, err := g.AllDistances(all); err == nil || errors.Is(err, graph.ErrDisconnected) {
-		t.Fatalf("256-node path: err = %v, want uint8 overflow error", err)
-	}
-}
-
 // TestMultiBFSRowsErrorLowestIndex checks the deterministic error
 // contract: when fills fail, the error of the lowest observed source
 // index is returned.
@@ -246,7 +187,7 @@ func TestMultiBFSRowsErrorLowestIndex(t *testing.T) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		err := g.MultiBFSRows(sources, workers, func(i int, dist []int32) error {
 			return boom(i)
-		})
+		}, nil)
 		if err == nil || err.Error() != "boom 0" {
 			t.Fatalf("workers=%d: err = %v, want boom 0", workers, err)
 		}
@@ -257,48 +198,40 @@ func TestMultiBFSRowsErrorLowestIndex(t *testing.T) {
 			return boom(i)
 		}
 		return nil
-	})
+	}, nil)
 	if err == nil || err.Error() != "boom 3" {
 		t.Fatalf("err = %v, want boom 3", err)
 	}
 }
 
-// TestAPSPDiameterAvgMatchScalar cross-checks the rewired aggregate
-// consumers against direct scalar computation.
-func TestAPSPDiameterAvgMatchScalar(t *testing.T) {
-	g := randomGraph(90, 70, 11)
-	d, err := g.APSP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDiam := 0
-	var wantSum int64
-	for s := 0; s < g.N(); s++ {
-		dist := g.BFS(s, nil)
-		for v, dd := range dist {
-			if int32(d[s][v]) != dd {
-				t.Fatalf("APSP[%d][%d] = %d, scalar %d", s, v, d[s][v], dd)
-			}
-			if int(dd) > wantDiam {
-				wantDiam = int(dd)
-			}
-			wantSum += int64(dd)
+// TestMultiBFSRowsOnBatch checks the timing hook's accounting: on
+// both sides of ScalarCrossover and for any worker count, the batches
+// it reports cover every source exactly once in total.
+func TestMultiBFSRowsOnBatch(t *testing.T) {
+	g := randomGraph(80, 60, 5)
+	for _, ns := range []int{graph.ScalarCrossover - 1, 150} {
+		sources := make([]int, ns)
+		for i := range sources {
+			sources[i] = i % g.N()
 		}
-	}
-	diam, err := g.Diameter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diam != wantDiam {
-		t.Fatalf("Diameter = %d, want %d", diam, wantDiam)
-	}
-	avg, err := g.AvgPathLength()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(wantSum) / float64(g.N()*(g.N()-1))
-	if avg != want {
-		t.Fatalf("AvgPathLength = %v, want %v (must be bit-identical)", avg, want)
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			var covered, calls atomic.Int64
+			err := g.MultiBFSRows(sources, workers, func(int, []int32) error { return nil },
+				func(n int, d time.Duration) {
+					covered.Add(int64(n))
+					calls.Add(1)
+					if d < 0 {
+						t.Errorf("negative batch duration %v", d)
+					}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if covered.Load() != int64(ns) || calls.Load() == 0 {
+				t.Fatalf("sources=%d workers=%d: onBatch covered %d sources in %d calls, want %d",
+					ns, workers, covered.Load(), calls.Load(), ns)
+			}
+		}
 	}
 }
 
@@ -324,19 +257,24 @@ func TestBitset(t *testing.T) {
 	}
 }
 
-// TestDistMatrixCap: above the configured byte cap, AllDistances must
-// refuse with a sizing error instead of attempting the allocation.
+// TestDistMatrixCap: above the configured byte cap, CheckDistMatrixSize
+// must refuse with a sizing error that names the knob, so callers fail
+// before attempting the allocation; at the cap it must pass, and
+// dimensions whose product overflows int64 must not slip through.
 func TestDistMatrixCap(t *testing.T) {
-	g := pathGraph(8)
 	defer func(old int64) { graph.MaxDistMatrixBytes = old }(graph.MaxDistMatrixBytes)
 	graph.MaxDistMatrixBytes = 63 // 8×8 needs 64 bytes
-	if _, err := g.APSP(); err == nil {
-		t.Fatal("APSP above the cap did not fail")
+	if err := graph.CheckDistMatrixSize(8, 8); err == nil {
+		t.Fatal("8×8 above the cap did not fail")
 	} else if !strings.Contains(err.Error(), "MaxDistMatrixBytes") {
 		t.Fatalf("unhelpful capacity error: %v", err)
 	}
 	graph.MaxDistMatrixBytes = 64
-	if _, err := g.APSP(); err != nil {
-		t.Fatalf("APSP at the cap failed: %v", err)
+	if err := graph.CheckDistMatrixSize(8, 8); err != nil {
+		t.Fatalf("8×8 at the cap failed: %v", err)
+	}
+	graph.MaxDistMatrixBytes = math.MaxInt64
+	if err := graph.CheckDistMatrixSize(1<<62, 1<<62); err == nil {
+		t.Fatal("an overflowing product passed the check")
 	}
 }

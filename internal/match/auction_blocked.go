@@ -28,6 +28,7 @@
 package match
 
 import (
+	"math"
 	"sync"
 )
 
@@ -109,21 +110,6 @@ func (uw *U8Weights) weightInRow(row []uint8, i, j int) int64 {
 		h = uw.H[j]
 	}
 	return d * h
-}
-
-// rowMaxRaw returns the largest raw weight in row i.
-func (uw U8Weights) rowMaxRaw(n, i int) int64 {
-	h, m := uw.H, int64(0)
-	for j, d := range uw.Rows(i)[:n] {
-		hw := int64(1)
-		if h != nil {
-			hw = min(h[i], h[j])
-		}
-		if v := int64(d) * hw; v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // u8Bidder is the tiled top-2 bid kernel shared by AuctionBlocked and
@@ -286,53 +272,58 @@ func (bd *u8Bidder) csCheck(i, jAt int, price []int64) bool {
 	return sc(jAt)-price[jAt] >= best-1
 }
 
-// u8MaxRaw returns the maximum raw weight over the matrix.
-func u8MaxRaw(n int, uw U8Weights) int64 {
-	h := uw.H
-	uniform := true
-	h0 := int64(1)
-	if len(h) > 0 {
-		h0 = h[0]
-		for _, v := range h[1:] {
-			if v != h0 {
-				uniform = false
-				break
-			}
+// rowMaxRaw returns the largest raw weight in row i.
+func (bd *u8Bidder) rowMaxRaw(i int) int64 {
+	h, m := bd.h, int64(0)
+	for j, d := range bd.rowsFn(i)[:bd.n] {
+		hw := int64(1)
+		if h != nil {
+			hw = min(h[i], h[j])
 		}
-	}
-	if uniform {
-		var md uint8
-		for i := 0; i < n; i++ {
-			for _, d := range uw.Rows(i)[:n] {
-				if d > md {
-					md = d
-				}
-			}
-		}
-		return int64(md) * h0
-	}
-	m := int64(0)
-	for i := 0; i < n; i++ {
-		if v := uw.rowMaxRaw(n, i); v > m {
+		if v := int64(d) * hw; v > m {
 			m = v
 		}
 	}
 	return m
 }
 
-// blockedArena is AuctionBlocked's pooled scratch: everything whose
-// lifetime ends with the call. Result.Col/Row and the Prices copy
-// escape to the caller and are allocated fresh — the steady-state
-// allocation count is a small constant, pinned by
-// TestAuctionBlockedAllocs.
+// maxRaw returns the largest raw weight over the matrix. init has
+// already decided whether H is uniform; when it is, the maximum is the
+// largest distance times the shared multiplier (wTab[d] = d·h₀·scale).
+func (bd *u8Bidder) maxRaw() int64 {
+	if bd.uniform {
+		var md uint8
+		for i := 0; i < bd.n; i++ {
+			for _, d := range bd.rowsFn(i)[:bd.n] {
+				if d > md {
+					md = d
+				}
+			}
+		}
+		return bd.wTab[md] / bd.scale
+	}
+	m := int64(0)
+	for i := 0; i < bd.n; i++ {
+		if v := bd.rowMaxRaw(i); v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// blockedArena is the auction's pooled scratch: everything whose
+// lifetime ends with an AuctionBlocked or AuctionResume call. Result.Col
+// and Row and the Prices copy escape to the caller and are allocated
+// fresh, so the steady-state allocation count is a small constant,
+// pinned by TestAuctionBlockedAllocs and TestAuctionResumeAllocs.
 type blockedArena struct {
 	price   []int64
 	bidAmt  []int64
 	best    []int64
 	hsc     []int64
 	bidObj  []int
-	winner  []int
-	free    []int
+	winner  []int // object -> this round's winning bidder, -1 between rounds
+	free    []int // the free-row queue bid consumes
 	touched []int
 	wTab    [256]int64
 	bd      u8Bidder
@@ -340,7 +331,10 @@ type blockedArena struct {
 
 var blockedArenas = sync.Pool{New: func() interface{} { return new(blockedArena) }}
 
-func (a *blockedArena) grow(n int) {
+// acquireArena takes a pooled arena sized for n and readies its bidder
+// for uw. Prices are left for the caller to set.
+func acquireArena(n int, uw U8Weights) *blockedArena {
+	a := blockedArenas.Get().(*blockedArena)
 	if cap(a.price) < n {
 		a.price = make([]int64, n)
 		a.bidAmt = make([]int64, n)
@@ -359,18 +353,114 @@ func (a *blockedArena) grow(n int) {
 	a.hsc = a.hsc[:n]
 	a.bidObj = a.bidObj[:n]
 	a.winner = a.winner[:n]
+	for j := range a.winner {
+		a.winner[j] = -1
+	}
+	a.bd.init(n, uw, &a.wTab, a.hsc)
+	return a
+}
+
+// release drops the caller's references (row views, closures) so the
+// pool never pins a caller's matrix alive, and returns a to the pool.
+func (a *blockedArena) release() {
+	a.bd.rowsFn, a.bd.h = nil, nil
+	a.bd.rows = [auctionBlock][]uint8{}
+	blockedArenas.Put(a)
+}
+
+// finish packages the matching and a copy of the final prices, then
+// releases the arena.
+func (a *blockedArena) finish(uw U8Weights, owner, assign []int) (*Result, []int64) {
+	res := &Result{Col: assign, Row: owner}
+	for i := range assign {
+		res.Total += uw.weightInRow(uw.Rows(i), i, assign[i])
+	}
+	prices := append([]int64(nil), a.price...)
+	a.release()
+	return res, prices
+}
+
+// bid is the auction's one bidding loop: block-synchronous bidding at
+// increment eps against a.price until every row on the a.free queue —
+// and every row a bid displaces — holds an object. Each round the first
+// auctionBlock queued rows bid against the round's frozen prices, and
+// the bids resolve in queue order with strict comparisons, so ties go
+// to the earliest bidder. maxW guards the bid spread: a row with no
+// second candidate (n = 1) or a pathological spread bids eps alone,
+// which still raises the price by ≥ eps and so keeps ε-CS. bid stops
+// early, between rounds, once maxRounds rounds have run, reporting
+// done = false with the matching partial.
+func (a *blockedArena) bid(owner, assign []int, eps, maxW int64, maxRounds int) (rounds, bids int, done bool) {
+	bd, price := &a.bd, a.price
+	bidObj, bidAmt, best, winner := a.bidObj, a.bidAmt, a.best, a.winner
+	free, touched := a.free, a.touched[:0]
+	head := 0
+	for head < len(free) {
+		if rounds >= maxRounds {
+			a.free = free[:0]
+			return rounds, bids, false
+		}
+		b := auctionBlock
+		if rem := len(free) - head; b > rem {
+			b = rem
+		}
+		blk := free[head : head+b]
+		rounds++
+		bids += b
+		bd.scan(blk, price)
+		for bi, i := range blk {
+			bestV, secondV := bd.topV[bi], bd.topS[bi]
+			if secondV < bestV-maxW {
+				secondV = bestV
+			}
+			bidObj[i] = bd.topJ[bi]
+			bidAmt[i] = bestV - secondV + eps
+		}
+		touched = touched[:0]
+		for _, i := range blk {
+			j := bidObj[i]
+			if winner[j] == -1 {
+				touched = append(touched, j)
+				best[j] = bidAmt[i]
+				winner[j] = i
+			} else if bidAmt[i] > best[j] {
+				best[j] = bidAmt[i]
+				winner[j] = i
+			}
+		}
+		for _, j := range touched {
+			i := winner[j]
+			price[j] += best[j]
+			if prev := owner[j]; prev >= 0 {
+				assign[prev] = -1
+				free = append(free, prev)
+			}
+			owner[j] = i
+			assign[i] = j
+			winner[j] = -1
+		}
+		for _, i := range blk {
+			if assign[i] < 0 {
+				free = append(free, i)
+			}
+		}
+		head += b
+		if head >= bd.n {
+			free = append(free[:0], free[head:]...)
+			head = 0
+		}
+	}
+	a.free = free[:0] // keep any growth for the next run
+	return rounds, bids, true
 }
 
 // AuctionBlocked computes a maximum-weight perfect matching with a
 // block-synchronous ε-scaling auction, for weights of the U8Weights
 // shape, without materializing a weight matrix. Weights are scaled by
-// n+1 so the final ε = 1 phase certifies an exact optimum. Bidding
-// proceeds in blocks: the first auctionBlock free persons (in
-// ascending index order) bid against the block's frozen prices, and
-// the bids are resolved in ascending person order with strict
-// comparisons, so ties go to the lowest-indexed bidder. On equal
-// weights it reproduces the test-side reference AuctionSharded's run
-// exactly: same matching, same stats, same final prices (the ε
+// n+1 so the final ε = 1 phase certifies an exact optimum. Each phase
+// frees every row and runs bid from the previous phase's prices. On
+// equal weights it reproduces the test-side reference AuctionSharded's
+// run exactly: same matching, same stats, same final prices (the ε
 // schedule, block partition, bid values and resolution order are all
 // identical — see the package comment for why the tiled scan preserves
 // them). The Total therefore always equals the Jonker–Volgenant
@@ -378,31 +468,16 @@ func (a *blockedArena) grow(n int) {
 // round there is no parallel width worth the synchronization.
 func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionStats) {
 	var stats AuctionStats
-
-	a := blockedArenas.Get().(*blockedArena)
-	a.grow(n)
-	bd := &a.bd
-	bd.init(n, uw, &a.wTab, a.hsc)
-
-	stats.MaxRaw = u8MaxRaw(n, uw)
-	maxW := stats.MaxRaw * bd.scale
+	a := acquireArena(n, uw)
+	stats.MaxRaw = a.bd.maxRaw()
+	maxW := stats.MaxRaw * a.bd.scale
 	epsStart := maxW / 2
 	if epsStart < 1 {
 		epsStart = 1
 	}
-
-	price := a.price
-	for j := range price {
-		price[j] = 0
-	}
+	clear(a.price)
 	owner := make([]int, n)  // column -> row, -1 if free; escapes as Result.Row
 	assign := make([]int, n) // row -> column, -1 if free; escapes as Result.Col
-	bidObj, bidAmt, best, winner := a.bidObj, a.bidAmt, a.best, a.winner
-	for j := range winner {
-		winner[j] = -1
-	}
-	free := a.free[:0]
-	touched := a.touched[:0]
 
 	for phase, eps := 0, epsStart; ; phase, eps = phase+1, eps/4 {
 		if eps < 1 {
@@ -414,86 +489,21 @@ func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionSt
 		for i := range assign {
 			assign[i] = -1
 		}
-		free = free[:0]
 		for i := 0; i < n; i++ {
-			free = append(free, i)
+			a.free = append(a.free, i)
 		}
-		head := 0
-		phaseRounds, phaseBids := 0, 0
-		for head < len(free) {
-			b := auctionBlock
-			if rem := len(free) - head; b > rem {
-				b = rem
-			}
-			blk := free[head : head+b]
-			phaseRounds++
-			phaseBids += b
-			bd.scan(blk, price)
-			for bi, i := range blk {
-				bestV, secondV := bd.topV[bi], bd.topS[bi]
-				if secondV < bestV-maxW { // n == 1: no second candidate
-					secondV = bestV
-				}
-				bidObj[i] = bd.topJ[bi]
-				bidAmt[i] = bestV - secondV + eps
-			}
-			// Sequential resolution in block order — verbatim from the
-			// reference kernel, so ties keep the earliest bidder.
-			touched = touched[:0]
-			for _, i := range blk {
-				j := bidObj[i]
-				if winner[j] == -1 {
-					touched = append(touched, j)
-					best[j] = bidAmt[i]
-					winner[j] = i
-				} else if bidAmt[i] > best[j] {
-					best[j] = bidAmt[i]
-					winner[j] = i
-				}
-			}
-			for _, j := range touched {
-				i := winner[j]
-				price[j] += best[j]
-				if prev := owner[j]; prev >= 0 {
-					assign[prev] = -1
-					free = append(free, prev)
-				}
-				owner[j] = i
-				assign[i] = j
-				winner[j] = -1
-			}
-			for _, i := range blk {
-				if assign[i] < 0 {
-					free = append(free, i)
-				}
-			}
-			head += b
-			if head >= n {
-				free = append(free[:0], free[head:]...)
-				head = 0
-			}
-		}
+		rounds, bids, _ := a.bid(owner, assign, eps, maxW, math.MaxInt)
 		stats.Phases++
-		stats.Rounds += phaseRounds
-		stats.Bids += phaseBids
+		stats.Rounds += rounds
+		stats.Bids += bids
 		if opt.OnPhase != nil {
-			opt.OnPhase(phase, eps, phaseRounds, phaseBids)
+			opt.OnPhase(phase, eps, rounds, bids)
 		}
 		if eps == 1 {
 			break
 		}
 	}
-	a.free = free[:0] // keep any growth for the next run
-
-	res := &Result{Col: assign, Row: owner}
-	for i := 0; i < n; i++ {
-		res.Total += uw.weightInRow(uw.Rows(i), i, assign[i])
-	}
-	stats.Prices = append([]int64(nil), price...)
-	// Drop caller references (row views, closures) before pooling so the
-	// arena never pins a caller's matrix alive.
-	bd.rowsFn, bd.h = nil, nil
-	bd.rows = [auctionBlock][]uint8{}
-	blockedArenas.Put(a)
+	res, prices := a.finish(uw, owner, assign)
+	stats.Prices = prices
 	return res, stats
 }

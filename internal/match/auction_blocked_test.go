@@ -185,6 +185,9 @@ func TestAuctionBlockedZeroWeights(t *testing.T) {
 // pooled arena absorbs all per-run scratch, leaving only the escaping
 // outputs (Result, Col, Row, the Prices copy) plus closure glue.
 func TestAuctionBlockedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	n := 256
 	m := u8Matrix(n, 7, 3)
 	uw := U8Weights{Rows: u8Rows(m)}

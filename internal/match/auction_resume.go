@@ -17,12 +17,11 @@
 // n + 1 certifies the exact optimum — the same argument that makes the
 // cold auction's last phase exact, independent of its starting prices.
 //
-// The bidding machinery is AuctionBlocked's (same block size, same
-// tiled uint8 bid scan against frozen prices, same sequential strict->
-// resolution). What the resume path deliberately skips is everything
-// amortizable: the O(n²) max-weight scan (the warm start carries the
-// base maximum; only the changed rows are rescanned) and all pre-final
-// ε phases.
+// The bidding loop is AuctionBlocked's own (blockedArena.bid, on the
+// same pooled arena), run once at ε = 1. What the resume path skips is
+// everything amortizable: the O(n²) max-weight scan (the warm start
+// carries the base maximum; only the changed rows are rescanned) and
+// all pre-final ε phases.
 package match
 
 import "sort"
@@ -37,23 +36,21 @@ type AuctionWarmStart struct {
 	MaxRaw int64
 }
 
-// AuctionResumeOptions configures AuctionResume. The zero value (no
-// round cap) is valid.
-type AuctionResumeOptions struct {
-	// MaxRounds caps resumed bidding rounds before giving up and
-	// re-running the full cold AuctionBlocked; <= 0 means no cap. A cap
-	// bounds the worst case of heavily damaged instances where warm
-	// prices buy nothing.
-	MaxRounds int
-}
+// resumeRoundsPerRow scales AuctionResume's round cap (n rows ×
+// resumeRoundsPerRow rounds). Past it the warm prices are evidently not
+// converging — heavily damaged instances where they buy nothing — and
+// the resume falls back to a cold AuctionBlocked run, whose ε schedule
+// handles heavy damage better. A variable so tests can force the
+// fallback.
+var resumeRoundsPerRow = 16
 
 // ResumeStats reports what AuctionResume did.
 type ResumeStats struct {
 	// Freed is the number of rows released for re-bidding; Pruned counts
 	// changed rows the 1-CS prefilter kept matched without bidding.
 	Freed, Pruned int
-	// Rounds and Bids count the resumed bidding work (on the fallback
-	// path, the cold run's work).
+	// Rounds and Bids count the resumed bidding work; on the fallback
+	// path they add the cold run's work to the capped resume's.
 	Rounds, Bids int
 	// FellBack reports that the round cap was hit and the result comes
 	// from a full cold AuctionBlocked run instead.
@@ -70,12 +67,11 @@ type ResumeStats struct {
 // weights that differ from uw only in the rows listed in changed
 // (duplicates and order don't matter). The total always equals a cold
 // run's; the permutation attaining it may differ.
-func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, opt AuctionResumeOptions) (*Result, ResumeStats) {
+func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int) (*Result, ResumeStats) {
 	// Bids and the prefilter scan the uint8 rows directly.
-	bd := new(u8Bidder)
-	bd.init(n, uw, nil, nil)
-
-	price := append([]int64(nil), warm.Prices...)
+	a := acquireArena(n, uw)
+	bd := &a.bd
+	copy(a.price, warm.Prices)
 	assign := append([]int(nil), warm.Col...)
 	owner := make([]int, n)
 	for j := range owner {
@@ -87,7 +83,7 @@ func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, op
 
 	// Candidate rows: the changed set, lowest index first (the initial
 	// free-queue order is part of the deterministic block partition).
-	free := append([]int(nil), changed...)
+	free := append(a.free[:0], changed...)
 	sort.Ints(free)
 	uniq := free[:0]
 	for k, i := range free {
@@ -103,11 +99,10 @@ func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, op
 	// grow distances past the base maximum).
 	maxRaw := warm.MaxRaw
 	for _, i := range free {
-		if w := uw.rowMaxRaw(n, i); w > maxRaw {
+		if w := bd.rowMaxRaw(i); w > maxRaw {
 			maxRaw = w
 		}
 	}
-	maxW := maxRaw * bd.scale
 
 	// 1-CS prefilter: a changed row whose current assignment still
 	// satisfies 1-CS against the warm prices keeps it. Sound for the same
@@ -120,101 +115,36 @@ func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int, op
 	st := ResumeStats{}
 	violators := free[:0]
 	for _, i := range free {
-		if bd.csCheck(i, assign[i], price) {
+		if bd.csCheck(i, assign[i], a.price) {
 			st.Pruned++
 		} else {
 			violators = append(violators, i)
 		}
 	}
-	free = violators
-	st.Freed = len(free)
-	for _, i := range free {
+	a.free = violators
+	st.Freed = len(violators)
+	for _, i := range violators {
 		owner[assign[i]] = -1
 		assign[i] = -1
 	}
 
-	bidObj := make([]int, n)
-	bidAmt := make([]int64, n)
-	best := make([]int64, n)
-	winner := make([]int, n)
-	for j := range winner {
-		winner[j] = -1
+	// The final ε = 1 phase from the warm prices. The maxW guard caps
+	// pathological spreads the warm prices can produce; a damped bid
+	// keeps ε-CS, so a warm MaxRaw below the true maximum costs rounds,
+	// never exactness. The cap is deterministic: it depends only on the
+	// round count.
+	rounds, bids, done := a.bid(owner, assign, 1, maxRaw*bd.scale, resumeRoundsPerRow*n)
+	st.Rounds, st.Bids = rounds, bids
+	if !done {
+		a.release()
+		res, cold := AuctionBlocked(n, uw, AuctionOptions{})
+		st.FellBack = true
+		st.Rounds += cold.Rounds
+		st.Bids += cold.Bids
+		st.Prices = cold.Prices
+		return res, st
 	}
-	touched := make([]int, 0, auctionBlock)
-
-	head := 0
-	for head < len(free) {
-		if opt.MaxRounds > 0 && st.Rounds >= opt.MaxRounds {
-			// Warm prices aren't converging; the cold auction's ε schedule
-			// handles heavy damage better. Deterministic: depends only on
-			// the round count.
-			res, cold := AuctionBlocked(n, uw, AuctionOptions{})
-			st.FellBack = true
-			st.Rounds += cold.Rounds
-			st.Bids += cold.Bids
-			st.Prices = cold.Prices
-			return res, st
-		}
-		b := auctionBlock
-		if rem := len(free) - head; b > rem {
-			b = rem
-		}
-		blk := free[head : head+b]
-		st.Rounds++
-		st.Bids += b
-		// Best/second-best against the block's frozen prices, ε = 1. The
-		// maxW guard caps pathological spreads the warm prices can
-		// produce; a damped bid keeps ε-CS (the price still rises by
-		// ≥ ε), so a warm MaxRaw below the true maximum costs rounds,
-		// never exactness.
-		bd.scan(blk, price)
-		for bi, i := range blk {
-			bestV, secondV := bd.topV[bi], bd.topS[bi]
-			if secondV < bestV-maxW {
-				secondV = bestV
-			}
-			bidObj[i] = bd.topJ[bi]
-			bidAmt[i] = bestV - secondV + 1 // ε = 1
-		}
-		touched = touched[:0]
-		for _, i := range blk {
-			j := bidObj[i]
-			if winner[j] == -1 {
-				touched = append(touched, j)
-				best[j] = bidAmt[i]
-				winner[j] = i
-			} else if bidAmt[i] > best[j] {
-				best[j] = bidAmt[i]
-				winner[j] = i
-			}
-		}
-		for _, j := range touched {
-			i := winner[j]
-			price[j] += best[j]
-			if prev := owner[j]; prev >= 0 {
-				assign[prev] = -1
-				free = append(free, prev)
-			}
-			owner[j] = i
-			assign[i] = j
-			winner[j] = -1
-		}
-		for _, i := range blk {
-			if assign[i] < 0 {
-				free = append(free, i)
-			}
-		}
-		head += b
-		if head >= n {
-			free = append(free[:0], free[head:]...)
-			head = 0
-		}
-	}
-
-	res := &Result{Col: assign, Row: owner}
-	for i := 0; i < n; i++ {
-		res.Total += uw.weightInRow(uw.Rows(i), i, assign[i])
-	}
-	st.Prices = price
+	res, prices := a.finish(uw, owner, assign)
+	st.Prices = prices
 	return res, st
 }

@@ -141,12 +141,16 @@ func TestAuctionShardedZeroWeights(t *testing.T) {
 // weights, tiny and odd sizes, uniform and non-uniform multipliers,
 // and 1–4 workers for the sharded reference. Any Total mismatch is a
 // bug — all three algorithms are exact — and the blocked kernel must
-// additionally reproduce the sharded run bit for bit.
+// additionally reproduce the sharded run bit for bit. It then redraws
+// the rows rowMask selects (bit i for row i; the redraw range may
+// exceed the base maximum) and resumes from the blocked run's warm
+// state: the resumed Total must equal Jonker–Volgenant on the
+// perturbed weights.
 func FuzzMatching(f *testing.F) {
-	f.Add(uint64(1), uint8(5), uint8(6), uint8(1))
-	f.Add(uint64(2), uint8(1), uint8(0), uint8(4))
-	f.Add(uint64(3), uint8(13), uint8(2), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, maxWRaw, workersRaw uint8) {
+	f.Add(uint64(1), uint8(5), uint8(6), uint8(1), uint32(0b101))
+	f.Add(uint64(2), uint8(1), uint8(0), uint8(4), uint32(0))
+	f.Add(uint64(3), uint8(13), uint8(2), uint8(2), uint32(0xffffff))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, maxWRaw, workersRaw uint8, rowMask uint32) {
 		n := 1 + int(nRaw)%24
 		maxD := int(maxWRaw) % 16 // small range → many duplicate weights
 		workers := 1 + int(workersRaw)%4
@@ -173,6 +177,22 @@ func FuzzMatching(f *testing.F) {
 		blk, blkStats := AuctionBlocked(n, U8Weights{Rows: u8Rows(d), H: h}, AuctionOptions{})
 		checkPerfect(t, n, w, blk)
 		requireSameRun(t, "fuzz blocked", n, blk, res, blkStats, stats)
+
+		var changed []int
+		for i := 0; i < n; i++ {
+			if rowMask>>i&1 == 1 {
+				changed = append(changed, i)
+			}
+		}
+		pert := perturbU8Rows(d, changed, maxD+int(workersRaw>>4), seed+1)
+		pw := u8Fn(pert, h)
+		warm := AuctionWarmStart{Prices: blkStats.Prices, Col: blk.Col, MaxRaw: blkStats.MaxRaw}
+		rs, rst := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed)
+		checkPerfect(t, n, pw, rs)
+		if want := Exact(n, pw).Total; rs.Total != want {
+			t.Fatalf("n=%d maxD=%d seed=%d changed=%v: resumed total %d != JV %d (%+v)",
+				n, maxD, seed, changed, rs.Total, want, rst)
+		}
 	})
 }
 

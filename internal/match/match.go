@@ -15,7 +15,8 @@
 //     hosts.
 //   - AuctionResume: the final ε = 1 phase of AuctionBlocked resumed from
 //     its retained prices after a sparse row change — the what-if
-//     engine's warm rematch.
+//     engine's warm rematch. Both run the one bidding loop,
+//     blockedArena.bid, on the same pooled scratch.
 //   - Greedy: the paper's Algorithm 1 (farthest-pair pairing), a heuristic
 //     used in the proof of Theorem 4.1 and as the fallback past the
 //     auction's size cap.

@@ -121,7 +121,7 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 		rows[i] = backing[i*g.N() : (i+1)*g.N()]
 		copy(rows[i], dist)
 		return nil
-	})
+	}, nil)
 	fw := make([][]graph.Path, len(pairs)) // paths pair[0] -> pair[1]
 	rv := make([][]graph.Path, len(pairs)) // the same paths reversed
 	var stats graph.KSPStats
@@ -220,7 +220,7 @@ func WithinSlack(t *topo.Topology, m *traffic.Matrix, slack, limit int) *Paths {
 		rows[i] = backing[i*g.N() : (i+1)*g.N()]
 		copy(rows[i], dist)
 		return nil
-	})
+	}, nil)
 	for i, d := range m.Demands {
 		if d.Src == d.Dst {
 			continue

@@ -61,7 +61,7 @@ func ECMP(t *topo.Topology, m *traffic.Matrix) (*Result, error) {
 			inject[d.Src] += d.Amount
 		}
 		return ecmpAccumulateDist(g, dist, inject, loads)
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func VLB(t *topo.Topology, m *traffic.Matrix) (*Result, error) {
 			}
 		}
 		return ecmpAccumulateDist(g, dist, inject, loads)
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func VLB(t *topo.Topology, m *traffic.Matrix) (*Result, error) {
 			}
 		}
 		return ecmpAccumulateDist(g, dist, inject, loads)
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -328,7 +328,7 @@ type WhatIfRequest struct {
 	V    int      `json:"v,omitempty"`
 	// Switch is the switch id for mode "switch" (pointer: 0 is valid).
 	Switch *int `json:"switch,omitempty"`
-	// Top truncates rank output (default 10, <= 0 = all).
+	// Top truncates rank output (0 or absent = 10, < 0 = all).
 	Top int `json:"top,omitempty"`
 	// Sample keeps every Sample-th link in sweep/rank (<= 1 = all).
 	Sample int `json:"sample,omitempty"`

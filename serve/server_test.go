@@ -372,6 +372,25 @@ func TestWhatIfWarmQueries(t *testing.T) {
 	}
 }
 
+// TestWhatIfLinkOutOfRange: a link query naming a switch id outside
+// the fabric is the caller's mistake — a 400 with an error body, not a
+// handler panic and a dropped connection.
+func TestWhatIfLinkOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	spec := `{"family":"jellyfish","switches":20,"radix":8,"servers":3,"seed":1}`
+	for _, uv := range [][2]int{{-1, 0}, {20, 0}, {0, 20}} {
+		body := fmt.Sprintf(`{"topo":%s,"mode":"link","u":%d,"v":%d}`, spec, uv[0], uv[1])
+		resp, out := post(t, ts, "/v1/whatif", []byte(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("link (%d,%d): status %d, want 400: %s", uv[0], uv[1], resp.StatusCode, out)
+		}
+		var e apiError
+		if err := json.Unmarshal(out, &e); err != nil || !strings.Contains(e.Error, "invalid link") {
+			t.Fatalf("link (%d,%d): body %s, want an invalid-link error", uv[0], uv[1], out)
+		}
+	}
+}
+
 // TestEngineLRU pins the eviction bound: a third spec through a
 // max-2 cache evicts the least-recently-used engine.
 func TestEngineLRU(t *testing.T) {

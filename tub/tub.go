@@ -261,7 +261,7 @@ func HostDistances(t *topo.Topology) ([][]uint8, error) {
 
 // hostDistances is the shared implementation behind HostDistances and
 // Bound, with an optional per-batch timing hook (see
-// graph.MultiBFSRowsTimed); nil means no timing.
+// graph.MultiBFSRows); nil means no timing.
 func hostDistances(t *topo.Topology, onBatch func(sources int, d time.Duration)) ([][]uint8, error) {
 	g := t.Graph()
 	hosts := t.Hosts()
@@ -274,7 +274,7 @@ func hostDistances(t *topo.Topology, onBatch func(sources int, d time.Duration))
 	for i := range out {
 		out[i] = backing[i*n : (i+1)*n]
 	}
-	err := g.MultiBFSRowsTimed(hosts, 0, func(i int, dist []int32) error {
+	err := g.MultiBFSRows(hosts, 0, func(i int, dist []int32) error {
 		return fillRow(out[i], dist, hosts)
 	}, onBatch)
 	if err != nil {

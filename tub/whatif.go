@@ -17,10 +17,11 @@
 //     affected rows into copy-on-write overlays, bit-identical to a
 //     cold BFS on the damaged graph, each compacted onto host columns
 //     as it is repaired;
-//  3. match.AuctionResume, which frees exactly the hosts whose rows
-//     changed and re-runs the auction's final ε = 1 bidding loop from
-//     the retained prices — exact by the same complementary-slackness
-//     argument as the cold auction's last phase.
+//  3. match.AuctionResume, which checks each changed host row for 1-CS
+//     against the retained prices, frees only the rows that fail, and
+//     re-runs the auction's final ε = 1 bidding loop from those prices
+//     — exact by the same complementary-slackness argument as the cold
+//     auction's last phase.
 //
 // Removals that disconnect a host pair short-circuit to Bound 0 with
 // Disconnected set (the worst-case permutation pairs unreachable
@@ -50,11 +51,6 @@ import (
 // affected cone exceeds this fraction of the switches, delta repair
 // stops paying for itself and the row is recomputed with a plain BFS.
 const maxAffectedFrac = 0.25
-
-// defaultResumeRoundsPerHost scales the warm rematch round cap: past
-// it the retained prices are evidently not helping and the engine
-// falls back to a cold auction for that query.
-const defaultResumeRoundsPerHost = 16
 
 // WhatIfOptions configures NewWhatIf.
 type WhatIfOptions struct {
@@ -195,7 +191,7 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 			return err
 		}
 		return fillRow(e.hh[i*n:(i+1)*n], dist, hosts)
-	})
+	}, nil)
 	dsp.End()
 	if err != nil {
 		return nil, err
@@ -283,6 +279,9 @@ func (e *WhatIf) observe(mode string, start time.Time, frontier int) {
 // t.RemoveLink(u, v) with an exact matcher, or Bound 0 with
 // Disconnected set when the removal separates host pairs.
 func (e *WhatIf) QueryLink(u, v int) (*QueryResult, error) {
+	if u < 0 || u >= e.nsw || v < 0 || v >= e.nsw {
+		return nil, fmt.Errorf("tub: invalid link (%d,%d): switch ids are in [0,%d)", u, v, e.nsw)
+	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	return e.queryLink(u, v, sc)
@@ -475,12 +474,10 @@ func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*Qu
 		return q, nil
 	}
 
-	// Warm rematch: free exactly the hosts whose rows changed.
-	// AuctionResume folds their new weights into the base maximum the
-	// warm start carries.
-	res, st := match.AuctionResume(len(e.hosts), e.u8At(sc), e.warm, sc.changed, match.AuctionResumeOptions{
-		MaxRounds: defaultResumeRoundsPerHost * len(e.hosts),
-	})
+	// Warm rematch from the changed host rows: AuctionResume frees those
+	// that fail 1-CS against the warm prices and folds their new weights
+	// into the base maximum the warm start carries.
+	res, st := match.AuctionResume(len(e.hosts), e.u8At(sc), e.warm, sc.changed)
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation after removal")
 	}

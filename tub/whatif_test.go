@@ -327,6 +327,24 @@ func TestWhatIfQueryErrors(t *testing.T) {
 	}
 }
 
+// TestWhatIfQueryLinkOutOfRange: switch ids outside [0, switches) are
+// an error, as for QuerySwitch, never an index panic.
+func TestWhatIfQueryLinkOutOfRange(t *testing.T) {
+	tp, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 20, Radix: 8, Servers: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewWhatIf(tp, WhatIfOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range [][2]int{{-1, 0}, {0, -1}, {20, 0}, {0, 20}, {math.MaxInt, 1}} {
+		if q, err := e.QueryLink(l[0], l[1]); err == nil {
+			t.Errorf("QueryLink(%d, %d) = %+v, want an error", l[0], l[1], q)
+		}
+	}
+}
+
 // FuzzWhatIfEquivalence fuzzes the incremental-vs-cold equivalence over
 // generated Jellyfish instances and arbitrary removals. Wired into the
 // CI fuzz smoke step.
