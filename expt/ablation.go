@@ -10,7 +10,8 @@ import (
 )
 
 // AblationParams configures the design-choice ablations of DESIGN.md:
-// the maximal-permutation matcher (exact JV vs auction vs the paper's
+// the maximal-permutation matcher (exact JV vs AuctionMatcher — the
+// tight graph with an auction for any deficit — vs the paper's
 // greedy Algorithm 1) and the MCF backend (simplex vs Garg–Könemann).
 type AblationParams struct {
 	Radix, Servers int

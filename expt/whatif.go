@@ -78,8 +78,9 @@ var cdfPercentiles = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 95, 99, 100}
 // RunWhatIf builds the incremental what-if engine once, sweeps every
 // (sampled) link, and reports the critical-link ranking plus the
 // degradation CDF. The whole sweep reuses the base distance rows and
-// auction prices, so per-link cost is the repair cone plus a warm
-// rematch — not a fresh TUB evaluation.
+// the base matching's warm start (zero prices when the row-max tight
+// graph matched every host), so per-link cost is the repair cone plus a
+// warm rematch — not a fresh TUB evaluation.
 func RunWhatIf(p WhatIfParams, opt RunOptions) (_ *WhatIfResult, err error) {
 	ro, rsp := opt.Obs.Start("expt.whatif",
 		obs.String("family", string(p.Family)), obs.Int("switches", p.Switches))

@@ -52,14 +52,9 @@ const auctionTile = 4096
 // 16-way shardable scan per round.
 const auctionBlock = 16
 
-// AuctionOptions configures AuctionBlocked. The zero value (no phase
-// callback) is valid.
-type AuctionOptions struct {
-	// OnPhase, when non-nil, is called after each ε-scaling phase with
-	// the phase index (from 0), the ε it ran at, and the bidding rounds
-	// and bids it took. Observability only; never changes the matching.
-	OnPhase func(phase int, eps int64, rounds, bids int)
-}
+// AuctionOptions configures AuctionBlocked. It has no fields; it stays
+// in AuctionBlocked's signature so existing callers keep compiling.
+type AuctionOptions struct{}
 
 // AuctionStats reports how much work an auction run did.
 type AuctionStats struct {
@@ -479,7 +474,7 @@ func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionSt
 	owner := make([]int, n)  // column -> row, -1 if free; escapes as Result.Row
 	assign := make([]int, n) // row -> column, -1 if free; escapes as Result.Col
 
-	for phase, eps := 0, epsStart; ; phase, eps = phase+1, eps/4 {
+	for eps := epsStart; ; eps /= 4 {
 		if eps < 1 {
 			eps = 1
 		}
@@ -496,9 +491,6 @@ func AuctionBlocked(n int, uw U8Weights, opt AuctionOptions) (*Result, AuctionSt
 		stats.Phases++
 		stats.Rounds += rounds
 		stats.Bids += bids
-		if opt.OnPhase != nil {
-			opt.OnPhase(phase, eps, rounds, bids)
-		}
 		if eps == 1 {
 			break
 		}

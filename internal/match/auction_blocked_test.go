@@ -125,7 +125,7 @@ func TestAuctionBlockedBitIdenticalToSharded(t *testing.T) {
 			m := u8Matrix(n, 9, seed)
 			for _, h := range [][]int64{nil, randomH(n, seed+7)} {
 				w := u8Fn(m, h)
-				ref, refStats := AuctionSharded(n, w, 1, AuctionOptions{})
+				ref, refStats := AuctionSharded(n, w, 1)
 				res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{})
 				checkPerfect(t, n, w, res)
 				requireSameRun(t, "blocked", n, res, ref, stats, refStats)
@@ -147,7 +147,7 @@ func TestAuctionBlockedTileBoundaries(t *testing.T) {
 	for _, n := range []int{auctionTile - 1, auctionTile, auctionTile + 1} {
 		m := u8Matrix(n, 4, uint64(n))
 		w := u8Fn(m, nil)
-		ref, refStats := AuctionSharded(n, w, 1, AuctionOptions{})
+		ref, refStats := AuctionSharded(n, w, 1)
 		res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m)}, AuctionOptions{})
 		checkPerfect(t, n, w, res)
 		requireSameRun(t, "tile boundary", n, res, ref, stats, refStats)
@@ -156,7 +156,7 @@ func TestAuctionBlockedTileBoundaries(t *testing.T) {
 	m := u8Matrix(n, 6, 5)
 	h := randomH(n, 9)
 	w := u8Fn(m, h)
-	ref, refStats := AuctionSharded(n, w, 1, AuctionOptions{})
+	ref, refStats := AuctionSharded(n, w, 1)
 	res, stats := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{})
 	checkPerfect(t, n, w, res)
 	requireSameRun(t, "n=1000", n, res, ref, stats, refStats)

@@ -3,16 +3,21 @@
 //
 // A completed AuctionBlocked run ends with every (person, object) pair
 // satisfying 1-CS — complementary slackness with slack ε = 1 — against
-// its final prices in the scaled weight domain. When only a few rows of
-// the weight matrix change (a what-if query perturbs the distances of a
-// handful of hosts), every unchanged row still satisfies 1-CS against
-// those same prices: its weights and its object's price are untouched,
-// and prices only ever rise, which can only loosen the other side of the
-// inequality. The same holds for a changed row that still passes a
-// direct 1-CS check against the warm prices (its entries moved, but not
-// enough to beat its assignment's slack). So it suffices to free the
-// changed rows that fail that check and run
-// the final ε = 1 bidding loop until they are re-assigned. At
+// its final prices in the scaled weight domain. So does a Tight run: a
+// perfect tight matching satisfies exact CS at zero prices, and a
+// deficit ends in a resume. Tight's deficit pass is itself a resume,
+// from zero prices with the rows the tight graph left unmatched as the
+// changed set.
+//
+// When only a few rows of the weight matrix change (a what-if query
+// perturbs the distances of a handful of hosts), every unchanged row
+// still satisfies 1-CS against those same prices: its weights and its
+// object's price are untouched, and prices only ever rise, which can
+// only loosen the other side of the inequality. The same holds for a
+// changed row that still passes a direct 1-CS check against the warm
+// prices (its entries moved, but not enough to beat its assignment's
+// slack). So it suffices to free the changed rows that fail that check
+// and run the final ε = 1 bidding loop until they are re-assigned. At
 // termination all n pairs satisfy 1-CS, which with weights scaled by
 // n + 1 certifies the exact optimum — the same argument that makes the
 // cold auction's last phase exact, independent of its starting prices.
@@ -26,10 +31,13 @@ package match
 
 import "sort"
 
-// AuctionWarmStart is the retained state of a completed AuctionBlocked
-// run on the base weights: the final scaled prices (AuctionStats.Prices),
-// the matching (Result.Col) and the largest raw weight
-// (AuctionStats.MaxRaw). AuctionResume treats all three as read-only.
+// AuctionWarmStart is the retained state of an exact matching on the
+// base weights: scaled prices against which every row's assignment
+// satisfies 1-CS, the matching (Result.Col) and the largest raw weight.
+// Tight returns one (zero prices when its tight matching is perfect);
+// a completed AuctionBlocked run gives AuctionStats.Prices and
+// AuctionStats.MaxRaw; a resume gives ResumeStats.Prices. AuctionResume
+// treats all three fields as read-only.
 type AuctionWarmStart struct {
 	Prices []int64
 	Col    []int
@@ -63,9 +71,11 @@ type ResumeStats struct {
 }
 
 // AuctionResume computes the exact maximum-weight perfect matching for
-// weights uw, given warm state from a completed AuctionBlocked run on
-// weights that differ from uw only in the rows listed in changed
-// (duplicates and order don't matter). The total always equals a cold
+// weights uw, given a warm start (see AuctionWarmStart) whose rows
+// outside changed satisfy 1-CS against its prices under uw — as they do
+// when the warm start is an exact matching on weights that differ from
+// uw only in the rows listed in changed (duplicates and order don't
+// matter). The total always equals a cold
 // run's; the permutation attaining it may differ.
 func AuctionResume(n int, uw U8Weights, warm AuctionWarmStart, changed []int) (*Result, ResumeStats) {
 	// Bids and the prefilter scan the uint8 rows directly.

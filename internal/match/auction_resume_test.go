@@ -76,7 +76,7 @@ func TestAuctionResumeU8(t *testing.T) {
 	n := 120
 	for _, h := range multipliers(n, 77) {
 		base := u8Matrix(n, 9, 3)
-		shRes, shStats := AuctionSharded(n, u8Fn(base, h), 0, AuctionOptions{})
+		shRes, shStats := AuctionSharded(n, u8Fn(base, h), 0)
 		_, blkWarm := warmStart(base, h)
 		pert := perturbU8Rows(base, []int{5, 17, 80}, 9, 4)
 		uw := U8Weights{Rows: u8Rows(pert), H: h}
@@ -122,7 +122,7 @@ func TestAuctionResumeU8Fallback(t *testing.T) {
 	lowerResumeCap(t, 1)
 	n := 40
 	base := u8Matrix(n, 12, 11)
-	warmRes, warmStats := AuctionSharded(n, u8Fn(base, nil), 0, AuctionOptions{})
+	warmRes, warmStats := AuctionSharded(n, u8Fn(base, nil), 0)
 	changed := make([]int, n)
 	for i := range changed {
 		changed[i] = i

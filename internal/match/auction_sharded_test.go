@@ -44,7 +44,7 @@ func TestAuctionShardedMatchesExact(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			m := randomMatrix(n, 12, seed) // small maxW forces duplicate weights
 			want := Exact(n, fn(m)).Total
-			res, stats := AuctionSharded(n, fn(m), 1, AuctionOptions{})
+			res, stats := AuctionSharded(n, fn(m), 1)
 			checkPerfect(t, n, fn(m), res)
 			if res.Total != want {
 				t.Fatalf("n=%d seed=%d: sharded auction total %d != JV %d", n, seed, res.Total, want)
@@ -61,7 +61,7 @@ func TestAuctionShardedMatchesBruteForce(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			m := randomMatrix(n, 5, seed)
 			want := bruteForce(n, fn(m))
-			res, _ := AuctionSharded(n, fn(m), 0, AuctionOptions{})
+			res, _ := AuctionSharded(n, fn(m), 0)
 			if res.Total != want {
 				t.Fatalf("n=%d seed=%d: total %d != brute force %d", n, seed, res.Total, want)
 			}
@@ -74,9 +74,9 @@ func TestAuctionShardedMatchesBruteForce(t *testing.T) {
 func TestAuctionShardedDeterministicAcrossWorkers(t *testing.T) {
 	n := 120
 	m := randomMatrix(n, 9, 42)
-	base, baseStats := AuctionSharded(n, fn(m), 1, AuctionOptions{})
+	base, baseStats := AuctionSharded(n, fn(m), 1)
 	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0)} {
-		res, stats := AuctionSharded(n, fn(m), workers, AuctionOptions{})
+		res, stats := AuctionSharded(n, fn(m), workers)
 		if res.Total != base.Total {
 			t.Fatalf("workers=%d: total %d != %d", workers, res.Total, base.Total)
 		}
@@ -96,60 +96,36 @@ func TestAuctionShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestAuctionShardedOnPhase(t *testing.T) {
-	n := 24
-	m := randomMatrix(n, 50, 7)
-	var phases, rounds, bids int
-	lastEps := int64(-1)
-	res, stats := AuctionSharded(n, fn(m), 0, AuctionOptions{
-		OnPhase: func(phase int, eps int64, r, b int) {
-			if phase != phases {
-				t.Fatalf("phase callback out of order: got %d want %d", phase, phases)
-			}
-			phases++
-			rounds += r
-			bids += b
-			lastEps = eps
-		},
-	})
-	if phases != stats.Phases || rounds != stats.Rounds || bids != stats.Bids {
-		t.Fatalf("callback totals (%d,%d,%d) != stats %+v", phases, rounds, bids, stats)
-	}
-	if lastEps != 1 {
-		t.Fatalf("final phase eps = %d, want 1", lastEps)
-	}
-	if want := Exact(n, fn(m)).Total; res.Total != want {
-		t.Fatalf("total %d != JV %d", res.Total, want)
-	}
-}
-
 // TestAuctionShardedZeroWeights: an all-zero matrix (every matching
 // optimal, every bid tied) must still terminate and produce a valid
 // permutation.
 func TestAuctionShardedZeroWeights(t *testing.T) {
 	n := 9
 	w := func(i, j int) int64 { return 0 }
-	res, _ := AuctionSharded(n, w, 2, AuctionOptions{})
+	res, _ := AuctionSharded(n, w, 2)
 	checkPerfect(t, n, w, res)
 	if res.Total != 0 {
 		t.Fatalf("total %d != 0", res.Total)
 	}
 }
 
-// FuzzMatching cross-checks the sharded and blocked auctions against
-// Jonker–Volgenant on fuzzer-chosen integer matrices: duplicate-heavy
-// weights, tiny and odd sizes, uniform and non-uniform multipliers,
-// and 1–4 workers for the sharded reference. Any Total mismatch is a
-// bug — all three algorithms are exact — and the blocked kernel must
-// additionally reproduce the sharded run bit for bit. It then redraws
-// the rows rowMask selects (bit i for row i; the redraw range may
-// exceed the base maximum) and resumes from the blocked run's warm
-// state: the resumed Total must equal Jonker–Volgenant on the
-// perturbed weights.
+// FuzzMatching cross-checks the sharded and blocked auctions and the
+// tight-graph matcher (Tight) against Jonker–Volgenant on fuzzer-chosen
+// integer matrices: duplicate-heavy weights, tiny and odd sizes,
+// uniform and non-uniform multipliers, and 1–4 workers for the sharded
+// reference. Any Total mismatch is a bug — all four are exact — and
+// the blocked kernel must additionally reproduce the sharded run bit
+// for bit. Tight is checked on both of its paths: a perfect tight
+// matching (no auction work, Total = the row-max sum) and a deficit the
+// resume covers. It then redraws the rows rowMask selects (bit i for
+// row i; the redraw range may exceed the base maximum) and resumes from
+// the blocked run's and from Tight's warm state: both resumed Totals
+// must equal Jonker–Volgenant on the perturbed weights.
 func FuzzMatching(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(6), uint8(1), uint32(0b101))
 	f.Add(uint64(2), uint8(1), uint8(0), uint8(4), uint32(0))
 	f.Add(uint64(3), uint8(13), uint8(2), uint8(2), uint32(0xffffff))
+	f.Add(uint64(4), uint8(20), uint8(15), uint8(3), uint32(0b1100))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, maxWRaw, workersRaw uint8, rowMask uint32) {
 		n := 1 + int(nRaw)%24
 		maxD := int(maxWRaw) % 16 // small range → many duplicate weights
@@ -168,7 +144,7 @@ func FuzzMatching(f *testing.F) {
 		}
 		w := u8Fn(d, h)
 		want := Exact(n, w).Total
-		res, stats := AuctionSharded(n, w, workers, AuctionOptions{})
+		res, stats := AuctionSharded(n, w, workers)
 		checkPerfect(t, n, w, res)
 		if res.Total != want {
 			t.Fatalf("n=%d maxD=%d workers=%d seed=%d: sharded auction total %d != JV %d",
@@ -177,6 +153,15 @@ func FuzzMatching(f *testing.F) {
 		blk, blkStats := AuctionBlocked(n, U8Weights{Rows: u8Rows(d), H: h}, AuctionOptions{})
 		checkPerfect(t, n, w, blk)
 		requireSameRun(t, "fuzz blocked", n, blk, res, blkStats, stats)
+		tr, tWarm, ts := Tight(n, U8Weights{Rows: u8Rows(d), H: h})
+		checkPerfect(t, n, w, tr)
+		if tr.Total != want {
+			t.Fatalf("n=%d maxD=%d seed=%d: Tight total %d != JV %d (matched %d)", n, maxD, seed, tr.Total, want, ts.Matched)
+		}
+		if ts.Matched == n && (ts.Resume.Bids != 0 || tr.Total != rowMaxSum(n, w)) {
+			t.Fatalf("n=%d maxD=%d seed=%d: perfect tight matching with %d resume bids, total %d vs row-max sum %d",
+				n, maxD, seed, ts.Resume.Bids, tr.Total, rowMaxSum(n, w))
+		}
 
 		var changed []int
 		for i := 0; i < n; i++ {
@@ -187,11 +172,17 @@ func FuzzMatching(f *testing.F) {
 		pert := perturbU8Rows(d, changed, maxD+int(workersRaw>>4), seed+1)
 		pw := u8Fn(pert, h)
 		warm := AuctionWarmStart{Prices: blkStats.Prices, Col: blk.Col, MaxRaw: blkStats.MaxRaw}
-		rs, rst := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, warm, changed)
-		checkPerfect(t, n, pw, rs)
-		if want := Exact(n, pw).Total; rs.Total != want {
-			t.Fatalf("n=%d maxD=%d seed=%d changed=%v: resumed total %d != JV %d (%+v)",
-				n, maxD, seed, changed, rs.Total, want, rst)
+		pwant := Exact(n, pw).Total
+		for _, wm := range []struct {
+			name string
+			warm AuctionWarmStart
+		}{{"blocked", warm}, {"tight", tWarm}} {
+			rs, rst := AuctionResume(n, U8Weights{Rows: u8Rows(pert), H: h}, wm.warm, changed)
+			checkPerfect(t, n, pw, rs)
+			if rs.Total != pwant {
+				t.Fatalf("n=%d maxD=%d seed=%d changed=%v: total resumed from the %s warm start %d != JV %d (%+v)",
+					n, maxD, seed, changed, wm.name, rs.Total, pwant, rst)
+			}
 		}
 	})
 }
@@ -217,7 +208,7 @@ const auctionMatBudget = 256 << 20
 // prices, so the matching is bit-identical for every worker count
 // (workers <= 0 means GOMAXPROCS). Bertsekas' termination argument is unaffected by within-block Jacobi
 // scheduling: every resolved block raises at least one price by ≥ ε.
-func AuctionSharded(n int, w WeightFunc, workers int, opt AuctionOptions) (*Result, AuctionStats) {
+func AuctionSharded(n int, w WeightFunc, workers int) (*Result, AuctionStats) {
 	var stats AuctionStats
 	scale := int64(n + 1)
 	if workers <= 0 {
@@ -350,7 +341,7 @@ func AuctionSharded(n int, w WeightFunc, workers int, opt AuctionOptions) (*Resu
 		}
 	}
 
-	for phase, eps := 0, epsStart; ; phase, eps = phase+1, eps/4 {
+	for eps := epsStart; ; eps /= 4 {
 		if eps < 1 {
 			eps = 1
 		}
@@ -448,9 +439,6 @@ func AuctionSharded(n int, w WeightFunc, workers int, opt AuctionOptions) (*Resu
 		stats.Phases++
 		stats.Rounds += phaseRounds
 		stats.Bids += phaseBids
-		if opt.OnPhase != nil {
-			opt.OnPhase(phase, eps, phaseRounds, phaseBids)
-		}
 		if eps == 1 {
 			break
 		}

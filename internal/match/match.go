@@ -9,14 +9,19 @@
 //     dual potentials (the same family as the Hungarian method the paper
 //     uses via igraph), O(n³) worst case; tub uses it for host sets of at
 //     most 64.
+//   - Tight: the TUB matcher above 64 hosts and the what-if engine's
+//     base solve. Hopcroft–Karp on the row-max tight graph, read in place
+//     from uint8 distance rows (U8Weights); a perfect tight matching is
+//     optimal with all prices at zero, and any deficit goes to
+//     AuctionResume.
 //   - AuctionBlocked: Bertsekas' ε-scaling auction in a block-synchronous,
-//     matrix-free form that bids straight off uint8 distance rows
-//     (U8Weights). Exact for integer weights; the TUB matcher above 64
-//     hosts.
-//   - AuctionResume: the final ε = 1 phase of AuctionBlocked resumed from
-//     its retained prices after a sparse row change — the what-if
-//     engine's warm rematch. Both run the one bidding loop,
-//     blockedArena.bid, on the same pooled scratch.
+//     matrix-free form that bids straight off the uint8 rows. Exact for
+//     integer weights; Tight's cold fallback, via AuctionResume.
+//   - AuctionResume: the final ε = 1 phase of the auction resumed from
+//     prices that satisfy 1-CS for every row outside a changed set — the
+//     what-if engine's warm rematch and Tight's deficit pass. It and
+//     AuctionBlocked run the one bidding loop, blockedArena.bid, on the
+//     same pooled scratch.
 //   - Greedy: the paper's Algorithm 1 (farthest-pair pairing), a heuristic
 //     used in the proof of Theorem 4.1 and as the fallback past the
 //     auction's size cap.

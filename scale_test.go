@@ -65,15 +65,17 @@ func TestScale20kSmoke(t *testing.T) {
 	}
 
 	// TUB at 20k hosts: a 400 MB uint8 distance matrix plus the exact
-	// auction matcher — the matrix-free blocked kernel keeps AutoMatcher
-	// on the auction all the way to the default crossover, so this stage
-	// now certifies the true optimal matching, not a greedy heuristic.
+	// matcher — Hopcroft–Karp on the row-max tight graph, with the
+	// auction resumed for any deficit, both reading the uint8 rows in
+	// place — so AutoMatcher stays exact all the way to the default
+	// crossover and this stage certifies the true optimal matching, not
+	// a greedy heuristic.
 	res, err := tub.Bound(top, tub.Options{Obs: so})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Matcher != tub.AuctionMatcher {
-		t.Fatalf("20k matcher = %v, want the exact auction", res.Matcher)
+		t.Fatalf("20k matcher = %v, want the exact AuctionMatcher", res.Matcher)
 	}
 	// With only 4 servers on radix-32 switches the fabric is
 	// underloaded, so the (unclamped) bound may legitimately exceed 1.

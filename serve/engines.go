@@ -65,7 +65,7 @@ type engineCell struct {
 
 // Engines is the resident what-if engine cache: one warm tub.WhatIf
 // per topology spec, so repeated POST /v1/whatif queries against the
-// same fabric pay the base build (distances + auction) once and then
+// same fabric pay the base build (distances + matching) once and then
 // answer at the incremental rate. Base states are large (hosts ×
 // switches distance rows), so the cache holds at most max engines and
 // evicts least-recently-used. serve.whatif.builds counts real builds —

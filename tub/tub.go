@@ -12,8 +12,12 @@
 // switches. By Theorem 2.1 permutation matrices suffice, and the
 // minimizing permutation — the maximal permutation traffic matrix — is a
 // maximum-weight perfect matching over pairwise distances, computed here
-// with exact (Jonker–Volgenant), auction, or greedy (the paper's
-// Algorithm 1) matchers.
+// exactly by Jonker–Volgenant for small host sets and by the tight-graph
+// matcher (match.Tight) above them, or by the paper's greedy
+// Algorithm 1. The tight-graph matcher is the exact form of Algorithm 1:
+// it pairs every host with a partner at its largest distance whenever
+// such a pairing exists, which certifies the optimum on its own, and
+// runs the ε-scaling auction only for the hosts it cannot pair that way.
 //
 // The package also provides the all-topology asymptotic bound of
 // Theorem 4.1 built on the Moore bound, the Equation 3 scaling limit, the
@@ -44,27 +48,30 @@ const (
 	AutoMatcher Matcher = iota
 	// ExactMatcher uses Jonker–Volgenant, O(n³) worst case.
 	ExactMatcher
-	// AuctionMatcher uses ε-scaling auction, exact on integer weights.
+	// AuctionMatcher is the exact matcher for large host sets:
+	// Hopcroft–Karp on the row-max tight graph (every host paired at its
+	// largest distance certifies the optimum), with the ε-scaling auction
+	// resumed from zero prices only for the hosts left unpaired. The name
+	// predates the tight-graph pass.
 	AuctionMatcher
 	// GreedyMatcher uses the paper's Algorithm 1 farthest-pair heuristic
 	// (yields a valid but possibly slightly looser, i.e. higher, bound).
 	GreedyMatcher
 )
 
-// Auto matcher size thresholds (host switch counts). The auction beats
-// Jonker–Volgenant at every size measured (279µs vs 703µs at n=64, 5ms
-// vs 31ms at n=256, 106ms vs 1.7s at n=1000 on distance-derived
-// weights) and both are exact, so Exact is kept only for tiny
-// instances where either finishes in microseconds. The matrix-free
-// blocked auction (match.AuctionBlocked) bids straight off the uint8
-// distance rows, so the old n≈6000 wall — the sharded kernel's
-// materialized int32 matrix blowing the 256MB budget and last-level
-// cache — is gone: n=20000 now solves exactly within the 20k smoke
-// budget (see BENCH_matching.json for the measured crossover data).
+// Auto matcher size thresholds (host switch counts). The cold auction
+// alone beat Jonker–Volgenant at every size measured (279µs vs 703µs at
+// n=64, 5ms vs 31ms at n=256, 106ms vs 1.7s at n=1000 on
+// distance-derived weights), and the tight-graph pass in front of it
+// is cheaper still (about 0.2 ms at n=300, 1.3 ms at n=1000), so Exact
+// is kept only for tiny instances where either finishes in
+// microseconds. Both AuctionMatcher stages read the uint8 distance rows
+// in place, with no n×n weight matrix, so n=20000 solves exactly
+// within the 20k smoke budget (see BENCH_matching.json).
 // auctionMax sits at the largest size the smoke test exercises; beyond
 // it Auto degrades to the linear-time greedy heuristic — and says so
 // via the "tub.match.fallback" counter and span attribute. An explicit
-// AuctionMatcher runs the exact auction at any size.
+// AuctionMatcher runs the exact matcher at any size.
 const autoExactMax = 64
 
 // auctionMax is Auto's auction→greedy crossover. It is a variable so
@@ -89,12 +96,13 @@ func (m Matcher) String() string {
 // Options configures Bound. The zero value (AutoMatcher) is the right
 // choice for almost all uses: it selects the matcher by host-switch
 // count n — ExactMatcher (Jonker–Volgenant, O(n³)) for n ≤ 64,
-// AuctionMatcher (the matrix-free blocked ε-scaling auction, exact on
-// the integer weights used here but with much better constants) up to
-// 20000, and GreedyMatcher (the paper's Algorithm 1; a valid but
-// possibly slightly looser bound) beyond. The crossovers are where the
-// next-cheaper matcher starts winning by wall clock on commodity
-// hardware; set Matcher to AuctionMatcher for an exact bound past 20000.
+// AuctionMatcher (Hopcroft–Karp on the row-max tight graph, with the
+// ε-scaling auction only for any deficit; exact, with much better
+// constants) up to 20000, and GreedyMatcher (the paper's Algorithm 1;
+// a valid but possibly slightly looser bound) beyond. The crossovers
+// are where the next-cheaper matcher starts winning by wall clock on
+// commodity hardware; set Matcher to AuctionMatcher for an exact bound
+// past 20000.
 //
 // Bound validates the Matcher value up front and returns an error for
 // values outside [AutoMatcher, GreedyMatcher], so a mis-initialized or
@@ -106,7 +114,10 @@ type Options struct {
 	// actually selected (after Auto resolution) so matcher crossovers are
 	// visible in traces, and a greedy degradation adds a
 	// fallback="greedy" attribute plus a "tub.match.fallback" counter
-	// increment. Instrumentation never changes the bound.
+	// increment. Under AuctionMatcher the match span also carries
+	// tight_matched, deficit, resume_bids and fell_back (see
+	// match.TightStats), and a deficit increments "tub.match.deficit".
+	// Instrumentation never changes the bound.
 	Obs *obs.Obs
 }
 
@@ -192,38 +203,24 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 		to.Counter("tub.match.fallback").Add(1)
 		attrs = append(attrs, obs.String("fallback", "greedy"))
 	}
-	mo, msp := to.Start("tub.match", attrs...)
+	_, msp := to.Start("tub.match", attrs...)
 	var res *match.Result
 	switch m {
 	case ExactMatcher:
 		res = match.Exact(n, weight)
 		msp.End(obs.Int64("weighted_len", res.Total))
 	case AuctionMatcher:
-		// The blocked auction bids straight off the uint8 distance rows —
-		// matrix-free, so no n×n weight materialization at any scale.
-		var stats match.AuctionStats
-		// Per-phase durations feed the "tub.match.phase" histogram: the
-		// ε-scaling phases run strictly in sequence, so the gap between
-		// successive OnPhase callbacks is one phase's wall-clock time.
-		ph := opt.Obs.Histogram("tub.match.phase")
-		phaseStart := time.Now()
-		res, stats = match.AuctionBlocked(n, match.U8Weights{
+		// Hopcroft–Karp on the row-max tight graph, straight off the uint8
+		// distance rows; the auction runs only on a deficit.
+		var st match.TightStats
+		res, _, st = match.Tight(n, match.U8Weights{
 			Rows: func(i int) []uint8 { return dist[i] },
 			H:    h,
-		}, match.AuctionOptions{
-			OnPhase: func(phase int, eps int64, rounds, bids int) {
-				now := time.Now()
-				ph.ObserveNs(int64(now.Sub(phaseStart)))
-				phaseStart = now
-				mo.Point("tub.match.phase",
-					obs.Int("phase", phase), obs.Int64("eps", eps),
-					obs.Int("rounds", rounds), obs.Int("bids", bids))
-			},
 		})
-		msp.End(obs.Int64("weighted_len", res.Total),
-			obs.Int("auction_phases", stats.Phases),
-			obs.Int("auction_rounds", stats.Rounds),
-			obs.Int("auction_bids", stats.Bids))
+		if st.Matched < n {
+			to.Counter("tub.match.deficit").Add(1)
+		}
+		msp.End(append(tightAttrs(n, st), obs.Int64("weighted_len", res.Total))...)
 	case GreedyMatcher:
 		res = match.Greedy(n, weight)
 		msp.End(obs.Int64("weighted_len", res.Total))
@@ -245,6 +242,18 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 	out.Bound = float64(out.TwoE) / float64(out.WeightedLen)
 	bnd = out.Bound
 	return out, nil
+}
+
+// tightAttrs describes an n-row match.Tight run for its match span: how
+// many rows the tight graph matched, the deficit, and the deficit
+// resume's bids and fallback (0 and false when no auction ran).
+func tightAttrs(n int, st match.TightStats) []obs.Attr {
+	return []obs.Attr{
+		obs.Int("tight_matched", st.Matched),
+		obs.Int("deficit", n-st.Matched),
+		obs.Int("resume_bids", st.Resume.Bids),
+		obs.Bool("fell_back", st.Resume.FellBack),
+	}
 }
 
 // HostDistances returns the pairwise hop distances between host switches,

@@ -6,9 +6,11 @@
 // distance matrix (an MS-BFS sweep over every host) and the matcher.
 // For a single removal both are almost entirely wasted work — a failed
 // link touches only the distance rows whose shortest paths crossed it,
-// and the ε-scaling auction's final prices remain a valid dual for
-// every host pair whose distances survive. WhatIf amortizes the base
-// state once and answers each query with:
+// and the base matching's prices remain a valid dual for every host
+// pair whose distances survive. WhatIf amortizes the base state once
+// (distance rows plus a match.Tight solve, whose prices are all zero
+// when the row-max tight graph has a perfect matching) and answers each
+// query with:
 //
 //  1. graph.EdgeRepairNeeded / SwitchRepairNeeded prechecks that skip
 //     unaffected rows without copying them (on low-damage links most
@@ -21,7 +23,8 @@
 //     against the retained prices, frees only the rows that fail, and
 //     re-runs the auction's final ε = 1 bidding loop from those prices
 //     — exact by the same complementary-slackness argument as the cold
-//     auction's last phase.
+//     auction's last phase. At zero base prices the check asks whether
+//     the row's partner is still at its largest distance.
 //
 // Removals that disconnect a host pair short-circuit to Bound 0 with
 // Disconnected set (the worst-case permutation pairs unreachable
@@ -139,9 +142,11 @@ func (e *WhatIf) Base() Result { return e.base }
 
 // NewWhatIf builds the amortized base state: full-width distance rows
 // for every host (hosts × switches, uint8), the same rows on host
-// columns, and a completed AuctionBlocked run whose prices, matching
-// and max weight seed every warm rematch. The base bound equals a cold
-// Bound with AuctionMatcher bit for bit.
+// columns, and a match.Tight solve whose warm start (prices, matching
+// and max weight) seeds every warm rematch. The base bound and
+// permutation equal a cold Bound with AuctionMatcher bit for bit. The
+// "whatif.match" span carries the same tight_matched, deficit,
+// resume_bids and fell_back attributes as Bound's "tub.match".
 func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	hosts := t.Hosts()
 	n := len(hosts)
@@ -175,7 +180,7 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	// Full-width rows: unlike Bound's host×host matrix, what-if repair
 	// needs distances to transit switches too — the repair cone grows
 	// through them. The host-column rows are what every matcher touch
-	// point — the base auction, the warm rematch's bids and its 1-CS
+	// point — the base solve, the warm rematch's bids and its 1-CS
 	// prefilter — scans directly (match.U8Weights); the scaled weight is
 	// computed in-register, so there is no n×n int64 matrix to budget.
 	// One byte per pair: 400 MB at 20k hosts, same as Bound's Dist.
@@ -198,12 +203,12 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	}
 
 	_, msp := o.Start("whatif.match")
-	res, stats := match.AuctionBlocked(n, e.u8At(nil), match.AuctionOptions{})
-	msp.End(obs.Int64("weighted_len", res.Total))
+	res, warm, st := match.Tight(n, e.u8At(nil))
+	msp.End(append(tightAttrs(n, st), obs.Int64("weighted_len", res.Total))...)
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation (zero total path length)")
 	}
-	e.warm = match.AuctionWarmStart{Prices: stats.Prices, Col: res.Col, MaxRaw: stats.MaxRaw}
+	e.warm = warm
 	e.base = Result{
 		Bound:       float64(2*t.Links()) / float64(res.Total),
 		Perm:        res.Col,
@@ -359,8 +364,8 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	}
 
 	// Host switch: drop w from the matching and solve the reduced
-	// instance cold (the auction's prices are duals of the wrong
-	// dimension). Distances still come from the repaired overlays.
+	// instance cold (the base prices are duals of the wrong dimension).
+	// Distances still come from the repaired overlays.
 	wi := int(e.hpos[w])
 	if disc := e.disconnectedPair(q, sc, wi); disc {
 		q.Mode = "disconnected"
@@ -377,8 +382,8 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	}
 	// Reduced matrix-free instance: compact the surviving hosts' rows
 	// (overlaid where repaired) into a pooled m×m uint8 matrix and run
-	// the blocked auction on it. One byte per pair, reused across the
-	// engine's switch queries.
+	// the tight-graph matcher on it. One byte per pair, reused across
+	// the engine's switch queries.
 	m := len(keep)
 	if cap(sc.red) < m*m {
 		sc.red = make([]uint8, m*m)
@@ -393,10 +398,10 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 		}
 		redH[i] = e.h[ki]
 	}
-	res, _ := match.AuctionBlocked(m, match.U8Weights{
+	res, _, _ := match.Tight(m, match.U8Weights{
 		Rows: func(i int) []uint8 { return red[i*m : (i+1)*m] },
 		H:    redH,
-	}, match.AuctionOptions{})
+	})
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation after switch removal")
 	}
