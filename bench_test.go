@@ -255,7 +255,7 @@ func BenchmarkFig3ThroughputGapParallel(b *testing.B) {
 
 // --- ablation benches (DESIGN.md §Key design decisions) ---
 
-// BenchmarkAblationMatching compares the three maximal-permutation
+// BenchmarkAblationMatching compares the two maximal-permutation
 // matchers on the same instance; DESIGN.md ablation 2.
 func BenchmarkAblationMatching(b *testing.B) {
 	t := benchTopology(b, 300, 14, 7)
@@ -264,7 +264,6 @@ func BenchmarkAblationMatching(b *testing.B) {
 		m    tub.Matcher
 	}{
 		{"exact", tub.ExactMatcher},
-		{"auction", tub.AuctionMatcher},
 		{"greedy", tub.GreedyMatcher},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
@@ -311,7 +310,8 @@ func BenchmarkAblationMCF(b *testing.B) {
 // BenchmarkAblationServerLevel compares the switch-level TUB computation
 // against the naive server-level formulation (one matching node per
 // server); DESIGN.md ablation 1 — the bound is identical but the
-// switch-level computation does ~H² less matching work (§2.2).
+// switch-level computation does ~H² less matching work (§2.2). Both run
+// the exact tight-graph matcher.
 func BenchmarkAblationServerLevel(b *testing.B) {
 	t := benchTopology(b, 30, 10, 5)
 	dist, err := tub.HostDistances(t)
@@ -319,25 +319,42 @@ func BenchmarkAblationServerLevel(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := 5
-	nSw := len(t.Hosts())
-	nSrv := nSw * h
+	sw, srv := switchAndServerLevel(dist, h)
 
 	b.Run("switch-level", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := match.Exact(nSw, func(x, y int) int64 {
-				return int64(dist[x][y]) * int64(h)
-			})
+			res, _, _ := match.Tight(len(dist), sw)
 			_ = res.Total
 		}
 	})
 	b.Run("server-level", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := match.Exact(nSrv, func(x, y int) int64 {
-				return int64(dist[x/h][y/h])
-			})
+			res, _, _ := match.Tight(len(dist)*h, srv)
 			_ = res.Total
 		}
 	})
+}
+
+// switchAndServerLevel returns the matcher weights of the two TUB
+// formulations for uniform H = h: the switch-level host rows with every
+// multiplier h, and the server-level rows, where server x sits on host
+// x/h and each pair's weight is its switches' distance.
+func switchAndServerLevel(dist [][]uint8, h int) (sw, srv match.U8Weights) {
+	n := len(dist)
+	hs := make([]int64, n)
+	for i := range hs {
+		hs[i] = int64(h)
+	}
+	rows := make([][]uint8, n*h)
+	for x := range rows {
+		rows[x] = make([]uint8, n*h)
+		for y := range rows[x] {
+			rows[x][y] = dist[x/h][y/h]
+		}
+	}
+	sw = match.U8Weights{Rows: func(i int) []uint8 { return dist[i] }, H: hs}
+	srv = match.U8Weights{Rows: func(x int) []uint8 { return rows[x] }}
+	return sw, srv
 }
 
 // BenchmarkAblationBisectionTries measures the cut-quality/runtime
@@ -362,9 +379,9 @@ func TestServerLevelEqualsSwitchLevelTUB(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := 3
-	nSw := len(top.Hosts())
-	sw := match.Exact(nSw, func(x, y int) int64 { return int64(dist[x][y]) * int64(h) })
-	srv := match.Exact(nSw*h, func(x, y int) int64 { return int64(dist[x/h][y/h]) })
+	swW, srvW := switchAndServerLevel(dist, h)
+	sw, _, _ := match.Tight(len(dist), swW)
+	srv, _, _ := match.Tight(len(dist)*h, srvW)
 	if sw.Total != srv.Total {
 		t.Fatalf("switch-level total %d != server-level total %d", sw.Total, srv.Total)
 	}

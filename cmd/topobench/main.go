@@ -468,7 +468,7 @@ func cmdTub(w io.Writer, args []string) error {
 	var rf runFlags
 	tf.register(fs)
 	rf.register(fs)
-	matcher := fs.String("matcher", "auto", "auto | exact | auction | greedy")
+	matcher := fs.String("matcher", "exact", "exact | greedy")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -488,16 +488,12 @@ func cmdTub(w io.Writer, args []string) error {
 	defer stop()
 	var m tub.Matcher
 	switch *matcher {
-	case "auto":
-		m = tub.AutoMatcher
 	case "exact":
 		m = tub.ExactMatcher
-	case "auction":
-		m = tub.AuctionMatcher
 	case "greedy":
 		m = tub.GreedyMatcher
 	default:
-		return fmt.Errorf("unknown matcher %q", *matcher)
+		return fmt.Errorf("unknown matcher %q (want exact or greedy)", *matcher)
 	}
 	start := time.Now()
 	res, err := tub.Bound(t, tub.Options{Matcher: m, Obs: o})

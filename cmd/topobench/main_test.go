@@ -24,38 +24,33 @@ func TestCmdGen(t *testing.T) {
 	}
 }
 
+// TestCmdTubMatchers: -matcher takes exact (the default) or greedy, and
+// the result line names the matcher that ran; any other value, the
+// retired auto and auction included, fails with the valid list.
 func TestCmdTubMatchers(t *testing.T) {
-	for _, m := range []string{"auto", "exact", "auction", "greedy"} {
-		args := []string{"-family", "jellyfish", "-switches", "20", "-radix", "8", "-servers", "3", "-matcher", m}
-		if err := cmdTub(io.Discard, args); err != nil {
-			t.Errorf("tub %s: %v", m, err)
+	base := []string{"-family", "jellyfish", "-switches", "20", "-radix", "8", "-servers", "3"}
+	with := func(m string) []string { return append(append([]string(nil), base...), "-matcher", m) }
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{base, "matcher=exact"},
+		{with("exact"), "matcher=exact"},
+		{with("greedy"), "matcher=greedy"},
+	} {
+		var buf bytes.Buffer
+		if err := cmdTub(&buf, tc.args); err != nil {
+			t.Fatalf("tub %v: %v", tc.args, err)
+		}
+		if !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("tub %v: want %q in\n%s", tc.args, tc.want, buf.String())
 		}
 	}
-	if err := cmdTub(io.Discard, []string{"-matcher", "bogus"}); err == nil {
-		t.Error("expected error for unknown matcher")
-	}
-}
-
-// TestCmdTubAuctionMax: the result line names the matcher that actually
-// ran — an explicit greedy, and the auction Auto resolves to under the
-// auction→greedy crossover.
-func TestCmdTubAuctionMax(t *testing.T) {
-	// 80 host switches: past the exact cutoff, under the auction→greedy
-	// crossover.
-	base := []string{"-family", "jellyfish", "-switches", "80", "-radix", "6", "-servers", "1"}
-	var buf bytes.Buffer
-	if err := cmdTub(&buf, append(base, "-matcher", "greedy")); err != nil {
-		t.Fatalf("tub -matcher greedy: %v", err)
-	}
-	if !strings.Contains(buf.String(), "matcher=greedy") {
-		t.Errorf("-matcher greedy should report the greedy matcher:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := cmdTub(&buf, base); err != nil {
-		t.Fatalf("tub default: %v", err)
-	}
-	if !strings.Contains(buf.String(), "matcher=auction") {
-		t.Errorf("80 hosts under the default crossover should use the auction:\n%s", buf.String())
+	for _, m := range []string{"auto", "auction", "bogus"} {
+		err := cmdTub(io.Discard, with(m))
+		if err == nil || !strings.Contains(err.Error(), "exact or greedy") {
+			t.Errorf("-matcher %s: got %v, want an error listing exact and greedy", m, err)
+		}
 	}
 }
 

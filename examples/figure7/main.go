@@ -59,7 +59,7 @@ func main() {
 
 	// TUB on the ring: 2E/(H·ΣL) = 10/10 = 1 — the bound is loose at this
 	// tiny size (§3.1 of the paper explains why), but still valid.
-	bound, err := tub.Bound(ring, tub.Options{Matcher: tub.ExactMatcher})
+	bound, err := tub.Bound(ring, tub.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // AblationParams configures the design-choice ablations of DESIGN.md:
-// the maximal-permutation matcher (exact JV vs AuctionMatcher — the
-// tight graph with an auction for any deficit — vs the paper's
-// greedy Algorithm 1) and the MCF backend (simplex vs Garg–Könemann).
+// the maximal-permutation matcher (the exact tight-graph matcher, with
+// an auction for any deficit, vs the paper's greedy Algorithm 1) and
+// the MCF backend (simplex vs Garg–Könemann).
 type AblationParams struct {
 	Radix, Servers int
 	Switches       int // instance size for the matcher ablation
@@ -62,8 +62,7 @@ func RunAblation(p AblationParams, opt RunOptions) (_ *AblationResult, err error
 				name string
 				m    tub.Matcher
 			}{
-				{"exact (JV)", tub.ExactMatcher},
-				{"auction", tub.AuctionMatcher},
+				{"exact", tub.ExactMatcher},
 				{"greedy (Alg. 1)", tub.GreedyMatcher},
 			} {
 				start := time.Now()
@@ -122,7 +121,7 @@ func (r *AblationResult) Tables() []*Table {
 	for _, row := range r.Matchers {
 		t1.Rows = append(t1.Rows, []string{row.Name, fmt.Sprintf("%.4f", row.Value), row.Elapsed.Round(time.Microsecond).String()})
 	}
-	t1.Notes = append(t1.Notes, "exact and auction agree; greedy is an upper approximation (>= exact bound) at a fraction of the cost — it certifies non-full-throughput wherever it is < 1")
+	t1.Notes = append(t1.Notes, "greedy is an upper approximation (>= exact bound) — it certifies non-full-throughput wherever it is < 1")
 	t2 := &Table{
 		Title:   fmt.Sprintf("Ablation: MCF backend (jellyfish %d switches, K=%d)", r.Params.MCFSwitches, r.Params.K),
 		Columns: []string{"backend", "theta", "time"},

@@ -45,7 +45,7 @@ func RunFig7(opt RunOptions) (_ *Fig7Result, err error) {
 	if res.UniTheta, err = mcf.Throughput(uni, tm, paths, mcf.Options{Method: mcf.Exact}); err != nil {
 		return nil, err
 	}
-	ub, err := tub.Bound(uni, tub.Options{Matcher: tub.ExactMatcher})
+	ub, err := tub.Bound(uni, tub.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -31,11 +31,11 @@ func TestPipelineRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ub, err := tub.Bound(top, tub.Options{Matcher: tub.ExactMatcher})
+	ub, err := tub.Bound(top, tub.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ubOrig, err := tub.Bound(orig, tub.Options{Matcher: tub.ExactMatcher})
+	ubOrig, err := tub.Bound(orig, tub.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestWorstCaseTMIsWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := tub.Bound(top, tub.Options{Matcher: tub.ExactMatcher})
+	ub, err := tub.Bound(top, tub.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestTUBBoundsAnyAdmissibleTM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := tub.Bound(top, tub.Options{Matcher: tub.ExactMatcher})
+	ub, err := tub.Bound(top, tub.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

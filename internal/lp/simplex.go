@@ -3,6 +3,9 @@
 // Gurobi dependency of the original paper for the path-based
 // multi-commodity-flow LPs (§H of the paper), which at the scales this
 // repository runs are dense-tableau friendly (a few thousand variables).
+// Its one production caller is mcf's exact path-LP backend (mcf.Exact);
+// the edge-based MCF LP and the transportation-LP bound that also use it
+// are test oracles in mcf's and tub's test files.
 //
 // The solver maximizes c·x subject to linear constraints and x ≥ 0.
 package lp

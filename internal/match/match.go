@@ -5,15 +5,11 @@
 //
 // The kernels production runs:
 //
-//   - Exact: the Jonker–Volgenant shortest-augmenting-path algorithm with
-//     dual potentials (the same family as the Hungarian method the paper
-//     uses via igraph), O(n³) worst case; tub uses it for host sets of at
-//     most 64.
-//   - Tight: the TUB matcher above 64 hosts and the what-if engine's
-//     base solve. Hopcroft–Karp on the row-max tight graph, read in place
-//     from uint8 distance rows (U8Weights); a perfect tight matching is
-//     optimal with all prices at zero, and any deficit goes to
-//     AuctionResume.
+//   - Tight: the one exact TUB matcher, at every host count, and the
+//     what-if engine's base solve. Hopcroft–Karp on the row-max tight
+//     graph, read in place from uint8 distance rows (U8Weights); a
+//     perfect tight matching is optimal with all prices at zero, and any
+//     deficit goes to AuctionResume.
 //   - AuctionBlocked: Bertsekas' ε-scaling auction in a block-synchronous,
 //     matrix-free form that bids straight off the uint8 rows. Exact for
 //     integer weights; Tight's cold fallback, via AuctionResume.
@@ -23,16 +19,19 @@
 //     AuctionBlocked run the one bidding loop, blockedArena.bid, on the
 //     same pooled scratch.
 //   - Greedy: the paper's Algorithm 1 (farthest-pair pairing), a heuristic
-//     used in the proof of Theorem 4.1 and as the fallback past the
-//     auction's size cap.
+//     used in the proof of Theorem 4.1, in the wedge experiment and in
+//     the matcher ablation.
 //
-// AuctionSharded, the same auction over an int64 weight callback with a
-// materialized weight matrix, lives in auction_sharded_test.go as the
-// reference AuctionBlocked must reproduce bit for bit.
+// Two references live in test files. Exact, the Jonker–Volgenant
+// shortest-augmenting-path algorithm (exact_test.go), is the oracle every
+// exact kernel's total is checked against. AuctionSharded, the same
+// auction over an int64 weight callback with a materialized weight
+// matrix (auction_sharded_test.go), is the reference AuctionBlocked must
+// reproduce bit for bit.
 package match
 
-// WeightFunc returns the weight of assigning row i to column j. It must be
-// non-negative for Greedy; Exact accepts any int64.
+// WeightFunc returns the weight of assigning row i to column j, for
+// Greedy. It must be non-negative.
 type WeightFunc func(i, j int) int64
 
 // Result is a perfect matching: Col[i] is the column assigned to row i,
@@ -41,75 +40,6 @@ type Result struct {
 	Col   []int
 	Row   []int
 	Total int64
-}
-
-// Exact computes a maximum-weight perfect matching on the complete n×n
-// bipartite graph using the Jonker–Volgenant algorithm. n must be >= 1.
-func Exact(n int, w WeightFunc) *Result {
-	const inf = int64(1) << 62
-	// Minimize cost = -w with the e-maxx JV formulation (1-indexed).
-	u := make([]int64, n+1)
-	v := make([]int64, n+1)
-	p := make([]int, n+1)   // p[j]: row matched to column j (0 = none)
-	way := make([]int, n+1) // predecessor column on alternating path
-	minv := make([]int64, n+1)
-	used := make([]bool, n+1)
-
-	for i := 1; i <= n; i++ {
-		p[0] = i
-		j0 := 0
-		for j := 0; j <= n; j++ {
-			minv[j] = inf
-			used[j] = false
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := inf
-			j1 := -1
-			for j := 1; j <= n; j++ {
-				if used[j] {
-					continue
-				}
-				cur := -w(i0-1, j-1) - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
-			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		for j0 != 0 {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-		}
-	}
-
-	res := &Result{Col: make([]int, n), Row: make([]int, n)}
-	for j := 1; j <= n; j++ {
-		res.Col[p[j]-1] = j - 1
-		res.Row[j-1] = p[j] - 1
-	}
-	for i := 0; i < n; i++ {
-		res.Total += w(i, res.Col[i])
-	}
-	return res
 }
 
 // Greedy implements the paper's Algorithm 1: scan rows in order, pairing

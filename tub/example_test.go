@@ -55,7 +55,7 @@ func ExampleResult_Matrix() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := tub.Bound(t, tub.Options{Matcher: tub.ExactMatcher})
+	res, err := tub.Bound(t, tub.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

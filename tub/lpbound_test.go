@@ -1,9 +1,12 @@
 package tub
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"dctopo/internal/lp"
 	"dctopo/topo"
 )
 
@@ -15,7 +18,7 @@ func TestBoundLPEqualsMatchingOnUniformH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Bound(top, Options{Matcher: ExactMatcher})
+		m, err := Bound(top, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +42,7 @@ func TestBoundLPAtMostMatchingWhenHVaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Bound(fc, Options{Matcher: ExactMatcher})
+	m, err := Bound(fc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,4 +83,67 @@ func TestBoundLPSizeLimit(t *testing.T) {
 	if _, err := BoundLP(top); err == nil {
 		t.Error("expected size-limit error")
 	}
+}
+
+// BoundLP computes the exact global minimum of the Equation 18 bound over
+// the *saturated hose set* rather than only over permutation matrices.
+//
+// When server counts differ across switches (FatClique's ±1, §I of the
+// paper), Theorem 2.1 does not apply and the maximal-permutation matching
+// is a slight under-approximation of the worst case; the paper notes "a
+// linear programming (LP) formulation can compute the global minimum
+// [31]". That LP is a transportation problem:
+//
+//	maximize   Σ_{u≠v} L_uv · t_uv
+//	subject to Σ_v t_uv ≤ H_u,  Σ_u t_uv ≤ H_v,  t ≥ 0,
+//
+// and BoundLP returns 2E divided by its optimum. For uniform H the result
+// equals Bound's (Birkhoff–von Neumann). The dense LP restricts this to
+// modest host counts (≈ up to 100 switches); Bound remains the scalable
+// path.
+func BoundLP(t *topo.Topology) (float64, error) {
+	hosts := t.Hosts()
+	n := len(hosts)
+	if n < 2 {
+		return 0, errors.New("tub: need at least 2 host switches")
+	}
+	if n > 150 {
+		return 0, fmt.Errorf("tub: BoundLP limited to 150 host switches, got %d (use Bound)", n)
+	}
+	dist, err := HostDistances(t)
+	if err != nil {
+		return 0, err
+	}
+	// Variable index: t_uv for u != v.
+	idx := func(i, j int) int { return i*n + j }
+	prob := lp.NewProblem(n * n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				prob.SetObjective(idx(i, j), float64(dist[i][j]))
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		row := make([]lp.Term, 0, n-1)
+		col := make([]lp.Term, 0, n-1)
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			row = append(row, lp.Term{Var: idx(i, j), Coef: 1})
+			col = append(col, lp.Term{Var: idx(j, i), Coef: 1})
+		}
+		h := float64(t.Servers(hosts[i]))
+		prob.AddConstraint(row, lp.LE, h)
+		prob.AddConstraint(col, lp.LE, h)
+	}
+	sol, err := prob.Solve()
+	if err != nil {
+		return 0, fmt.Errorf("tub: transportation LP: %w", err)
+	}
+	if sol.Obj <= 0 {
+		return 0, errors.New("tub: degenerate transportation optimum")
+	}
+	return float64(2*t.Links()) / sol.Obj, nil
 }

@@ -12,12 +12,12 @@
 // switches. By Theorem 2.1 permutation matrices suffice, and the
 // minimizing permutation — the maximal permutation traffic matrix — is a
 // maximum-weight perfect matching over pairwise distances, computed here
-// exactly by Jonker–Volgenant for small host sets and by the tight-graph
-// matcher (match.Tight) above them, or by the paper's greedy
-// Algorithm 1. The tight-graph matcher is the exact form of Algorithm 1:
-// it pairs every host with a partner at its largest distance whenever
-// such a pairing exists, which certifies the optimum on its own, and
-// runs the ε-scaling auction only for the hosts it cannot pair that way.
+// exactly by the tight-graph matcher (match.Tight) at every host count,
+// or by the paper's greedy Algorithm 1 on request. The tight-graph
+// matcher is the exact form of Algorithm 1: it pairs every host with a
+// partner at its largest distance whenever such a pairing exists, which
+// certifies the optimum on its own, and runs the ε-scaling auction only
+// for the hosts it cannot pair that way.
 //
 // The package also provides the all-topology asymptotic bound of
 // Theorem 4.1 built on the Moore bound, the Equation 3 scaling limit, the
@@ -43,81 +43,49 @@ type Matcher int
 
 // Matchers.
 const (
-	// AutoMatcher picks Exact for small host sets, Auction for medium,
-	// Greedy beyond.
-	AutoMatcher Matcher = iota
-	// ExactMatcher uses Jonker–Volgenant, O(n³) worst case.
-	ExactMatcher
-	// AuctionMatcher is the exact matcher for large host sets:
-	// Hopcroft–Karp on the row-max tight graph (every host paired at its
-	// largest distance certifies the optimum), with the ε-scaling auction
-	// resumed from zero prices only for the hosts left unpaired. The name
-	// predates the tight-graph pass.
-	AuctionMatcher
+	// ExactMatcher, the zero value, computes the maximal permutation
+	// exactly at any host count: Hopcroft–Karp on the row-max tight
+	// graph (every host paired at its largest distance certifies the
+	// optimum), with the ε-scaling auction resumed from zero prices
+	// only for the hosts left unpaired. It reads the uint8 distance
+	// rows in place, with no n×n weight matrix.
+	ExactMatcher Matcher = iota
 	// GreedyMatcher uses the paper's Algorithm 1 farthest-pair heuristic
 	// (yields a valid but possibly slightly looser, i.e. higher, bound).
 	GreedyMatcher
 )
 
-// Auto matcher size thresholds (host switch counts). The cold auction
-// alone beat Jonker–Volgenant at every size measured (279µs vs 703µs at
-// n=64, 5ms vs 31ms at n=256, 106ms vs 1.7s at n=1000 on
-// distance-derived weights), and the tight-graph pass in front of it
-// is cheaper still (about 0.2 ms at n=300, 1.3 ms at n=1000), so Exact
-// is kept only for tiny instances where either finishes in
-// microseconds. Both AuctionMatcher stages read the uint8 distance rows
-// in place, with no n×n weight matrix, so n=20000 solves exactly
-// within the 20k smoke budget (see BENCH_matching.json).
-// auctionMax sits at the largest size the smoke test exercises; beyond
-// it Auto degrades to the linear-time greedy heuristic — and says so
-// via the "tub.match.fallback" counter and span attribute. An explicit
-// AuctionMatcher runs the exact matcher at any size.
-const autoExactMax = 64
-
-// auctionMax is Auto's auction→greedy crossover. It is a variable so
-// tests can lower it.
-var auctionMax = 20000
+// AuctionMatcher equals ExactMatcher.
+//
+// Deprecated: use ExactMatcher.
+const AuctionMatcher = ExactMatcher
 
 // String names the matcher (used in trace attributes and logs).
 func (m Matcher) String() string {
 	switch m {
-	case AutoMatcher:
-		return "auto"
 	case ExactMatcher:
 		return "exact"
-	case AuctionMatcher:
-		return "auction"
 	case GreedyMatcher:
 		return "greedy"
 	}
 	return fmt.Sprintf("matcher(%d)", int(m))
 }
 
-// Options configures Bound. The zero value (AutoMatcher) is the right
-// choice for almost all uses: it selects the matcher by host-switch
-// count n — ExactMatcher (Jonker–Volgenant, O(n³)) for n ≤ 64,
-// AuctionMatcher (Hopcroft–Karp on the row-max tight graph, with the
-// ε-scaling auction only for any deficit; exact, with much better
-// constants) up to 20000, and GreedyMatcher (the paper's Algorithm 1;
-// a valid but possibly slightly looser bound) beyond. The crossovers
-// are where the next-cheaper matcher starts winning by wall clock on
-// commodity hardware; set Matcher to AuctionMatcher for an exact bound
-// past 20000.
+// Options configures Bound. The zero value (ExactMatcher) is the right
+// choice for almost all uses: an exact bound at every host count.
+// GreedyMatcher runs the paper's Algorithm 1 instead, a valid but
+// possibly slightly looser bound.
 //
 // Bound validates the Matcher value up front and returns an error for
-// values outside [AutoMatcher, GreedyMatcher], so a mis-initialized or
+// values outside [ExactMatcher, GreedyMatcher], so a mis-initialized or
 // garbage Options never silently falls through to the wrong matcher.
 type Options struct {
 	Matcher Matcher
 	// Obs, when non-nil, records a "tub.bound" span with "tub.dist" and
-	// "tub.match" children; the match span's attributes name the matcher
-	// actually selected (after Auto resolution) so matcher crossovers are
-	// visible in traces, and a greedy degradation adds a
-	// fallback="greedy" attribute plus a "tub.match.fallback" counter
-	// increment. Under AuctionMatcher the match span also carries
-	// tight_matched, deficit, resume_bids and fell_back (see
-	// match.TightStats), and a deficit increments "tub.match.deficit".
-	// Instrumentation never changes the bound.
+	// "tub.match" children; the match span names the matcher. Under
+	// ExactMatcher it also carries tight_matched, deficit, resume_bids
+	// and fell_back (see match.TightStats), and a deficit increments
+	// "tub.match.deficit". Instrumentation never changes the bound.
 	Obs *obs.Obs
 }
 
@@ -138,17 +106,16 @@ type Result struct {
 	// Dist[i][j] is the switch-graph hop distance between hosts i and j
 	// (host indices).
 	Dist [][]uint8
-	// Matcher is the matcher that actually ran, after Auto resolution —
-	// callers can tell an exact bound from a greedy one without
-	// re-deriving the crossover.
+	// Matcher is the matcher that ran, so callers can tell an exact
+	// bound from a greedy one.
 	Matcher Matcher
 }
 
 // Bound computes the throughput upper bound of Theorem 2.2 / Equation 18
 // for a topology.
 func Bound(t *topo.Topology, opt Options) (*Result, error) {
-	if opt.Matcher < AutoMatcher || opt.Matcher > GreedyMatcher {
-		return nil, fmt.Errorf("tub: invalid matcher %d (want AutoMatcher, ExactMatcher, AuctionMatcher or GreedyMatcher)", opt.Matcher)
+	if opt.Matcher < ExactMatcher || opt.Matcher > GreedyMatcher {
+		return nil, fmt.Errorf("tub: invalid matcher %d (want ExactMatcher or GreedyMatcher)", opt.Matcher)
 	}
 	hosts := t.Hosts()
 	n := len(hosts)
@@ -176,40 +143,15 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 	for i, u := range hosts {
 		h[i] = int64(t.Servers(u))
 	}
-	weight := func(i, j int) int64 {
-		w := h[i]
-		if h[j] < w {
-			w = h[j]
-		}
-		return int64(dist[i][j]) * w
-	}
 
-	m := opt.Matcher
-	if m == AutoMatcher {
-		switch {
-		case n <= autoExactMax:
-			m = ExactMatcher
-		case n <= auctionMax:
-			m = AuctionMatcher
-		default:
-			m = GreedyMatcher
-		}
-	}
-	attrs := []obs.Attr{obs.String("matcher", m.String())}
-	if opt.Matcher == AutoMatcher && m == GreedyMatcher {
-		// Auto degraded past the auction crossover: the bound is still
-		// valid but no longer exact. Never silent — count it and tag the
-		// span so a greedy bound is visible in metrics and traces.
-		to.Counter("tub.match.fallback").Add(1)
-		attrs = append(attrs, obs.String("fallback", "greedy"))
-	}
-	_, msp := to.Start("tub.match", attrs...)
+	_, msp := to.Start("tub.match", obs.String("matcher", opt.Matcher.String()))
 	var res *match.Result
-	switch m {
-	case ExactMatcher:
-		res = match.Exact(n, weight)
+	if opt.Matcher == GreedyMatcher {
+		res = match.Greedy(n, func(i, j int) int64 {
+			return int64(dist[i][j]) * min(h[i], h[j])
+		})
 		msp.End(obs.Int64("weighted_len", res.Total))
-	case AuctionMatcher:
+	} else {
 		// Hopcroft–Karp on the row-max tight graph, straight off the uint8
 		// distance rows; the auction runs only on a deficit.
 		var st match.TightStats
@@ -221,12 +163,6 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 			to.Counter("tub.match.deficit").Add(1)
 		}
 		msp.End(append(tightAttrs(n, st), obs.Int64("weighted_len", res.Total))...)
-	case GreedyMatcher:
-		res = match.Greedy(n, weight)
-		msp.End(obs.Int64("weighted_len", res.Total))
-	default:
-		msp.End()
-		return nil, fmt.Errorf("tub: unknown matcher %d", m)
 	}
 
 	out := &Result{
@@ -234,7 +170,7 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 		WeightedLen: res.Total,
 		TwoE:        2 * t.Links(),
 		Dist:        dist,
-		Matcher:     m,
+		Matcher:     opt.Matcher,
 	}
 	if out.WeightedLen <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation (zero total path length)")

@@ -24,7 +24,7 @@ func ring5(t testing.TB) *topo.Topology {
 
 func TestBoundOnFigure7Ring(t *testing.T) {
 	top := ring5(t)
-	res, err := Bound(top, Options{Matcher: ExactMatcher})
+	res, err := Bound(top, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,20 +94,13 @@ func TestMatchersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Bound(top, Options{Matcher: ExactMatcher})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auction, err := Bound(top, Options{Matcher: AuctionMatcher})
+	exact, err := Bound(top, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	greedy, err := Bound(top, Options{Matcher: GreedyMatcher})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if exact.WeightedLen != auction.WeightedLen {
-		t.Fatalf("exact %d vs auction %d", exact.WeightedLen, auction.WeightedLen)
 	}
 	if greedy.WeightedLen > exact.WeightedLen {
 		t.Fatalf("greedy beats exact: %d > %d", greedy.WeightedLen, exact.WeightedLen)
@@ -125,7 +118,7 @@ func TestBoundIsUpperBoundOnMCF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Bound(top, Options{Matcher: ExactMatcher})
+		res, err := Bound(top, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +354,7 @@ func TestFatCliqueBoundUsesMinServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Bound(fc, Options{Matcher: ExactMatcher})
+	res, err := Bound(fc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,20 +383,20 @@ func BenchmarkBoundJellyfish200(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Bound(top, Options{Matcher: ExactMatcher}); err != nil {
+		if _, err := Bound(top, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBoundAuction1000(b *testing.B) {
+func BenchmarkBoundExact1000(b *testing.B) {
 	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 1000, Radix: 14, Servers: 7, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Bound(top, Options{Matcher: AuctionMatcher}); err != nil {
+		if _, err := Bound(top, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,22 +416,22 @@ func BenchmarkBoundGreedy1000(b *testing.B) {
 }
 
 // TestBoundAuctionDeterministicAcrossWorkers: the distance sweep is
-// sharded across GOMAXPROCS workers and the auction's block partition
-// is a pure function of the free queue, so the full matching — not just
-// the bound — must be bit-identical for any GOMAXPROCS.
+// sharded across GOMAXPROCS workers, and the exact matcher (tight-graph
+// pass and any deficit auction) is serial, so the full matching — not
+// just the bound — must be bit-identical for any GOMAXPROCS.
 func TestBoundAuctionDeterministicAcrossWorkers(t *testing.T) {
 	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 120, Radix: 10, Servers: 5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var base *Result
-	atProcs(1, func() { base, err = Bound(top, Options{Matcher: AuctionMatcher}) })
+	atProcs(1, func() { base, err = Bound(top, Options{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 8} {
 		var res *Result
-		atProcs(w, func() { res, err = Bound(top, Options{Matcher: AuctionMatcher}) })
+		atProcs(w, func() { res, err = Bound(top, Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -144,7 +144,7 @@ func (e *WhatIf) Base() Result { return e.base }
 // for every host (hosts × switches, uint8), the same rows on host
 // columns, and a match.Tight solve whose warm start (prices, matching
 // and max weight) seeds every warm rematch. The base bound and
-// permutation equal a cold Bound with AuctionMatcher bit for bit. The
+// permutation equal a default cold Bound bit for bit. The
 // "whatif.match" span carries the same tight_matched, deficit,
 // resume_bids and fell_back attributes as Bound's "tub.match".
 func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {

@@ -33,7 +33,7 @@ func whatifTopologies(t testing.TB) []*topo.Topology {
 }
 
 // coldQuery recomputes the query result from scratch on the derived
-// topology with the exact auction matcher — the ground truth for both
+// topology with the default exact matcher — the ground truth for both
 // link and switch removal (pass v < 0 for switch removal of u).
 func coldQuery(t *testing.T, tp *topo.Topology, u, v int) (bound float64, weightedLen int64, twoE int, disconnected bool) {
 	t.Helper()
@@ -50,7 +50,7 @@ func coldQuery(t *testing.T, tp *topo.Topology, u, v int) (bound float64, weight
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Bound(dt, Options{Matcher: AuctionMatcher})
+	r, err := Bound(dt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWhatIfLinkDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := Bound(tp, Options{Matcher: AuctionMatcher})
+			base, err := Bound(tp, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,6 +139,52 @@ func TestWhatIfSwitchDifferential(t *testing.T) {
 			if q.Bound != wantB || q.WeightedLen != wantWL || q.TwoE != wantE {
 				t.Fatalf("%s switch %d mode=%s: got (%v, %d, %d), cold (%v, %d, %d)",
 					tp.Name(), w, q.Mode, q.Bound, q.WeightedLen, q.TwoE, wantB, wantWL, wantE)
+			}
+		}
+	}
+}
+
+// TestWhatIfBaseEqualsBound: on small instances (at most 64 hosts) the
+// what-if engine's base is the default Bound's result, down to the
+// maximal permutation — both run the one exact matcher at every size.
+// FatClique's ±1 server counts cover non-uniform H.
+func TestWhatIfBaseEqualsBound(t *testing.T) {
+	var tops []*topo.Topology
+	add := func(tp *topo.Topology, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, tp)
+	}
+	for _, sw := range []int{12, 20, 24, 54} {
+		add(topo.Jellyfish(topo.JellyfishConfig{Switches: sw, Radix: 8, Servers: 3, Seed: 1}))
+	}
+	add(topo.Xpander(topo.XpanderConfig{Switches: 36, Radix: 6, Servers: 3, Seed: 11}))
+	add(topo.Clos(topo.ClosConfig{Radix: 4, Layers: 3}))
+	add(topo.FatClique(topo.FatCliqueConfig{
+		SubBlockSize: 3, SubBlocks: 3, Blocks: 3, BlockPorts: 2, GlobalPorts: 2,
+		TotalServers: 230, // 27 switches, H ∈ {8, 9}
+	}))
+	for _, tp := range tops {
+		if n := len(tp.Hosts()); n > 64 {
+			t.Fatalf("%s: %d hosts, want at most 64", tp.Name(), n)
+		}
+		e, err := NewWhatIf(tp, WhatIfOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Bound(tp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.Base()
+		if got.Bound != want.Bound || got.WeightedLen != want.WeightedLen {
+			t.Fatalf("%s: base (%v, %d) != Bound (%v, %d)", tp.Name(), got.Bound, got.WeightedLen, want.Bound, want.WeightedLen)
+		}
+		for i := range want.Perm {
+			if got.Perm[i] != want.Perm[i] {
+				t.Fatalf("%s: base Perm[%d] = %d, Bound Perm[%d] = %d", tp.Name(), i, got.Perm[i], i, want.Perm[i])
 			}
 		}
 	}
