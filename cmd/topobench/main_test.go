@@ -100,8 +100,10 @@ func TestCmdWhatIf(t *testing.T) {
 	if err := cmdWhatIf(io.Discard, append(base, "-link", "0:1", "-switch", "2")); err == nil {
 		t.Error("expected error for -link with -switch")
 	}
-	if err := cmdWhatIf(io.Discard, append(base, "-link", "zero:one")); err == nil {
-		t.Error("expected error for malformed -link")
+	for _, l := range []string{"zero:one", "1:2:3", "1:2x", "3:4 5", "1", ":2", "1:"} {
+		if err := cmdWhatIf(io.Discard, append(base, "-link", l)); err == nil || !strings.Contains(err.Error(), "-link wants u:v") {
+			t.Errorf("whatif -link %q: err = %v, want a malformed-link error", l, err)
+		}
 	}
 	for _, l := range []string{"-1:0", "20:0", "0:20"} {
 		if err := cmdWhatIf(io.Discard, append(base, "-link", l)); err == nil || !strings.Contains(err.Error(), "invalid link") {

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"time"
 
 	"dctopo/tub"
@@ -66,8 +68,10 @@ func cmdWhatIf(w io.Writer, args []string) error {
 
 	switch {
 	case *link != "":
-		var u, v int
-		if _, err := fmt.Sscanf(*link, "%d:%d", &u, &v); err != nil {
+		us, vs, ok := strings.Cut(*link, ":")
+		u, uerr := strconv.Atoi(us)
+		v, verr := strconv.Atoi(vs)
+		if !ok || uerr != nil || verr != nil {
 			return fmt.Errorf("-link wants u:v switch ids (got %q)", *link)
 		}
 		qs := time.Now()

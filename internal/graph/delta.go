@@ -16,12 +16,10 @@
 // boundary: each affected vertex's tentative distance is one more than
 // its nearest unaffected neighbor, then distances settle monotonically
 // bucket by bucket. Unit-weight BFS distances are unique, so any correct
-// repair is bit-identical to a cold recompute.
-//
-// Past a caller-supplied damage threshold (or when a distance would
-// overflow the uint8 cap mid-repair) the kernel falls back to a full
-// scalar BFS that skips the removed element — same contract, no
-// asymptotic win, still allocation-free through the arena.
+// repair is bit-identical to a cold recompute. The cone repair is the
+// only path, whatever the cone's size: Dial's order settles distances
+// exactly, so a settled distance past MaxUint8Dist is a true overflow
+// and the kernel reports it as an error.
 package graph
 
 import "fmt"
@@ -43,11 +41,8 @@ type RepairStats struct {
 	// that became UnreachableDist).
 	Changed int
 	// Affected is the size of the repair cone phase 1 discovered (0 when
-	// the row was provably unchanged, or on the fallback path).
+	// the row was provably unchanged).
 	Affected int
-	// Recomputed reports that the kernel fell back to a full BFS, either
-	// past maxAffected or on a mid-repair uint8 overflow.
-	Recomputed bool
 	// Disconnected reports that at least one previously reachable vertex
 	// became unreachable (its entry is now UnreachableDist). Removing a
 	// switch does not by itself count: the removed switch's own entry is
@@ -65,7 +60,6 @@ type RepairArena struct {
 	rejStamp []int32 // == epoch: candidate rejected (has unaffected parent)
 	queue    []int32 // phase-1 FIFO over affected vertices
 	newd     []int32 // tentative re-leveled distance per affected vertex
-	dist     []int32 // scalar BFS scratch for the fallback path
 	buckets  [][]int32
 }
 
@@ -148,13 +142,12 @@ func (g *Graph) SwitchRepairNeeded(row []uint8, w int) bool {
 	return false
 }
 
-// RepairRowEdge repairs row — a uint8 BFS distance row of g from src —
-// in place so it matches a cold BFS on g with one (u, v) link removed.
-// maxAffected caps the phase-1 cone before falling back to a full BFS
-// (<= 0 means no cap). a may be nil for one-shot use. The repaired row
-// is bit-identical to a cold recompute; vertices disconnected by the
+// RepairRowEdge repairs row — a uint8 BFS distance row of g from any
+// source — in place so it matches a cold BFS on g with one (u, v) link
+// removed. a may be nil for one-shot use. The repaired row is
+// bit-identical to a cold recompute; vertices disconnected by the
 // removal get UnreachableDist.
-func (g *Graph) RepairRowEdge(src int, row []uint8, u, v int, maxAffected int, a *RepairArena) (RepairStats, error) {
+func (g *Graph) RepairRowEdge(row []uint8, u, v int, a *RepairArena) (RepairStats, error) {
 	if len(row) != g.n {
 		return RepairStats{}, fmt.Errorf("graph: repair row has %d entries, graph has %d vertices", len(row), g.n)
 	}
@@ -174,14 +167,8 @@ func (g *Graph) RepairRowEdge(src int, row []uint8, u, v int, maxAffected int, a
 	// Seed: v lost its only parent. Phase 1 grows the cone from it.
 	a.affStamp[v] = a.epoch
 	a.queue = append(a.queue, int32(v))
-	if !g.repairDiscover(row, int32(u), int32(v), -1, maxAffected, a) {
-		return g.repairFallback(src, row, int32(u), int32(v), -1, a)
-	}
-	st, err := g.repairRelevel(row, int32(u), int32(v), -1, a)
-	if err == errRepairOverflow {
-		return g.repairFallback(src, row, int32(u), int32(v), -1, a)
-	}
-	return st, err
+	g.repairDiscover(row, int32(u), int32(v), -1, a)
+	return g.repairRelevel(row, int32(u), int32(v), -1, a)
 }
 
 // RepairRowSwitch repairs row in place so it matches a cold BFS on g
@@ -189,7 +176,7 @@ func (g *Graph) RepairRowEdge(src int, row []uint8, u, v int, maxAffected int, a
 // row[w] is set to UnreachableDist as a tombstone — the vertex no longer
 // exists in the damaged graph and callers must skip it; its entry alone
 // does not set Disconnected.
-func (g *Graph) RepairRowSwitch(src int, row []uint8, w int, maxAffected int, a *RepairArena) (RepairStats, error) {
+func (g *Graph) RepairRowSwitch(src int, row []uint8, w int, a *RepairArena) (RepairStats, error) {
 	if len(row) != g.n {
 		return RepairStats{}, fmt.Errorf("graph: repair row has %d entries, graph has %d vertices", len(row), g.n)
 	}
@@ -229,17 +216,8 @@ func (g *Graph) RepairRowSwitch(src int, row []uint8, w int, maxAffected int, a 
 		}
 	}
 	row[w] = UnreachableDist
-	if !g.repairDiscover(row, -1, -1, int32(w), maxAffected, a) {
-		fst, err := g.repairFallback(src, row, -1, -1, int32(w), a)
-		fst.Changed += st.Changed
-		return fst, err
-	}
+	g.repairDiscover(row, -1, -1, int32(w), a)
 	rst, err := g.repairRelevel(row, -1, -1, int32(w), a)
-	if err == errRepairOverflow {
-		fst, ferr := g.repairFallback(src, row, -1, -1, int32(w), a)
-		fst.Changed += st.Changed
-		return fst, ferr
-	}
 	rst.Changed += st.Changed
 	return rst, err
 }
@@ -248,9 +226,9 @@ func (g *Graph) RepairRowSwitch(src int, row []uint8, w int, maxAffected int, a 
 // the pre-seeded queue. A neighbor one level further is affected iff
 // every parent it has in the damaged graph is already affected; the FIFO
 // ordering guarantees all same-level affected vertices are marked before
-// any of them is popped, so the test never mislabels. Returns false when
-// the cone exceeds maxAffected (> 0), leaving the row untouched.
-func (g *Graph) repairDiscover(row []uint8, skipU, skipV, skipW int32, maxAffected int, a *RepairArena) bool {
+// any of them is popped, so the test never mislabels. The row is left
+// untouched.
+func (g *Graph) repairDiscover(row []uint8, skipU, skipV, skipW int32, a *RepairArena) {
 	epoch := a.epoch
 	for qi := 0; qi < len(a.queue); qi++ {
 		x := a.queue[qi]
@@ -280,23 +258,17 @@ func (g *Graph) repairDiscover(row []uint8, skipU, skipV, skipW int32, maxAffect
 			}
 			a.affStamp[y] = epoch
 			a.queue = append(a.queue, y)
-			if maxAffected > 0 && len(a.queue) > maxAffected {
-				return false
-			}
 		}
 	}
-	return true
 }
-
-// errRepairOverflow aborts re-leveling when a repaired distance would
-// exceed MaxUint8Dist; the caller falls back to a full BFS, which
-// reports the overflow properly or proves the vertex unreachable.
-var errRepairOverflow = fmt.Errorf("graph: repaired distance exceeds uint8 range")
 
 // repairRelevel is phase 2: Dial's bucket relaxation over the affected
 // cone, seeded from each affected vertex's nearest unaffected neighbor
 // in the damaged graph. Vertices no bucket ever reaches are
-// disconnected and get UnreachableDist.
+// disconnected and get UnreachableDist. Buckets settle in increasing
+// distance, so a settled distance past MaxUint8Dist is the vertex's true
+// distance on the damaged graph and the repair fails with a range error
+// (the row is then partly rewritten and must be discarded).
 func (g *Graph) repairRelevel(row []uint8, skipU, skipV, skipW int32, a *RepairArena) (RepairStats, error) {
 	const inf = int32(1) << 30
 	epoch := a.epoch
@@ -360,7 +332,7 @@ func (g *Graph) repairRelevel(row []uint8, skipU, skipV, skipW int32, a *RepairA
 			}
 			a.rejStamp[x] = epoch
 			if d > MaxUint8Dist {
-				return st, errRepairOverflow
+				return st, fmt.Errorf("graph: repaired distance %d exceeds uint8 range [0,%d] (255 is the unreachable sentinel)", d, MaxUint8Dist)
 			}
 			if row[x] != uint8(d) {
 				st.Changed++
@@ -388,62 +360,6 @@ func (g *Graph) repairRelevel(row []uint8, skipU, skipV, skipW int32, a *RepairA
 			}
 			row[x] = UnreachableDist
 			st.Disconnected = true
-		}
-	}
-	return st, nil
-}
-
-// repairFallback recomputes the row with a scalar BFS that skips the
-// removed element — the damage threshold escape hatch, same result.
-func (g *Graph) repairFallback(src int, row []uint8, skipU, skipV, skipW int32, a *RepairArena) (RepairStats, error) {
-	if cap(a.dist) < g.n {
-		a.dist = make([]int32, g.n)
-	}
-	dist := a.dist[:g.n]
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	queue := a.queue[:0]
-	dist[src] = 0
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		dx := dist[x]
-		for e := g.off[x]; e < g.off[x+1]; e++ {
-			y := g.adj[e]
-			if y == skipW || (x == skipV && y == skipU) || (x == skipU && y == skipV) {
-				continue
-			}
-			if dist[y] == Unreachable {
-				dist[y] = dx + 1
-				queue = append(queue, y)
-			}
-		}
-	}
-	a.queue = queue[:0]
-	st := RepairStats{Recomputed: true}
-	for v, d := range dist {
-		if int32(v) == skipW {
-			if row[v] != UnreachableDist {
-				st.Changed++
-				row[v] = UnreachableDist
-			}
-			continue
-		}
-		if d == Unreachable {
-			if row[v] != UnreachableDist {
-				st.Changed++
-				row[v] = UnreachableDist
-			}
-			st.Disconnected = true
-			continue
-		}
-		if d > MaxUint8Dist {
-			return st, fmt.Errorf("graph: distance %d exceeds uint8 range [0,%d] (255 is the unreachable sentinel)", d, MaxUint8Dist)
-		}
-		if row[v] != uint8(d) {
-			st.Changed++
-			row[v] = uint8(d)
 		}
 	}
 	return st, nil

@@ -91,7 +91,7 @@ func hasSentinel(row []uint8, skipW int) bool {
 
 // TestRepairRowEdgeDifferential checks the repaired row is bit-identical
 // to a cold BFS on the damaged graph over randomized graphs, links and
-// sources, on both the incremental path and the forced-fallback path.
+// sources.
 func TestRepairRowEdgeDifferential(t *testing.T) {
 	arena := &RepairArena{}
 	for seed := uint64(0); seed < 6; seed++ {
@@ -104,25 +104,23 @@ func TestRepairRowEdgeDifferential(t *testing.T) {
 			src := r.Intn(g.N())
 			base := baseUint8Row(t, g, src)
 			want := damagedRefRow(g, src, e[0], e[1], -1)
-			for _, maxAffected := range []int{0, 1} {
-				got := append([]uint8(nil), base...)
-				st, err := g.RepairRowEdge(src, got, e[0], e[1], maxAffected, arena)
-				if err != nil {
-					t.Fatalf("seed %d trial %d maxAffected %d: %v", seed, trial, maxAffected, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("seed %d trial %d src %d edge %v maxAffected %d: repaired row differs from cold BFS (%d entries)",
-						seed, trial, src, e, maxAffected, diffCount(got, want))
-				}
-				if st.Changed != diffCount(base, want) {
-					t.Fatalf("seed %d trial %d: Changed = %d, want %d", seed, trial, st.Changed, diffCount(base, want))
-				}
-				if st.Disconnected != hasSentinel(want, -1) {
-					t.Fatalf("seed %d trial %d: Disconnected = %v, want %v", seed, trial, st.Disconnected, hasSentinel(want, -1))
-				}
-				if maxAffected == 1 && st.Affected == 0 && st.Changed > 0 && !st.Recomputed {
-					t.Fatalf("seed %d trial %d: changing repair under maxAffected=1 did not report a path", seed, trial)
-				}
+			got := append([]uint8(nil), base...)
+			st, err := g.RepairRowEdge(got, e[0], e[1], arena)
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d trial %d src %d edge %v: repaired row differs from cold BFS (%d entries)",
+					seed, trial, src, e, diffCount(got, want))
+			}
+			if st.Changed != diffCount(base, want) {
+				t.Fatalf("seed %d trial %d: Changed = %d, want %d", seed, trial, st.Changed, diffCount(base, want))
+			}
+			if st.Disconnected != hasSentinel(want, -1) {
+				t.Fatalf("seed %d trial %d: Disconnected = %v, want %v", seed, trial, st.Disconnected, hasSentinel(want, -1))
+			}
+			if st.Changed > 0 && st.Affected == 0 {
+				t.Fatalf("seed %d trial %d: changing repair reported an empty cone", seed, trial)
 			}
 		}
 	}
@@ -144,22 +142,20 @@ func TestRepairRowSwitchDifferential(t *testing.T) {
 			}
 			base := baseUint8Row(t, g, src)
 			want := damagedRefRow(g, src, -1, -1, w)
-			for _, maxAffected := range []int{0, 2} {
-				got := append([]uint8(nil), base...)
-				st, err := g.RepairRowSwitch(src, got, w, maxAffected, arena)
-				if err != nil {
-					t.Fatalf("seed %d trial %d maxAffected %d: %v", seed, trial, maxAffected, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("seed %d trial %d src %d switch %d maxAffected %d: repaired row differs from cold BFS (%d entries)",
-						seed, trial, src, w, maxAffected, diffCount(got, want))
-				}
-				if st.Changed != diffCount(base, want) {
-					t.Fatalf("seed %d trial %d: Changed = %d, want %d", seed, trial, st.Changed, diffCount(base, want))
-				}
-				if st.Disconnected != hasSentinel(want, w) {
-					t.Fatalf("seed %d trial %d: Disconnected = %v, want %v", seed, trial, st.Disconnected, hasSentinel(want, w))
-				}
+			got := append([]uint8(nil), base...)
+			st, err := g.RepairRowSwitch(src, got, w, arena)
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d trial %d src %d switch %d: repaired row differs from cold BFS (%d entries)",
+					seed, trial, src, w, diffCount(got, want))
+			}
+			if st.Changed != diffCount(base, want) {
+				t.Fatalf("seed %d trial %d: Changed = %d, want %d", seed, trial, st.Changed, diffCount(base, want))
+			}
+			if st.Disconnected != hasSentinel(want, w) {
+				t.Fatalf("seed %d trial %d: Disconnected = %v, want %v", seed, trial, st.Disconnected, hasSentinel(want, w))
 			}
 		}
 	}
@@ -175,7 +171,7 @@ func TestRepairTrunkUnchanged(t *testing.T) {
 	g := b.Build()
 	base := baseUint8Row(t, g, 3)
 	got := append([]uint8(nil), base...)
-	st, err := g.RepairRowEdge(3, got, 0, 1, 0, nil)
+	st, err := g.RepairRowEdge(got, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +202,7 @@ func TestRepairBridgeDisconnects(t *testing.T) {
 	g := b.Build()
 	base := baseUint8Row(t, g, 0)
 	got := append([]uint8(nil), base...)
-	st, err := g.RepairRowEdge(0, got, 2, 3, 0, nil)
+	st, err := g.RepairRowEdge(got, 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +229,7 @@ func TestRepairOverflowErrors(t *testing.T) {
 	g := ring(256)
 	base := baseUint8Row(t, g, 0)
 	got := append([]uint8(nil), base...)
-	_, err := g.RepairRowEdge(0, got, 255, 0, 0, nil)
+	_, err := g.RepairRowEdge(got, 255, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeds uint8 range") {
 		t.Fatalf("overflowing repair err = %v, want uint8 range error", err)
 	}
@@ -253,7 +249,7 @@ func TestRepairArenaReuse(t *testing.T) {
 			src := r.Intn(n)
 			base := baseUint8Row(t, g, src)
 			got := append([]uint8(nil), base...)
-			if _, err := g.RepairRowEdge(src, got, e[0], e[1], 0, arena); err != nil {
+			if _, err := g.RepairRowEdge(got, e[0], e[1], arena); err != nil {
 				t.Fatal(err)
 			}
 			if want := damagedRefRow(g, src, e[0], e[1], -1); !bytes.Equal(got, want) {

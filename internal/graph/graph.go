@@ -2,9 +2,10 @@
 // CSR (compressed sparse row) representation of undirected multigraphs,
 // scalar and bit-parallel multi-source BFS (MultiBFSRows, the one sweep
 // entry point), in-place delta repair of uint8 distance rows after a
-// link or switch removal, k shortest simple paths (an exact-length
-// lexicographic DFS, with Yen's algorithm as its test oracle) and
-// bounded simple-path enumeration on the same walker.
+// link or switch removal (one cone repair at any cone size), k
+// shortest simple paths (an exact-length lexicographic DFS, with Yen's
+// algorithm as its test oracle) and bounded simple-path enumeration on
+// the same walker.
 //
 // Switch-to-switch links in datacenter topologies are unit capacity but may
 // be trunked (parallel links between the same switch pair), so edges carry

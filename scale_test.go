@@ -119,7 +119,7 @@ func TestScale20kSmoke(t *testing.T) {
 	var arena graph.RepairArena
 	for _, src := range []int{0, 10000} {
 		row := append([]uint8(nil), res.Dist[src]...)
-		if _, err := g.RepairRowEdge(src, row, cu, cv, 0, &arena); err != nil {
+		if _, err := g.RepairRowEdge(row, cu, cv, &arena); err != nil {
 			t.Fatal(err)
 		}
 		dg.BFS(src, cold)

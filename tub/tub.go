@@ -237,19 +237,6 @@ func distKernel(hosts int) string {
 	return "scalar"
 }
 
-// hostPositions inverts a host list into a switch-id → host-index map
-// (-1 for transit switches).
-func hostPositions(numSwitches int, hosts []int) []int32 {
-	pos := make([]int32, numSwitches)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, u := range hosts {
-		pos[u] = int32(i)
-	}
-	return pos
-}
-
 // fillRow is the one BFS → uint8 row fill: row[j] = dist[cols[j]]. An
 // unreachable column is a disconnection error; distances must fit
 // uint8 — graph.MaxUint8Dist (254) is the largest representable hop

@@ -17,8 +17,9 @@
 //     rows are skipped);
 //  2. graph.RepairRowEdge / RepairRowSwitch delta repair of the few
 //     affected rows into copy-on-write overlays, bit-identical to a
-//     cold BFS on the damaged graph, each compacted onto host columns
-//     as it is repaired;
+//     cold BFS on the damaged graph. The engine numbers switches
+//     host-first, so a row's first n bytes are its host-column row and
+//     the matcher reads repaired rows in place;
 //  3. match.AuctionResume, which checks each changed host row for 1-CS
 //     against the retained prices, frees only the rows that fail, and
 //     re-runs the auction's final ε = 1 bidding loop from those prices
@@ -50,11 +51,6 @@ import (
 	"dctopo/topo"
 )
 
-// maxAffectedFrac is the repair damage threshold: when one row's
-// affected cone exceeds this fraction of the switches, delta repair
-// stops paying for itself and the row is recomputed with a plain BFS.
-const maxAffectedFrac = 0.25
-
 // WhatIfOptions configures NewWhatIf.
 type WhatIfOptions struct {
 	// Workers bounds the base-state distance sweep's pool; <= 0 means
@@ -83,9 +79,8 @@ type QueryResult struct {
 	// ChangedRows is the number of host distance rows the removal
 	// touched; ChangedPairs counts changed host-pair entries in them.
 	ChangedRows, ChangedPairs int
-	// Frontier is the largest repair cone across changed rows, and
-	// RecomputedRows the rows that fell past the damage threshold.
-	Frontier, RecomputedRows int
+	// Frontier is the largest repair cone across changed rows.
+	Frontier int
 }
 
 // LinkImpact is one link's entry in a sweep: the query result plus the
@@ -100,26 +95,27 @@ type LinkImpact struct {
 // against one topology. Build it once with NewWhatIf; queries are safe
 // for concurrent use (each takes pooled scratch) and never mutate the
 // base state.
+//
+// Internally the switches are numbered host-first: host i (the i-th of
+// t.Hosts()) is switch i and transit switches follow in id order.
+// Queries take and report topology ids.
 type WhatIf struct {
-	t      *topo.Topology
-	g      *graph.Graph
-	hosts  []int
-	hpos   []int32 // switch id -> host index, -1 transit
-	h      []int64 // servers per host
-	nsw    int
-	full   []uint8 // hosts × nsw base distance rows, flat
-	hh     []uint8 // hosts × hosts base rows on host columns
-	base   Result  // cold-equivalent base bound (Dist left nil)
-	warm   match.AuctionWarmStart
-	maxAff int // resolved damage threshold in switches
-	opt    WhatIfOptions
-	pool   sync.Pool // *whatifScratch
+	t    *topo.Topology
+	g    *graph.Graph // t's graph under the host-first numbering
+	id   []int32      // topology switch id -> internal id
+	n    int          // host switches
+	h    []int64      // servers per host
+	nsw  int
+	rows []uint8 // n × nsw base distance rows, flat, host columns first
+	base Result  // cold-equivalent base bound (Dist left nil)
+	warm match.AuctionWarmStart
+	opt  WhatIfOptions
+	pool sync.Pool // *whatifScratch
 }
 
 type whatifScratch struct {
 	arena     graph.RepairArena
 	overlays  [][]uint8 // repaired full-width rows
-	hostCols  [][]uint8 // the same rows on host columns, slot for slot
 	used      int       // overlays handed out this query
 	overlayOf []int32   // host index -> overlay slot + 1, 0 = base row
 	changed   []int
@@ -141,61 +137,57 @@ func (sc *whatifScratch) reset() {
 func (e *WhatIf) Base() Result { return e.base }
 
 // NewWhatIf builds the amortized base state: full-width distance rows
-// for every host (hosts × switches, uint8), the same rows on host
-// columns, and a match.Tight solve whose warm start (prices, matching
-// and max weight) seeds every warm rematch. The base bound and
-// permutation equal a default cold Bound bit for bit. The
-// "whatif.match" span carries the same tight_matched, deficit,
-// resume_bids and fell_back attributes as Bound's "tub.match".
+// for every host (hosts × switches, uint8, host columns first) and a
+// match.Tight solve whose warm start (prices, matching and max weight)
+// seeds every warm rematch. The base bound and permutation equal a
+// default cold Bound bit for bit. The "whatif.match" span carries the
+// same tight_matched, deficit, resume_bids and fell_back attributes as
+// Bound's "tub.match".
 func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
-	hosts := t.Hosts()
-	n := len(hosts)
+	n := len(t.Hosts())
 	if n < 2 {
 		return nil, errors.New("tub: need at least 2 host switches")
 	}
-	g := t.Graph()
-	if err := graph.CheckDistMatrixSize(n, g.N()); err != nil {
+	nsw := t.NumSwitches()
+	if err := graph.CheckDistMatrixSize(n, nsw); err != nil {
 		return nil, err
 	}
-	o, sp := opt.Obs.Start("whatif.build", obs.Int("hosts", n), obs.Int("switches", g.N()))
+	o, sp := opt.Obs.Start("whatif.build", obs.Int("hosts", n), obs.Int("switches", nsw))
 	defer sp.End()
 
-	e := &WhatIf{
-		t:     t,
-		g:     g,
-		hosts: hosts,
-		hpos:  hostPositions(g.N(), hosts),
-		nsw:   g.N(),
-		opt:   opt,
+	// t.Hosts() lists the switches with servers in ascending id order,
+	// so this scan numbers the i-th host i.
+	e := &WhatIf{t: t, id: make([]int32, nsw), n: n, h: make([]int64, n), nsw: nsw, opt: opt}
+	host, transit := int32(0), int32(n)
+	for v := range e.id {
+		if h := t.Servers(v); h > 0 {
+			e.id[v], e.h[host] = host, int64(h)
+			host++
+		} else {
+			e.id[v] = transit
+			transit++
+		}
 	}
-	e.h = make([]int64, n)
-	for i, u := range hosts {
-		e.h[i] = int64(t.Servers(u))
-	}
-	e.maxAff = int(maxAffectedFrac * float64(g.N()))
-	if e.maxAff < 1 {
-		e.maxAff = 1
-	}
+	b := graph.NewBuilder(nsw)
+	t.Graph().Edges(func(u, v, c int) { b.AddEdgeMult(int(e.id[u]), int(e.id[v]), c) })
+	e.g = b.Build()
 
 	// Full-width rows: unlike Bound's host×host matrix, what-if repair
 	// needs distances to transit switches too — the repair cone grows
-	// through them. The host-column rows are what every matcher touch
-	// point — the base solve, the warm rematch's bids and its 1-CS
-	// prefilter — scans directly (match.U8Weights); the scaled weight is
-	// computed in-register, so there is no n×n int64 matrix to budget.
-	// One byte per pair: 400 MB at 20k hosts, same as Bound's Dist.
+	// through them. Under the host-first numbering a row's first n
+	// bytes are its host columns, which every matcher touch point — the
+	// base solve, the warm rematch's bids and its 1-CS prefilter — scans
+	// directly (match.U8Weights); the scaled weight is computed
+	// in-register, so there is no n×n int64 matrix to budget. One byte
+	// per pair: 400 MB at 20k hosts, same as Bound's Dist.
 	_, dsp := o.Start("whatif.dist")
-	e.full = make([]uint8, n*e.nsw)
-	e.hh = make([]uint8, n*n)
-	switches := make([]int, e.nsw)
+	e.rows = make([]uint8, n*nsw)
+	switches := make([]int, nsw)
 	for v := range switches {
 		switches[v] = v
 	}
-	err := g.MultiBFSRows(hosts, opt.Workers, func(i int, dist []int32) error {
-		if err := fillRow(e.full[i*e.nsw:(i+1)*e.nsw], dist, switches); err != nil {
-			return err
-		}
-		return fillRow(e.hh[i*n:(i+1)*n], dist, hosts)
+	err := e.g.MultiBFSRows(switches[:n], opt.Workers, func(i int, dist []int32) error {
+		return fillRow(e.rows[i*nsw:(i+1)*nsw], dist, switches)
 	}, nil)
 	dsp.End()
 	if err != nil {
@@ -221,16 +213,16 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	return e, nil
 }
 
-// hostRow returns host i's distance row on host columns under the
-// query's overlays (the base row when untouched or sc is nil).
+// hostRow returns host i's distance row on host columns: the first n
+// bytes of its overlay under the query, or of its base row when
+// untouched or sc is nil.
 func (e *WhatIf) hostRow(sc *whatifScratch, i int) []uint8 {
 	if sc != nil {
 		if k := sc.overlayOf[i]; k > 0 {
-			return sc.hostCols[k-1]
+			return sc.overlays[k-1][:e.n]
 		}
 	}
-	n := len(e.hosts)
-	return e.hh[i*n : (i+1)*n]
+	return e.rows[i*e.nsw : i*e.nsw+e.n]
 }
 
 // u8At is the matcher view over the (possibly overlaid) host-column
@@ -249,8 +241,7 @@ func (e *WhatIf) putScratch(sc *whatifScratch) {
 }
 
 // overlay copies host i's base row into a reusable buffer and registers
-// it as the query view of that host; noteRepair fills the slot's
-// host-column copy once the row is repaired.
+// it as the query view of that host, to be repaired in place.
 func (sc *whatifScratch) overlay(e *WhatIf, i int) []uint8 {
 	var buf []uint8
 	if sc.used < len(sc.overlays) {
@@ -258,10 +249,9 @@ func (sc *whatifScratch) overlay(e *WhatIf, i int) []uint8 {
 	} else {
 		buf = make([]uint8, e.nsw)
 		sc.overlays = append(sc.overlays, buf)
-		sc.hostCols = append(sc.hostCols, make([]uint8, len(e.hosts)))
 	}
 	sc.used++
-	copy(buf, e.full[i*e.nsw:(i+1)*e.nsw])
+	copy(buf, e.rows[i*e.nsw:(i+1)*e.nsw])
 	sc.overlayOf[i] = int32(sc.used)
 	sc.changed = append(sc.changed, i)
 	return buf
@@ -292,9 +282,11 @@ func (e *WhatIf) QueryLink(u, v int) (*QueryResult, error) {
 	return e.queryLink(u, v, sc)
 }
 
+// queryLink answers QueryLink for an in-range (u, v) in topology ids.
 func (e *WhatIf) queryLink(u, v int, sc *whatifScratch) (*QueryResult, error) {
 	start := time.Now()
-	c := e.g.Capacity(u, v)
+	iu, iv := int(e.id[u]), int(e.id[v])
+	c := e.g.Capacity(iu, iv)
 	if c == 0 {
 		return nil, fmt.Errorf("tub: no (%d,%d) link to remove", u, v)
 	}
@@ -309,17 +301,17 @@ func (e *WhatIf) queryLink(u, v int, sc *whatifScratch) (*QueryResult, error) {
 		return q, nil
 	}
 
-	for i := range e.hosts {
-		base := e.full[i*e.nsw : (i+1)*e.nsw]
-		if !e.g.EdgeRepairNeeded(base, u, v) {
+	for i := 0; i < e.n; i++ {
+		base := e.rows[i*e.nsw : (i+1)*e.nsw]
+		if !e.g.EdgeRepairNeeded(base, iu, iv) {
 			continue
 		}
 		row := sc.overlay(e, i)
-		st, err := e.g.RepairRowEdge(e.hosts[i], row, u, v, e.maxAff, &sc.arena)
+		st, err := e.g.RepairRowEdge(row, iu, iv, &sc.arena)
 		if err != nil {
 			return nil, err
 		}
-		e.noteRepair(q, sc, i, base, row, st)
+		e.noteRepair(q, base, row, st)
 	}
 	return e.finish(q, sc, start)
 }
@@ -337,26 +329,27 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	start := time.Now()
-	wHost := e.hpos[w] >= 0
-	if wHost && len(e.hosts) <= 2 {
+	w = int(e.id[w]) // internal id from here on; a host's is its host index
+	wHost := w < e.n
+	if wHost && e.n <= 2 {
 		return nil, errors.New("tub: removing the switch leaves fewer than 2 host switches")
 	}
 	q := &QueryResult{TwoE: e.base.TwoE - 2*e.g.Degree(w)}
 
-	for i := range e.hosts {
-		if e.hosts[i] == w {
+	for i := 0; i < e.n; i++ {
+		if i == w {
 			continue
 		}
-		base := e.full[i*e.nsw : (i+1)*e.nsw]
+		base := e.rows[i*e.nsw : (i+1)*e.nsw]
 		if !e.g.SwitchRepairNeeded(base, w) {
 			continue
 		}
 		row := sc.overlay(e, i)
-		st, err := e.g.RepairRowSwitch(e.hosts[i], row, w, e.maxAff, &sc.arena)
+		st, err := e.g.RepairRowSwitch(i, row, w, &sc.arena)
 		if err != nil {
 			return nil, err
 		}
-		e.noteRepair(q, sc, i, base, row, st)
+		e.noteRepair(q, base, row, st)
 	}
 
 	if !wHost {
@@ -366,17 +359,16 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	// Host switch: drop w from the matching and solve the reduced
 	// instance cold (the base prices are duals of the wrong dimension).
 	// Distances still come from the repaired overlays.
-	wi := int(e.hpos[w])
-	if disc := e.disconnectedPair(q, sc, wi); disc {
+	if disc := e.disconnectedPair(q, sc, w); disc {
 		q.Mode = "disconnected"
 		q.Disconnected = true
 		q.Bound, q.WeightedLen = 0, 0
 		e.observe(q.Mode, start, q.Frontier)
 		return q, nil
 	}
-	keep := make([]int, 0, len(e.hosts)-1)
-	for i := range e.hosts {
-		if i != wi {
+	keep := make([]int, 0, e.n-1)
+	for i := 0; i < e.n; i++ {
+		if i != w {
 			keep = append(keep, i)
 		}
 	}
@@ -412,20 +404,14 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	return q, nil
 }
 
-// noteRepair folds one repaired row into the query accumulators and
-// compacts it onto host columns for the matcher.
-func (e *WhatIf) noteRepair(q *QueryResult, sc *whatifScratch, i int, base, row []uint8, st graph.RepairStats) {
+// noteRepair folds one repaired row into the query accumulators.
+func (e *WhatIf) noteRepair(q *QueryResult, base, row []uint8, st graph.RepairStats) {
 	q.ChangedRows++
 	if st.Affected > q.Frontier {
 		q.Frontier = st.Affected
 	}
-	if st.Recomputed {
-		q.RecomputedRows++
-	}
-	hc := sc.hostCols[sc.overlayOf[i]-1]
-	for j, u := range e.hosts {
-		hc[j] = row[u]
-		if base[u] != row[u] {
+	for j, d := range row[:e.n] {
+		if base[j] != d {
 			q.ChangedPairs++
 		}
 	}
@@ -482,7 +468,7 @@ func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*Qu
 	// Warm rematch from the changed host rows: AuctionResume frees those
 	// that fail 1-CS against the warm prices and folds their new weights
 	// into the base maximum the warm start carries.
-	res, st := match.AuctionResume(len(e.hosts), e.u8At(sc), e.warm, sc.changed)
+	res, st := match.AuctionResume(e.n, e.u8At(sc), e.warm, sc.changed)
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation after removal")
 	}
@@ -508,13 +494,14 @@ type SweepOptions struct {
 
 // SweepLinks runs QueryLink over every distinct link bundle of the
 // base topology (optionally sampled) and returns one LinkImpact per
-// link in Edges enumeration order. Queries run on a worker pool with
-// per-worker scratch; results are deterministic and worker-independent.
+// link in t.Graph().Edges enumeration order, in topology ids. Queries
+// run on a worker pool with per-worker scratch; results are
+// deterministic and worker-independent.
 func (e *WhatIf) SweepLinks(opt SweepOptions) ([]LinkImpact, error) {
 	type linkID struct{ u, v, c int }
 	var links []linkID
 	k := 0
-	e.g.Edges(func(u, v, c int) {
+	e.t.Graph().Edges(func(u, v, c int) {
 		if opt.Sample > 1 && k%opt.Sample != 0 {
 			k++
 			return

@@ -190,12 +190,12 @@ func TestWhatIfBaseEqualsBound(t *testing.T) {
 	}
 }
 
-// TestWhatIfForcedFallbacks drives the link differential through the
-// repair fallback: on a 16-switch ring with one server per switch, a
-// cut implicates about half the ring from its endpoints' rows, past
-// the damage threshold, so rows are recomputed with a plain BFS. Every
-// link query must still match the cold recompute exactly.
-func TestWhatIfForcedFallbacks(t *testing.T) {
+// TestWhatIfLargeCones drives the link differential through large
+// repair cones: on a 16-switch ring with one server per switch, a cut
+// implicates about half the ring from its endpoints' rows, so the cone
+// repair re-levels more than a quarter of the switches. Every link
+// query must still match the cold recompute exactly.
+func TestWhatIfLargeCones(t *testing.T) {
 	const n = 16
 	b := graph.NewBuilder(n)
 	servers := make([]int, n)
@@ -211,7 +211,7 @@ func TestWhatIfForcedFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recomputed := 0
+	frontier := 0
 	tp.Graph().Edges(func(u, v, c int) {
 		q, err := e.QueryLink(u, v)
 		if err != nil {
@@ -224,10 +224,10 @@ func TestWhatIfForcedFallbacks(t *testing.T) {
 		if q.Bound != wantB || q.WeightedLen != wantWL {
 			t.Fatalf("link (%d,%d) mode=%s: got (%v, %d), cold (%v, %d)", u, v, q.Mode, q.Bound, q.WeightedLen, wantB, wantWL)
 		}
-		recomputed += q.RecomputedRows
+		frontier = max(frontier, q.Frontier)
 	})
-	if recomputed == 0 {
-		t.Fatal("no row crossed the damage threshold: the recompute fallback was never exercised")
+	if frontier <= n/4 {
+		t.Fatalf("largest repair cone %d switches, want more than %d: no large cone was exercised", frontier, n/4)
 	}
 }
 
@@ -279,50 +279,64 @@ func TestWhatIfBridgeRemoval(t *testing.T) {
 	}
 }
 
-// TestWhatIfSweepDeterministic: the sweep must return identical
-// impacts for any worker count, drops must be non-negative, and the
-// ranking must be sorted by drop.
+// TestWhatIfSweepDeterministic: on every family the sweep must return
+// identical impacts for any worker count, list links in
+// t.Graph().Edges order in topology ids with each impact equal to
+// QueryLink on the same link, keep drops non-negative, and rank by
+// drop. Clos R4 L3 interleaves host and aggregation switch ids, so it
+// pins the engine's host-first id translation on the sweep path.
 func TestWhatIfSweepDeterministic(t *testing.T) {
-	tp := whatifTopologies(t)[0]
-	e, err := NewWhatIf(tp, WhatIfOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := e.SweepLinks(SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) == 0 {
-		t.Fatal("empty sweep")
-	}
-	got, err := e.SweepLinks(SweepOptions{Workers: runtime.GOMAXPROCS(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("sweep sizes differ: %d vs %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("impact %d differs across worker counts:\n  1: %+v\n  N: %+v", i, ref[i], got[i])
+	for _, tp := range whatifTopologies(t) {
+		e, err := NewWhatIf(tp, WhatIfOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !ref[i].Disconnected && ref[i].Drop < -1e-12 {
-			t.Fatalf("link (%d,%d): negative drop %v — removal cannot raise TUB", ref[i].U, ref[i].V, ref[i].Drop)
+		ref, err := e.SweepLinks(SweepOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ranked := RankByDrop(ref)
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i].Drop > ranked[i-1].Drop {
-			t.Fatalf("ranking not sorted at %d: %v after %v", i, ranked[i].Drop, ranked[i-1].Drop)
+		got, err := e.SweepLinks(SweepOptions{Workers: runtime.GOMAXPROCS(0)})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Sampling keeps every k-th link.
-	sampled, err := e.SweepLinks(SweepOptions{Sample: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (len(ref) + 2) / 3; len(sampled) != want {
-		t.Fatalf("sampled sweep has %d links, want %d", len(sampled), want)
+		var links []LinkImpact
+		tp.Graph().Edges(func(u, v, c int) { links = append(links, LinkImpact{U: u, V: v, Capacity: c}) })
+		if len(ref) != len(links) || len(got) != len(ref) {
+			t.Fatalf("%s: sweeps have %d and %d impacts, want %d links", tp.Name(), len(ref), len(got), len(links))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("%s: impact %d differs across worker counts:\n  1: %+v\n  N: %+v", tp.Name(), i, ref[i], got[i])
+			}
+			if l := links[i]; ref[i].U != l.U || ref[i].V != l.V || ref[i].Capacity != l.Capacity {
+				t.Fatalf("%s: impact %d is link (%d,%d)x%d, Edges order has (%d,%d)x%d",
+					tp.Name(), i, ref[i].U, ref[i].V, ref[i].Capacity, l.U, l.V, l.Capacity)
+			}
+			q, err := e.QueryLink(ref[i].U, ref[i].V)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *q != ref[i].QueryResult {
+				t.Fatalf("%s: link (%d,%d): sweep %+v, QueryLink %+v", tp.Name(), ref[i].U, ref[i].V, ref[i].QueryResult, *q)
+			}
+			if !ref[i].Disconnected && ref[i].Drop < -1e-12 {
+				t.Fatalf("%s: link (%d,%d): negative drop %v — removal cannot raise TUB", tp.Name(), ref[i].U, ref[i].V, ref[i].Drop)
+			}
+		}
+		ranked := RankByDrop(ref)
+		for i := 1; i < len(ranked); i++ {
+			if ranked[i].Drop > ranked[i-1].Drop {
+				t.Fatalf("%s: ranking not sorted at %d: %v after %v", tp.Name(), i, ranked[i].Drop, ranked[i-1].Drop)
+			}
+		}
+		// Sampling keeps every k-th link.
+		sampled, err := e.SweepLinks(SweepOptions{Sample: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (len(ref) + 2) / 3; len(sampled) != want {
+			t.Fatalf("%s: sampled sweep has %d links, want %d", tp.Name(), len(sampled), want)
+		}
 	}
 }
 
@@ -392,14 +406,25 @@ func TestWhatIfQueryLinkOutOfRange(t *testing.T) {
 }
 
 // FuzzWhatIfEquivalence fuzzes the incremental-vs-cold equivalence over
-// generated Jellyfish instances and arbitrary removals. Wired into the
-// CI fuzz smoke step.
+// arbitrary removals on generated Jellyfish instances or, with clos set,
+// on the Clos R4 L3 fat-tree, whose host switches are not a prefix of
+// the switch ids (so the engine's host-first numbering is not the
+// identity). Wired into the CI fuzz smoke step.
 func FuzzWhatIfEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint(0), false)
-	f.Add(uint64(3), uint(7), true)
-	f.Add(uint64(9), uint(40), false)
-	f.Fuzz(func(t *testing.T, seed uint64, pick uint, bySwitch bool) {
-		tp, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 16, Radix: 4, Servers: 2, Seed: seed%32 + 1})
+	f.Add(uint64(1), uint(0), false, false)
+	f.Add(uint64(3), uint(7), true, false)
+	f.Add(uint64(9), uint(40), false, false)
+	f.Add(uint64(1), uint(5), false, true)
+	f.Add(uint64(1), uint(13), true, true)
+	f.Add(uint64(1), uint(2), true, true)
+	f.Fuzz(func(t *testing.T, seed uint64, pick uint, bySwitch, clos bool) {
+		var tp *topo.Topology
+		var err error
+		if clos {
+			tp, err = topo.Clos(topo.ClosConfig{Radix: 4, Layers: 3})
+		} else {
+			tp, err = topo.Jellyfish(topo.JellyfishConfig{Switches: 16, Radix: 4, Servers: 2, Seed: seed%32 + 1})
+		}
 		if err != nil {
 			t.Skip()
 		}
