@@ -230,19 +230,21 @@ func BenchmarkGK(b *testing.B) {
 }
 
 // BenchmarkFig3ThroughputGapParallel is BenchmarkFig3ThroughputGap swept
-// over worker counts: the end-to-end KSP-MCF-bound sweep whose speedup
-// the parallel pipeline targets. θ of the last row is reported so the
-// byte-identical-results guarantee is visible in the metrics.
+// over GOMAXPROCS ∈ {1, 2, 4}, which sizes the sweep's worker pool: the
+// end-to-end KSP-MCF-bound sweep whose speedup the parallel pipeline
+// targets. θ of the last row is reported so the byte-identical-results
+// guarantee is visible in the metrics.
 func BenchmarkFig3ThroughputGapParallel(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		p := expt.Fig3Params{
-			Family: expt.FamilyJellyfish, Radix: 10, Servers: []int{4},
-			Switches: []int{24, 54}, K: 8, Seed: 1,
-		}
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+	p := expt.Fig3Params{
+		Family: expt.FamilyJellyfish, Radix: 10, Servers: []int{4},
+		Switches: []int{24, 54}, K: 8, Seed: 1,
+	}
+	for _, procs := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			theta := 0.0
 			for i := 0; i < b.N; i++ {
-				r, err := expt.RunFig3(p, expt.RunOptions{Workers: w})
+				r, err := expt.RunFig3(p, expt.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

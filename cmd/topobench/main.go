@@ -216,11 +216,10 @@ func (tf *topoFlags) validate() error {
 	)
 }
 
-// runFlags registers the shared execution flags: the worker-pool size
-// for the parallel stages, pprof profiles, and the observability sinks
-// (-v, -progress, -trace, -metrics).
+// runFlags registers the shared execution flags: pprof profiles and the
+// observability sinks (-v, -progress, -trace, -metrics). The parallel
+// stages size their worker pools from GOMAXPROCS.
 type runFlags struct {
-	workers    int
 	cpuprofile string
 	memprofile string
 	verbose    bool
@@ -242,7 +241,6 @@ type runFlags struct {
 }
 
 func (rf *runFlags) register(fs *flag.FlagSet) {
-	fs.IntVar(&rf.workers, "workers", 0, "worker goroutines for K-shortest paths, experiment sweeps and what-if queries (0 = GOMAXPROCS); results are identical for any value")
 	fs.StringVar(&rf.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&rf.memprofile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	fs.BoolVar(&rf.verbose, "v", false, "log completed spans (stage timings) to stderr")
@@ -577,7 +575,7 @@ func cmdMetrics(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	paths := mcf.KShortestObs(t, tm, *k, rf.workers, o)
+	paths := mcf.KShortestObs(t, tm, *k, 0, o)
 	timed("hoefler", func() (string, error) {
 		e, err := estimators.Hoefler(t, tm, paths)
 		return fmt.Sprintf("min=%.4f mean=%.4f", e.MinRatio, e.MeanRatio), err
@@ -646,7 +644,7 @@ func cmdMCF(w io.Writer, args []string) error {
 	}
 	defer stop()
 	start := time.Now()
-	paths := mcf.KShortestObs(t, tm, *k, rf.workers, o)
+	paths := mcf.KShortestObs(t, tm, *k, 0, o)
 	d, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: m, Eps: *eps, Obs: o})
 	if err != nil {
 		return err
@@ -734,7 +732,7 @@ func cmdExpt(w io.Writer, args []string) error {
 		return err
 	}
 	defer stop()
-	ropt := expt.RunOptions{Workers: rf.workers, Obs: o, Memo: &expt.Memo{Obs: o}}
+	ropt := expt.RunOptions{Obs: o, Memo: &expt.Memo{Obs: o}}
 	if *cache != "" {
 		ropt.Store = expt.NewStore(*cache, o)
 		defer storeSummary(ropt.Store)
@@ -789,7 +787,6 @@ func cmdReport(w io.Writer, args []string) error {
 		Markdown: *markdown,
 		Heavy:    *heavy,
 		Progress: os.Stderr,
-		Workers:  rf.workers,
 	}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {

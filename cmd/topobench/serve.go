@@ -33,7 +33,7 @@ func cmdServe(w io.Writer, args []string) error {
 	syncDeadline := fs.Duration("sync-deadline", 2*time.Second, "how long a sync request waits before converting to 202 + job polling")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight jobs")
 	queueDepth := fs.Int("queue", 16, "queued-job admission limit (past it submissions get 429)")
-	executors := fs.Int("executors", 1, "jobs running concurrently (drivers parallelize internally via -workers)")
+	executors := fs.Int("executors", 1, "jobs running concurrently (each job's sweeps already use GOMAXPROCS workers)")
 	engines := fs.Int("engines", 4, "resident what-if engines kept warm (LRU past this)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,7 +71,6 @@ func cmdServe(w io.Writer, args []string) error {
 
 	opt := serve.Options{
 		Obs:          o,
-		Workers:      rf.workers,
 		Executors:    *executors,
 		QueueDepth:   *queueDepth,
 		SyncDeadline: *syncDeadline,

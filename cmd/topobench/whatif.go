@@ -49,7 +49,7 @@ func cmdWhatIf(w io.Writer, args []string) error {
 	defer stop()
 
 	start := time.Now()
-	eng, err := tub.NewWhatIf(t, tub.WhatIfOptions{Workers: rf.workers, Obs: o})
+	eng, err := tub.NewWhatIf(t, tub.WhatIfOptions{Obs: o})
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func cmdWhatIf(w io.Writer, args []string) error {
 	default:
 		_ = *all // -all is the default action; the flag exists for explicitness
 		qs := time.Now()
-		impacts, err := eng.SweepLinks(tub.SweepOptions{Workers: rf.workers, Sample: *sample})
+		impacts, err := eng.SweepLinks(*sample)
 		if err != nil {
 			return err
 		}

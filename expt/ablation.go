@@ -50,7 +50,7 @@ func RunAblation(p AblationParams, opt RunOptions) (_ *AblationResult, err error
 	ro, rsp := opt.Obs.Start("expt.ablation")
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "ablation")
+	run := NewRunner().Observe(ro, "ablation")
 	res := &AblationResult{Params: p}
 	studies := []func() error{
 		func() error { // matcher study

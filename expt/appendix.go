@@ -51,7 +51,7 @@ func RunFigA1(p FigA1Params, opt RunOptions) (_ *FigA1Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.figA1", obs.Int("jobs", len(p.Switches)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "figA1")
+	run := NewRunner().Observe(ro, "figA1")
 	rows := make([]FigA1Row, len(p.Switches))
 	err = run.ForEach(len(p.Switches), func(i int) error {
 		n := p.Switches[i]
@@ -136,7 +136,7 @@ func RunFigA2(p FigA2Params, opt RunOptions) (_ *FigA2Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.figA2", obs.Int("jobs", len(p.FatTreeK)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "figA2")
+	run := NewRunner().Observe(ro, "figA2")
 	rows := make([]FigA2Row, len(p.FatTreeK))
 	err = run.ForEach(len(p.FatTreeK), func(i int) error {
 		k := p.FatTreeK[i]
@@ -264,7 +264,7 @@ func RunFigA4(p FigA4Params, opt RunOptions) (_ *FigA4Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.figA4", obs.Int("jobs", len(p.Servers)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "figA4")
+	run := NewRunner().Observe(ro, "figA4")
 	perH := make([][]FigA4Row, len(p.Servers))
 	err = run.ForEach(len(p.Servers), func(i int) error {
 		h := p.Servers[i]
@@ -374,7 +374,7 @@ func RunFigA5(p FigA5Params, opt RunOptions) (_ *FigA5Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.figA5", obs.Int("jobs", len(p.Switches)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "figA5")
+	run := NewRunner().Observe(ro, "figA5")
 	inner := run.InnerWorkers(len(p.Switches))
 	perSize := make([][]FigA5Row, len(p.Switches))
 	err = run.ForEach(len(p.Switches), func(i int) error {

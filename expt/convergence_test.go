@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,7 +19,9 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 		Family: FamilyJellyfish, Radix: 8, Servers: []int{3},
 		Switches: []int{12, 20}, K: 4, Seed: 1,
 	}
-	bare, err := RunFig3(p, RunOptions{Workers: 2})
+	// Two workers, so the sinks see jobs and KSP shards interleave.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	bare, err := RunFig3(p, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +29,7 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 	rec := &ConvergenceRecorder{}
 	cap := &obs.Capture{}
 	o := obs.New(rec, cap)
-	traced, err := RunFig3(p, RunOptions{Workers: 2, Obs: o})
+	traced, err := RunFig3(p, RunOptions{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

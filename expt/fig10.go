@@ -71,7 +71,7 @@ func RunFig10(p Fig10Params, opt RunOptions) (_ *Fig10Result, err error) {
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
 	rows := make([]Fig10Row, len(jobs))
-	run := NewRunner(opt.Workers).Observe(ro, "fig10")
+	run := NewRunner().Observe(ro, "fig10")
 	err = run.ForEach(len(jobs), func(i int) error {
 		jo, jsp := ro.Start("fig10.job",
 			obs.Int("n", p.SizeList[jobs[i].size]), obs.Float("f", p.Fractions[jobs[i].fraction]))

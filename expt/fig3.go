@@ -64,7 +64,7 @@ func RunFig3(p Fig3Params, opt RunOptions) (_ *Fig3Result, err error) {
 		obs.String("family", string(p.Family)), obs.Int("jobs", len(jobs)), obs.Int("k", p.K))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "fig3")
+	run := NewRunner().Observe(ro, "fig3")
 	inner := run.InnerWorkers(len(jobs))
 	rows := make([]Fig3Row, len(jobs))
 	err = run.ForEach(len(jobs), func(i int) error {

@@ -61,7 +61,7 @@ func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.fig4", obs.Int("jobs", len(p.Switches)), obs.Int("k", p.K))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "fig4")
+	run := NewRunner().Observe(ro, "fig4")
 	inner := run.InnerWorkers(len(p.Switches))
 	rows := make([]Fig4Row, len(p.Switches))
 	err = run.ForEach(len(p.Switches), func(i int) error {

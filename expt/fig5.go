@@ -75,7 +75,7 @@ func RunFig5(p Fig5Params, opt RunOptions) (_ *Fig5Result, err error) {
 		obs.Int("jobs", len(p.Switches)), obs.Bool("reference", p.WithReference))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "fig5")
+	run := NewRunner().Observe(ro, "fig5")
 	inner := run.InnerWorkers(len(p.Switches))
 	rows := make([]Fig5Row, len(p.Switches))
 	err = run.ForEach(len(p.Switches), func(i int) error {

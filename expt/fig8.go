@@ -84,7 +84,7 @@ func RunFig8(p Fig8Params, opt RunOptions) (_ *Fig8Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.fig8",
 		obs.String("family", string(p.Family)), obs.Int("jobs", jobs))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
-	run := NewRunner(opt.Workers).Observe(ro, "fig8")
+	run := NewRunner().Observe(ro, "fig8")
 	probes := make([]probe, jobs)
 	err = run.ForEach(jobs, func(i int) error {
 		h := p.Servers[i/len(sizes)]
@@ -194,7 +194,7 @@ func RunFatCliqueFrontier(p FatCliqueFrontierParams, opt RunOptions) (_ *FatCliq
 	}
 	ro, rsp := opt.Obs.Start("expt.fig8c", obs.Int("jobs", len(shapes)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
-	run := NewRunner(opt.Workers).Observe(ro, "fig8c")
+	run := NewRunner().Observe(ro, "fig8c")
 	classified := make([]*FatCliqueShapeClass, len(shapes))
 	err = run.ForEach(len(shapes), func(i int) error {
 		shape := shapes[i]

@@ -60,7 +60,7 @@ func RunFig9(p Fig9Params, opt RunOptions) (_ *Fig9Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.fig9", obs.Int("servers", p.Servers), obs.Int("radix", p.Radix))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "fig9")
+	run := NewRunner().Observe(ro, "fig9")
 	rows := make([]Fig9Row, len(fig9Families))
 	err = run.ForEach(len(fig9Families), func(i int) error {
 		f := fig9Families[i]

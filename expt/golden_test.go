@@ -3,7 +3,6 @@ package expt
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -178,14 +177,9 @@ func renderTables(tabs []*Table) string {
 }
 
 // TestGoldenTables runs every driver at its recorded small parameters —
-// sequentially at Workers=1, at full parallelism, and once more with a
-// Memo shared across all drivers — and requires byte-identical output
-// each way.
+// at GOMAXPROCS ∈ {1, 2, 4}, and once more with a Memo shared across all
+// drivers — and requires byte-identical output each way.
 func TestGoldenTables(t *testing.T) {
-	workers := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workers = append(workers, n)
-	}
 	shared := &Memo{}
 	for _, tc := range goldenCases() {
 		tc := tc
@@ -195,13 +189,14 @@ func TestGoldenTables(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := string(wantB)
-			for _, w := range workers {
-				tabs, err := tc.run(RunOptions{Workers: w})
+			for _, w := range testProcs {
+				var tabs []*Table
+				atProcs(w, func() { tabs, err = tc.run(RunOptions{}) })
 				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", w, err)
 				}
 				if got := renderTables(tabs); got != want {
-					t.Errorf("workers=%d: output differs from %s:\ngot:\n%s\nwant:\n%s", w, tc.golden, got, want)
+					t.Errorf("GOMAXPROCS=%d: output differs from %s:\ngot:\n%s\nwant:\n%s", w, tc.golden, got, want)
 				}
 			}
 			tabs, err := tc.run(RunOptions{Memo: shared})

@@ -19,16 +19,13 @@ type Result interface {
 }
 
 // RunOptions is the uniform execution contract every driver accepts:
-// the worker-pool size for its sweep, an instrumentation handle, a Memo
-// for sharing expensive per-topology artifacts across drivers, and a
-// Store for persisting finished results. The zero value is valid — one
-// worker per core, no instrumentation, a private memo, no persistence —
-// and every field changes only cost, never results (the timing columns
-// of fig5 and the ablation aside).
+// an instrumentation handle, a Memo for sharing expensive per-topology
+// artifacts across drivers, and a Store for persisting finished
+// results. The zero value is valid — no instrumentation, a private
+// memo, no persistence — and every field changes only cost, never
+// results (the timing columns of fig5 and the ablation aside). Sweeps
+// run on GOMAXPROCS workers; tables are identical for any GOMAXPROCS.
 type RunOptions struct {
-	// Workers sizes the driver's worker pool (0 = GOMAXPROCS). Tables
-	// are identical for any worker count.
-	Workers int
 	// Obs, when non-nil, traces the run: an "expt.<id>" root span per
 	// driver, job spans, progress ticks and solver counters.
 	Obs *obs.Obs
@@ -36,8 +33,8 @@ type RunOptions struct {
 	// drivers (the report passes one Memo to every step). When nil each
 	// driver uses a private memo, so intra-run reuse still happens.
 	Memo *Memo
-	// Store, when non-nil, persists results; used by Execute/RunStored,
-	// ignored by the drivers themselves.
+	// Store, when non-nil, persists results; used by Execute, ignored by
+	// the drivers themselves.
 	Store *Store
 }
 
@@ -67,12 +64,11 @@ type Experiment struct {
 	// Heavy marks the paper-scale demonstrations that only run under
 	// `topobench report -heavy` (minutes of compute).
 	Heavy bool
-	// Params is the default parameter struct the Run closure uses. Its
-	// canonical JSON participates in the Store's content address, so two
-	// binaries with different defaults never share a cache entry.
+	// Params is the default parameter struct Execute runs with when the
+	// request carries none. Its canonical JSON participates in the
+	// Store's content address, so two binaries with different defaults
+	// never share a cache entry.
 	Params interface{}
-	// Run executes the experiment with the default parameters.
-	Run func(RunOptions) (Result, error)
 	// runWith executes the experiment with an explicit parameter value,
 	// which must be the concrete type ResolveParams returns.
 	runWith func(params interface{}, opt RunOptions) (Result, error)
@@ -178,7 +174,6 @@ func asResult[T any](r *T, err error) (Result, error) {
 func exp[T any, P any](id, title string, heavy bool, def P, run func(P, RunOptions) (*T, error)) Experiment {
 	return Experiment{
 		ID: id, Title: title, Heavy: heavy, Params: def,
-		Run: func(opt RunOptions) (Result, error) { return asResult(run(def, opt)) },
 		runWith: func(p interface{}, opt RunOptions) (Result, error) {
 			pp, ok := p.(P)
 			if !ok {
@@ -328,7 +323,8 @@ func CanonicalParams(e Experiment, rawParams []byte) (params interface{}, params
 // raw JSON params against the registered defaults, answer from the
 // Store when a payload for (id, params) exists, otherwise run the
 // driver and persist the payload. rawParams nil/empty runs the
-// defaults — with a nil Store that is exactly e.Run(opt).
+// defaults. A payload that fails to decode (truncated file, older
+// incompatible field set) is treated as a miss and recomputed.
 func Execute(e Experiment, rawParams []byte, opt RunOptions) (*Executed, error) {
 	p, pj, key, err := CanonicalParams(e, rawParams)
 	if err != nil {
@@ -355,18 +351,4 @@ func Execute(e Experiment, rawParams []byte, opt RunOptions) (*Executed, error) 
 	}
 	ex.Result, ex.Payload = r, payload
 	return ex, nil
-}
-
-// RunStored runs the experiment with its default parameters through
-// Execute: a stored payload for (id, default params, store version) is
-// decoded and returned without recomputation; otherwise the experiment
-// runs and its payload is persisted. A payload that fails to decode
-// (truncated file, older incompatible field set) is treated as a miss
-// and recomputed.
-func RunStored(e Experiment, opt RunOptions) (Result, error) {
-	ex, err := Execute(e, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	return ex.Result, nil
 }

@@ -31,7 +31,7 @@ func TestRegistryOrderAndIDs(t *testing.T) {
 			t.Errorf("duplicate experiment id %q", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Title == "" || e.Run == nil || e.decode == nil {
+		if e.Title == "" || e.runWith == nil || e.decodeParams == nil || e.decode == nil {
 			t.Errorf("%s: incomplete registration", e.ID)
 		}
 		if e.Heavy != heavy[e.ID] {
@@ -83,10 +83,11 @@ func TestDecodeMatchesRun(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", id)
 		}
-		r, err := e.Run(RunOptions{})
+		ex, err := Execute(e, nil, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		r := ex.Result
 		payload, err := Payload(r)
 		if err != nil {
 			t.Fatalf("%s: payload: %v", id, err)

@@ -22,10 +22,6 @@ type ReportOptions struct {
 	Only []string
 	// Progress, when non-nil, receives one line per completed experiment.
 	Progress io.Writer
-	// Workers sizes the worker pools of the experiment sweeps; 0 =
-	// GOMAXPROCS. Tables are identical for any worker count (the timing
-	// columns of fig5 and the ablation aside).
-	Workers int
 	// Obs, when non-nil, is threaded into every instrumented sweep, so a
 	// trace or progress sink attached to it sees the whole report run.
 	Obs *obs.Obs
@@ -67,10 +63,9 @@ func Report(w io.Writer, opt ReportOptions) error {
 		only[id] = true
 	}
 	ropt := RunOptions{
-		Workers: opt.Workers,
-		Obs:     opt.Obs,
-		Memo:    &Memo{Obs: opt.Obs},
-		Store:   opt.Store,
+		Obs:   opt.Obs,
+		Memo:  &Memo{Obs: opt.Obs},
+		Store: opt.Store,
 	}
 	// Results reused by the final conclusions table.
 	var fig9Res *Fig9Result
@@ -86,10 +81,11 @@ func Report(w io.Writer, opt ReportOptions) error {
 			continue
 		}
 		start := time.Now()
-		r, err := RunStored(e, ropt)
+		ex, err := Execute(e, nil, ropt)
 		if err != nil {
 			return fmt.Errorf("expt: %s: %w", e.ID, err)
 		}
+		r := ex.Result
 		switch v := r.(type) {
 		case *Fig9Result:
 			fig9Res = v

@@ -55,7 +55,7 @@ func RunRouting(p RoutingParams, opt RunOptions) (_ *RoutingResult, err error) {
 	ro, rsp := opt.Obs.Start("expt.routing", obs.Int("jobs", len(p.Switches)), obs.Int("k", p.K))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "routing")
+	run := NewRunner().Observe(ro, "routing")
 	inner := run.InnerWorkers(len(p.Switches))
 	rows := make([]RoutingRow, len(p.Switches))
 	err = run.ForEach(len(p.Switches), func(i int) error {

@@ -13,11 +13,12 @@ import (
 )
 
 // Runner fans the independent jobs of an experiment sweep (one per
-// topology × size × seed point) out to a fixed-size worker pool. Jobs
-// are identified by index and write into pre-allocated result slots, so
-// the output order — and therefore every rendered table — is identical
-// for any worker count. Each job derives its randomness from the
-// parameter struct's explicit seed, never from scheduling.
+// topology × size × seed point) out to a worker pool of GOMAXPROCS
+// goroutines. Jobs are identified by index and write into pre-allocated
+// result slots, so the output order — and therefore every rendered
+// table — is identical for any GOMAXPROCS. Each job derives its
+// randomness from the parameter struct's explicit seed, never from
+// scheduling.
 type Runner struct {
 	workers int
 	obs     *obs.Obs
@@ -28,13 +29,10 @@ type Runner struct {
 	cached []atomic.Bool
 }
 
-// NewRunner returns a Runner with the given pool size (<= 0 means
-// GOMAXPROCS).
-func NewRunner(workers int) *Runner {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Runner{workers: workers, name: "expt"}
+// NewRunner returns a Runner whose pool has runtime.GOMAXPROCS(0)
+// workers, read once here.
+func NewRunner() *Runner {
+	return &Runner{workers: runtime.GOMAXPROCS(0), name: "expt"}
 }
 
 // Observe attaches an instrumentation handle under the given stage name
@@ -49,9 +47,6 @@ func (r *Runner) Observe(o *obs.Obs, name string) *Runner {
 	}
 	return r
 }
-
-// Workers returns the pool size.
-func (r *Runner) Workers() int { return r.workers }
 
 // InnerWorkers picks the worker count for the nested K-shortest-paths
 // stage inside one ForEach job: when the sweep itself has enough jobs

@@ -10,23 +10,27 @@ import (
 	"dctopo/obs"
 )
 
-func runnerWorkerCounts() []int {
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	var out []int
-	for _, w := range counts {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
+// testProcs is the GOMAXPROCS sweep of the determinism tests:
+// GOMAXPROCS sizes every worker pool, so output that is identical at
+// each value does not depend on the pool size.
+var testProcs = []int{1, 2, 4}
+
+// atProcs runs fn with GOMAXPROCS set to procs and restores it after.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// runnerAt returns a Runner built at GOMAXPROCS = procs.
+func runnerAt(procs int) (r *Runner) {
+	atProcs(procs, func() { r = NewRunner() })
+	return r
 }
 
 func TestRunnerForEachCoversAllJobs(t *testing.T) {
-	for _, w := range runnerWorkerCounts() {
+	for _, w := range testProcs {
 		var hits [50]atomic.Int32
-		if err := NewRunner(w).ForEach(len(hits), func(i int) error {
+		if err := runnerAt(w).ForEach(len(hits), func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -34,7 +38,7 @@ func TestRunnerForEachCoversAllJobs(t *testing.T) {
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: job %d ran %d times", w, i, got)
+				t.Fatalf("GOMAXPROCS=%d: job %d ran %d times", w, i, got)
 			}
 		}
 	}
@@ -42,21 +46,21 @@ func TestRunnerForEachCoversAllJobs(t *testing.T) {
 
 func TestRunnerForEachPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	for _, w := range runnerWorkerCounts() {
-		err := NewRunner(w).ForEach(20, func(i int) error {
+	for _, w := range testProcs {
+		err := runnerAt(w).ForEach(20, func(i int) error {
 			if i == 7 {
 				return boom
 			}
 			return nil
 		})
 		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: got %v, want boom", w, err)
+			t.Fatalf("GOMAXPROCS=%d: got %v, want boom", w, err)
 		}
 	}
 }
 
 func TestRunnerInnerWorkers(t *testing.T) {
-	r := NewRunner(8)
+	r := runnerAt(8)
 	for _, tc := range []struct{ jobs, want int }{
 		{0, 1}, {8, 1}, {20, 1}, {1, 8}, {2, 4}, {3, 3},
 	} {
@@ -69,7 +73,7 @@ func TestRunnerInnerWorkers(t *testing.T) {
 func TestMemoComputesOnce(t *testing.T) {
 	var m Memo
 	var calls atomic.Int32
-	if err := NewRunner(4).ForEach(32, func(i int) error {
+	if err := runnerAt(4).ForEach(32, func(i int) error {
 		v, err := m.Do("key", func() (interface{}, error) {
 			calls.Add(1)
 			return 42, nil
@@ -95,7 +99,7 @@ func TestMemoComputesOnce(t *testing.T) {
 func TestRunnerCachedProgress(t *testing.T) {
 	var cap obs.Capture
 	o := obs.New(&cap)
-	r := NewRunner(2).Observe(o, "sweep")
+	r := runnerAt(2).Observe(o, "sweep")
 	if err := r.ForEach(8, func(i int) error {
 		r.MarkCached(i, i%2 == 0)
 		return nil
@@ -122,7 +126,7 @@ func TestRunnerCachedProgress(t *testing.T) {
 	// Out-of-range and uninstrumented MarkCached are harmless no-ops.
 	r.MarkCached(-1, true)
 	r.MarkCached(1000, true)
-	NewRunner(1).MarkCached(0, true)
+	NewRunner().MarkCached(0, true)
 }
 
 // TestMemoDoCached pins the hit indicator: false on the computing call,
@@ -216,47 +220,53 @@ func TestMemoConcurrentWaitersShareError(t *testing.T) {
 
 // TestFig3DeterministicAcrossWorkers: the rendered Figure 3 table — the
 // ground-truth KSP-MCF pipeline end to end — must be byte-identical at
-// Workers ∈ {1, 2, GOMAXPROCS}.
+// GOMAXPROCS ∈ {1, 2, 4}, which sizes the sweep and KSP worker pools.
 func TestFig3DeterministicAcrossWorkers(t *testing.T) {
 	p := Fig3Params{
 		Family: FamilyJellyfish, Radix: 8, Servers: []int{3, 4},
 		Switches: []int{12, 20}, K: 4, Seed: 1,
 	}
-	ref, err := RunFig3(p, RunOptions{Workers: 1})
+	var ref *Fig3Result
+	var err error
+	atProcs(1, func() { ref, err = RunFig3(p, RunOptions{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Table().String()
-	for _, w := range runnerWorkerCounts() {
-		r, err := RunFig3(p, RunOptions{Workers: w})
+	for _, w := range testProcs[1:] {
+		var r *Fig3Result
+		atProcs(w, func() { r, err = RunFig3(p, RunOptions{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := r.Table().String(); got != want {
-			t.Fatalf("workers=%d table differs from workers=1:\n%s\nvs\n%s", w, got, want)
+			t.Fatalf("GOMAXPROCS=%d table differs from GOMAXPROCS=1:\n%s\nvs\n%s", w, got, want)
 		}
 	}
 }
 
 // TestFig10DeterministicAcrossWorkers: the failure sweep (rows and RMS
-// deviations) must be identical for any worker count.
+// deviations) must be identical at GOMAXPROCS ∈ {1, 2, 4}.
 func TestFig10DeterministicAcrossWorkers(t *testing.T) {
 	p := Fig10Params{
 		Family: FamilyJellyfish, Radix: 12, Servers: 4,
 		SizeList: []int{160, 240}, Fractions: []float64{0.1, 0.2}, Seed: 1,
 	}
-	ref, err := RunFig10(p, RunOptions{Workers: 1})
+	var ref *Fig10Result
+	var err error
+	atProcs(1, func() { ref, err = RunFig10(p, RunOptions{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Table().String()
-	for _, w := range runnerWorkerCounts() {
-		r, err := RunFig10(p, RunOptions{Workers: w})
+	for _, w := range testProcs[1:] {
+		var r *Fig10Result
+		atProcs(w, func() { r, err = RunFig10(p, RunOptions{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := r.Table().String(); got != want {
-			t.Fatalf("workers=%d table differs from workers=1:\n%s\nvs\n%s", w, got, want)
+			t.Fatalf("GOMAXPROCS=%d table differs from GOMAXPROCS=1:\n%s\nvs\n%s", w, got, want)
 		}
 	}
 }
@@ -268,18 +278,21 @@ func TestRoutingDeterministicAcrossWorkers(t *testing.T) {
 		Family: FamilyJellyfish, Radix: 8, Servers: 3,
 		Switches: []int{12, 20}, K: 4, Seed: 1,
 	}
-	ref, err := RunRouting(p, RunOptions{Workers: 1})
+	var ref *RoutingResult
+	var err error
+	atProcs(1, func() { ref, err = RunRouting(p, RunOptions{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Table().String()
-	for _, w := range runnerWorkerCounts() {
-		r, err := RunRouting(p, RunOptions{Workers: w})
+	for _, w := range testProcs[1:] {
+		var r *RoutingResult
+		atProcs(w, func() { r, err = RunRouting(p, RunOptions{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := r.Table().String(); got != want {
-			t.Fatalf("workers=%d table differs:\n%s\nvs\n%s", w, got, want)
+			t.Fatalf("GOMAXPROCS=%d table differs from GOMAXPROCS=1:\n%s\nvs\n%s", w, got, want)
 		}
 	}
 }

@@ -54,38 +54,41 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunStoredReplaysByteIdentically: the second RunStored must come
-// from disk (hit counted, no recompute needed) and render the same
-// bytes as the first, live run.
-func TestRunStoredReplaysByteIdentically(t *testing.T) {
+// TestExecuteReplaysByteIdentically: the second default-params Execute
+// must come from disk (hit counted, no recompute needed) and render the
+// same bytes as the first, live run.
+func TestExecuteReplaysByteIdentically(t *testing.T) {
 	e, ok := Lookup("fig7")
 	if !ok {
 		t.Fatal("missing fig7")
 	}
 	s := NewStore(t.TempDir(), nil)
-	r1, err := RunStored(e, RunOptions{Store: s})
+	ex1, err := Execute(e, nil, RunOptions{Store: s})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Hits() != 0 || s.Misses() != 1 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/1", s.Hits(), s.Misses())
 	}
-	r2, err := RunStored(e, RunOptions{Store: s})
+	ex2, err := Execute(e, nil, RunOptions{Store: s})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Hits() != 1 || s.Misses() != 1 {
 		t.Fatalf("warm run: hits=%d misses=%d, want 1/1", s.Hits(), s.Misses())
 	}
-	if got, want := renderTables(r2.Tables()), renderTables(r1.Tables()); got != want {
+	if ex1.Cached || !ex2.Cached {
+		t.Fatalf("Cached = %v then %v, want false then true", ex1.Cached, ex2.Cached)
+	}
+	if got, want := renderTables(ex2.Result.Tables()), renderTables(ex1.Result.Tables()); got != want {
 		t.Errorf("replayed result renders differently:\n%s\nvs\n%s", got, want)
 	}
 }
 
-// TestRunStoredCorruptEntryRecomputes: a stored payload that no longer
+// TestExecuteCorruptEntryRecomputes: a stored payload that no longer
 // decodes (truncated file, incompatible field set) must read as a miss:
 // the experiment recomputes and the entry is repaired in place.
-func TestRunStoredCorruptEntryRecomputes(t *testing.T) {
+func TestExecuteCorruptEntryRecomputes(t *testing.T) {
 	e, ok := Lookup("fig7")
 	if !ok {
 		t.Fatal("missing fig7")
@@ -98,11 +101,11 @@ func TestRunStoredCorruptEntryRecomputes(t *testing.T) {
 	if err := s.Put(e.ID, params, []byte("{not json")); err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunStored(e, RunOptions{Store: s})
+	ex, err := Execute(e, nil, RunOptions{Store: s})
 	if err != nil {
 		t.Fatalf("corrupt entry should recompute, got %v", err)
 	}
-	if len(r.Tables()) == 0 {
+	if len(ex.Result.Tables()) == 0 {
 		t.Fatal("no tables from recomputed run")
 	}
 	b, ok := s.Get(e.ID, params)

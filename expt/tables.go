@@ -62,7 +62,7 @@ func RunTable3(p Table3Params, opt RunOptions) (_ *Table3Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.tab3", obs.Int("jobs", jobs))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "tab3")
+	run := NewRunner().Observe(ro, "tab3")
 	full := make([]bool, jobs)
 	err = run.ForEach(jobs, func(i int) error {
 		h := p.Servers[i/len(p.BBWProbeSwitches)]
@@ -148,7 +148,7 @@ func RunTableA1(opt RunOptions) (_ *TableA1Result, err error) {
 	}
 	ro, rsp := opt.Obs.Start("expt.tabA1", obs.Int("jobs", len(cases)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
-	run := NewRunner(opt.Workers).Observe(ro, "tabA1")
+	run := NewRunner().Observe(ro, "tabA1")
 	rows := make([]TableA1Row, len(cases))
 	err = run.ForEach(len(cases), func(i int) error {
 		cfg := cases[i]
@@ -238,7 +238,7 @@ func RunTable5(p Table5Params, opt RunOptions) (_ *Table5Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.tab5", obs.Int("servers", p.Servers))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner(opt.Workers).Observe(ro, "tab5")
+	run := NewRunner().Observe(ro, "tab5")
 	rows := make([]Table5Row, len(families)+1)
 	err = run.ForEach(len(families)+1, func(i int) error {
 		if i == len(families) { // the Clos comparison row

@@ -90,11 +90,11 @@ func RunWhatIf(p WhatIfParams, opt RunOptions) (_ *WhatIfResult, err error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := tub.NewWhatIf(t, tub.WhatIfOptions{Workers: opt.Workers, Obs: ro})
+	eng, err := tub.NewWhatIf(t, tub.WhatIfOptions{Obs: ro})
 	if err != nil {
 		return nil, err
 	}
-	impacts, err := eng.SweepLinks(tub.SweepOptions{Workers: opt.Workers, Sample: p.Sample})
+	impacts, err := eng.SweepLinks(p.Sample)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"runtime"
 	"testing"
 )
 
@@ -15,7 +14,7 @@ func smallWhatIf() WhatIfParams {
 
 func TestRunWhatIf(t *testing.T) {
 	p := smallWhatIf()
-	res, err := RunWhatIf(p, RunOptions{Workers: 1})
+	res, err := RunWhatIf(p, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,24 +53,27 @@ func TestRunWhatIf(t *testing.T) {
 }
 
 // TestRunWhatIfWorkerIndependence: the sweep result, including every
-// ranking row and CDF point, must not depend on the worker count.
+// ranking row and CDF point, must be identical at GOMAXPROCS ∈ {1, 2, 4}.
 func TestRunWhatIfWorkerIndependence(t *testing.T) {
 	p := smallWhatIf()
-	base, err := RunWhatIf(p, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	var payloads [][]byte
+	for _, w := range testProcs {
+		var res *WhatIfResult
+		var err error
+		atProcs(w, func() { res, err = RunWhatIf(p, RunOptions{}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Payload(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, b)
 	}
-	res, err := RunWhatIf(p, RunOptions{Workers: runtime.GOMAXPROCS(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, errA := Payload(base)
-	b, errB := Payload(res)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("what-if sweep depends on worker count:\n%s\nvs\n%s", a, b)
+	for i, b := range payloads[1:] {
+		if string(b) != string(payloads[0]) {
+			t.Fatalf("what-if sweep differs at GOMAXPROCS=%d:\n%s\nvs\n%s", testProcs[i+1], b, payloads[0])
+		}
 	}
 }
 

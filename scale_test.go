@@ -147,7 +147,7 @@ func TestScale20kSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	links := wtop.Links()
-	impacts, err := eng.SweepLinks(tub.SweepOptions{Sample: links/64 + 1})
+	impacts, err := eng.SweepLinks(links/64 + 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ func (ts TopoSpec) validate() error {
 			return fmt.Errorf("%w: %s needs switches >= 2, radix >= 3, 1 <= servers < radix", expt.ErrParams, ts.Family)
 		}
 	case "fattree", "clos":
-		if ts.Radix < 2 || ts.Radix%2 != 0 {
-			return fmt.Errorf("%w: %s needs an even radix >= 2", expt.ErrParams, ts.Family)
+		if ts.Radix < 4 || ts.Radix%2 != 0 {
+			return fmt.Errorf("%w: %s needs an even radix >= 4", expt.ErrParams, ts.Family)
 		}
 	case "":
 		return fmt.Errorf("%w: missing topo.family", expt.ErrParams)
@@ -71,9 +71,8 @@ type engineCell struct {
 // evicts least-recently-used. serve.whatif.builds counts real builds —
 // the counter warm-query tests assert stays flat.
 type Engines struct {
-	o       *obs.Obs
-	workers int
-	max     int
+	o   *obs.Obs
+	max int
 
 	mu    sync.Mutex
 	cells map[string]*engineCell
@@ -81,12 +80,12 @@ type Engines struct {
 }
 
 // NewEngines returns a cache holding at most max resident engines
-// (<= 0 means 4); workers bounds each engine's build and query pools.
-func NewEngines(o *obs.Obs, workers, max int) *Engines {
+// (<= 0 means 4).
+func NewEngines(o *obs.Obs, max int) *Engines {
 	if max <= 0 {
 		max = 4
 	}
-	return &Engines{o: o, workers: workers, max: max, cells: make(map[string]*engineCell)}
+	return &Engines{o: o, max: max, cells: make(map[string]*engineCell)}
 }
 
 // Get returns the resident engine for the spec, building it on first
@@ -115,9 +114,12 @@ func (es *Engines) Get(spec TopoSpec) (eng *tub.WhatIf, built bool, err error) {
 
 	t, err := expt.BuildAny(spec.Family, spec.Switches, spec.Radix, spec.Servers, spec.Seed, es.o)
 	if err == nil {
-		c.eng, c.err = tub.NewWhatIf(t, tub.WhatIfOptions{Workers: es.workers, Obs: es.o})
+		c.eng, c.err = tub.NewWhatIf(t, tub.WhatIfOptions{Obs: es.o})
 	} else {
-		c.err = err
+		// validate admits only well-typed specs; the generator is the
+		// authority on which of them are buildable, and a spec it
+		// rejects is still the client's error.
+		c.err = fmt.Errorf("%w: %v", expt.ErrParams, err)
 	}
 	es.mu.Lock()
 	if c.err != nil {

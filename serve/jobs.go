@@ -153,8 +153,6 @@ func (j *Job) Status() JobStatus {
 type Queue struct {
 	store      *expt.Store
 	o          *obs.Obs
-	memo       *expt.Memo
-	workers    int
 	beforeExec func(*Job) // test hook: runs in the executor before Execute
 
 	ch chan *Job
@@ -166,11 +164,11 @@ type Queue struct {
 }
 
 // NewQueue starts a queue with the given bounded depth and executor
-// pool. workers is the per-job driver parallelism (expt.RunOptions
-// .Workers); executors is how many jobs run concurrently. The memo is
-// shared across all jobs, so repeated topologies and bounds stay warm
-// for the life of the process.
-func NewQueue(store *expt.Store, o *obs.Obs, depth, executors, workers int, beforeExec func(*Job)) *Queue {
+// pool; executors is how many jobs run concurrently, each sweeping on
+// GOMAXPROCS workers. Each job runs with its driver's private expt.Memo,
+// so nothing a job computes outlives it; repeated requests are answered
+// by the Store and by coalescing onto a live job.
+func NewQueue(store *expt.Store, o *obs.Obs, depth, executors int, beforeExec func(*Job)) *Queue {
 	if depth <= 0 {
 		depth = 16
 	}
@@ -180,8 +178,6 @@ func NewQueue(store *expt.Store, o *obs.Obs, depth, executors, workers int, befo
 	q := &Queue{
 		store:      store,
 		o:          o,
-		memo:       &expt.Memo{Obs: o},
-		workers:    workers,
 		beforeExec: beforeExec,
 		ch:         make(chan *Job, depth),
 		jobs:       make(map[string]*Job),
@@ -313,9 +309,7 @@ func (q *Queue) run() {
 			q.beforeExec(j)
 		}
 		q.o.Counter("serve.jobs.executed").Add(1)
-		ex, err := expt.Execute(j.expt, j.raw, expt.RunOptions{
-			Workers: q.workers, Obs: q.o, Memo: q.memo, Store: q.store,
-		})
+		ex, err := expt.Execute(j.expt, j.raw, expt.RunOptions{Obs: q.o, Store: q.store})
 		q.o.Histogram("serve.expt." + j.expt.ID).Observe(time.Since(j.started))
 		if err != nil {
 			q.o.Counter("serve.jobs.failed").Add(1)

@@ -259,7 +259,7 @@ func TestSinkCloseNoEventLoss(t *testing.T) {
 // bad params wrap expt.ErrParams, submissions after Shutdown get
 // ErrClosing, and Shutdown is idempotent.
 func TestQueueLifecycleErrors(t *testing.T) {
-	q := NewQueue(nil, obs.New(), 1, 1, 0, nil)
+	q := NewQueue(nil, obs.New(), 1, 1, nil)
 	e, _ := expt.Lookup("figA2")
 	if _, err := q.Submit(e, []byte(`{"Bogus":1}`)); !errors.Is(err, expt.ErrParams) {
 		t.Errorf("bad params: %v, want ErrParams", err)

@@ -42,10 +42,8 @@ type Options struct {
 	// Obs instruments the service; nil creates a sink-less handle so
 	// /metrics still works off the registry.
 	Obs *obs.Obs
-	// Workers is per-job driver parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Executors is how many jobs run concurrently (default 1: heavy
-	// drivers already parallelize internally via Workers).
+	// drivers already run their sweeps on GOMAXPROCS workers).
 	Executors int
 	// QueueDepth bounds queued-but-not-running jobs; past it
 	// submissions get 429 (default 16).
@@ -92,8 +90,8 @@ func New(opt Options) *Server {
 	s := &Server{
 		opt:     opt,
 		o:       opt.Obs,
-		queue:   NewQueue(opt.Store, opt.Obs, opt.QueueDepth, opt.Executors, opt.Workers, opt.beforeExec),
-		engines: NewEngines(opt.Obs, opt.Workers, opt.MaxEngines),
+		queue:   NewQueue(opt.Store, opt.Obs, opt.QueueDepth, opt.Executors, opt.beforeExec),
+		engines: NewEngines(opt.Obs, opt.MaxEngines),
 		start:   time.Now(),
 	}
 	mux := http.NewServeMux()
@@ -386,7 +384,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Query = q
 	case "sweep", "rank":
-		impacts, err := eng.SweepLinks(tub.SweepOptions{Workers: s.opt.Workers, Sample: req.Sample})
+		impacts, err := eng.SweepLinks(req.Sample)
 		if err != nil {
 			s.fail(w, err)
 			return

@@ -391,11 +391,33 @@ func TestWhatIfLinkOutOfRange(t *testing.T) {
 	}
 }
 
+// TestWhatIfUnbuildableSpec: a spec that is well-typed but that the
+// topology generator rejects is still the caller's mistake — a 400 with
+// the generator's reason, and no 500 counted.
+func TestWhatIfUnbuildableSpec(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, spec := range []string{
+		`{"family":"clos","radix":2}`,
+		`{"family":"fattree","radix":2}`,
+		`{"family":"jellyfish","switches":3,"radix":4,"servers":1}`,
+		`{"family":"xpander","switches":2,"radix":3,"servers":1}`,
+	} {
+		body := `{"topo":` + spec + `,"mode":"link","u":0,"v":1}`
+		resp, out := post(t, ts, "/v1/whatif", []byte(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", spec, resp.StatusCode, out)
+		}
+	}
+	if n := metric(t, ts, "serve.http.status.500"); n != 0 {
+		t.Errorf("serve.http.status.500 = %v, want 0", n)
+	}
+}
+
 // TestEngineLRU pins the eviction bound: a third spec through a
 // max-2 cache evicts the least-recently-used engine.
 func TestEngineLRU(t *testing.T) {
 	o := obs.New()
-	es := NewEngines(o, 0, 2)
+	es := NewEngines(o, 2)
 	specs := []TopoSpec{
 		{Family: "jellyfish", Switches: 12, Radix: 5, Servers: 2, Seed: 1},
 		{Family: "jellyfish", Switches: 12, Radix: 5, Servers: 2, Seed: 2},

@@ -53,9 +53,6 @@ import (
 
 // WhatIfOptions configures NewWhatIf.
 type WhatIfOptions struct {
-	// Workers bounds the base-state distance sweep's pool; <= 0 means
-	// GOMAXPROCS. Results are identical for any worker count.
-	Workers int
 	// Obs, when non-nil, records base-build spans plus the per-query
 	// "whatif.query" / "whatif.frontier" histograms and mode counters.
 	Obs *obs.Obs
@@ -186,7 +183,7 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	for v := range switches {
 		switches[v] = v
 	}
-	err := e.g.MultiBFSRows(switches[:n], opt.Workers, func(i int, dist []int32) error {
+	err := e.g.MultiBFSRows(switches[:n], 0, func(i int, dist []int32) error {
 		return fillRow(e.rows[i*nsw:(i+1)*nsw], dist, switches)
 	}, nil)
 	dsp.End()
@@ -482,27 +479,18 @@ func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*Qu
 	return q, nil
 }
 
-// SweepOptions configures SweepLinks.
-type SweepOptions struct {
-	// Workers bounds the query pool; <= 0 means GOMAXPROCS. The sweep
-	// result is identical for any worker count.
-	Workers int
-	// Sample keeps every Sample-th distinct link (<= 1 keeps all), a
-	// cheap deterministic subset for very large fabrics.
-	Sample int
-}
-
 // SweepLinks runs QueryLink over every distinct link bundle of the
-// base topology (optionally sampled) and returns one LinkImpact per
-// link in t.Graph().Edges enumeration order, in topology ids. Queries
-// run on a worker pool with per-worker scratch; results are
-// deterministic and worker-independent.
-func (e *WhatIf) SweepLinks(opt SweepOptions) ([]LinkImpact, error) {
+// base topology and returns one LinkImpact per link in t.Graph().Edges
+// enumeration order, in topology ids. sample keeps every sample-th
+// distinct link (<= 1 keeps all), a cheap deterministic subset for very
+// large fabrics. Queries run on a GOMAXPROCS-sized worker pool with
+// per-worker scratch; results are deterministic and worker-independent.
+func (e *WhatIf) SweepLinks(sample int) ([]LinkImpact, error) {
 	type linkID struct{ u, v, c int }
 	var links []linkID
 	k := 0
 	e.t.Graph().Edges(func(u, v, c int) {
-		if opt.Sample > 1 && k%opt.Sample != 0 {
+		if sample > 1 && k%sample != 0 {
 			k++
 			return
 		}
@@ -514,7 +502,7 @@ func (e *WhatIf) SweepLinks(opt SweepOptions) ([]LinkImpact, error) {
 
 	out := make([]LinkImpact, len(links))
 	errs := make([]error, len(links))
-	workers := graph.ClampWorkers(opt.Workers, len(links))
+	workers := graph.ClampWorkers(0, len(links))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"dctopo/internal/graph"
@@ -70,48 +69,53 @@ func requireLinkMonotone(t *testing.T, label string, e *WhatIf, q *QueryResult) 
 }
 
 // TestWhatIfLinkDifferential: every single-link removal, every family,
-// Workers ∈ {1, GOMAXPROCS} — the incremental bound must equal the cold
-// bound exactly (the integers behind it are identical, so the float64
+// on engines built at GOMAXPROCS ∈ {1, 2, 4} (GOMAXPROCS sizes the base
+// distance sweep) — the incremental bound must equal the cold bound
+// exactly (the integers behind it are identical, so the float64
 // division is bit-identical too), and no connected removal may raise
 // the bound above the base.
 func TestWhatIfLinkDifferential(t *testing.T) {
+	procs := []int{1, 2, 4}
 	for _, tp := range whatifTopologies(t) {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			e, err := NewWhatIf(tp, WhatIfOptions{Workers: workers})
+		base, err := Bound(tp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs := make([]*WhatIf, len(procs))
+		for i, p := range procs {
+			atProcs(p, func() { engs[i], err = NewWhatIf(tp, WhatIfOptions{}) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := Bound(tp, Options{})
-			if err != nil {
-				t.Fatal(err)
+			if e := engs[i]; e.Base().Bound != base.Bound || e.Base().WeightedLen != base.WeightedLen {
+				t.Fatalf("%s GOMAXPROCS=%d: engine base (%v, %d) != cold base (%v, %d)",
+					tp.Name(), p, e.Base().Bound, e.Base().WeightedLen, base.Bound, base.WeightedLen)
 			}
-			if e.Base().Bound != base.Bound || e.Base().WeightedLen != base.WeightedLen {
-				t.Fatalf("%s workers=%d: engine base (%v, %d) != cold base (%v, %d)",
-					tp.Name(), workers, e.Base().Bound, e.Base().WeightedLen, base.Bound, base.WeightedLen)
-			}
-			tp.Graph().Edges(func(u, v, c int) {
+		}
+		tp.Graph().Edges(func(u, v, c int) {
+			wantB, wantWL, wantE, wantDisc := coldQuery(t, tp, u, v)
+			for i, e := range engs {
 				q, err := e.QueryLink(u, v)
 				if err != nil {
-					t.Fatalf("%s workers=%d link (%d,%d): %v", tp.Name(), workers, u, v, err)
+					t.Fatalf("%s GOMAXPROCS=%d link (%d,%d): %v", tp.Name(), procs[i], u, v, err)
 				}
-				wantB, wantWL, wantE, wantDisc := coldQuery(t, tp, u, v)
 				if q.Disconnected != wantDisc {
-					t.Fatalf("%s workers=%d link (%d,%d): Disconnected = %v, cold says %v",
-						tp.Name(), workers, u, v, q.Disconnected, wantDisc)
+					t.Fatalf("%s GOMAXPROCS=%d link (%d,%d): Disconnected = %v, cold says %v",
+						tp.Name(), procs[i], u, v, q.Disconnected, wantDisc)
 				}
 				if wantDisc {
 					if q.Bound != 0 {
 						t.Fatalf("%s link (%d,%d): disconnected bound %v, want 0", tp.Name(), u, v, q.Bound)
 					}
-					return
+					continue
 				}
 				if q.Bound != wantB || q.WeightedLen != wantWL || q.TwoE != wantE {
-					t.Fatalf("%s workers=%d link (%d,%d) mode=%s: got (%v, %d, %d), cold (%v, %d, %d)",
-						tp.Name(), workers, u, v, q.Mode, q.Bound, q.WeightedLen, q.TwoE, wantB, wantWL, wantE)
+					t.Fatalf("%s GOMAXPROCS=%d link (%d,%d) mode=%s: got (%v, %d, %d), cold (%v, %d, %d)",
+						tp.Name(), procs[i], u, v, q.Mode, q.Bound, q.WeightedLen, q.TwoE, wantB, wantWL, wantE)
 				}
-				requireLinkMonotone(t, fmt.Sprintf("%s workers=%d link (%d,%d)", tp.Name(), workers, u, v), e, q)
-			})
-		}
+				requireLinkMonotone(t, fmt.Sprintf("%s GOMAXPROCS=%d link (%d,%d)", tp.Name(), procs[i], u, v), e, q)
+			}
+		})
 	}
 }
 
@@ -280,7 +284,7 @@ func TestWhatIfBridgeRemoval(t *testing.T) {
 }
 
 // TestWhatIfSweepDeterministic: on every family the sweep must return
-// identical impacts for any worker count, list links in
+// identical impacts at GOMAXPROCS ∈ {1, 2, 4}, list links in
 // t.Graph().Edges order in topology ids with each impact equal to
 // QueryLink on the same link, keep drops non-negative, and rank by
 // drop. Clos R4 L3 interleaves host and aggregation switch ids, so it
@@ -291,23 +295,32 @@ func TestWhatIfSweepDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := e.SweepLinks(SweepOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.SweepLinks(SweepOptions{Workers: runtime.GOMAXPROCS(0)})
+		var ref []LinkImpact
+		atProcs(1, func() { ref, err = e.SweepLinks(0) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		var links []LinkImpact
 		tp.Graph().Edges(func(u, v, c int) { links = append(links, LinkImpact{U: u, V: v, Capacity: c}) })
-		if len(ref) != len(links) || len(got) != len(ref) {
-			t.Fatalf("%s: sweeps have %d and %d impacts, want %d links", tp.Name(), len(ref), len(got), len(links))
+		if len(ref) != len(links) {
+			t.Fatalf("%s: sweep has %d impacts, want %d links", tp.Name(), len(ref), len(links))
+		}
+		for _, p := range []int{2, 4} {
+			var got []LinkImpact
+			atProcs(p, func() { got, err = e.SweepLinks(0) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("%s GOMAXPROCS=%d: sweep has %d impacts, want %d", tp.Name(), p, len(got), len(ref))
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%s: impact %d differs across GOMAXPROCS:\n  1: %+v\n  %d: %+v", tp.Name(), i, ref[i], p, got[i])
+				}
+			}
 		}
 		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: impact %d differs across worker counts:\n  1: %+v\n  N: %+v", tp.Name(), i, ref[i], got[i])
-			}
 			if l := links[i]; ref[i].U != l.U || ref[i].V != l.V || ref[i].Capacity != l.Capacity {
 				t.Fatalf("%s: impact %d is link (%d,%d)x%d, Edges order has (%d,%d)x%d",
 					tp.Name(), i, ref[i].U, ref[i].V, ref[i].Capacity, l.U, l.V, l.Capacity)
@@ -330,7 +343,7 @@ func TestWhatIfSweepDeterministic(t *testing.T) {
 			}
 		}
 		// Sampling keeps every k-th link.
-		sampled, err := e.SweepLinks(SweepOptions{Sample: 3})
+		sampled, err := e.SweepLinks(3)
 		if err != nil {
 			t.Fatal(err)
 		}
