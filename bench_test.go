@@ -325,13 +325,13 @@ func BenchmarkAblationServerLevel(b *testing.B) {
 
 	b.Run("switch-level", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, _, _ := match.Tight(len(dist), sw)
+			res, _ := match.Tight(len(dist), sw)
 			_ = res.Total
 		}
 	})
 	b.Run("server-level", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, _, _ := match.Tight(len(dist)*h, srv)
+			res, _ := match.Tight(len(dist)*h, srv)
 			_ = res.Total
 		}
 	})
@@ -382,8 +382,8 @@ func TestServerLevelEqualsSwitchLevelTUB(t *testing.T) {
 	}
 	h := 3
 	swW, srvW := switchAndServerLevel(dist, h)
-	sw, _, _ := match.Tight(len(dist), swW)
-	srv, _, _ := match.Tight(len(dist)*h, srvW)
+	sw, _ := match.Tight(len(dist), swW)
+	srv, _ := match.Tight(len(dist)*h, srvW)
 	if sw.Total != srv.Total {
 		t.Fatalf("switch-level total %d != server-level total %d", sw.Total, srv.Total)
 	}

@@ -81,9 +81,9 @@ var benchCases = []benchCase{
 	{file: "ksp", name: "BenchmarkKShortest/switches=1024/kernel=goal", switches: 1024, setup: kspOp},
 	{file: "gk", name: "BenchmarkMaxConcurrentFlow/switches=1000/kernel=incremental", switches: 1000, setup: gkOp},
 	{file: "matching", name: "BenchmarkTUBBound/switches=1000/matcher=auction", switches: 1000, setup: boundOp},
-	{file: "matching", name: "BenchmarkMatchKernel/hosts=8000/kernel=blocked", switches: 8000, setup: matchKernelOp},
-	{file: "matching", name: "BenchmarkMatchKernel/hosts=8200/kernel=blocked", switches: 8200, setup: matchKernelOp},
-	{file: "matching", name: "BenchmarkMatchKernel/hosts=20000/kernel=blocked", switches: 20000, setup: matchKernelOp},
+	{file: "matching", name: "BenchmarkMatchKernel/hosts=2048/kernel=tight", switches: 2048, setup: matchKernelOp},
+	{file: "matching", name: "BenchmarkMatchKernel/hosts=8000/kernel=tight", switches: 8000, setup: matchKernelOp},
+	{file: "matching", name: "BenchmarkMatchKernel/hosts=20000/kernel=tight", switches: 20000, setup: matchKernelOp},
 	{file: "whatif", name: "BenchmarkWhatIfLink/switches=1000/kernel=warm", switches: 1000, setup: whatifWarmOp, units: whatifLinks},
 	{file: "whatif", name: "BenchmarkWhatIfLink/switches=1000/kernel=cold", switches: 1000, setup: whatifColdOp, units: whatifLinks,
 		agree: "BenchmarkWhatIfLink/switches=1000/kernel=warm"},
@@ -144,7 +144,7 @@ func boundOp(t *topo.Topology) (benchOp, error) {
 	}, nil
 }
 
-// matchKernelOp times the bare matrix-free blocked auction on the
+// matchKernelOp times the bare tight-graph matcher, match.Tight, on the
 // precomputed uint8 host distance matrix (uniform multipliers).
 func matchKernelOp(t *topo.Topology) (benchOp, error) {
 	dist, err := tub.HostDistances(t)
@@ -154,7 +154,7 @@ func matchKernelOp(t *topo.Topology) (benchOp, error) {
 	uw := match.U8Weights{Rows: func(i int) []uint8 { return dist[i] }}
 	total := make([]int64, 1)
 	return func() (benchOut, error) {
-		res, _ := match.AuctionBlocked(len(dist), uw, match.AuctionOptions{})
+		res, _ := match.Tight(len(dist), uw)
 		total[0] = res.Total
 		return benchOut{exact: total}, nil
 	}, nil
@@ -334,7 +334,7 @@ func runBench(c benchCase) (benchEntry, benchOut, error) {
 // cmdBench runs the gated kernel cases of the selected BENCH files and
 // writes DIR/BENCH_<file>.json for each: msbfs (bit-parallel
 // HostDistances), ksp (exact-length DFS), gk (Garg–Könemann), matching
-// (a whole exact tub.Bound and the bare blocked auction) and whatif (warm
+// (a whole exact tub.Bound and the bare tight-graph matcher) and whatif (warm
 // incremental failure queries vs cold recomputation).
 func cmdBench(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)

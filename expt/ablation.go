@@ -11,7 +11,7 @@ import (
 
 // AblationParams configures the design-choice ablations of DESIGN.md:
 // the maximal-permutation matcher (the exact tight-graph matcher, with
-// an auction for any deficit, vs the paper's greedy Algorithm 1) and
+// dual steps for any deficit, vs the paper's greedy Algorithm 1) and
 // the MCF backend (simplex vs Garg–Könemann).
 type AblationParams struct {
 	Radix, Servers int

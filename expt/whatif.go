@@ -44,7 +44,7 @@ type WhatIfLink struct {
 	Disconnected   bool
 	ChangedRows    int    // host distance rows the removal touched
 	Frontier       int    // largest repair cone across those rows
-	Mode           string // query path: trunk/unchanged/warm/coldmatch/disconnected
+	Mode           string // query path: trunk/unchanged/warm/disconnected
 }
 
 // WhatIfPct is one point of the degradation CDF: Pct percent of links
@@ -66,7 +66,7 @@ type WhatIfResult struct {
 	// CDF is the degradation distribution over all swept links.
 	CDF []WhatIfPct
 	// Modes counts queries per answer path (trunk, unchanged, warm,
-	// coldmatch, disconnected); MaxFrontier is the largest repair cone
+	// disconnected); MaxFrontier is the largest repair cone
 	// seen anywhere in the sweep.
 	Modes       map[string]int
 	MaxFrontier int
@@ -78,9 +78,9 @@ var cdfPercentiles = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 95, 99, 100}
 // RunWhatIf builds the incremental what-if engine once, sweeps every
 // (sampled) link, and reports the critical-link ranking plus the
 // degradation CDF. The whole sweep reuses the base distance rows and
-// the base matching's warm start (zero prices when the row-max tight
-// graph matched every host), so per-link cost is the repair cone plus a
-// warm rematch — not a fresh TUB evaluation.
+// the base matching's integer duals (the row maxima when the row-max
+// tight graph matched every host), so per-link cost is the repair cone
+// plus a warm rematch — not a fresh TUB evaluation.
 func RunWhatIf(p WhatIfParams, opt RunOptions) (_ *WhatIfResult, err error) {
 	ro, rsp := opt.Obs.Start("expt.whatif",
 		obs.String("family", string(p.Family)), obs.Int("switches", p.Switches))

@@ -10,8 +10,8 @@ import (
 
 // TestTightAgreesOnEveryFamily: on every topology family — uniform H,
 // and FatClique's ±1 server counts — the tight-graph matcher's total
-// equals Jonker–Volgenant's and the cold AuctionBlocked run's, and
-// tub.Bound reports the same weighted length.
+// equals Jonker–Volgenant's with a valid dual certificate, and tub.Bound
+// reports the same weighted length.
 func TestTightAgreesOnEveryFamily(t *testing.T) {
 	var tops []*topo.Topology
 	add := func(tp *topo.Topology, err error) {
@@ -50,18 +50,17 @@ func TestTightAgreesOnEveryFamily(t *testing.T) {
 		}
 		uw := match.U8Weights{Rows: func(i int) []uint8 { return dist[i] }, H: h}
 		w := func(i, j int) int64 { return int64(dist[i][j]) * min(h[i], h[j]) }
-		res, _, st := match.Tight(n, uw)
-		want := match.Exact(n, w).Total
-		cold, _ := match.AuctionBlocked(n, uw, match.AuctionOptions{})
-		if res.Total != want || cold.Total != want {
-			t.Fatalf("%s (%d hosts): Tight %d (matched %d), cold auction %d, JV %d", tp.Name(), n, res.Total, st.Matched, cold.Total, want)
+		res, st := match.Tight(n, uw)
+		match.CheckCertificate(t, n, w, res)
+		if want := match.Exact(n, w).Total; res.Total != want {
+			t.Fatalf("%s (%d hosts): Tight %d (%+v), JV %d", tp.Name(), n, res.Total, st, want)
 		}
 		b, err := tub.Bound(tp, tub.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.WeightedLen != want {
-			t.Fatalf("%s: tub.Bound weighted length %d, JV %d", tp.Name(), b.WeightedLen, want)
+		if b.WeightedLen != res.Total {
+			t.Fatalf("%s: tub.Bound weighted length %d, Tight %d", tp.Name(), b.WeightedLen, res.Total)
 		}
 	}
 	if nonUniform == 0 {

@@ -6,28 +6,21 @@
 // The kernels production runs:
 //
 //   - Tight: the one exact TUB matcher, at every host count, and the
-//     what-if engine's base solve. Hopcroft–Karp on the row-max tight
-//     graph, read in place from uint8 distance rows (U8Weights); a
-//     perfect tight matching is optimal with all prices at zero, and any
-//     deficit goes to AuctionResume.
-//   - AuctionBlocked: Bertsekas' ε-scaling auction in a block-synchronous,
-//     matrix-free form that bids straight off the uint8 rows. Exact for
-//     integer weights; Tight's cold fallback, via AuctionResume.
-//   - AuctionResume: the final ε = 1 phase of the auction resumed from
-//     prices that satisfy 1-CS for every row outside a changed set — the
-//     what-if engine's warm rematch and Tight's deficit pass. It and
-//     AuctionBlocked run the one bidding loop, blockedArena.bid, on the
-//     same pooled scratch.
+//     what-if engine's base solve. The Hungarian primal–dual method on
+//     integer duals, started from the row-max certificate: Hopcroft–Karp
+//     on the equality graph, read in place from uint8 distance rows
+//     (U8Weights), with dual steps for any rows the row-max tight graph
+//     leaves unmatched.
+//   - Rematch: the what-if engine's warm rematch. It resumes Tight's
+//     completion from a previous result's duals after some rows change,
+//     freeing only the changed rows whose matched edge is no longer tight.
 //   - Greedy: the paper's Algorithm 1 (farthest-pair pairing), a heuristic
 //     used in the proof of Theorem 4.1, in the wedge experiment and in
 //     the matcher ablation.
 //
-// Two references live in test files. Exact, the Jonker–Volgenant
-// shortest-augmenting-path algorithm (exact_test.go), is the oracle every
-// exact kernel's total is checked against. AuctionSharded, the same
-// auction over an int64 weight callback with a materialized weight
-// matrix (auction_sharded_test.go), is the reference AuctionBlocked must
-// reproduce bit for bit.
+// Exact, the Jonker–Volgenant shortest-augmenting-path algorithm
+// (exact_test.go), lives in a test file: it is the oracle every exact
+// kernel's total is checked against.
 package match
 
 // WeightFunc returns the weight of assigning row i to column j, for
@@ -40,6 +33,35 @@ type Result struct {
 	Col   []int
 	Row   []int
 	Total int64
+	// u and v are the integer duals of a Tight or Rematch result:
+	// u[i] + v[j] ≥ w(i, j) for every pair, with equality on the matching,
+	// so Σu + Σv = Total certifies the optimum. nil for Greedy.
+	u, v []int64
+}
+
+// U8Weights is the weight matrix shape shared by every matcher call
+// site in this repo: w(i, j) = min(H[i], H[j]) · Rows(i)[j]. Passing
+// the uint8 rows directly lets the matchers read hop distances in place
+// without materializing any int64 weight row.
+type U8Weights struct {
+	// Rows returns row i of the uint8 distance matrix. Only the first n
+	// entries are read. The slice is borrowed for the duration of the
+	// call, so callers may return views of a shared matrix or per-row
+	// overlays.
+	Rows func(i int) []uint8
+	// H holds the per-row multipliers (the pairwise min is taken
+	// in-register); nil means all ones.
+	H []int64
+}
+
+// weightInRow returns the weight of pair (i, j) given an already-fetched
+// row i.
+func (uw *U8Weights) weightInRow(row []uint8, i, j int) int64 {
+	d := int64(row[j])
+	if uw.H == nil {
+		return d
+	}
+	return d * min(uw.H[i], uw.H[j])
 }
 
 // Greedy implements the paper's Algorithm 1: scan rows in order, pairing
@@ -82,4 +104,23 @@ func Greedy(n int, w WeightFunc) *Result {
 		res.Row[j] = i
 	}
 	return res
+}
+
+// AuctionOptions is AuctionBlocked's empty option set.
+//
+// Deprecated: it exists only for perfbench; use Tight.
+type AuctionOptions struct{}
+
+// AuctionStats is AuctionBlocked's work report; every count is zero.
+//
+// Deprecated: it exists only for perfbench; use Tight.
+type AuctionStats struct{ Phases, Rounds, Bids int }
+
+// AuctionBlocked runs Tight and returns zero stats. It exists only so
+// perfbench, which names it, keeps building.
+//
+// Deprecated: use Tight.
+func AuctionBlocked(n int, uw U8Weights, _ AuctionOptions) (*Result, AuctionStats) {
+	res, _ := Tight(n, uw)
+	return res, AuctionStats{}
 }

@@ -98,17 +98,7 @@ func u8Symmetric(n, maxD int, seed uint64) [][]uint8 {
 	return m
 }
 
-// blocked runs AuctionBlocked over m with multipliers h and checks that
-// the result is a perfect matching consistent with the weights.
-func blocked(t *testing.T, m [][]uint8, h []int64) *Result {
-	t.Helper()
-	n := len(m)
-	res, _ := AuctionBlocked(n, U8Weights{Rows: u8Rows(m), H: h}, AuctionOptions{})
-	checkPerfect(t, n, u8Fn(m, h), res)
-	return res
-}
-
-func TestAuctionAgainstBruteForce(t *testing.T) {
+func TestTightAgainstBruteForce(t *testing.T) {
 	for seed := uint64(100); seed < 140; seed++ {
 		n := 1 + int(seed%6)
 		m := u8Matrix(n, 9, seed)
@@ -116,20 +106,9 @@ func TestAuctionAgainstBruteForce(t *testing.T) {
 		if seed%2 == 1 {
 			h = randomH(n, seed)
 		}
-		got := blocked(t, m, h)
+		got, _ := tight(t, m, h)
 		if want := bruteForce(n, u8Fn(m, h)); got.Total != want {
-			t.Fatalf("seed %d n %d: AuctionBlocked %d, brute %d", seed, n, got.Total, want)
-		}
-	}
-}
-
-func TestAuctionMatchesExactMedium(t *testing.T) {
-	for seed := uint64(0); seed < 5; seed++ {
-		n := 40 + int(seed)*17
-		m := u8Matrix(n, 12, seed)
-		e := Exact(n, u8Fn(m, nil))
-		if a := blocked(t, m, nil); e.Total != a.Total {
-			t.Fatalf("seed %d n %d: Exact %d, AuctionBlocked %d", seed, n, e.Total, a.Total)
+			t.Fatalf("seed %d n %d: Tight %d, brute %d", seed, n, got.Total, want)
 		}
 	}
 }
@@ -180,7 +159,8 @@ func TestGreedyOddCount(t *testing.T) {
 func TestSingleNode(t *testing.T) {
 	w := func(i, j int) int64 { return 5 }
 	one := [][]uint8{{5}}
-	for _, r := range []*Result{Exact(1, w), blocked(t, one, nil), Greedy(1, w)} {
+	tr, _ := tight(t, one, nil)
+	for _, r := range []*Result{Exact(1, w), tr, Greedy(1, w)} {
 		if r.Col[0] != 0 {
 			t.Fatal("n=1 must self-assign")
 		}
@@ -199,14 +179,19 @@ func TestUniformWeights(t *testing.T) {
 	if e := Exact(n, u8Fn(m, nil)); e.Total != int64(3*n) {
 		t.Fatalf("Exact uniform total %d", e.Total)
 	}
-	if a := blocked(t, m, nil); a.Total != int64(3*n) {
-		t.Fatalf("AuctionBlocked uniform total %d", a.Total)
+	if a, _ := tight(t, m, nil); a.Total != int64(3*n) {
+		t.Fatalf("Tight uniform total %d", a.Total)
 	}
 }
 
 func TestZeroWeights(t *testing.T) {
 	w := func(i, j int) int64 { return 0 }
-	for _, r := range []*Result{Exact(6, w), Greedy(6, w)} {
+	zero := make([][]uint8, 6)
+	for i := range zero {
+		zero[i] = make([]uint8, 6)
+	}
+	tr, _ := tight(t, zero, nil)
+	for _, r := range []*Result{Exact(6, w), Greedy(6, w), tr} {
 		validPerm(t, r, 6)
 		if r.Total != 0 {
 			t.Fatalf("zero-weight total %d", r.Total)
@@ -223,8 +208,8 @@ func TestDistanceShapedWeights(t *testing.T) {
 		m := u8Symmetric(n, 6, seed) // distances 0..6
 		for _, h := range [][]int64{nil, randomH(n, seed+40)} {
 			e := Exact(n, u8Fn(m, h))
-			if a := blocked(t, m, h); e.Total != a.Total {
-				t.Fatalf("seed %d uniform=%v: exact %d vs AuctionBlocked %d", seed, h == nil, e.Total, a.Total)
+			if a, _ := tight(t, m, h); e.Total != a.Total {
+				t.Fatalf("seed %d uniform=%v: exact %d vs Tight %d", seed, h == nil, e.Total, a.Total)
 			}
 		}
 	}
@@ -238,12 +223,12 @@ func BenchmarkExact200(b *testing.B) {
 	}
 }
 
-func BenchmarkAuctionBlocked200(b *testing.B) {
+func BenchmarkTight200(b *testing.B) {
 	m := u8Matrix(200, 8, 1)
 	uw := U8Weights{Rows: u8Rows(m)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = AuctionBlocked(200, uw, AuctionOptions{})
+		_, _ = Tight(200, uw)
 	}
 }
 

@@ -320,7 +320,7 @@ func (o *Obs) Gauge(name string) *Gauge {
 // registry (nil — and still usable — on a nil handle). Span ends feed
 // histograms automatically; this accessor is for explicit Observe
 // points inside loops that are too hot, or too fine-grained, for spans
-// (solver rounds, auction phases, BFS batches).
+// (solver rounds, BFS batches).
 func (o *Obs) Histogram(name string) *Histogram {
 	if o == nil {
 		return nil

@@ -65,10 +65,9 @@ func TestScale20kSmoke(t *testing.T) {
 	}
 
 	// TUB at 20k hosts: a 400 MB uint8 distance matrix plus the exact
-	// matcher — Hopcroft–Karp on the row-max tight graph, with the
-	// auction resumed for any deficit, both reading the uint8 rows in
-	// place — so this stage certifies the true optimal matching, not a
-	// greedy heuristic.
+	// matcher — Hopcroft–Karp on the row-max tight graph, with dual
+	// steps for any deficit, reading the uint8 rows in place — so this
+	// stage certifies the true optimal matching, not a greedy heuristic.
 	res, err := tub.Bound(top, tub.Options{Obs: so})
 	if err != nil {
 		t.Fatal(err)

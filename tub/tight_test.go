@@ -24,19 +24,18 @@ func hostWeights(tb testing.TB, t *topo.Topology) (int, match.U8Weights) {
 	return len(hosts), match.U8Weights{Rows: func(i int) []uint8 { return dist[i] }, H: h}
 }
 
-// TestTightPinDeficitFallback pins Jellyfish 300/R10 seed 7: the tight
-// graph matches 299 of 300 hosts, and the zero-price resume of the one
-// deficit row hits its 16·n round cap and falls back to a cold auction.
-// The bound is still exact.
-func TestTightPinDeficitFallback(t *testing.T) {
+// TestTightPinDeficitDualStep pins Jellyfish 300/R10 seed 7: the tight
+// graph matches 299 of 300 hosts, and dual steps close the one-row
+// deficit at the exact optimum.
+func TestTightPinDeficitDualStep(t *testing.T) {
 	tp, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 300, Radix: 10, Servers: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, uw := hostWeights(t, tp)
-	res, _, st := match.Tight(n, uw)
-	if st.Matched != 299 || st.Resume.Freed != 1 || !st.Resume.FellBack {
-		t.Fatalf("matched %d, resume %+v; want 299 matched, 1 freed, fell back", st.Matched, st.Resume)
+	res, st := match.Tight(n, uw)
+	if st.Matched != 299 || st.DualSteps != 1 {
+		t.Fatalf("%+v; want 299 matched and 1 dual step", st)
 	}
 	if res.Total != 5992 {
 		t.Fatalf("total %d, want 5992", res.Total)
@@ -44,8 +43,8 @@ func TestTightPinDeficitFallback(t *testing.T) {
 }
 
 // TestTightPinDeficitResume pins Jellyfish 2048/R16 seed 1: the tight
-// graph matches 1998 hosts, and the zero-price resume re-bids the 50
-// deficit rows to the exact optimum without falling back.
+// graph matches 1998 hosts, and dual steps close the 50-row deficit at
+// the Jonker–Volgenant optimum, 34768.
 func TestTightPinDeficitResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2048-host instance")
@@ -55,30 +54,28 @@ func TestTightPinDeficitResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, uw := hostWeights(t, tp)
-	res, _, st := match.Tight(n, uw)
-	if st.Matched != 1998 || st.Resume.Freed != 50 || st.Resume.FellBack {
-		t.Fatalf("matched %d, resume %+v; want 1998 matched, 50 freed, no fallback", st.Matched, st.Resume)
+	res, st := match.Tight(n, uw)
+	if st.Matched != 1998 || st.DualSteps != 1 {
+		t.Fatalf("%+v; want 1998 matched and 1 dual step", st)
 	}
-	cold, _ := match.AuctionBlocked(n, uw, match.AuctionOptions{})
-	if res.Total != cold.Total || res.Total != 34768 {
-		t.Fatalf("total %d, cold auction %d, want 34768", res.Total, cold.Total)
+	if res.Total != 34768 {
+		t.Fatalf("total %d, want 34768", res.Total)
 	}
 }
 
 // TestBoundMatchSpanAttrs: the tub.match span says what the tight-graph
-// matcher did — tight_matched, deficit, resume_bids and fell_back, with
-// no auction phase counts — and a deficit bumps the tub.match.deficit
-// counter. Jellyfish 300/R10 seed 1 has a perfect
+// matcher did — tight_matched, deficit and dual_steps, and nothing of
+// the retired auction (resume_bids, fell_back) — and a deficit bumps
+// the tub.match.deficit counter. Jellyfish 300/R10 seed 1 has a perfect
 // tight matching, seed 7 a deficit of one.
 func TestBoundMatchSpanAttrs(t *testing.T) {
 	c := &obs.Capture{}
 	o := obs.New(c)
 	for _, tc := range []struct {
-		seed             uint64
-		matched, deficit int64
-		fellBack         bool
-		counter          int64
-	}{{1, 300, 0, false, 0}, {7, 299, 1, true, 1}} {
+		seed                        uint64
+		matched, deficit, dualSteps int64
+		counter                     int64
+	}{{1, 300, 0, 0, 0}, {7, 299, 1, 1, 1}} {
 		tp, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 300, Radix: 10, Servers: 4, Seed: tc.seed})
 		if err != nil {
 			t.Fatal(err)
@@ -102,13 +99,14 @@ func TestBoundMatchSpanAttrs(t *testing.T) {
 			}
 			return v
 		}
-		if attr("tight_matched") != tc.matched || attr("deficit") != tc.deficit || attr("fell_back") != tc.fellBack {
-			t.Fatalf("seed %d: tight_matched=%v deficit=%v fell_back=%v, want %d %d %v", tc.seed,
-				attr("tight_matched"), attr("deficit"), attr("fell_back"), tc.matched, tc.deficit, tc.fellBack)
+		if attr("tight_matched") != tc.matched || attr("deficit") != tc.deficit || attr("dual_steps") != tc.dualSteps {
+			t.Fatalf("seed %d: tight_matched=%v deficit=%v dual_steps=%v, want %d %d %d", tc.seed,
+				attr("tight_matched"), attr("deficit"), attr("dual_steps"), tc.matched, tc.deficit, tc.dualSteps)
 		}
-		bids := attr("resume_bids").(int64)
-		if _, ok := end.Attr("auction_phases"); ok || (tc.deficit == 0) != (bids == 0) {
-			t.Fatalf("seed %d: deficit %d with resume_bids=%d (auction_phases present: %v)", tc.seed, tc.deficit, bids, ok)
+		for _, k := range []string{"resume_bids", "fell_back", "auction_phases"} {
+			if _, ok := end.Attr(k); ok {
+				t.Fatalf("seed %d: tub.match still carries %q", tc.seed, k)
+			}
 		}
 		if got := o.Counter("tub.match.deficit").Value(); got != tc.counter {
 			t.Fatalf("seed %d: tub.match.deficit = %d, want %d", tc.seed, got, tc.counter)

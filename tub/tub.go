@@ -16,8 +16,8 @@
 // or by the paper's greedy Algorithm 1 on request. The tight-graph
 // matcher is the exact form of Algorithm 1: it pairs every host with a
 // partner at its largest distance whenever such a pairing exists, which
-// certifies the optimum on its own, and runs the ε-scaling auction only
-// for the hosts it cannot pair that way.
+// certifies the optimum on its own, and takes integer dual steps (the
+// Hungarian method) only for the hosts it cannot pair that way.
 //
 // The package also provides the all-topology asymptotic bound of
 // Theorem 4.1 built on the Moore bound, the Equation 3 scaling limit, the
@@ -46,16 +46,17 @@ const (
 	// ExactMatcher, the zero value, computes the maximal permutation
 	// exactly at any host count: Hopcroft–Karp on the row-max tight
 	// graph (every host paired at its largest distance certifies the
-	// optimum), with the ε-scaling auction resumed from zero prices
-	// only for the hosts left unpaired. It reads the uint8 distance
-	// rows in place, with no n×n weight matrix.
+	// optimum), with Hungarian dual steps only for the hosts left
+	// unpaired. It reads the uint8 distance rows in place, with no n×n
+	// weight matrix.
 	ExactMatcher Matcher = iota
 	// GreedyMatcher uses the paper's Algorithm 1 farthest-pair heuristic
 	// (yields a valid but possibly slightly looser, i.e. higher, bound).
 	GreedyMatcher
 )
 
-// AuctionMatcher equals ExactMatcher.
+// AuctionMatcher equals ExactMatcher. It exists only so perfbench,
+// which names it, keeps building.
 //
 // Deprecated: use ExactMatcher.
 const AuctionMatcher = ExactMatcher
@@ -83,8 +84,8 @@ type Options struct {
 	Matcher Matcher
 	// Obs, when non-nil, records a "tub.bound" span with "tub.dist" and
 	// "tub.match" children; the match span names the matcher. Under
-	// ExactMatcher it also carries tight_matched, deficit, resume_bids
-	// and fell_back (see match.TightStats), and a deficit increments
+	// ExactMatcher it also carries tight_matched, deficit and
+	// dual_steps (see match.TightStats), and a deficit increments
 	// "tub.match.deficit". Instrumentation never changes the bound.
 	Obs *obs.Obs
 }
@@ -153,9 +154,9 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 		msp.End(obs.Int64("weighted_len", res.Total))
 	} else {
 		// Hopcroft–Karp on the row-max tight graph, straight off the uint8
-		// distance rows; the auction runs only on a deficit.
+		// distance rows; dual steps run only on a deficit.
 		var st match.TightStats
-		res, _, st = match.Tight(n, match.U8Weights{
+		res, st = match.Tight(n, match.U8Weights{
 			Rows: func(i int) []uint8 { return dist[i] },
 			H:    h,
 		})
@@ -181,14 +182,13 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 }
 
 // tightAttrs describes an n-row match.Tight run for its match span: how
-// many rows the tight graph matched, the deficit, and the deficit
-// resume's bids and fallback (0 and false when no auction ran).
+// many rows the tight graph matched, the deficit, and the dual steps
+// that closed it (0 when the tight matching was perfect).
 func tightAttrs(n int, st match.TightStats) []obs.Attr {
 	return []obs.Attr{
 		obs.Int("tight_matched", st.Matched),
 		obs.Int("deficit", n-st.Matched),
-		obs.Int("resume_bids", st.Resume.Bids),
-		obs.Bool("fell_back", st.Resume.FellBack),
+		obs.Int("dual_steps", st.DualSteps),
 	}
 }
 

@@ -415,11 +415,11 @@ func BenchmarkBoundGreedy1000(b *testing.B) {
 	}
 }
 
-// TestBoundAuctionDeterministicAcrossWorkers: the distance sweep is
-// sharded across GOMAXPROCS workers, and the exact matcher (tight-graph
-// pass and any deficit auction) is serial, so the full matching — not
-// just the bound — must be bit-identical for any GOMAXPROCS.
-func TestBoundAuctionDeterministicAcrossWorkers(t *testing.T) {
+// TestBoundDeterministicAcrossWorkers: the distance sweep is sharded
+// across GOMAXPROCS workers, and the exact matcher (tight-graph pass and
+// any deficit dual steps) is serial, so the full matching — not just the
+// bound — must be bit-identical for any GOMAXPROCS.
+func TestBoundDeterministicAcrossWorkers(t *testing.T) {
 	top, err := topo.Jellyfish(topo.JellyfishConfig{Switches: 120, Radix: 10, Servers: 5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,11 @@
 // distance matrix (an MS-BFS sweep over every host) and the matcher.
 // For a single removal both are almost entirely wasted work — a failed
 // link touches only the distance rows whose shortest paths crossed it,
-// and the base matching's prices remain a valid dual for every host
-// pair whose distances survive. WhatIf amortizes the base state once
-// (distance rows plus a match.Tight solve, whose prices are all zero
-// when the row-max tight graph has a perfect matching) and answers each
-// query with:
+// and the base matching's integer duals remain feasible for every host
+// row whose distances survive. WhatIf amortizes the base state once
+// (distance rows plus a match.Tight solve, whose duals are the row
+// maxima when the row-max tight graph has a perfect matching) and
+// answers each query with:
 //
 //  1. graph.EdgeRepairNeeded / SwitchRepairNeeded prechecks that skip
 //     unaffected rows without copying them (on low-damage links most
@@ -20,12 +20,13 @@
 //     cold BFS on the damaged graph. The engine numbers switches
 //     host-first, so a row's first n bytes are its host-column row and
 //     the matcher reads repaired rows in place;
-//  3. match.AuctionResume, which checks each changed host row for 1-CS
-//     against the retained prices, frees only the rows that fail, and
-//     re-runs the auction's final ε = 1 bidding loop from those prices
-//     — exact by the same complementary-slackness argument as the cold
-//     auction's last phase. At zero base prices the check asks whether
-//     the row's partner is still at its largest distance.
+//  3. match.Rematch, which resets each changed host row's dual to its
+//     least feasible value in one pass over the row, frees only the rows
+//     whose matched partner is no longer tight, and completes the
+//     matching by the same Hungarian dual steps as a cold Tight — exact
+//     by the same complementary-slackness argument. At the base's row-max
+//     duals the check asks whether the row's partner is still at its
+//     largest distance.
 //
 // Removals that disconnect a host pair short-circuit to Bound 0 with
 // Disconnected set (the worst-case permutation pairs unreachable
@@ -33,8 +34,7 @@
 // the condition is a sentinel scan, never a silent 255-hop "distance".
 // Per-query latency lands in the "whatif.query" histogram and repair
 // cone sizes in "whatif.frontier"; mode counts (trunk / unchanged /
-// warm / coldmatch / disconnected / switch-host) are "whatif.<mode>"
-// counters.
+// warm / disconnected / switch-host) are "whatif.<mode>" counters.
 package tub
 
 import (
@@ -71,7 +71,7 @@ type QueryResult struct {
 	// pair, making the worst-case permutation unroutable.
 	Disconnected bool
 	// Mode names the path that answered the query: "trunk", "unchanged",
-	// "warm", "coldmatch", "switch-host", "disconnected".
+	// "warm", "switch-host", "disconnected".
 	Mode string
 	// ChangedRows is the number of host distance rows the removal
 	// touched; ChangedPairs counts changed host-pair entries in them.
@@ -103,9 +103,9 @@ type WhatIf struct {
 	n    int          // host switches
 	h    []int64      // servers per host
 	nsw  int
-	rows []uint8 // n × nsw base distance rows, flat, host columns first
-	base Result  // cold-equivalent base bound (Dist left nil)
-	warm match.AuctionWarmStart
+	rows []uint8       // n × nsw base distance rows, flat, host columns first
+	base Result        // cold-equivalent base bound (Dist left nil)
+	sol  *match.Result // the base matching with its duals, for Rematch
 	opt  WhatIfOptions
 	pool sync.Pool // *whatifScratch
 }
@@ -135,11 +135,10 @@ func (e *WhatIf) Base() Result { return e.base }
 
 // NewWhatIf builds the amortized base state: full-width distance rows
 // for every host (hosts × switches, uint8, host columns first) and a
-// match.Tight solve whose warm start (prices, matching and max weight)
-// seeds every warm rematch. The base bound and permutation equal a
-// default cold Bound bit for bit. The "whatif.match" span carries the
-// same tight_matched, deficit, resume_bids and fell_back attributes as
-// Bound's "tub.match".
+// match.Tight solve whose matching and integer duals seed every warm
+// rematch. The base bound and permutation equal a default cold Bound
+// bit for bit. The "whatif.match" span carries the same tight_matched,
+// deficit and dual_steps attributes as Bound's "tub.match".
 func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	n := len(t.Hosts())
 	if n < 2 {
@@ -173,10 +172,10 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	// needs distances to transit switches too — the repair cone grows
 	// through them. Under the host-first numbering a row's first n
 	// bytes are its host columns, which every matcher touch point — the
-	// base solve, the warm rematch's bids and its 1-CS prefilter — scans
-	// directly (match.U8Weights); the scaled weight is computed
-	// in-register, so there is no n×n int64 matrix to budget. One byte
-	// per pair: 400 MB at 20k hosts, same as Bound's Dist.
+	// base solve and the warm rematch — scans directly (match.U8Weights);
+	// the weight is computed in-register, so there is no n×n int64
+	// matrix to budget. One byte per pair: 400 MB at 20k hosts, same as
+	// Bound's Dist.
 	_, dsp := o.Start("whatif.dist")
 	e.rows = make([]uint8, n*nsw)
 	switches := make([]int, nsw)
@@ -192,12 +191,12 @@ func NewWhatIf(t *topo.Topology, opt WhatIfOptions) (*WhatIf, error) {
 	}
 
 	_, msp := o.Start("whatif.match")
-	res, warm, st := match.Tight(n, e.u8At(nil))
+	res, st := match.Tight(n, e.u8At(nil))
 	msp.End(append(tightAttrs(n, st), obs.Int64("weighted_len", res.Total))...)
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation (zero total path length)")
 	}
-	e.warm = warm
+	e.sol = res
 	e.base = Result{
 		Bound:       float64(2*t.Links()) / float64(res.Total),
 		Perm:        res.Col,
@@ -354,7 +353,7 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	}
 
 	// Host switch: drop w from the matching and solve the reduced
-	// instance cold (the base prices are duals of the wrong dimension).
+	// instance cold (the base duals are of the wrong dimension).
 	// Distances still come from the repaired overlays.
 	if disc := e.disconnectedPair(q, sc, w); disc {
 		q.Mode = "disconnected"
@@ -387,7 +386,7 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 		}
 		redH[i] = e.h[ki]
 	}
-	res, _, _ := match.Tight(m, match.U8Weights{
+	res, _ := match.Tight(m, match.U8Weights{
 		Rows: func(i int) []uint8 { return red[i*m : (i+1)*m] },
 		H:    redH,
 	})
@@ -441,7 +440,7 @@ func (e *WhatIf) disconnectedPair(q *QueryResult, sc *whatifScratch, skipHost in
 
 // finish resolves a link-removal (or transit-switch) query after row
 // repair: disconnection short-circuit, unchanged fast path, or warm
-// rematch from the retained prices.
+// rematch from the retained duals.
 func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*QueryResult, error) {
 	if e.disconnectedPair(q, sc, -1) {
 		q.Mode = "disconnected"
@@ -462,17 +461,13 @@ func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*Qu
 		return q, nil
 	}
 
-	// Warm rematch from the changed host rows: AuctionResume frees those
-	// that fail 1-CS against the warm prices and folds their new weights
-	// into the base maximum the warm start carries.
-	res, st := match.AuctionResume(e.n, e.u8At(sc), e.warm, sc.changed)
+	// Warm rematch from the changed host rows: Rematch frees those whose
+	// partner is no longer tight under the base duals.
+	res, _ := match.Rematch(e.n, e.u8At(sc), e.sol, sc.changed)
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation after removal")
 	}
 	q.Mode = "warm"
-	if st.FellBack {
-		q.Mode = "coldmatch"
-	}
 	q.WeightedLen = res.Total
 	q.Bound = float64(q.TwoE) / float64(q.WeightedLen)
 	e.observe(q.Mode, start, q.Frontier)
