@@ -260,6 +260,73 @@ func TestTightAllocs(t *testing.T) {
 	}
 }
 
+// The four TestAuction* tests below keep the names they had when an
+// auction kernel was the production matcher; they now hold Tight, which
+// replaced it, to the same instances and bounds.
+
+// TestAuctionBlockedMatchesExact: asymmetric rows with weights up to 12,
+// uniform and non-uniform multipliers, reach the Jonker–Volgenant
+// optimum with a valid certificate.
+func TestAuctionBlockedMatchesExact(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8, 17, 40, 97} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			m := u8Matrix(n, 12, seed)
+			for _, h := range [][]int64{nil, randomH(n, seed+100)} {
+				st := checkTight(t, "blocked", m, h)
+				if st.Matched < 1 || st.Matched > n {
+					t.Fatalf("n=%d seed=%d uniform=%v: implausible stats %+v", n, seed, h == nil, st)
+				}
+			}
+		}
+	}
+}
+
+// TestAuctionMatchesExactMedium: medium sizes off the powers of two
+// (n = 40, 57, …, 108) agree with Jonker–Volgenant.
+func TestAuctionMatchesExactMedium(t *testing.T) {
+	for seed := uint64(0); seed < 5; seed++ {
+		n := 40 + int(seed)*17
+		m := u8Matrix(n, 12, seed)
+		e := Exact(n, u8Fn(m, nil))
+		if a, _ := tight(t, m, nil); e.Total != a.Total {
+			t.Fatalf("seed %d n %d: Exact %d, Tight %d", seed, n, e.Total, a.Total)
+		}
+	}
+}
+
+// TestAuctionBlockedZeroWeights: all-zero weights (every edge tight)
+// give a valid permutation of total zero with no dual steps.
+func TestAuctionBlockedZeroWeights(t *testing.T) {
+	n := 9
+	m := make([][]uint8, n)
+	for i := range m {
+		m[i] = make([]uint8, n)
+	}
+	res, st := tight(t, m, nil)
+	if res.Total != 0 || st.Matched != n || st.DualSteps != 0 {
+		t.Fatalf("total %d, stats %+v; want 0 with a perfect tight matching", res.Total, st)
+	}
+}
+
+// TestAuctionBlockedAllocs pins the steady-state allocation count on a
+// random n = 256 instance once the scratch pool is warm: only the
+// escaping result (Result, duals, matching).
+func TestAuctionBlockedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := 256
+	m := u8Matrix(n, 7, 3)
+	uw := U8Weights{Rows: u8Rows(m)}
+	Tight(n, uw) // warm the pool
+	allocs := testing.AllocsPerRun(10, func() {
+		Tight(n, uw)
+	})
+	if allocs > 3 {
+		t.Fatalf("Tight allocates %.0f objects per run, want <= 3 (escaping result only)", allocs)
+	}
+}
+
 // FuzzMatching cross-checks the tight-graph matcher (Tight) and the
 // warm Rematch against Jonker–Volgenant on fuzzer-chosen integer
 // matrices: duplicate-heavy weights, tiny and odd sizes, uniform and
