@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dctopo/internal/par"
 	"dctopo/obs"
 	"dctopo/topo"
 	"dctopo/tub"
@@ -73,7 +74,7 @@ func (r *Runner) MarkCached(i int, cached bool) {
 	r.cached[i].Store(cached)
 }
 
-// ForEach runs fn(0) … fn(n-1) on the pool and returns the lowest-index
+// ForEach runs fn(0) … fn(n-1) on a par pool and returns the lowest-index
 // error recorded, or nil. After the first failure, workers stop picking
 // up new jobs (jobs already started run to completion), so which
 // higher-index jobs ran is schedule-dependent — but the success path,
@@ -102,45 +103,7 @@ func (r *Runner) ForEach(n int, fn func(i int) error) error {
 			return err
 		}
 	}
-	w := r.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := run(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var failed atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for ; w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := run(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return par.ForEach(n, r.workers, func(_, i int) error { return run(i) })
 }
 
 // Memo caches expensive per-topology artifacts (built topologies, TUB

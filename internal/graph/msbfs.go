@@ -15,18 +15,18 @@
 // pool. Every multi-source sweep in the repository runs on this kernel
 // through MultiBFSRows: tub.HostDistances (which the estimators'
 // path-length sweeps call), the what-if engine's base rows, mcf's KSP
-// destination rows and routing's per-destination DAGs. Sweeps with
-// fewer than ScalarCrossover sources fall back to per-source scalar BFS
-// so tiny topologies don't pay the bitset setup.
+// destination rows and routing's per-destination DAGs. Every sweep runs
+// 64-lane batches, however few its sources; a batch of k < 64 sources
+// sizes its distance rows to k.
 package graph
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"dctopo/internal/par"
 )
 
 // Bitset is a flat row of 64-bit words. The multi-source BFS kernel keeps
@@ -50,18 +50,13 @@ func (b Bitset) Set(i int, lane uint) { b[i] |= 1 << lane }
 // Test reports whether bit lane of word i is set.
 func (b Bitset) Test(i int, lane uint) bool { return b[i]&(1<<lane) != 0 }
 
-// ScalarCrossover is the source count below which the multi-source sweeps
-// fall back to one scalar BFS per source: under ~8 sources the batch's
-// bitset setup and per-level full-row scans cost more than they save.
-const ScalarCrossover = 8
-
 // msbfsLanes is the number of sources per batch: the bit width of a word.
 const msbfsLanes = 64
 
 // msArena is the per-worker scratch of one sweep: the three state rows of
-// the bit-parallel batch plus the batch's distance rows (or, on the
-// scalar fallback path, a single BFS row). Arenas are recycled through
-// msArenaPool so steady-state sweeps allocate nothing.
+// the bit-parallel batch plus the batch's distance rows, one per source
+// lane in use. Arenas are recycled through msArenaPool so steady-state
+// sweeps allocate nothing.
 type msArena struct {
 	frontier, next, seen Bitset
 	rows                 []int32
@@ -69,7 +64,8 @@ type msArena struct {
 
 var msArenaPool sync.Pool
 
-// getArena returns an arena able to hold a full batch over n vertices.
+// getArena returns an arena able to hold a batch of lanes sources over n
+// vertices.
 func getArena(n, lanes int) *msArena {
 	a, _ := msArenaPool.Get().(*msArena)
 	if a == nil {
@@ -87,8 +83,6 @@ func getArena(n, lanes int) *msArena {
 	a.rows = a.rows[:lanes*n]
 	return a
 }
-
-func putArena(a *msArena) { msArenaPool.Put(a) }
 
 // msbfsBatch runs the level-synchronous bit-parallel sweep for up to 64
 // sources. Afterwards a.rows[i*n:(i+1)*n] holds source i's distances,
@@ -138,29 +132,13 @@ func (g *Graph) msbfsBatch(sources []int, a *msArena) {
 	}
 }
 
-// ClampWorkers resolves a requested worker count (<= 0 means GOMAXPROCS)
-// against the number of available jobs: at most jobs, at least 1.
-func ClampWorkers(workers, jobs int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // MultiBFSRows runs a full BFS from every source and hands each distance
 // row to fill(i, dist), where dist[v] is the hop distance from sources[i]
 // to v (Unreachable where unreached) — exactly the BFS contract, so
-// per-row consumers port verbatim. Batches of 64 sources advance
-// bit-parallel and are sharded across workers (<= 0 means GOMAXPROCS);
-// below ScalarCrossover sources the sweep falls back to scalar BFS. The
-// rows passed to fill are identical for any worker count and either
-// kernel.
+// per-row consumers port verbatim. Batches of up to 64 sources advance
+// bit-parallel and are sharded across a par pool of workers (<= 0 means
+// GOMAXPROCS); one worker runs the batches, and so the fills, in source
+// order. The rows passed to fill are identical for any worker count.
 //
 // fill may be called concurrently from different workers, but is called
 // at most once per source index; dist is worker-owned scratch, valid only
@@ -168,98 +146,44 @@ func ClampWorkers(workers, jobs int) int {
 // the sweep stops early — remaining sources may be skipped — and the
 // error with the lowest source index among those observed is returned.
 //
-// onBatch, when non-nil, is called after each completed batch (or
-// scalar row) with the number of sources it covered and its wall-clock
-// duration, including the fill calls. It may be called concurrently
-// from different workers; nil means no timing (and no clock reads).
+// onBatch, when non-nil, is called after each completed batch with the
+// number of sources it covered and its wall-clock duration, including
+// the fill calls. It may be called concurrently from different workers;
+// nil means no timing (and no clock reads).
 func (g *Graph) MultiBFSRows(sources []int, workers int, fill func(i int, dist []int32) error, onBatch func(sources int, d time.Duration)) error {
 	ns := len(sources)
 	if ns == 0 || g.n == 0 {
 		return nil
 	}
-	batch := ns >= ScalarCrossover
-	jobs := ns
-	lanes := 1
-	if batch {
-		jobs = (ns + msbfsLanes - 1) / msbfsLanes
-		lanes = msbfsLanes
+	jobs := (ns + msbfsLanes - 1) / msbfsLanes
+	arenas := make([]*msArena, par.Workers(workers, jobs))
+	for w := range arenas {
+		arenas[w] = getArena(g.n, min(ns, msbfsLanes))
 	}
-	workers = ClampWorkers(workers, jobs)
-
-	var (
-		stop    atomic.Bool
-		errMu   sync.Mutex
-		errIdx  = ns
-		callErr error
-	)
-	record := func(i int, err error) {
-		errMu.Lock()
-		if i < errIdx {
-			errIdx, callErr = i, err
+	defer func() {
+		for _, a := range arenas {
+			msArenaPool.Put(a)
 		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	runJob := func(job int, a *msArena) {
+	}()
+	return par.ForEach(jobs, len(arenas), func(w, job int) error {
 		var t0 time.Time
 		if onBatch != nil {
 			t0 = time.Now()
 		}
-		if batch {
-			lo := job * msbfsLanes
-			hi := lo + msbfsLanes
-			if hi > ns {
-				hi = ns
+		a := arenas[w]
+		lo := job * msbfsLanes
+		hi := min(lo+msbfsLanes, ns)
+		g.msbfsBatch(sources[lo:hi], a)
+		for i := lo; i < hi; i++ {
+			if err := fill(i, a.rows[(i-lo)*g.n:(i-lo+1)*g.n]); err != nil {
+				return err
 			}
-			g.msbfsBatch(sources[lo:hi], a)
-			for i := lo; i < hi; i++ {
-				if err := fill(i, a.rows[(i-lo)*g.n:(i-lo+1)*g.n]); err != nil {
-					record(i, err)
-					return
-				}
-			}
-			if onBatch != nil {
-				onBatch(hi-lo, time.Since(t0))
-			}
-			return
-		}
-		a.rows = g.BFS(sources[job], a.rows)
-		if err := fill(job, a.rows); err != nil {
-			record(job, err)
-			return
 		}
 		if onBatch != nil {
-			onBatch(1, time.Since(t0))
+			onBatch(hi-lo, time.Since(t0))
 		}
-	}
-
-	if workers <= 1 {
-		a := getArena(g.n, lanes)
-		for job := 0; job < jobs && !stop.Load(); job++ {
-			runJob(job, a)
-		}
-		putArena(a)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				a := getArena(g.n, lanes)
-				defer putArena(a)
-				for {
-					job := int(next.Add(1)) - 1
-					if job >= jobs || stop.Load() {
-						return
-					}
-					runJob(job, a)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return callErr
+		return nil
+	})
 }
 
 // MaxDistMatrixBytes caps the size of a uint8 distance matrix a single

@@ -1,8 +1,9 @@
 // Equivalence and edge-case coverage for the bit-parallel multi-source
 // BFS kernel: every sweep must reproduce scalar BFS exactly, for any
-// source count (both sides of ScalarCrossover), worker count, and graph
-// shape — including the generated families the repository actually
-// evaluates (external test package so the generators can be imported).
+// source count (down to one, a batch using a single lane), worker count,
+// and graph shape — including the generated families the repository
+// actually evaluates (external test package so the generators can be
+// imported).
 package graph_test
 
 import (
@@ -88,27 +89,24 @@ func TestMultiBFSRowsMatchesScalarRandom(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			few := graph.ScalarCrossover - 1
-			if few > len(all) {
-				few = len(all)
-			}
+			few := min(7, len(all))
 			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 				checkRowsMatchScalar(t, g, all, workers)
-				// Scalar-fallback path: fewer than ScalarCrossover sources.
+				// A partial batch: only a few of the 64 lanes in use.
 				checkRowsMatchScalar(t, g, all[:few], workers)
 			}
 		}
 	}
 }
 
-// TestMultiBFSRowsCrossoverBoundary pins both sides of the kernel switch:
-// ScalarCrossover-1 sources (scalar fallback) and ScalarCrossover sources
-// (first bit-parallel batch) must both reproduce scalar BFS on the same
+// TestMultiBFSRowsCrossoverBoundary pins the source counts on both sides
+// of the retired scalar-fallback crossover: 7 and 8 sources, both one
+// partial bit-parallel batch, must reproduce scalar BFS on the same
 // graph.
 func TestMultiBFSRowsCrossoverBoundary(t *testing.T) {
 	g := randomGraph(80, 60, 42)
 	sources := []int{3, 11, 0, 79, 42, 17, 8, 25, 60}
-	for _, ns := range []int{graph.ScalarCrossover - 1, graph.ScalarCrossover} {
+	for _, ns := range []int{7, 8} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			checkRowsMatchScalar(t, g, sources[:ns], workers)
 		}
@@ -204,12 +202,12 @@ func TestMultiBFSRowsErrorLowestIndex(t *testing.T) {
 	}
 }
 
-// TestMultiBFSRowsOnBatch checks the timing hook's accounting: on
-// both sides of ScalarCrossover and for any worker count, the batches
-// it reports cover every source exactly once in total.
+// TestMultiBFSRowsOnBatch checks the timing hook's accounting: for a
+// partial batch and for several, at any worker count, the batches it
+// reports cover every source exactly once in total.
 func TestMultiBFSRowsOnBatch(t *testing.T) {
 	g := randomGraph(80, 60, 5)
-	for _, ns := range []int{graph.ScalarCrossover - 1, 150} {
+	for _, ns := range []int{7, 150} {
 		sources := make([]int, ns)
 		for i := range sources {
 			sources[i] = i % g.N()

@@ -15,10 +15,9 @@ package mcf
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"dctopo/internal/graph"
+	"dctopo/internal/par"
 	"dctopo/obs"
 	"dctopo/topo"
 	"dctopo/traffic"
@@ -81,9 +80,10 @@ func KShortestWorkers(t *topo.Topology, m *traffic.Matrix, k, workers int) *Path
 //
 // The sweep batches one reverse distance row per unique destination
 // through the bit-parallel MultiBFSRows kernel (the rows drive the DFS
-// pruning) and gives each worker one scratch arena. Pairs are sharded
-// across workers one at a time; counter totals depend only on (t, m, k),
-// never on the schedule.
+// pruning), then shards the pairs one at a time across a par pool. Each
+// worker keeps one scratch arena and one stats tally, summed after the
+// sweep, so counter totals depend only on (t, m, k), never on the
+// schedule.
 func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Obs) *Paths {
 	_, sp := o.Start("mcf.ksp", obs.Int("k", k), obs.Int("demands", len(m.Demands)))
 	g := t.Graph()
@@ -124,11 +124,14 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 	}, nil)
 	fw := make([][]graph.Path, len(pairs)) // paths pair[0] -> pair[1]
 	rv := make([][]graph.Path, len(pairs)) // the same paths reversed
-	var stats graph.KSPStats
-	var statsMu sync.Mutex
-	runPair := func(pi int, s *graph.KSPScratch, st *graph.KSPStats) {
+	scratch := make([]*graph.KSPScratch, par.Workers(workers, len(pairs)))
+	for w := range scratch {
+		scratch[w] = graph.NewKSPScratch()
+	}
+	tally := make([]graph.KSPStats, len(scratch))
+	par.ForEach(len(pairs), len(scratch), func(w, pi int) error {
 		src, dst := pairs[pi][0], pairs[pi][1]
-		ps := g.KShortestPathsDist(src, dst, k, rows[dstIdx[dst]], s, st)
+		ps := g.KShortestPathsDist(src, dst, k, rows[dstIdx[dst]], scratch[w], &tally[w])
 		rev := make([]graph.Path, len(ps))
 		for j, p := range ps {
 			rp := make(graph.Path, len(p))
@@ -138,34 +141,11 @@ func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Ob
 			rev[j] = rp
 		}
 		fw[pi], rv[pi] = ps, rev
-	}
-	if w := graph.ClampWorkers(workers, len(pairs)); w <= 1 {
-		s := graph.NewKSPScratch()
-		for pi := range pairs {
-			runPair(pi, s, &stats)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for ; w > 0; w-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := graph.NewKSPScratch()
-				var st graph.KSPStats
-				for {
-					pi := int(next.Add(1)) - 1
-					if pi >= len(pairs) {
-						break
-					}
-					runPair(pi, s, &st)
-				}
-				statsMu.Lock()
-				stats.Add(st)
-				statsMu.Unlock()
-			}()
-		}
-		wg.Wait()
+		return nil
+	})
+	var stats graph.KSPStats
+	for _, st := range tally {
+		stats.Add(st)
 	}
 	// Fan the unique-pair results back out to the demand order.
 	out := &Paths{ByDemand: make([][]graph.Path, len(m.Demands))}

@@ -356,6 +356,16 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, fmt.Errorf("%w: %v", expt.ErrParams, err))
 		return
 	}
+	if dec.More() {
+		s.fail(w, fmt.Errorf("%w: trailing data after what-if request", expt.ErrParams))
+		return
+	}
+	// Check the query before building (and caching) an engine, so a bad
+	// request cannot evict a warm one.
+	if err := req.check(); err != nil {
+		s.fail(w, fmt.Errorf("%w: %v", expt.ErrParams, err))
+		return
+	}
 	eng, built, err := s.engines.Get(req.Topo)
 	if err != nil {
 		s.fail(w, err)
@@ -373,17 +383,13 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Query = q
 	case "switch":
-		if req.Switch == nil {
-			s.fail(w, fmt.Errorf("%w: mode switch needs \"switch\"", expt.ErrParams))
-			return
-		}
 		q, err := eng.QuerySwitch(*req.Switch)
 		if err != nil {
 			s.fail(w, fmt.Errorf("%w: %v", expt.ErrParams, err))
 			return
 		}
 		resp.Query = q
-	case "sweep", "rank":
+	default: // "sweep", "rank"
 		impacts, err := eng.SweepLinks(req.Sample)
 		if err != nil {
 			s.fail(w, err)
@@ -400,11 +406,23 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Impacts = impacts
-	default:
-		s.fail(w, fmt.Errorf("%w: unknown mode %q (link|switch|sweep|rank)", expt.ErrParams, req.Mode))
-		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// check validates the query part of a request: a known mode, and a
+// switch id for mode "switch".
+func (req *WhatIfRequest) check() error {
+	switch req.Mode {
+	case "link", "sweep", "rank":
+		return nil
+	case "switch":
+		if req.Switch == nil {
+			return errors.New(`mode switch needs "switch"`)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown mode %q (link|switch|sweep|rank)", req.Mode)
 }
 
 // handleMetrics renders the registry snapshot as one flat JSON object

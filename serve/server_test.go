@@ -258,6 +258,30 @@ func TestBadRequests(t *testing.T) {
 	if resp, _ := post(t, ts, "/v1/whatif", []byte(`{"topo":{"family":"moebius"},"mode":"link"}`)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad family: status %d, want 400", resp.StatusCode)
 	}
+	trailing := `{"topo":{"family":"jellyfish","switches":24,"radix":6,"servers":2,"seed":1},"mode":"sweep"} {"mode":"bogus"}`
+	if resp, body := post(t, ts, "/v1/whatif", []byte(trailing)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing data after the whatif request: status %d (%s), want 400", resp.StatusCode, body)
+	}
+}
+
+// TestWhatIfBadQueryBuildsNothing: a request with a valid topology but
+// an unknown mode, or mode "switch" without a switch id, answers 400
+// before any engine is built, so it cannot evict a warm engine from the
+// cache.
+func TestWhatIfBadQueryBuildsNothing(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	spec := `{"family":"jellyfish","switches":40,"radix":8,"servers":3,"seed":1}`
+	for _, req := range []string{
+		`{"topo":` + spec + `,"mode":"invert"}`,
+		`{"topo":` + spec + `,"mode":"switch"}`,
+	} {
+		if resp, body := post(t, ts, "/v1/whatif", []byte(req)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", req, resp.StatusCode, body)
+		}
+	}
+	if builds := metric(t, ts, "serve.whatif.builds"); builds != 0 {
+		t.Errorf("serve.whatif.builds = %v after two bad queries, want 0", builds)
+	}
 }
 
 // TestRegistryAndHealthEndpoints covers the listing, health and

@@ -85,11 +85,11 @@ func TestHostDistancesMatchesScalar(t *testing.T) {
 }
 
 // TestBoundBitIdenticalAcrossKernels checks that Bound is bit-identical
-// at both sides of the kernel crossover (host counts ScalarCrossover-1
-// and well above), at GOMAXPROCS 1 and at the default: GOMAXPROCS sizes
+// for a host count that fills 7 of a batch's 64 lanes and for one well
+// above a batch, at GOMAXPROCS 1 and at the default: GOMAXPROCS sizes
 // the distance sweep's worker pool.
 func TestBoundBitIdenticalAcrossKernels(t *testing.T) {
-	for _, n := range []int{graph.ScalarCrossover - 1, 60} {
+	for _, n := range []int{7, 60} {
 		tp, err := topo.Jellyfish(topo.JellyfishConfig{Switches: n, Radix: 6, Servers: 2, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -162,17 +162,6 @@ func TestFillRow(t *testing.T) {
 	}
 	if err := fillRow(row, []int32{0, 7, graph.Unreachable}, cols); err == nil || !strings.Contains(err.Error(), "disconnected") {
 		t.Fatalf("unreachable host: err = %v, want disconnected", err)
-	}
-}
-
-// TestDistKernelAttr pins the trace-attribute helper to the kernel
-// selection rule.
-func TestDistKernelAttr(t *testing.T) {
-	if got := distKernel(graph.ScalarCrossover - 1); got != "scalar" {
-		t.Fatalf("distKernel below crossover = %q", got)
-	}
-	if got := distKernel(graph.ScalarCrossover); got != "bitparallel" {
-		t.Fatalf("distKernel at crossover = %q", got)
 	}
 }
 

@@ -126,7 +126,7 @@ func Bound(t *topo.Topology, opt Options) (*Result, error) {
 	to, sp := opt.Obs.Start("tub.bound", obs.Int("hosts", n))
 	var bnd float64
 	defer func() { sp.End(obs.Float("bound", bnd)) }()
-	_, dsp := to.Start("tub.dist", obs.String("kernel", distKernel(n)))
+	_, dsp := to.Start("tub.dist")
 	// Per-batch BFS durations feed the "tub.dist.batch" histogram (64
 	// sources per batch), resolving where a slow sweep spends its time;
 	// the clock reads are skipped entirely when observability is off.
@@ -197,9 +197,8 @@ func tightAttrs(n int, st match.TightStats) []obs.Attr {
 // full switch graph (transit-only switches shorten paths but never appear
 // as endpoints). The traversals run on the bit-parallel multi-source BFS
 // kernel (64 sources per machine word, batches sharded across GOMAXPROCS
-// workers) — this is the dominant cost of Bound at large scale. Host sets
-// below graph.ScalarCrossover use one scalar BFS per host instead; both
-// kernels produce identical matrices.
+// workers) at every host count — this is the dominant cost of Bound at
+// large scale. The matrix is identical for any GOMAXPROCS.
 func HostDistances(t *topo.Topology) ([][]uint8, error) {
 	return hostDistances(t, nil)
 }
@@ -226,15 +225,6 @@ func hostDistances(t *topo.Topology, onBatch func(sources int, d time.Duration))
 		return nil, err
 	}
 	return out, nil
-}
-
-// distKernel names the BFS kernel HostDistances will select for a host
-// count, for trace attributes.
-func distKernel(hosts int) string {
-	if hosts >= graph.ScalarCrossover {
-		return "bitparallel"
-	}
-	return "scalar"
 }
 
 // fillRow is the one BFS → uint8 row fill: row[j] = dist[cols[j]]. An

@@ -42,11 +42,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dctopo/internal/graph"
 	"dctopo/internal/match"
+	"dctopo/internal/par"
 	"dctopo/obs"
 	"dctopo/topo"
 )
@@ -478,8 +478,10 @@ func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*Qu
 // base topology and returns one LinkImpact per link in t.Graph().Edges
 // enumeration order, in topology ids. sample keeps every sample-th
 // distinct link (<= 1 keeps all), a cheap deterministic subset for very
-// large fabrics. Queries run on a GOMAXPROCS-sized worker pool with
+// large fabrics. Queries run on a GOMAXPROCS-sized par pool with
 // per-worker scratch; results are deterministic and worker-independent.
+// The sweep stops at the first failed query and returns the error of
+// the lowest failed link.
 func (e *WhatIf) SweepLinks(sample int) ([]LinkImpact, error) {
 	type linkID struct{ u, v, c int }
 	var links []linkID
@@ -496,38 +498,29 @@ func (e *WhatIf) SweepLinks(sample int) ([]LinkImpact, error) {
 	defer sp.End()
 
 	out := make([]LinkImpact, len(links))
-	errs := make([]error, len(links))
-	workers := graph.ClampWorkers(0, len(links))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := e.getScratch()
-			defer e.putScratch(sc)
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(links) {
-					return
-				}
-				l := links[j]
-				q, err := e.queryLink(l.u, l.v, sc)
-				if err != nil {
-					errs[j] = err
-					continue
-				}
-				out[j] = LinkImpact{U: l.u, V: l.v, Capacity: l.c, Drop: e.base.Bound - q.Bound, QueryResult: *q}
-				// Reset per-query scratch without returning it to the pool.
-				sc.reset()
-			}
-		}()
+	scratch := make([]*whatifScratch, par.Workers(0, len(links)))
+	for w := range scratch {
+		scratch[w] = e.getScratch()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	defer func() {
+		for _, sc := range scratch {
+			e.putScratch(sc)
 		}
+	}()
+	err := par.ForEach(len(links), len(scratch), func(w, j int) error {
+		sc := scratch[w]
+		// Reset per-query scratch without returning it to the pool.
+		defer sc.reset()
+		l := links[j]
+		q, err := e.queryLink(l.u, l.v, sc)
+		if err != nil {
+			return err
+		}
+		out[j] = LinkImpact{U: l.u, V: l.v, Capacity: l.c, Drop: e.base.Bound - q.Bound, QueryResult: *q}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	o.Point("whatif.sweep.done", obs.Int("links", len(links)))
 	return out, nil
