@@ -32,7 +32,6 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -301,7 +300,7 @@ func (rf *runFlags) profile() (stop func(), err error) {
 // sink was passed it returns a nil handle — the disabled instance all
 // instrumented code paths accept at zero cost. An extra sink always
 // builds a live handle, so every instrumented layer then records its
-// spans, counters and events (cmdMCF passes one on every run).
+// spans, counters and events.
 func (rf *runFlags) observe(extra ...obs.Sink) (*obs.Obs, func(), error) {
 	var sinks []obs.Sink
 	var cleanup []func()
@@ -575,7 +574,7 @@ func cmdMetrics(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	paths := mcf.KShortestObs(t, tm, *k, 0, o)
+	paths := mcf.KShortestObs(t, tm, *k, o)
 	timed("hoefler", func() (string, error) {
 		e, err := estimators.Hoefler(t, tm, paths)
 		return fmt.Sprintf("min=%.4f mean=%.4f", e.MinRatio, e.MeanRatio), err
@@ -605,12 +604,7 @@ func cmdMCF(w io.Writer, args []string) error {
 	if !(*eps > 0 && *eps < 1) {
 		return fmt.Errorf("-eps must be in (0, 1) (got %g)", *eps)
 	}
-	// The gkEnd sink makes the handle live on every run, so the timed
-	// KSP + solve below always pays for instrumentation: ≈7% at ε = 0.02
-	// on Jellyfish 300/R10/H4, K = 16 (medians of 10 alternating runs,
-	// 2-vCPU host), below the millisecond reading at ε = 0.05.
-	var gk gkEnd
-	o, done, err := rf.observe(&gk)
+	o, done, err := rf.observe()
 	if err != nil {
 		return err
 	}
@@ -644,43 +638,24 @@ func cmdMCF(w io.Writer, args []string) error {
 	}
 	defer stop()
 	start := time.Now()
-	paths := mcf.KShortestObs(t, tm, *k, 0, o)
+	paths := mcf.KShortestObs(t, tm, *k, o)
 	d, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: m, Eps: *eps, Obs: o})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%s\nKSP-MCF (K=%d): theta = %.4f   theta_ub = %.4f%s   TUB = %.4f   gap = %.4f   (%v)\n",
-		t, *k, d.Theta, d.ThetaUB, gk.summary(), ub.Bound, ub.Bound-d.Theta, time.Since(start).Round(time.Millisecond))
+		t, *k, d.Theta, d.ThetaUB, gkSummary(d), ub.Bound, ub.Bound-d.Theta, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// gkEnd is an obs.Sink that keeps the attributes of the last "mcf.gk"
-// span end, so the mcf result line can say how the Garg–Könemann solve
-// stopped.
-type gkEnd struct {
-	mu  sync.Mutex
-	end *obs.Event
-}
-
-func (g *gkEnd) Emit(e obs.Event) {
-	if e.Kind == obs.KindSpanEnd && e.Name == "mcf.gk" {
-		g.mu.Lock()
-		g.end = &e
-		g.mu.Unlock()
-	}
-}
-
-// summary renders the stop phase and the certifying window (0 = the
-// full history) with how the solve stopped; empty when no Garg–Könemann
-// solve ran (the exact backend).
-func (g *gkEnd) summary() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.end == nil {
+// gkSummary renders the stop phase and the certifying window (0 = the
+// full history) with how the Garg–Könemann solve stopped; empty when
+// the exact backend solved the instance.
+func gkSummary(d *mcf.Detail) string {
+	if d.Stop == "" {
 		return ""
 	}
-	stop, _ := g.end.Attr("stop")
-	return fmt.Sprintf("   phases = %d   window = %d (%v)", int(g.end.Float("phases")), int(g.end.Float("window")), stop)
+	return fmt.Sprintf("   phases = %d   window = %d (%s)", d.Phases, d.Window, d.Stop)
 }
 
 // cmdExpt runs one registered experiment by id (the id may come before

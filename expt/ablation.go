@@ -50,7 +50,6 @@ func RunAblation(p AblationParams, opt RunOptions) (_ *AblationResult, err error
 	ro, rsp := opt.Obs.Start("expt.ablation")
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "ablation")
 	res := &AblationResult{Params: p}
 	studies := []func() error{
 		func() error { // matcher study
@@ -106,7 +105,7 @@ func RunAblation(p AblationParams, opt RunOptions) (_ *AblationResult, err error
 			return nil
 		},
 	}
-	if err = run.ForEach(len(studies), func(i int) error { return studies[i]() }); err != nil {
+	if err = sweep(ro, "ablation", len(studies), func(i int) error { return studies[i]() }); err != nil {
 		return nil, err
 	}
 	return res, nil

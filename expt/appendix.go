@@ -44,24 +44,22 @@ type FigA1Result struct {
 }
 
 // RunFigA1 computes the theoretical throughput gap across sizes. The
-// size points run concurrently on the Runner pool into index-addressed
+// size points run concurrently in one sweep into index-addressed
 // slots; builds and bounds go through the Memo (the sweep visits the
 // same R=32 Jellyfish instances as tab3 and the large Figure 5 run).
 func RunFigA1(p FigA1Params, opt RunOptions) (_ *FigA1Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.figA1", obs.Int("jobs", len(p.Switches)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "figA1")
 	rows := make([]FigA1Row, len(p.Switches))
-	err = run.ForEach(len(p.Switches), func(i int) error {
+	err = sweep(ro, "figA1", len(p.Switches), func(i int) error {
 		n := p.Switches[i]
 		jo, jsp := ro.Start("figA1.job", obs.Int("n", n))
 		defer jsp.End()
-		t, ub, cached, err := memo.BuildBoundCached(FamilyJellyfish, n, p.Radix, p.Servers, p.Seed, jo)
+		t, ub, err := memo.BuildBound(FamilyJellyfish, n, p.Radix, p.Servers, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		rows[i] = FigA1Row{
 			Servers: t.NumServers(),
 			Upper:   ub.Bound,
@@ -129,16 +127,15 @@ type FigA2Result struct {
 }
 
 // RunFigA2 runs the equipment-normalized comparisons. The fat-tree
-// radix points run concurrently on the Runner pool (the H searches
+// radix points run concurrently in one sweep (the H searches
 // inside a point are sequential: each step depends on the last bound);
 // candidate builds and bounds go through the Memo.
 func RunFigA2(p FigA2Params, opt RunOptions) (_ *FigA2Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.figA2", obs.Int("jobs", len(p.FatTreeK)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "figA2")
 	rows := make([]FigA2Row, len(p.FatTreeK))
-	err = run.ForEach(len(p.FatTreeK), func(i int) error {
+	err = sweep(ro, "figA2", len(p.FatTreeK), func(i int) error {
 		k := p.FatTreeK[i]
 		jo, jsp := ro.Start("figA2.job", obs.Int("k", k))
 		defer jsp.End()
@@ -256,7 +253,7 @@ type FigA4Result struct {
 }
 
 // RunFigA4 expands at fixed H and measures the TUB drop. The H values
-// run concurrently on the Runner pool (the expansion chain inside one H
+// run concurrently in one sweep (the expansion chain inside one H
 // is inherently sequential); the initial instance and its bound come
 // from the Memo, while each expanded topology is necessarily fresh
 // (Expand copies, so the memoized base is never mutated).
@@ -264,17 +261,15 @@ func RunFigA4(p FigA4Params, opt RunOptions) (_ *FigA4Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.figA4", obs.Int("jobs", len(p.Servers)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "figA4")
 	perH := make([][]FigA4Row, len(p.Servers))
-	err = run.ForEach(len(p.Servers), func(i int) error {
+	err = sweep(ro, "figA4", len(p.Servers), func(i int) error {
 		h := p.Servers[i]
 		jo, jsp := ro.Start("figA4.job", obs.Int("h", h))
 		defer jsp.End()
-		t, base, cached, err := memo.BuildBoundCached(FamilyJellyfish, p.InitN/h, p.Radix, h, p.Seed, jo)
+		t, base, err := memo.BuildBound(FamilyJellyfish, p.InitN/h, p.Radix, h, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		rows := []FigA4Row{{H: h, Ratio: 1, Servers: t.NumServers(), TUB: base.Bound, Normalized: 1}}
 		cur := t
 		initSw := t.NumSwitches()
@@ -366,7 +361,7 @@ type FigA5Result struct {
 }
 
 // RunFigA5 measures the throughput gap for different K. The size points
-// run concurrently on the Runner pool (the K values inside one size
+// run concurrently in one sweep (the K values inside one size
 // share the topology and bound, which come from the Memo); rows land in
 // sweep order. The KSP and MCF stages are bit-identical for any worker
 // count.
@@ -374,25 +369,22 @@ func RunFigA5(p FigA5Params, opt RunOptions) (_ *FigA5Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.figA5", obs.Int("jobs", len(p.Switches)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "figA5")
-	inner := run.InnerWorkers(len(p.Switches))
 	perSize := make([][]FigA5Row, len(p.Switches))
-	err = run.ForEach(len(p.Switches), func(i int) error {
+	err = sweep(ro, "figA5", len(p.Switches), func(i int) error {
 		n := p.Switches[i]
 		jo, jsp := ro.Start("figA5.job", obs.Int("n", n))
 		defer jsp.End()
-		t, ub, cached, err := memo.BuildBoundCached(FamilyJellyfish, n, p.Radix, p.Servers, p.Seed, jo)
+		t, ub, err := memo.BuildBound(FamilyJellyfish, n, p.Radix, p.Servers, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		tm, err := ub.Matrix(t)
 		if err != nil {
 			return err
 		}
 		rows := make([]FigA5Row, 0, len(p.KList))
 		for _, k := range p.KList {
-			paths := mcf.KShortestObs(t, tm, k, inner, jo)
+			paths := mcf.KShortestObs(t, tm, k, jo)
 			theta, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo})
 			if err != nil {
 				return err

@@ -53,7 +53,7 @@ type Fig10Result struct {
 }
 
 // RunFig10 evaluates TUB under random link failures. The (size,
-// fraction) points run concurrently on the Runner pool; the intact base
+// fraction) points run concurrently in one sweep; the intact base
 // topology and its bound come from the Memo, so the fraction jobs only
 // pay for their own degraded instance — and under a report-shared Memo
 // the base is reused across experiments too. Rows land in sweep order.
@@ -71,17 +71,15 @@ func RunFig10(p Fig10Params, opt RunOptions) (_ *Fig10Result, err error) {
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
 	rows := make([]Fig10Row, len(jobs))
-	run := NewRunner().Observe(ro, "fig10")
-	err = run.ForEach(len(jobs), func(i int) error {
+	err = sweep(ro, "fig10", len(jobs), func(i int) error {
 		jo, jsp := ro.Start("fig10.job",
 			obs.Int("n", p.SizeList[jobs[i].size]), obs.Float("f", p.Fractions[jobs[i].fraction]))
 		defer jsp.End()
 		n := p.SizeList[jobs[i].size]
-		base, baseUB, cached, err := memo.BuildBoundCached(p.Family, n/p.Servers, p.Radix, p.Servers, p.Seed, jo)
+		base, baseUB, err := memo.BuildBound(p.Family, n/p.Servers, p.Radix, p.Servers, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		f := p.Fractions[jobs[i].fraction]
 		var failed *topo.Topology
 		var ferr error

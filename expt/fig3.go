@@ -51,7 +51,7 @@ type Fig3Result struct {
 }
 
 // RunFig3 reproduces Figure 3 for one family. The (H, switches) points
-// run concurrently on the Runner pool; rows land in sweep order.
+// run concurrently in one sweep; rows land in sweep order.
 func RunFig3(p Fig3Params, opt RunOptions) (_ *Fig3Result, err error) {
 	type job struct{ h, n int }
 	var jobs []job
@@ -64,23 +64,20 @@ func RunFig3(p Fig3Params, opt RunOptions) (_ *Fig3Result, err error) {
 		obs.String("family", string(p.Family)), obs.Int("jobs", len(jobs)), obs.Int("k", p.K))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "fig3")
-	inner := run.InnerWorkers(len(jobs))
 	rows := make([]Fig3Row, len(jobs))
-	err = run.ForEach(len(jobs), func(i int) error {
+	err = sweep(ro, "fig3", len(jobs), func(i int) error {
 		h, n := jobs[i].h, jobs[i].n
 		jo, jsp := ro.Start("fig3.job", obs.Int("h", h), obs.Int("n", n))
 		defer jsp.End()
-		t, ub, cached, err := memo.BuildBoundCached(p.Family, n, p.Radix, h, p.Seed, jo)
+		t, ub, err := memo.BuildBound(p.Family, n, p.Radix, h, p.Seed, jo)
 		if err != nil {
 			return fmt.Errorf("expt: fig3 %s n=%d h=%d: %w", p.Family, n, h, err)
 		}
-		run.MarkCached(i, cached)
 		tm, err := ub.Matrix(t)
 		if err != nil {
 			return err
 		}
-		paths := mcf.KShortestObs(t, tm, p.K, inner, jo)
+		paths := mcf.KShortestObs(t, tm, p.K, jo)
 		det, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo})
 		if err != nil {
 			return err

@@ -56,28 +56,25 @@ type Fig4Result struct {
 }
 
 // RunFig4 reproduces Figure 4 on Jellyfish. The size points run
-// concurrently on the Runner pool; rows land in sweep order.
+// concurrently in one sweep; rows land in sweep order.
 func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.fig4", obs.Int("jobs", len(p.Switches)), obs.Int("k", p.K))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "fig4")
-	inner := run.InnerWorkers(len(p.Switches))
 	rows := make([]Fig4Row, len(p.Switches))
-	err = run.ForEach(len(p.Switches), func(i int) error {
+	err = sweep(ro, "fig4", len(p.Switches), func(i int) error {
 		n := p.Switches[i]
 		jo, jsp := ro.Start("fig4.job", obs.Int("n", n))
 		defer jsp.End()
-		t, ub, cached, err := memo.BuildBoundCached(FamilyJellyfish, n, p.Radix, p.Servers, p.Seed, jo)
+		t, ub, err := memo.BuildBound(FamilyJellyfish, n, p.Radix, p.Servers, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		tm, err := ub.Matrix(t)
 		if err != nil {
 			return err
 		}
-		paths := mcf.KShortestObs(t, tm, p.K, inner, jo)
+		paths := mcf.KShortestObs(t, tm, p.K, jo)
 		det, err := mcf.ThroughputDetail(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo})
 		if err != nil {
 			return err

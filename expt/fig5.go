@@ -64,8 +64,8 @@ type Fig5Result struct {
 	Rows   []Fig5Row
 }
 
-// RunFig5 reproduces Figure 5. The size points run concurrently on the
-// Runner pool; rows land in sweep order. Estimates are deterministic;
+// RunFig5 reproduces Figure 5. The size points run concurrently in
+// one sweep; rows land in sweep order. Estimates are deterministic;
 // the timing columns measure each estimator inside its job and so
 // reflect contention when the pool is wider than one. Builds go through
 // the Memo but every timed computation runs fresh, so a shared memo
@@ -75,18 +75,15 @@ func RunFig5(p Fig5Params, opt RunOptions) (_ *Fig5Result, err error) {
 		obs.Int("jobs", len(p.Switches)), obs.Bool("reference", p.WithReference))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "fig5")
-	inner := run.InnerWorkers(len(p.Switches))
 	rows := make([]Fig5Row, len(p.Switches))
-	err = run.ForEach(len(p.Switches), func(i int) error {
+	err = sweep(ro, "fig5", len(p.Switches), func(i int) error {
 		n := p.Switches[i]
 		jo, jsp := ro.Start("fig5.job", obs.Int("n", n))
 		defer jsp.End()
-		t, cached, err := memo.BuildTopoCached(FamilyJellyfish, n, p.Radix, p.Servers, p.Seed, jo)
+		t, err := memo.BuildTopo(FamilyJellyfish, n, p.Radix, p.Servers, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		row := Fig5Row{Switches: t.NumSwitches(), Servers: t.NumServers()}
 
 		start := time.Now()
@@ -120,7 +117,7 @@ func RunFig5(p Fig5Params, opt RunOptions) (_ *Fig5Result, err error) {
 		if err != nil {
 			return err
 		}
-		paths := mcf.KShortestObs(t, tm, p.K, inner, jo)
+		paths := mcf.KShortestObs(t, tm, p.K, jo)
 
 		start = time.Now()
 		hm, err := estimators.Hoefler(t, tm, paths)

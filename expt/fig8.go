@@ -69,7 +69,7 @@ func fig8ProbeSizes(minSwitches, maxSwitches int) []int {
 }
 
 // RunFig8 computes the full-throughput and full-BBW frontiers. The
-// (H, size) probes run concurrently on the Runner pool; each row reduces
+// (H, size) probes run concurrently in one sweep; each row reduces
 // its probes by max, so the frontier is identical for any worker count.
 // Probe topologies are built directly (not through the Memo): no other
 // experiment revisits them, and caching every probe of the scan would
@@ -84,9 +84,8 @@ func RunFig8(p Fig8Params, opt RunOptions) (_ *Fig8Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.fig8",
 		obs.String("family", string(p.Family)), obs.Int("jobs", jobs))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
-	run := NewRunner().Observe(ro, "fig8")
 	probes := make([]probe, jobs)
-	err = run.ForEach(jobs, func(i int) error {
+	err = sweep(ro, "fig8", jobs, func(i int) error {
 		h := p.Servers[i/len(sizes)]
 		n := sizes[i%len(sizes)]
 		jo, jsp := ro.Start("fig8.job", obs.Int("h", h), obs.Int("n", n))
@@ -194,9 +193,8 @@ func RunFatCliqueFrontier(p FatCliqueFrontierParams, opt RunOptions) (_ *FatCliq
 	}
 	ro, rsp := opt.Obs.Start("expt.fig8c", obs.Int("jobs", len(shapes)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
-	run := NewRunner().Observe(ro, "fig8c")
 	classified := make([]*FatCliqueShapeClass, len(shapes))
-	err = run.ForEach(len(shapes), func(i int) error {
+	err = sweep(ro, "fig8c", len(shapes), func(i int) error {
 		shape := shapes[i]
 		shape.TotalServers = shape.Switches() * p.Servers
 		jo, jsp := ro.Start("fig8c.job", obs.Int("switches", shape.Switches()))

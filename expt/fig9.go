@@ -52,7 +52,7 @@ var fig9Families = []Family{FamilyJellyfish, FamilyXpander, FamilyFatClique}
 // RunFig9 searches, for each uni-regular family, the largest H (fewest
 // switches) whose instance with ~N servers has each property, and
 // compares against the cheapest Clos deployment for N servers. The three
-// families search concurrently on the Runner pool (the H walk inside a
+// families search concurrently in one sweep (the H walk inside a
 // family is inherently sequential: it stops at the first success);
 // builds and bounds go through the Memo, so the report's other R=32
 // consumers of the same instances reuse them.
@@ -60,9 +60,8 @@ func RunFig9(p Fig9Params, opt RunOptions) (_ *Fig9Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.fig9", obs.Int("servers", p.Servers), obs.Int("radix", p.Radix))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "fig9")
 	rows := make([]Fig9Row, len(fig9Families))
-	err = run.ForEach(len(fig9Families), func(i int) error {
+	err = sweep(ro, "fig9", len(fig9Families), func(i int) error {
 		f := fig9Families[i]
 		jo, jsp := ro.Start("fig9.job", obs.String("family", string(f)))
 		defer jsp.End()

@@ -49,29 +49,26 @@ type RoutingResult struct {
 }
 
 // RunRouting measures achieved throughput per scheme on the maximal
-// permutation TM. The size points run concurrently on the Runner pool;
+// permutation TM. The size points run concurrently in one sweep;
 // rows land in sweep order.
 func RunRouting(p RoutingParams, opt RunOptions) (_ *RoutingResult, err error) {
 	ro, rsp := opt.Obs.Start("expt.routing", obs.Int("jobs", len(p.Switches)), obs.Int("k", p.K))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "routing")
-	inner := run.InnerWorkers(len(p.Switches))
 	rows := make([]RoutingRow, len(p.Switches))
-	err = run.ForEach(len(p.Switches), func(i int) error {
+	err = sweep(ro, "routing", len(p.Switches), func(i int) error {
 		jo, jsp := ro.Start("routing.job", obs.Int("n", p.Switches[i]))
 		defer jsp.End()
-		t, ub, cached, err := memo.BuildBoundCached(p.Family, p.Switches[i], p.Radix, p.Servers, p.Seed, jo)
+		t, ub, err := memo.BuildBound(p.Family, p.Switches[i], p.Radix, p.Servers, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		tm, err := ub.Matrix(t)
 		if err != nil {
 			return err
 		}
 		row := RoutingRow{Servers: t.NumServers(), TUB: ub.Bound}
-		paths := mcf.KShortestObs(t, tm, p.K, inner, jo)
+		paths := mcf.KShortestObs(t, tm, p.K, jo)
 		if row.MCF, err = mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo}); err != nil {
 			return err
 		}

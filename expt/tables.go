@@ -53,7 +53,7 @@ type Table3Result struct {
 
 // RunTable3 evaluates the closed-form Equation 3 limit and probes
 // Jellyfish instances for full bisection bandwidth. The (H, probe size)
-// grid runs concurrently on the Runner pool; rows reduce by max, so the
+// grid runs concurrently in one sweep; rows reduce by max, so the
 // table is identical for any worker count. Probe builds go through the
 // Memo — figA1 and the large Figure 5 sweep visit the same R=32
 // Jellyfish instances in a shared-memo report.
@@ -62,18 +62,16 @@ func RunTable3(p Table3Params, opt RunOptions) (_ *Table3Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.tab3", obs.Int("jobs", jobs))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "tab3")
 	full := make([]bool, jobs)
-	err = run.ForEach(jobs, func(i int) error {
+	err = sweep(ro, "tab3", jobs, func(i int) error {
 		h := p.Servers[i/len(p.BBWProbeSwitches)]
 		sw := p.BBWProbeSwitches[i%len(p.BBWProbeSwitches)]
 		jo, jsp := ro.Start("tab3.job", obs.Int("h", h), obs.Int("switches", sw))
 		defer jsp.End()
-		t, cached, err := memo.BuildTopoCached(FamilyJellyfish, sw, p.Radix, h, p.Seed, jo)
+		t, err := memo.BuildTopo(FamilyJellyfish, sw, p.Radix, h, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		full[i] = estimators.Bisection(t, p.Seed).Full
 		return nil
 	})
@@ -148,9 +146,8 @@ func RunTableA1(opt RunOptions) (_ *TableA1Result, err error) {
 	}
 	ro, rsp := opt.Obs.Start("expt.tabA1", obs.Int("jobs", len(cases)))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
-	run := NewRunner().Observe(ro, "tabA1")
 	rows := make([]TableA1Row, len(cases))
-	err = run.ForEach(len(cases), func(i int) error {
+	err = sweep(ro, "tabA1", len(cases), func(i int) error {
 		cfg := cases[i]
 		jo, jsp := ro.Start("tabA1.job", obs.Int("radix", cfg.Radix), obs.Int("layers", cfg.Layers))
 		defer jsp.End()
@@ -238,9 +235,8 @@ func RunTable5(p Table5Params, opt RunOptions) (_ *Table5Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.tab5", obs.Int("servers", p.Servers))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
 	memo := opt.memo(ro)
-	run := NewRunner().Observe(ro, "tab5")
 	rows := make([]Table5Row, len(families)+1)
-	err = run.ForEach(len(families)+1, func(i int) error {
+	err = sweep(ro, "tab5", len(families)+1, func(i int) error {
 		if i == len(families) { // the Clos comparison row
 			jo, jsp := ro.Start("tab5.job", obs.String("family", "clos"))
 			defer jsp.End()
@@ -263,11 +259,10 @@ func RunTable5(p Table5Params, opt RunOptions) (_ *Table5Result, err error) {
 		jo, jsp := ro.Start("tab5.job", obs.String("family", string(f)))
 		defer jsp.End()
 		h := p.PerSw[f]
-		t, cached, err := memo.BuildTopoCached(f, p.Servers/h, p.Radix, h, p.Seed, jo)
+		t, err := memo.BuildTopo(f, p.Servers/h, p.Radix, h, p.Seed, jo)
 		if err != nil {
 			return err
 		}
-		run.MarkCached(i, cached)
 		row, err := table5Row(string(f), t, p.Seed, jo)
 		if err != nil {
 			return err

@@ -236,17 +236,20 @@ func checkKernelsAgree(t *testing.T, top *topo.Topology, tm *traffic.Matrix, pat
 
 // runBothScans builds the k-shortest path sets and checks that the
 // kernels agree on them; it also requires MaxConcurrentFlow to report
-// the production kernel's θ and θ_ub.
+// the production kernel's θ, θ_ub and stop.
 func runBothScans(t *testing.T, top *topo.Topology, tm *traffic.Matrix, k int, opt Options) float64 {
 	t.Helper()
 	paths := KShortest(top, tm, k)
-	theta, thetaUB, _ := checkKernelsAgree(t, top, tm, paths, opt)
+	theta, thetaUB, stop := checkKernelsAgree(t, top, tm, paths, opt)
 	d, err := MaxConcurrentFlow(top, tm, paths, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Theta != theta || d.ThetaUB != thetaUB {
 		t.Fatalf("MaxConcurrentFlow (%.17g, %.17g) != kernel (%.17g, %.17g)", d.Theta, d.ThetaUB, theta, thetaUB)
+	}
+	if d.Phases != stop.phase || d.Window != stop.window || (d.Stop == "backstop") != stop.backstop || d.Stop == "" {
+		t.Fatalf("MaxConcurrentFlow stop (%d, %d, %q) != kernel %+v", d.Phases, d.Window, d.Stop, stop)
 	}
 	return theta
 }

@@ -66,6 +66,13 @@ type Detail struct {
 	// certificate has ThetaUB ≤ (1+Eps)·Theta.
 	ThetaUB   float64
 	PathFlows [][]float64
+	// Phases, Window and Stop say how a Garg–Könemann solve ended: the
+	// phase it stopped in, the checkpoint phase whose window flow it
+	// returned (0 = the full history), and "cert" when the certificate
+	// stopped it or "backstop" when the D ≥ 1 termination did. All three
+	// are zero for the exact backend.
+	Phases, Window int
+	Stop           string
 }
 
 // Throughput returns θ(T): the largest factor such that θ·T is routable
@@ -114,16 +121,17 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 		sp.End(obs.Float("theta", theta))
 		return theta, theta, flat, err
 	}
+	d := &Detail{}
 	approx := func() (float64, float64, []float64) {
 		gko, sp := mo.Start("mcf.gk", obs.Float("eps", opt.eps()))
 		theta, thetaUB, flat, stop := inst.solveGK(opt.eps(), gko)
-		how := "cert"
+		d.Phases, d.Window, d.Stop = stop.phase, stop.window, "cert"
 		if stop.backstop {
-			how = "backstop"
+			d.Stop = "backstop"
 			gko.Counter("mcf.gk.backstop").Add(1)
 		}
 		sp.End(obs.Float("theta", theta), obs.Float("theta_ub", thetaUB),
-			obs.Int("phases", stop.phase), obs.Int("window", stop.window), obs.String("stop", how))
+			obs.Int("phases", d.Phases), obs.Int("window", d.Window), obs.String("stop", d.Stop))
 		if theta > 0 {
 			// Parts per million, so the histogram's *_ms statistics read
 			// as the relative gap itself.
@@ -131,28 +139,27 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 		}
 		return theta, thetaUB, flat
 	}
-	var theta, thetaUB float64
 	var flat []float64
 	var err error
 	switch opt.Method {
 	case Exact:
-		theta, thetaUB, flat, err = exact()
+		d.Theta, d.ThetaUB, flat, err = exact()
 	case Approx:
-		theta, thetaUB, flat = approx()
+		d.Theta, d.ThetaUB, flat = approx()
 	default:
 		rows := len(m.Demands) + inst.numEdges
 		if p.NumPaths() <= autoMaxPathVars && rows <= autoMaxRows {
-			theta, thetaUB, flat, err = exact()
+			d.Theta, d.ThetaUB, flat, err = exact()
 		} else {
-			theta, thetaUB, flat = approx()
+			d.Theta, d.ThetaUB, flat = approx()
 		}
 	}
 	if err != nil {
 		solve.End(obs.String("error", err.Error()))
 		return nil, err
 	}
-	solve.End(obs.Float("theta", theta))
-	d := &Detail{Theta: theta, ThetaUB: thetaUB, PathFlows: make([][]float64, len(m.Demands))}
+	solve.End(obs.Float("theta", d.Theta))
+	d.PathFlows = make([][]float64, len(m.Demands))
 	for j, pids := range inst.pathsOf {
 		d.PathFlows[j] = make([]float64, len(pids))
 		for x, pid := range pids {

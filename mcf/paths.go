@@ -67,11 +67,11 @@ func KShortest(t *topo.Topology, m *traffic.Matrix, k int) *Paths {
 // (workers <= 0 means GOMAXPROCS). The result is identical for any
 // worker count.
 func KShortestWorkers(t *topo.Topology, m *traffic.Matrix, k, workers int) *Paths {
-	return KShortestObs(t, m, k, workers, nil)
+	return kShortest(t, m, k, workers, nil)
 }
 
-// KShortestObs is KShortestWorkers with instrumentation: when o is
-// non-nil it wraps the computation in an "mcf.ksp" span and bumps the
+// KShortestObs is KShortest with instrumentation: when o is non-nil it
+// wraps the computation in an "mcf.ksp" span and bumps the
 // "mcf.ksp.pairs" / "mcf.ksp.paths" counters (unique kernel invocations
 // and total paths produced) plus the kernel counters "mcf.ksp.expanded"
 // (DFS descents) and "mcf.ksp.guarded" (pairs on which the kernel's
@@ -80,11 +80,16 @@ func KShortestWorkers(t *topo.Topology, m *traffic.Matrix, k, workers int) *Path
 //
 // The sweep batches one reverse distance row per unique destination
 // through the bit-parallel MultiBFSRows kernel (the rows drive the DFS
-// pruning), then shards the pairs one at a time across a par pool. Each
-// worker keeps one scratch arena and one stats tally, summed after the
-// sweep, so counter totals depend only on (t, m, k), never on the
-// schedule.
-func KShortestObs(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Obs) *Paths {
+// pruning), then shards the pairs one at a time across a par pool that
+// GOMAXPROCS sizes, as it sizes every other pool. Each worker keeps one
+// scratch arena and one stats tally, summed after the sweep, so counter
+// totals depend only on (t, m, k), never on the schedule.
+func KShortestObs(t *topo.Topology, m *traffic.Matrix, k int, o *obs.Obs) *Paths {
+	return kShortest(t, m, k, 0, o)
+}
+
+// kShortest is KShortestObs on a pool of par.Workers(workers, pairs).
+func kShortest(t *topo.Topology, m *traffic.Matrix, k, workers int, o *obs.Obs) *Paths {
 	_, sp := o.Start("mcf.ksp", obs.Int("k", k), obs.Int("demands", len(m.Demands)))
 	g := t.Graph()
 	// Deduplicate demands down to unique unordered pairs, canonically

@@ -271,30 +271,18 @@ func (o *Obs) point(name string, attrs []Attr) {
 	})
 }
 
-// Progress emits a done/total tick for a named stage (rendered with an
-// ETA by ProgressLogger). Extra attributes ride on the tick; the
-// Bool("cached") attribute marks a completion that was served from a
-// cache, which ProgressLogger excludes from its ETA rate.
-func (o *Obs) Progress(stage string, done, total int, attrs ...Attr) {
-	if o == nil {
+// Progress emits a done/total tick for a named stage under the
+// handle's span (rendered with an ETA by ProgressLogger).
+func (o *Obs) Progress(stage string, done, total int) {
+	if o == nil || len(o.core.sinks) == 0 {
 		return
 	}
-	o.progress(stage, done, total, attrs)
-}
-
-func (o *Obs) progress(stage string, done, total int, attrs []Attr) {
-	if len(o.core.sinks) == 0 {
-		return
-	}
-	as := make([]Attr, 0, 2+len(attrs))
-	as = append(as, Int("done", done), Int("total", total))
-	as = append(as, attrs...)
 	o.core.emit(Event{
 		Time:  time.Now(),
 		Kind:  KindProgress,
 		Span:  o.span,
 		Name:  stage,
-		Attrs: as,
+		Attrs: []Attr{Int("done", done), Int("total", total)},
 	})
 }
 

@@ -75,7 +75,7 @@ func TestNilObsIsInert(t *testing.T) {
 	}
 	sp.End(Float("f", 1))
 	co.Point("p")
-	co.Progress("stage", 1, 2, Bool("cached", true))
+	co.Progress("stage", 1, 2)
 	o.Counter("c").Add(5)
 	o.Gauge("g").Set(1)
 	o.Histogram("h").Observe(time.Millisecond)
@@ -106,7 +106,7 @@ func TestNoopZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		co, sp := o.Start("span", Int("i", 1), Float("f", 2))
 		co.Point("round", Int("round", 3), Float("dual", 0.5))
-		co.Progress("stage", 1, 10, Bool("cached", true))
+		co.Progress("stage", 1, 10)
 		c.Add(1)
 		g.Set(2)
 		h.Observe(time.Millisecond)

@@ -105,28 +105,31 @@ func (j *JSONL) Close() error {
 // with percentage and ETA, one stage per line:
 //
 //	fig3  7/21 (33%)  eta 12s
-//	fig3  12/21 (57%, 5 cached)  eta 9s
 //	fig3  21/21 (100%)  done in 18s
 //
-// Ticks carrying a true Bool("cached") attribute (completions served
-// from the Memo/Store caches) are counted in done but excluded from the
-// ETA rate — a cache hit finishes in microseconds and says nothing
-// about how long the remaining uncached jobs will take. Updates are
-// throttled to one line per stage per MinInterval (except the final
-// tick, which always prints). Safe for concurrent use.
+// A stage is a progress name under one enclosing span, so repeated
+// sweeps of one name (Figure 3's per-family runs, each in its own span)
+// time and count separately. The ETA rates every completion since the
+// stage's first tick. Updates are throttled to one line per stage per
+// MinInterval (except the final tick, which always prints). Safe for
+// concurrent use.
 type ProgressLogger struct {
 	// MinInterval throttles per-stage output (default 200ms).
 	MinInterval time.Duration
 
 	mu     sync.Mutex
 	w      io.Writer
-	stages map[string]*progressStage
+	stages map[progressKey]*progressStage
+}
+
+type progressKey struct {
+	name string
+	span uint64
 }
 
 type progressStage struct {
 	first     time.Time
 	lastPrint time.Time
-	cached    int
 }
 
 // NewProgressLogger returns a progress sink writing to w.
@@ -144,17 +147,13 @@ func (p *ProgressLogger) Emit(e Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stages == nil {
-		p.stages = make(map[string]*progressStage)
+		p.stages = make(map[progressKey]*progressStage)
 	}
-	st := p.stages[e.Name]
+	key := progressKey{e.Name, e.Span}
+	st := p.stages[key]
 	if st == nil {
 		st = &progressStage{first: e.Time}
-		p.stages[e.Name] = st
-	}
-	if v, ok := e.Attr("cached"); ok {
-		if b, _ := v.(bool); b {
-			st.cached++
-		}
+		p.stages[key] = st
 	}
 	final := total > 0 && done >= total
 	if !final && e.Time.Sub(st.lastPrint) < p.MinInterval {
@@ -166,17 +165,12 @@ func (p *ProgressLogger) Emit(e Event) {
 	if total > 0 {
 		pct = 100 * float64(done) / float64(total)
 	}
-	line := fmt.Sprintf("%s  %d/%d (%.0f%%", e.Name, done, total, pct)
-	if st.cached > 0 && !final {
-		line += fmt.Sprintf(", %d cached", st.cached)
-	}
-	line += ")"
-	uncached := done - st.cached
+	line := fmt.Sprintf("%s  %d/%d (%.0f%%)", e.Name, done, total, pct)
 	switch {
 	case final:
 		line += fmt.Sprintf("  done in %s", elapsed.Round(time.Millisecond))
-	case uncached > 0:
-		eta := time.Duration(float64(elapsed) / float64(uncached) * float64(total-done))
+	case done > 0:
+		eta := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
 		line += fmt.Sprintf("  eta %s", eta.Round(time.Second))
 	}
 	fmt.Fprintln(p.w, line)

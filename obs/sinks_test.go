@@ -136,41 +136,36 @@ type closeCounter struct {
 func (c *closeCounter) Write(p []byte) (int, error) { return c.buf.Write(p) }
 func (c *closeCounter) Close() error                { c.closed++; return nil }
 
-// TestProgressLoggerCachedETA pins the cached-aware ETA: completions
-// tagged cached=true count toward done but not toward the rate, so a
-// burst of cache hits does not fake a wildly optimistic ETA.
-func TestProgressLoggerCachedETA(t *testing.T) {
+// TestProgressLoggerStagePerSpan: two sweeps of one name under two spans
+// are two stages, so the second's ETA and "done in" time start from its
+// own first tick rather than carrying over from the first sweep.
+func TestProgressLoggerStagePerSpan(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgressLogger(&buf)
 	p.MinInterval = 0
 	base := time.Now()
-	emit := func(done int, at time.Duration, cached bool) {
-		p.Emit(Event{Time: base.Add(at), Kind: KindProgress, Name: "fig4",
-			Attrs: []Attr{Int("done", done), Int("total", 10), Bool("cached", cached)}})
+	emit := func(span uint64, done int, at time.Duration) {
+		p.Emit(Event{Time: base.Add(at), Kind: KindProgress, Name: "fig3", Span: span,
+			Attrs: []Attr{Int("done", done), Int("total", 3)}})
 	}
-	emit(1, 0, true)              // instant cache hit
-	emit(2, 2*time.Second, false) // 2s of real work
-	emit(3, 4*time.Second, false) // 2s more
+	emit(1, 1, 0)
+	emit(1, 3, 10*time.Second)
+	emit(2, 1, 20*time.Second)
+	emit(2, 2, 21*time.Second)
+	emit(2, 3, 22*time.Second)
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
+	if len(lines) != 5 {
 		t.Fatalf("got %d lines:\n%s", len(lines), buf.String())
 	}
-	// 2 uncached jobs in 4s -> 2s/job; 7 remain -> eta 14s. Counting the
-	// cached hit as real work would give 4/3*7 ≈ 9s instead.
-	if !strings.Contains(lines[2], "3/10") || !strings.Contains(lines[2], "eta 14s") {
-		t.Fatalf("cached-aware ETA wrong: %q", lines[2])
+	if !strings.Contains(lines[1], "done in 10s") {
+		t.Fatalf("first sweep: %q, want done in 10s", lines[1])
 	}
-	if !strings.Contains(lines[2], "1 cached") {
-		t.Fatalf("cached count not rendered: %q", lines[2])
+	// 1s for 2 completions since the second sweep's first tick: 1 left.
+	if !strings.Contains(lines[3], "2/3") || !strings.Contains(lines[3], "eta 1s") {
+		t.Fatalf("second sweep mid tick: %q, want eta 1s", lines[3])
 	}
-	// All-cached stage: no rate information, so no ETA at all.
-	buf.Reset()
-	p2 := NewProgressLogger(&buf)
-	p2.MinInterval = 0
-	p2.Emit(Event{Time: base, Kind: KindProgress, Name: "tab5",
-		Attrs: []Attr{Int("done", 1), Int("total", 3), Bool("cached", true)}})
-	if out := buf.String(); strings.Contains(out, "eta") {
-		t.Fatalf("ETA printed with zero uncached completions: %q", out)
+	if !strings.Contains(lines[4], "done in 2s") {
+		t.Fatalf("second sweep: %q, want done in 2s", lines[4])
 	}
 }
 
