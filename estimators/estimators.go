@@ -10,8 +10,10 @@
 package estimators
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 
 	"dctopo/internal/part"
 	"dctopo/mcf"
@@ -77,8 +79,10 @@ func SparsestCut(t *topo.Topology) (float64, error) {
 	for i := range order {
 		order[i] = i
 	}
-	// Sort by Fiedler value (stable insertion of indices).
-	sortByKey(order, fiedler)
+	// Sort by Fiedler value, ties by index.
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(fiedler[a], fiedler[b]), cmp.Compare(a, b))
+	})
 
 	inS := make([]bool, n)
 	cut := 0
@@ -157,46 +161,6 @@ func fiedlerVector(t *topo.Topology) []float64 {
 		}
 	}
 	return x
-}
-
-// sortByKey sorts idx ascending by key value (simple mergesort via
-// stdlib-free insertion for determinism on small n is too slow; use
-// index-sort with sort.Slice semantics inline).
-func sortByKey(idx []int, key []float64) {
-	// Heapsort for O(n log n) without importing sort (keeps the hot path
-	// allocation-free); n is the switch count.
-	n := len(idx)
-	less := func(a, b int) bool {
-		if key[idx[a]] != key[idx[b]] {
-			return key[idx[a]] < key[idx[b]]
-		}
-		return idx[a] < idx[b]
-	}
-	var down func(i, n int)
-	down = func(i, n int) {
-		for {
-			l := 2*i + 1
-			if l >= n {
-				return
-			}
-			j := l
-			if r := l + 1; r < n && less(j, r) {
-				j = r
-			}
-			if !less(i, j) {
-				return
-			}
-			idx[i], idx[j] = idx[j], idx[i]
-			i = j
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		down(i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		idx[0], idx[i] = idx[i], idx[0]
-		down(0, i)
-	}
 }
 
 // Singla evaluates the NSDI'14 [43] uniform-traffic throughput bound:

@@ -101,22 +101,17 @@ func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 		}
 
 		// (b) pairwise path-count classes for the maximal permutation.
-		// One BFS row serves every pair, so the loop allocates only the
-		// paths themselves.
-		g := t.Graph()
-		hosts := t.Hosts()
-		var dist []int32
+		// tm lists the permutation's pairs in order, fixed points
+		// skipped, so demand k is the k-th pair i → Perm[i] with i ≠ Perm[i].
+		within := mcf.WithinSlack(t, tm, 2, PathCap)
 		var cnt [3]float64
 		pairs := 0
 		for i, j := range ub.Perm {
 			if i == j {
 				continue
 			}
-			src, dst := hosts[i], hosts[j]
-			dist = g.BFS(dst, dist)
-			all := g.PathsWithinDist(src, dst, dist, 2, PathCap)
 			spl := int(ub.Dist[i][j])
-			for _, path := range all {
+			for _, path := range within.ByDemand[pairs] {
 				switch path.Len() - spl {
 				case 0:
 					cnt[0]++

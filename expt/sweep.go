@@ -24,8 +24,9 @@ import (
 // A non-nil o instruments the sweep under the stage name: one
 // "<name>.job" point per job start and finish, the "<name>.wait"
 // histogram of how long each job sat behind the pool, the
-// "expt.runner.queued" gauge of jobs not yet picked up, and one progress
-// tick per finished job (rendered with an ETA by obs.ProgressLogger).
+// "expt.runner.queued" gauge of jobs not yet picked up, and progress
+// ticks rendered with an ETA by obs.ProgressLogger: 0/n when the sweep
+// starts, which starts the stage's clock, then one per finished job.
 func sweep(o *obs.Obs, name string, n int, fn func(i int) error) error {
 	run := fn
 	if o != nil && n > 0 {
@@ -34,6 +35,7 @@ func sweep(o *obs.Obs, name string, n int, fn func(i int) error) error {
 		waitHist := o.Histogram(name + ".wait")
 		jobName := name + ".job"
 		t0 := time.Now()
+		o.Progress(name, 0, n)
 		run = func(i int) error {
 			queued.Set(float64(n - int(started.Add(1))))
 			waitHist.Observe(time.Since(t0))

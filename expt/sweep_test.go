@@ -1,11 +1,14 @@
 package expt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dctopo/obs"
 )
@@ -63,9 +66,9 @@ func TestRunnerForEachPropagatesError(t *testing.T) {
 	}
 }
 
-// TestSweepInstrumentation: an observed sweep of n jobs emits n progress
-// ticks, a start and a done "<name>.job" point per job and n
-// "<name>.wait" observations.
+// TestSweepInstrumentation: an observed sweep of n jobs emits n+1
+// progress ticks (a 0/n start tick, then one per job), a start and a
+// done "<name>.job" point per job and n "<name>.wait" observations.
 func TestSweepInstrumentation(t *testing.T) {
 	const n = 8
 	var cap obs.Capture
@@ -84,11 +87,43 @@ func TestSweepInstrumentation(t *testing.T) {
 			points++
 		}
 	}
-	if ticks != n || points != 2*n {
-		t.Fatalf("got %d ticks and %d job points, want %d and %d", ticks, points, n, 2*n)
+	if ticks != n+1 || points != 2*n {
+		t.Fatalf("got %d ticks and %d job points, want %d and %d", ticks, points, n+1, 2*n)
 	}
 	if got := o.Histogram("s.wait").Snapshot().Count; got != n {
 		t.Fatalf("s.wait has %d observations, want %d", got, n)
+	}
+}
+
+// TestSweepProgressClock: the progress clock starts when the sweep
+// starts, not at the first finished job, so the "done in" time of two
+// 30 ms jobs run one after the other covers both, and the start tick
+// prints no line of its own.
+func TestSweepProgressClock(t *testing.T) {
+	var buf bytes.Buffer
+	o := obs.New(obs.NewProgressLogger(&buf))
+	atProcs(1, func() {
+		if err := sweep(o, "s", 2, func(int) error {
+			time.Sleep(30 * time.Millisecond)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	out := buf.String()
+	if strings.Contains(out, "0/2") {
+		t.Fatalf("start tick printed a line:\n%s", out)
+	}
+	_, after, ok := strings.Cut(out, "done in ")
+	if !ok {
+		t.Fatalf("no final line:\n%s", out)
+	}
+	d, err := time.ParseDuration(strings.TrimSpace(after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d < 60*time.Millisecond {
+		t.Fatalf("done in %v, want at least 60ms for two 30ms jobs:\n%s", d, out)
 	}
 }
 

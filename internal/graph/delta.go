@@ -1,12 +1,18 @@
 // Decremental single-source distance repair (the Ramalingam–Reps
 // scheme specialised to unit weights): given one BFS distance row of the
-// base graph and a single removed link or switch, repair the row in
-// place so it equals a cold BFS on the damaged graph — without touching
-// the part of the graph the failure cannot reach.
+// base graph and a single Removal — one link or one switch — repair the
+// row in place so it equals a cold BFS on the damaged graph, without
+// touching the part of the graph the failure cannot reach.
 //
-// The kernel runs in two phases. Phase 1 discovers the affected cone:
-// starting from endpoints whose every shortest path used the failed
-// element, a level-order FIFO sweep marks each vertex all of whose
+// Both removal kinds sever adjacencies, and both ask one question of a
+// row: which vertices lost their last shortest-path parent across a
+// severed adjacency? For a link that can only be the deeper endpoint;
+// for a switch, only its children. One orphan routine answers it, and
+// serves both the RepairNeeded precheck (does any orphan exist?) and
+// RepairRow's seeding.
+//
+// The repair runs in two phases from the orphans. Phase 1 discovers the
+// affected cone: a level-order FIFO sweep marks each vertex all of whose
 // parents (neighbors one level closer to the source) are themselves
 // affected. Because the queue is level ordered — every affected vertex
 // at level L is enqueued while level L-1 is being processed, before any
@@ -85,141 +91,151 @@ func (a *RepairArena) reset(n int) {
 	a.queue = a.queue[:0]
 }
 
-// EdgeRepairNeeded reports whether removing one (u, v) link can change
-// any distance in row (a BFS row of g from some source). False means
-// the row on the damaged graph is provably identical: the link is
-// trunked, not on any shortest path from the source, or the downstream
-// endpoint keeps another parent. Callers use it to skip copying rows
-// that a repair would leave untouched.
-func (g *Graph) EdgeRepairNeeded(row []uint8, u, v int) bool {
-	if g.Capacity(u, v) > 1 {
-		return false // a parallel link survives; hop counts ignore multiplicity
-	}
-	du, dv := row[u], row[v]
-	if du == dv {
-		return false // never on a shortest path
-	}
-	if du > dv {
-		u, v = v, u
-		du, dv = dv, du
-	}
-	if du == UnreachableDist || dv != du+1 {
-		return false
-	}
-	// v loses one parent; any other neighbor at level du keeps it leveled.
-	for e := g.off[v]; e < g.off[v+1]; e++ {
-		if z := int(g.adj[e]); z != u && row[z] == du {
-			return false
-		}
-	}
-	return true
+// Removal is one failed element of a graph: a single (u, v) link, or a
+// switch w together with every link touching it. LinkRemoval and
+// SwitchRemoval check it against the graph once; RepairNeeded and
+// RepairRow then take it for any number of rows of that graph.
+type Removal struct {
+	u, v int32 // the removed link's endpoints; -1 for a switch removal
+	w    int32 // the removed switch; -1 for a link removal
+	// eu indexes v in u's adjacency slice and ev indexes u in v's, so
+	// the per-row orphan test never searches for the link.
+	eu, ev int32
+	trunk  bool // a parallel link survives between u and v
 }
 
-// SwitchRepairNeeded reports whether removing switch w can change any
-// distance in row other than row[w] itself (which callers must treat as
-// gone). False means every neighbor of w keeps an alternative parent.
-func (g *Graph) SwitchRepairNeeded(row []uint8, w int) bool {
-	dw := row[w]
-	if dw == UnreachableDist {
+// LinkRemoval returns the removal of one (u, v) link of g. It fails
+// when an id is out of range or g has no such link.
+func (g *Graph) LinkRemoval(u, v int) (Removal, error) {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return Removal{}, fmt.Errorf("graph: invalid link (%d,%d): vertex ids are in [0,%d)", u, v, g.n)
+	}
+	eu := g.adjIndex(u, v)
+	if eu < 0 {
+		return Removal{}, fmt.Errorf("graph: no (%d,%d) link to remove", u, v)
+	}
+	return Removal{u: int32(u), v: int32(v), w: -1, eu: eu, ev: g.adjIndex(v, u), trunk: g.capac[eu] > 1}, nil
+}
+
+// SwitchRemoval returns the removal of switch w and every link touching
+// it. It fails when w is out of range.
+func (g *Graph) SwitchRemoval(w int) (Removal, error) {
+	if w < 0 || w >= g.n {
+		return Removal{}, fmt.Errorf("graph: invalid switch %d: vertex ids are in [0,%d)", w, g.n)
+	}
+	return Removal{u: -1, v: -1, w: int32(w)}, nil
+}
+
+// Trunk reports that the removal is one link of a parallel bundle. A
+// link survives between the endpoints and hop counts ignore
+// multiplicity, so no distance changes.
+func (r Removal) Trunk() bool { return r.trunk }
+
+// severs reports whether the removal cuts the adjacency from a
+// surviving vertex x to its neighbor y.
+func (r Removal) severs(x, y int32) bool {
+	return y == r.w || (x == r.u && y == r.v) || (x == r.v && y == r.u)
+}
+
+// RepairNeeded reports whether the removal can change any entry of row
+// (a BFS distance row of g from some source) other than a removed
+// switch's own, which callers must treat as gone. False means no vertex
+// lost its last shortest-path parent, so a repair would leave the row as
+// it is; callers use it to skip copying rows. It allocates nothing.
+func (g *Graph) RepairNeeded(row []uint8, r Removal) bool {
+	return g.orphans(row, r, nil)
+}
+
+// RepairRow repairs row — a uint8 BFS distance row of g from any source
+// — in place so it matches a cold BFS on g with the removal applied. a
+// may be nil for one-shot use. The repaired row is bit-identical to a
+// cold recompute; vertices the removal disconnects get UnreachableDist.
+// A removed switch's own entry becomes UnreachableDist as a tombstone:
+// the vertex no longer exists in the damaged graph and callers must skip
+// it. The tombstone counts in Changed but does not set Disconnected. A
+// row sourced at the removed switch (row[w] == 0) is an error.
+func (g *Graph) RepairRow(row []uint8, r Removal, a *RepairArena) (RepairStats, error) {
+	if len(row) != g.n {
+		return RepairStats{}, fmt.Errorf("graph: repair row has %d entries, graph has %d vertices", len(row), g.n)
+	}
+	tomb := 0
+	if r.w >= 0 {
+		switch row[r.w] {
+		case 0:
+			return RepairStats{}, fmt.Errorf("graph: cannot repair a row whose source %d is the removed switch", r.w)
+		case UnreachableDist:
+		default:
+			tomb = 1
+		}
+	}
+	if a == nil {
+		a = &RepairArena{}
+	}
+	a.reset(g.n)
+	var st RepairStats
+	var err error
+	if g.orphans(row, r, a) {
+		g.repairDiscover(row, r, a)
+		st, err = g.repairRelevel(row, r, a)
+	}
+	if r.w >= 0 {
+		row[r.w] = UnreachableDist
+	}
+	st.Changed += tomb
+	return st, err
+}
+
+// orphans finds the vertices that keep no shortest-path parent across
+// the removal's severed adjacency: for a link, the deeper endpoint when
+// the shallower one was its only parent; for a switch, each child of w
+// whose only parent was w. With a nil arena it only reports whether one
+// exists; otherwise it marks every orphan affected and queues it to seed
+// phase 1. All orphans sit one level below the severed parent, so the
+// seeded queue is level ordered.
+func (g *Graph) orphans(row []uint8, r Removal, a *RepairArena) bool {
+	// The severed parent p and its candidate children g.adj[lo:hi].
+	var p, lo, hi int32
+	switch {
+	case r.w >= 0:
+		p, lo, hi = r.w, g.off[r.w], g.off[r.w+1]
+	case r.trunk:
+		return false
+	case row[r.u] < row[r.v]:
+		p, lo, hi = r.u, r.eu, r.eu+1
+	default:
+		p, lo, hi = r.v, r.ev, r.ev+1
+	}
+	dp := row[p]
+	if dp == UnreachableDist {
 		return false
 	}
-	for e := g.off[w]; e < g.off[w+1]; e++ {
-		y := int(g.adj[e])
-		if row[y] != dw+1 {
+	found := false
+	for e := lo; e < hi; e++ {
+		y := g.adj[e]
+		if row[y] != dp+1 || g.keepsParent(row, y, dp, r, a) {
 			continue
 		}
-		alt := false
-		for e2 := g.off[y]; e2 < g.off[y+1]; e2++ {
-			if z := int(g.adj[e2]); z != w && row[z] == dw {
-				alt = true
-				break
-			}
+		if a == nil {
+			return true
 		}
-		if !alt {
+		found = true
+		a.affStamp[y] = a.epoch
+		a.queue = append(a.queue, y)
+	}
+	return found
+}
+
+// keepsParent reports whether y still has a parent at level d in the
+// damaged graph: a neighbor at that level across no severed adjacency
+// and outside the cone a has marked so far (a nil arena marks nothing).
+func (g *Graph) keepsParent(row []uint8, y int32, d uint8, r Removal, a *RepairArena) bool {
+	for e := g.off[y]; e < g.off[y+1]; e++ {
+		z := g.adj[e]
+		if row[z] == d && !r.severs(y, z) && (a == nil || a.affStamp[z] != a.epoch) {
 			return true
 		}
 	}
 	return false
-}
-
-// RepairRowEdge repairs row — a uint8 BFS distance row of g from any
-// source — in place so it matches a cold BFS on g with one (u, v) link
-// removed. a may be nil for one-shot use. The repaired row is
-// bit-identical to a cold recompute; vertices disconnected by the
-// removal get UnreachableDist.
-func (g *Graph) RepairRowEdge(row []uint8, u, v int, a *RepairArena) (RepairStats, error) {
-	if len(row) != g.n {
-		return RepairStats{}, fmt.Errorf("graph: repair row has %d entries, graph has %d vertices", len(row), g.n)
-	}
-	if g.Capacity(u, v) == 0 {
-		return RepairStats{}, fmt.Errorf("graph: no (%d,%d) link to remove", u, v)
-	}
-	if !g.EdgeRepairNeeded(row, u, v) {
-		return RepairStats{}, nil
-	}
-	if row[u] > row[v] {
-		u, v = v, u
-	}
-	if a == nil {
-		a = &RepairArena{}
-	}
-	a.reset(g.n)
-	// Seed: v lost its only parent. Phase 1 grows the cone from it.
-	a.affStamp[v] = a.epoch
-	a.queue = append(a.queue, int32(v))
-	g.repairDiscover(row, int32(u), int32(v), -1, a)
-	return g.repairRelevel(row, int32(u), int32(v), -1, a)
-}
-
-// RepairRowSwitch repairs row in place so it matches a cold BFS on g
-// with switch w (and every link touching it) removed. src must not be w.
-// row[w] is set to UnreachableDist as a tombstone — the vertex no longer
-// exists in the damaged graph and callers must skip it; its entry alone
-// does not set Disconnected.
-func (g *Graph) RepairRowSwitch(src int, row []uint8, w int, a *RepairArena) (RepairStats, error) {
-	if len(row) != g.n {
-		return RepairStats{}, fmt.Errorf("graph: repair row has %d entries, graph has %d vertices", len(row), g.n)
-	}
-	if src == w {
-		return RepairStats{}, fmt.Errorf("graph: cannot repair a row whose source %d is the removed switch", src)
-	}
-	if a == nil {
-		a = &RepairArena{}
-	}
-	st := RepairStats{}
-	if row[w] != UnreachableDist {
-		st.Changed++ // the tombstone itself
-	}
-	if !g.SwitchRepairNeeded(row, w) {
-		row[w] = UnreachableDist
-		return st, nil
-	}
-	a.reset(g.n)
-	dw := row[w]
-	// Seeds: former children of w (level dw+1) with no surviving parent.
-	// All seeds share one level, so the phase-1 FIFO stays level ordered.
-	for e := g.off[w]; e < g.off[w+1]; e++ {
-		y := g.adj[e]
-		if row[y] != dw+1 || a.affStamp[y] == a.epoch {
-			continue
-		}
-		alt := false
-		for e2 := g.off[y]; e2 < g.off[y+1]; e2++ {
-			if z := g.adj[e2]; int(z) != w && row[z] == dw {
-				alt = true
-				break
-			}
-		}
-		if !alt {
-			a.affStamp[y] = a.epoch
-			a.queue = append(a.queue, y)
-		}
-	}
-	row[w] = UnreachableDist
-	g.repairDiscover(row, -1, -1, int32(w), a)
-	rst, err := g.repairRelevel(row, -1, -1, int32(w), a)
-	rst.Changed += st.Changed
-	return rst, err
 }
 
 // repairDiscover is phase 1: grow the affected cone level by level from
@@ -228,31 +244,17 @@ func (g *Graph) RepairRowSwitch(src int, row []uint8, w int, a *RepairArena) (Re
 // ordering guarantees all same-level affected vertices are marked before
 // any of them is popped, so the test never mislabels. The row is left
 // untouched.
-func (g *Graph) repairDiscover(row []uint8, skipU, skipV, skipW int32, a *RepairArena) {
+func (g *Graph) repairDiscover(row []uint8, r Removal, a *RepairArena) {
 	epoch := a.epoch
 	for qi := 0; qi < len(a.queue); qi++ {
 		x := a.queue[qi]
 		dx := row[x]
 		for e := g.off[x]; e < g.off[x+1]; e++ {
 			y := g.adj[e]
-			if y == skipW {
+			if row[y] != dx+1 || r.severs(x, y) || a.affStamp[y] == epoch || a.rejStamp[y] == epoch {
 				continue
 			}
-			if row[y] != dx+1 || a.affStamp[y] == epoch || a.rejStamp[y] == epoch {
-				continue
-			}
-			hasParent := false
-			for e2 := g.off[y]; e2 < g.off[y+1]; e2++ {
-				z := g.adj[e2]
-				if z == skipW || (y == skipV && z == skipU) || (y == skipU && z == skipV) {
-					continue
-				}
-				if row[z] == dx && a.affStamp[z] != epoch {
-					hasParent = true
-					break
-				}
-			}
-			if hasParent {
+			if g.keepsParent(row, y, dx, r, a) {
 				a.rejStamp[y] = epoch
 				continue
 			}
@@ -269,7 +271,7 @@ func (g *Graph) repairDiscover(row []uint8, skipU, skipV, skipW int32, a *Repair
 // distance, so a settled distance past MaxUint8Dist is the vertex's true
 // distance on the damaged graph and the repair fails with a range error
 // (the row is then partly rewritten and must be discarded).
-func (g *Graph) repairRelevel(row []uint8, skipU, skipV, skipW int32, a *RepairArena) (RepairStats, error) {
+func (g *Graph) repairRelevel(row []uint8, r Removal, a *RepairArena) (RepairStats, error) {
 	const inf = int32(1) << 30
 	epoch := a.epoch
 	st := RepairStats{Affected: len(a.queue)}
@@ -278,10 +280,7 @@ func (g *Graph) repairRelevel(row []uint8, skipU, skipV, skipW int32, a *RepairA
 		best := inf
 		for e := g.off[x]; e < g.off[x+1]; e++ {
 			z := g.adj[e]
-			if z == skipW || (x == skipV && z == skipU) || (x == skipU && z == skipV) {
-				continue
-			}
-			if a.affStamp[z] == epoch || row[z] == UnreachableDist {
+			if r.severs(x, z) || a.affStamp[z] == epoch || row[z] == UnreachableDist {
 				continue
 			}
 			if d := int32(row[z]) + 1; d < best {
@@ -340,10 +339,7 @@ func (g *Graph) repairRelevel(row []uint8, skipU, skipV, skipW int32, a *RepairA
 			}
 			for e := g.off[x]; e < g.off[x+1]; e++ {
 				y := g.adj[e]
-				if y == skipW || (x == skipV && y == skipU) || (x == skipU && y == skipV) {
-					continue
-				}
-				if a.affStamp[y] != epoch || a.rejStamp[y] == epoch {
+				if r.severs(x, y) || a.affStamp[y] != epoch || a.rejStamp[y] == epoch {
 					continue
 				}
 				if nd := d + 1; nd < a.newd[y] {

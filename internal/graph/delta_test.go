@@ -29,7 +29,7 @@ func randomMultiConnected(n, extra int, seed uint64) *Graph {
 
 // baseUint8Row is a cold BFS row of g narrowed to uint8 (the graph must
 // be connected with diameter <= MaxUint8Dist).
-func baseUint8Row(t *testing.T, g *Graph, src int) []uint8 {
+func baseUint8Row(t testing.TB, g *Graph, src int) []uint8 {
 	t.Helper()
 	row := make([]uint8, g.N())
 	for v, d := range g.BFS(src, nil) {
@@ -89,75 +89,98 @@ func hasSentinel(row []uint8, skipW int) bool {
 	return false
 }
 
-// TestRepairRowEdgeDifferential checks the repaired row is bit-identical
-// to a cold BFS on the damaged graph over randomized graphs, links and
-// sources.
-func TestRepairRowEdgeDifferential(t *testing.T) {
-	arena := &RepairArena{}
-	for seed := uint64(0); seed < 6; seed++ {
-		g := randomMultiConnected(40, 30, seed)
-		var edges [][2]int
-		g.Edges(func(u, v, c int) { edges = append(edges, [2]int{u, v}) })
-		r := rng.New(seed + 100)
-		for trial := 0; trial < 25; trial++ {
-			e := edges[r.Intn(len(edges))]
-			src := r.Intn(g.N())
-			base := baseUint8Row(t, g, src)
-			want := damagedRefRow(g, src, e[0], e[1], -1)
-			got := append([]uint8(nil), base...)
-			st, err := g.RepairRowEdge(got, e[0], e[1], arena)
-			if err != nil {
-				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d trial %d src %d edge %v: repaired row differs from cold BFS (%d entries)",
-					seed, trial, src, e, diffCount(got, want))
-			}
-			if st.Changed != diffCount(base, want) {
-				t.Fatalf("seed %d trial %d: Changed = %d, want %d", seed, trial, st.Changed, diffCount(base, want))
-			}
-			if st.Disconnected != hasSentinel(want, -1) {
-				t.Fatalf("seed %d trial %d: Disconnected = %v, want %v", seed, trial, st.Disconnected, hasSentinel(want, -1))
-			}
-			if st.Changed > 0 && st.Affected == 0 {
-				t.Fatalf("seed %d trial %d: changing repair reported an empty cone", seed, trial)
-			}
-		}
+// removalOf builds the removal of link (u, v), or of switch w when
+// w >= 0.
+func removalOf(t testing.TB, g *Graph, u, v, w int) Removal {
+	t.Helper()
+	var r Removal
+	var err error
+	if w >= 0 {
+		r, err = g.SwitchRemoval(w)
+	} else {
+		r, err = g.LinkRemoval(u, v)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// checkRepair repairs src's row for the removal of link (u, v), or of
+// switch w when w >= 0, and checks it against a cold BFS on the damaged
+// graph: the row is bit-identical (the removed switch's entry a
+// tombstone), Changed and Disconnected agree with it, a repair that
+// changes more than the tombstone reports a non-empty cone, and
+// RepairNeeded is false exactly when nothing but the tombstone changed.
+func checkRepair(t testing.TB, g *Graph, src, u, v, w int, arena *RepairArena) {
+	t.Helper()
+	r := removalOf(t, g, u, v, w)
+	base := baseUint8Row(t, g, src)
+	want := damagedRefRow(g, src, u, v, w)
+	got := append([]uint8(nil), base...)
+	need := g.RepairNeeded(base, r)
+	st, err := g.RepairRow(got, r, arena)
+	if err != nil {
+		t.Fatalf("src %d removal (%d,%d) w=%d: %v", src, u, v, w, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("src %d removal (%d,%d) w=%d: repaired row differs from cold BFS (%d entries)",
+			src, u, v, w, diffCount(got, want))
+	}
+	if st.Changed != diffCount(base, want) {
+		t.Fatalf("src %d removal (%d,%d) w=%d: Changed = %d, want %d", src, u, v, w, st.Changed, diffCount(base, want))
+	}
+	if st.Disconnected != hasSentinel(want, w) {
+		t.Fatalf("src %d removal (%d,%d) w=%d: Disconnected = %v, want %v", src, u, v, w, st.Disconnected, hasSentinel(want, w))
+	}
+	moved := st.Changed
+	if w >= 0 {
+		moved = diffCount(base, want) - 1 // the tombstone
+	}
+	if moved > 0 && st.Affected == 0 {
+		t.Fatalf("src %d removal (%d,%d) w=%d: changing repair reported an empty cone", src, u, v, w)
+	}
+	if need != (moved > 0) {
+		t.Fatalf("src %d removal (%d,%d) w=%d: RepairNeeded = %v, but %d entries besides the tombstone changed",
+			src, u, v, w, need, moved)
 	}
 }
 
-// TestRepairRowSwitchDifferential is the switch-removal analog: the
-// removed switch's entry becomes the sentinel tombstone, everything
-// else matches a cold BFS on the rebuilt graph.
-func TestRepairRowSwitchDifferential(t *testing.T) {
-	arena := &RepairArena{}
-	for seed := uint64(0); seed < 6; seed++ {
-		g := randomMultiConnected(35, 25, seed)
-		r := rng.New(seed + 200)
-		for trial := 0; trial < 25; trial++ {
-			w := r.Intn(g.N())
-			src := r.Intn(g.N())
-			if src == w {
-				continue
+// TestRepairRowDifferential checks both removal kinds over randomized
+// graphs, removals and sources with checkRepair: one arena serves every
+// repair of a kind.
+func TestRepairRowDifferential(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		n, extra int
+		rseed    uint64
+	}{
+		{"link", 40, 30, 100},
+		{"switch", 35, 25, 200},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			arena := &RepairArena{}
+			for seed := uint64(0); seed < 6; seed++ {
+				g := randomMultiConnected(c.n, c.extra, seed)
+				var edges [][2]int
+				g.Edges(func(u, v, _ int) { edges = append(edges, [2]int{u, v}) })
+				r := rng.New(seed + c.rseed)
+				for trial := 0; trial < 25; trial++ {
+					u, v, w := -1, -1, -1
+					if c.name == "link" {
+						e := edges[r.Intn(len(edges))]
+						u, v = e[0], e[1]
+					} else {
+						w = r.Intn(g.N())
+					}
+					src := r.Intn(g.N())
+					if src == w {
+						continue
+					}
+					checkRepair(t, g, src, u, v, w, arena)
+				}
 			}
-			base := baseUint8Row(t, g, src)
-			want := damagedRefRow(g, src, -1, -1, w)
-			got := append([]uint8(nil), base...)
-			st, err := g.RepairRowSwitch(src, got, w, arena)
-			if err != nil {
-				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d trial %d src %d switch %d: repaired row differs from cold BFS (%d entries)",
-					seed, trial, src, w, diffCount(got, want))
-			}
-			if st.Changed != diffCount(base, want) {
-				t.Fatalf("seed %d trial %d: Changed = %d, want %d", seed, trial, st.Changed, diffCount(base, want))
-			}
-			if st.Disconnected != hasSentinel(want, w) {
-				t.Fatalf("seed %d trial %d: Disconnected = %v, want %v", seed, trial, st.Disconnected, hasSentinel(want, w))
-			}
-		}
+		})
 	}
 }
 
@@ -171,7 +194,11 @@ func TestRepairTrunkUnchanged(t *testing.T) {
 	g := b.Build()
 	base := baseUint8Row(t, g, 3)
 	got := append([]uint8(nil), base...)
-	st, err := g.RepairRowEdge(got, 0, 1, nil)
+	r := removalOf(t, g, 0, 1, -1)
+	if !r.Trunk() {
+		t.Fatalf("removal of one link of a 2-link bundle is not a trunk removal")
+	}
+	st, err := g.RepairRow(got, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +208,12 @@ func TestRepairTrunkUnchanged(t *testing.T) {
 	if !bytes.Equal(got, base) {
 		t.Fatalf("trunk removal changed the row")
 	}
-	if g.EdgeRepairNeeded(base, 0, 1) {
-		t.Fatalf("EdgeRepairNeeded claims a trunked link needs repair")
+	if g.RepairNeeded(base, r) {
+		t.Fatalf("RepairNeeded claims a trunked link needs repair")
 	}
 }
 
-// TestRepairBridgeDisconnects pins the disconnection semantics satellite:
+// TestRepairBridgeDisconnects pins the disconnection semantics:
 // cutting a bridge makes the far side UnreachableDist, not a 255-hop
 // "distance", and the stats say so.
 func TestRepairBridgeDisconnects(t *testing.T) {
@@ -202,7 +229,7 @@ func TestRepairBridgeDisconnects(t *testing.T) {
 	g := b.Build()
 	base := baseUint8Row(t, g, 0)
 	got := append([]uint8(nil), base...)
-	st, err := g.RepairRowEdge(got, 2, 3, nil)
+	st, err := g.RepairRow(got, removalOf(t, g, 2, 3, -1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +256,39 @@ func TestRepairOverflowErrors(t *testing.T) {
 	g := ring(256)
 	base := baseUint8Row(t, g, 0)
 	got := append([]uint8(nil), base...)
-	_, err := g.RepairRowEdge(got, 255, 0, nil)
+	_, err := g.RepairRow(got, removalOf(t, g, 255, 0, -1), nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeds uint8 range") {
 		t.Fatalf("overflowing repair err = %v, want uint8 range error", err)
 	}
 }
 
-// TestRepairArenaReuse: one arena across many repairs with different
-// graphs stays correct (epoch stamping, buffer growth).
+// TestRepairRemovalErrors pins the error surface: a removal is checked
+// once when built, and a row sourced at a removed switch or of the wrong
+// length cannot be repaired.
+func TestRepairRemovalErrors(t *testing.T) {
+	g := ring(6)
+	for _, l := range [][2]int{{0, 2}, {0, 0}, {-1, 0}, {0, 6}} {
+		if _, err := g.LinkRemoval(l[0], l[1]); err == nil {
+			t.Errorf("LinkRemoval(%d, %d) succeeded", l[0], l[1])
+		}
+	}
+	for _, w := range []int{-1, 6} {
+		if _, err := g.SwitchRemoval(w); err == nil {
+			t.Errorf("SwitchRemoval(%d) succeeded", w)
+		}
+	}
+	row := baseUint8Row(t, g, 2)
+	if _, err := g.RepairRow(row, removalOf(t, g, -1, -1, 2), nil); err == nil {
+		t.Error("repairing the removed switch's own row succeeded")
+	}
+	if _, err := g.RepairRow(row[:5], removalOf(t, g, 0, 1, -1), nil); err == nil {
+		t.Error("repairing a short row succeeded")
+	}
+}
+
+// TestRepairArenaReuse: one arena across many repairs of both kinds on
+// graphs of different sizes stays correct (epoch stamping, buffer
+// growth).
 func TestRepairArenaReuse(t *testing.T) {
 	arena := &RepairArena{}
 	for seed := uint64(0); seed < 3; seed++ {
@@ -247,14 +299,42 @@ func TestRepairArenaReuse(t *testing.T) {
 			r := rng.New(seed)
 			e := edges[r.Intn(len(edges))]
 			src := r.Intn(n)
-			base := baseUint8Row(t, g, src)
-			got := append([]uint8(nil), base...)
-			if _, err := g.RepairRowEdge(got, e[0], e[1], arena); err != nil {
-				t.Fatal(err)
-			}
-			if want := damagedRefRow(g, src, e[0], e[1], -1); !bytes.Equal(got, want) {
-				t.Fatalf("n %d seed %d: arena-reused repair differs from cold BFS", n, seed)
+			checkRepair(t, g, src, e[0], e[1], -1, arena)
+			if w := r.Intn(n); w != src {
+				checkRepair(t, g, src, -1, -1, w, arena)
 			}
 		}
 	}
+}
+
+// FuzzRepairRow fuzzes the repair over random multigraphs — a spanning
+// tree, whose links are bridges until extra links cover them, plus extra
+// links, some trunked — with a random link or switch removal and a
+// random source, checking each repair with checkRepair. A source at the
+// removed switch must be refused.
+func FuzzRepairRow(f *testing.F) {
+	f.Add(uint64(1), uint8(12), uint8(0), uint(3), uint(0), false)
+	f.Add(uint64(2), uint8(30), uint8(20), uint(7), uint(5), false)
+	f.Add(uint64(3), uint8(30), uint8(20), uint(7), uint(5), true)
+	f.Add(uint64(4), uint8(3), uint8(4), uint(1), uint(1), true)
+	f.Fuzz(func(t *testing.T, seed uint64, n, extra uint8, pick, src uint, bySwitch bool) {
+		g := randomMultiConnected(int(n)%48+2, int(extra)%64, seed)
+		s := int(src % uint(g.N()))
+		if bySwitch {
+			w := int(pick % uint(g.N()))
+			if w == s {
+				row := baseUint8Row(t, g, s)
+				if _, err := g.RepairRow(row, removalOf(t, g, -1, -1, w), nil); err == nil {
+					t.Fatalf("repairing switch %d's own row succeeded", w)
+				}
+				return
+			}
+			checkRepair(t, g, s, -1, -1, w, nil)
+			return
+		}
+		var edges [][2]int
+		g.Edges(func(u, v, _ int) { edges = append(edges, [2]int{u, v}) })
+		e := edges[pick%uint(len(edges))]
+		checkRepair(t, g, s, e[0], e[1], -1, nil)
+	})
 }

@@ -178,13 +178,21 @@ func (g *Graph) Neighbors(u int, fn func(v int, capacity int)) {
 
 // Capacity returns the multiplicity of the (u, v) link bundle, 0 if absent.
 func (g *Graph) Capacity(u, v int) int {
+	if e := g.adjIndex(u, v); e >= 0 {
+		return int(g.capac[e])
+	}
+	return 0
+}
+
+// adjIndex returns the index of v in u's adjacency slice, -1 if absent.
+func (g *Graph) adjIndex(u, v int) int32 {
 	lo, hi := g.off[u], g.off[u+1]
 	s := g.adj[lo:hi]
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= int32(v) })
 	if i < len(s) && s[i] == int32(v) {
-		return int(g.capac[int(lo)+i])
+		return lo + int32(i)
 	}
-	return 0
+	return -1
 }
 
 // Edges calls fn once per distinct undirected edge (u < v) with its

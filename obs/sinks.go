@@ -109,10 +109,11 @@ func (j *JSONL) Close() error {
 //
 // A stage is a progress name under one enclosing span, so repeated
 // sweeps of one name (Figure 3's per-family runs, each in its own span)
-// time and count separately. The ETA rates every completion since the
-// stage's first tick. Updates are throttled to one line per stage per
-// MinInterval (except the final tick, which always prints). Safe for
-// concurrent use.
+// time and count separately. A stage's clock starts at its first tick;
+// a 0/total tick, which a sweep emits when it starts, starts the clock
+// and prints nothing, so the ETA and the "done in" time count the first
+// job too. Updates are throttled to one line per stage per MinInterval
+// (except the final tick, which always prints). Safe for concurrent use.
 type ProgressLogger struct {
 	// MinInterval throttles per-stage output (default 200ms).
 	MinInterval time.Duration
@@ -155,6 +156,9 @@ func (p *ProgressLogger) Emit(e Event) {
 		st = &progressStage{first: e.Time}
 		p.stages[key] = st
 	}
+	if done == 0 {
+		return
+	}
 	final := total > 0 && done >= total
 	if !final && e.Time.Sub(st.lastPrint) < p.MinInterval {
 		return
@@ -169,7 +173,7 @@ func (p *ProgressLogger) Emit(e Event) {
 	switch {
 	case final:
 		line += fmt.Sprintf("  done in %s", elapsed.Round(time.Millisecond))
-	case done > 0:
+	default:
 		eta := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
 		line += fmt.Sprintf("  eta %s", eta.Round(time.Second))
 	}

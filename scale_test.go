@@ -116,9 +116,13 @@ func TestScale20kSmoke(t *testing.T) {
 	dg := db.Build()
 	cold := make([]int32, g.N())
 	var arena graph.RepairArena
+	cut, err := g.LinkRemoval(cu, cv)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, src := range []int{0, 10000} {
 		row := append([]uint8(nil), res.Dist[src]...)
-		if _, err := g.RepairRowEdge(row, cu, cv, &arena); err != nil {
+		if _, err := g.RepairRow(row, cut, &arena); err != nil {
 			t.Fatal(err)
 		}
 		dg.BFS(src, cold)

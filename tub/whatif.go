@@ -12,12 +12,12 @@
 // maxima when the row-max tight graph has a perfect matching) and
 // answers each query with:
 //
-//  1. graph.EdgeRepairNeeded / SwitchRepairNeeded prechecks that skip
-//     unaffected rows without copying them (on low-damage links most
-//     rows are skipped);
-//  2. graph.RepairRowEdge / RepairRowSwitch delta repair of the few
-//     affected rows into copy-on-write overlays, bit-identical to a
-//     cold BFS on the damaged graph. The engine numbers switches
+//  1. a graph.RepairNeeded precheck over the query's one
+//     graph.Removal, which skips unaffected rows without copying them
+//     (on low-damage links most rows are skipped);
+//  2. graph.RepairRow delta repair of the few affected rows into
+//     copy-on-write overlays, bit-identical to a cold BFS on the
+//     damaged graph. The engine numbers switches
 //     host-first, so a row's first n bytes are its host-column row and
 //     the matcher reads repaired rows in place;
 //  3. match.Rematch, which resets each changed host row's dual to its
@@ -281,13 +281,12 @@ func (e *WhatIf) QueryLink(u, v int) (*QueryResult, error) {
 // queryLink answers QueryLink for an in-range (u, v) in topology ids.
 func (e *WhatIf) queryLink(u, v int, sc *whatifScratch) (*QueryResult, error) {
 	start := time.Now()
-	iu, iv := int(e.id[u]), int(e.id[v])
-	c := e.g.Capacity(iu, iv)
-	if c == 0 {
+	r, err := e.g.LinkRemoval(int(e.id[u]), int(e.id[v]))
+	if err != nil {
 		return nil, fmt.Errorf("tub: no (%d,%d) link to remove", u, v)
 	}
 	q := &QueryResult{TwoE: e.base.TwoE - 2}
-	if c > 1 {
+	if r.Trunk() {
 		// A parallel link survives: hop distances ignore multiplicity, so
 		// the permutation and denominator are untouched — only 2E drops.
 		q.Mode = "trunk"
@@ -296,18 +295,8 @@ func (e *WhatIf) queryLink(u, v int, sc *whatifScratch) (*QueryResult, error) {
 		e.observe(q.Mode, start, 0)
 		return q, nil
 	}
-
-	for i := 0; i < e.n; i++ {
-		base := e.rows[i*e.nsw : (i+1)*e.nsw]
-		if !e.g.EdgeRepairNeeded(base, iu, iv) {
-			continue
-		}
-		row := sc.overlay(e, i)
-		st, err := e.g.RepairRowEdge(row, iu, iv, &sc.arena)
-		if err != nil {
-			return nil, err
-		}
-		e.noteRepair(q, base, row, st)
+	if err := e.repair(q, sc, r, -1); err != nil {
+		return nil, err
 	}
 	return e.finish(q, sc, start)
 }
@@ -330,22 +319,13 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	if wHost && e.n <= 2 {
 		return nil, errors.New("tub: removing the switch leaves fewer than 2 host switches")
 	}
+	r, err := e.g.SwitchRemoval(w)
+	if err != nil {
+		return nil, err
+	}
 	q := &QueryResult{TwoE: e.base.TwoE - 2*e.g.Degree(w)}
-
-	for i := 0; i < e.n; i++ {
-		if i == w {
-			continue
-		}
-		base := e.rows[i*e.nsw : (i+1)*e.nsw]
-		if !e.g.SwitchRepairNeeded(base, w) {
-			continue
-		}
-		row := sc.overlay(e, i)
-		st, err := e.g.RepairRowSwitch(i, row, w, &sc.arena)
-		if err != nil {
-			return nil, err
-		}
-		e.noteRepair(q, base, row, st)
+	if err := e.repair(q, sc, r, w); err != nil {
+		return nil, err
 	}
 
 	if !wHost {
@@ -400,20 +380,31 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 	return q, nil
 }
 
-// noteRepair folds one repaired row into the query accumulators.
-func (e *WhatIf) noteRepair(q *QueryResult, base, row []uint8, st graph.RepairStats) {
-	q.ChangedRows++
-	if st.Affected > q.Frontier {
-		q.Frontier = st.Affected
-	}
-	for j, d := range row[:e.n] {
-		if base[j] != d {
-			q.ChangedPairs++
+// repair overlays and repairs every host row in which the removal
+// orphans a vertex, folding each into the query accumulators. Host
+// skip's row is left out: when skip is the removed host switch, its row
+// no longer exists (pass -1 to repair every row).
+func (e *WhatIf) repair(q *QueryResult, sc *whatifScratch, r graph.Removal, skip int) error {
+	for i := 0; i < e.n; i++ {
+		base := e.rows[i*e.nsw : (i+1)*e.nsw]
+		if i == skip || !e.g.RepairNeeded(base, r) {
+			continue
 		}
+		row := sc.overlay(e, i)
+		st, err := e.g.RepairRow(row, r, &sc.arena)
+		if err != nil {
+			return err
+		}
+		q.ChangedRows++
+		q.Frontier = max(q.Frontier, st.Affected)
+		for j, d := range row[:e.n] {
+			if base[j] != d {
+				q.ChangedPairs++
+			}
+		}
+		q.Disconnected = q.Disconnected || st.Disconnected
 	}
-	if st.Disconnected {
-		q.Disconnected = true
-	}
+	return nil
 }
 
 // disconnectedPair reports whether any surviving host pair is

@@ -28,7 +28,15 @@ func whatifTopologies(t testing.TB) []*topo.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []*topo.Topology{jf, xp, cl}
+	// 41 servers on 20 switches: H ∈ {2, 3}, so the differentials cover
+	// non-uniform multipliers.
+	fc, err := topo.FatClique(topo.FatCliqueConfig{
+		SubBlockSize: 5, SubBlocks: 2, Blocks: 2, BlockPorts: 1, GlobalPorts: 1, TotalServers: 41,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*topo.Topology{jf, xp, cl, fc}
 }
 
 // coldQuery recomputes the query result from scratch on the derived
@@ -119,9 +127,20 @@ func TestWhatIfLinkDifferential(t *testing.T) {
 	}
 }
 
+// requireTransitMonotone checks the invariant that removing a transit
+// switch never raises TUB: 2E shrinks, the hosts stay and no host
+// distance shrinks. Applies to removals that leave the fabric connected.
+func requireTransitMonotone(t *testing.T, label string, tp *topo.Topology, w int, e *WhatIf, q *QueryResult) {
+	t.Helper()
+	if tp.Servers(w) == 0 && !q.Disconnected && q.Bound > e.Base().Bound {
+		t.Fatalf("%s transit switch %d mode=%s: removal raised TUB: bound %v > base %v",
+			label, w, q.Mode, q.Bound, e.Base().Bound)
+	}
+}
+
 // TestWhatIfSwitchDifferential: every single-switch removal against the
 // cold recompute, both transit (warm rematch) and host (reduced cold
-// matching) paths.
+// matching) paths; no connected transit removal may raise the bound.
 func TestWhatIfSwitchDifferential(t *testing.T) {
 	for _, tp := range whatifTopologies(t) {
 		e, err := NewWhatIf(tp, WhatIfOptions{})
@@ -144,7 +163,42 @@ func TestWhatIfSwitchDifferential(t *testing.T) {
 				t.Fatalf("%s switch %d mode=%s: got (%v, %d, %d), cold (%v, %d, %d)",
 					tp.Name(), w, q.Mode, q.Bound, q.WeightedLen, q.TwoE, wantB, wantWL, wantE)
 			}
+			requireTransitMonotone(t, tp.Name(), tp, w, e, q)
 		}
+	}
+}
+
+// TestWhatIfTransitSwitchMonotone: on the Clos fat-trees R ∈ {4, 6, 8}
+// (L = 3; R = 6 is fat-tree k = 6), whose transit switches are the
+// aggregation and core layers, no transit-switch removal that leaves
+// the fabric connected raises TUB above the base.
+func TestWhatIfTransitSwitchMonotone(t *testing.T) {
+	checked := 0
+	for _, r := range []int{4, 6, 8} {
+		tp, err := topo.Clos(topo.ClosConfig{Radix: r, Layers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewWhatIf(tp, WhatIfOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < tp.NumSwitches(); w++ {
+			if tp.Servers(w) > 0 {
+				continue
+			}
+			q, err := e.QuerySwitch(w)
+			if err != nil {
+				t.Fatalf("%s switch %d: %v", tp.Name(), w, err)
+			}
+			requireTransitMonotone(t, tp.Name(), tp, w, e, q)
+			if !q.Disconnected {
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no connected transit-switch removal was checked")
 	}
 }
 
@@ -455,7 +509,7 @@ func FuzzWhatIfEquivalence(f *testing.F) {
 			if err != nil {
 				t.Skip() // e.g. removing one of the last host pair
 			}
-			wantB, wantWL, _, wantDisc = coldFuzzQuery(t, tp, w, -1)
+			wantB, wantWL, _, wantDisc = coldQuery(t, tp, w, -1)
 		} else {
 			var links [][2]int
 			tp.Graph().Edges(func(u, v, c int) { links = append(links, [2]int{u, v}) })
@@ -464,7 +518,7 @@ func FuzzWhatIfEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantB, wantWL, _, wantDisc = coldFuzzQuery(t, tp, l[0], l[1])
+			wantB, wantWL, _, wantDisc = coldQuery(t, tp, l[0], l[1])
 		}
 		if q.Disconnected != wantDisc {
 			t.Fatalf("Disconnected = %v, cold says %v (%+v)", q.Disconnected, wantDisc, q)
@@ -485,10 +539,4 @@ func FuzzWhatIfEquivalence(f *testing.F) {
 			t.Fatalf("implausible bound %v", q.Bound)
 		}
 	})
-}
-
-// coldFuzzQuery is coldQuery for fuzz targets (t is a *testing.T there
-// too, so reuse directly).
-func coldFuzzQuery(t *testing.T, tp *topo.Topology, u, v int) (float64, int64, int, bool) {
-	return coldQuery(t, tp, u, v)
 }
