@@ -59,6 +59,7 @@ type benchOut struct {
 	sources int // distance rows computed (sources_per_sec)
 	paths   int // paths found (paths_per_sec)
 	theta   float64
+	phases  int // Garg–Könemann stop phase
 	// exact holds the op's exact integer results (one per unit);
 	// weighted_len records their sum.
 	exact []int64
@@ -118,14 +119,17 @@ func kspOp(t *topo.Topology) (benchOp, error) {
 }
 
 // gkOp times the Garg–Könemann solver on the first demands of a random
-// permutation, paths precomputed.
+// permutation, paths precomputed, and records the phase it stopped in.
 func gkOp(t *topo.Topology) (benchOp, error) {
 	tm := traffic.RandomPermutation(t, 1)
 	tm = &traffic.Matrix{Switches: tm.Switches, Demands: tm.Demands[:gkDemands]}
 	paths := mcf.KShortest(t, tm, gkK)
 	return func() (benchOut, error) {
-		th, err := mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: gkEps})
-		return benchOut{theta: th}, err
+		d, err := mcf.MaxConcurrentFlow(t, tm, paths, mcf.Options{Eps: gkEps})
+		if err != nil {
+			return benchOut{}, err
+		}
+		return benchOut{theta: d.Theta, phases: d.Phases}, nil
 	}, nil
 }
 
@@ -266,6 +270,7 @@ type benchEntry struct {
 	PathsPerSec   float64 `json:"paths_per_sec,omitempty"`
 	Theta         float64 `json:"theta,omitempty"`
 	WeightedLen   int64   `json:"weighted_len,omitempty"`
+	Phases        int     `json:"phases,omitempty"`
 }
 
 // benchReport is one BENCH_<file>.json document. The commit is the VCS
@@ -324,6 +329,7 @@ func runBench(c benchCase) (benchEntry, benchOut, error) {
 		SourcesPerSec: float64(out.sources) * opsPerSec,
 		PathsPerSec:   float64(out.paths) * opsPerSec,
 		Theta:         out.theta,
+		Phases:        out.phases,
 	}
 	for _, x := range out.exact {
 		e.WeightedLen += x

@@ -56,8 +56,9 @@ type benchDelta struct {
 // and cost metrics warn when they move more than the case threshold.
 // Result metrics are determinism evidence, not performance: theta warns
 // on any change (floats may differ across architectures), while
-// weighted_len is an exact integer from a seeded instance, so any
-// change is a bug and fails the diff.
+// weighted_len and phases are exact integers from a seeded instance, so
+// any change fails the diff: a bug, or a change of the work that the
+// committed file must be re-recorded for.
 var benchDiffMetricKeys = []struct {
 	key    string
 	rate   bool // higher-is-better throughput metric
@@ -70,6 +71,7 @@ var benchDiffMetricKeys = []struct {
 	{"allocs_op", false, false, false},
 	{"theta", false, true, false},
 	{"weighted_len", false, true, true},
+	{"phases", false, true, true},
 }
 
 // cmdBenchDiff implements `topobench benchdiff OLD.json NEW.json`: align

@@ -147,24 +147,26 @@ func TestBenchDiffResultMetricsWarnOnly(t *testing.T) {
 	}
 }
 
-// TestBenchDiffExactResultFails: weighted_len is an exact integer from a
-// seeded instance, so a changed value fails the diff even when the
-// timing is unchanged.
+// TestBenchDiffExactResultFails: weighted_len and phases are exact
+// integers from a seeded instance, so a changed value fails the diff
+// even when the timing is unchanged.
 func TestBenchDiffExactResultFails(t *testing.T) {
-	dir := t.TempDir()
-	oldF, newF := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
-	writeBenchFile(t, oldF, benchEntryJSON("case/a", 100e6, map[string]float64{"weighted_len": 16000}))
-	writeBenchFile(t, newF, benchEntryJSON("case/a", 100e6, map[string]float64{"weighted_len": 16001}))
-	var buf bytes.Buffer
-	err := cmdBenchDiff(&buf, []string{oldF, newF})
-	if err == nil {
-		t.Fatalf("changed weighted_len passed; output:\n%s", buf.String())
-	}
-	if !strings.Contains(err.Error(), "case/a") || !strings.Contains(err.Error(), "weighted_len changed") {
-		t.Errorf("error does not name the case and metric: %v", err)
-	}
-	if !strings.Contains(buf.String(), "MISMATCH") {
-		t.Errorf("table lacks MISMATCH row:\n%s", buf.String())
+	for _, key := range []string{"weighted_len", "phases"} {
+		dir := t.TempDir()
+		oldF, newF := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
+		writeBenchFile(t, oldF, benchEntryJSON("case/a", 100e6, map[string]float64{key: 16000}))
+		writeBenchFile(t, newF, benchEntryJSON("case/a", 100e6, map[string]float64{key: 16001}))
+		var buf bytes.Buffer
+		err := cmdBenchDiff(&buf, []string{oldF, newF})
+		if err == nil {
+			t.Fatalf("changed %s passed; output:\n%s", key, buf.String())
+		}
+		if !strings.Contains(err.Error(), "case/a") || !strings.Contains(err.Error(), key+" changed") {
+			t.Errorf("error does not name the case and metric %s: %v", key, err)
+		}
+		if !strings.Contains(buf.String(), "MISMATCH") {
+			t.Errorf("%s: table lacks MISMATCH row:\n%s", key, buf.String())
+		}
 	}
 }
 

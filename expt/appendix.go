@@ -389,9 +389,9 @@ func RunFigA5(p FigA5Params, opt RunOptions) (_ *FigA5Result, err error) {
 			if err != nil {
 				return err
 			}
-			gap := ub.Bound - theta
-			if gap < 0 {
-				gap = 0
+			gap, err := tubGap(ub.Bound, theta)
+			if err != nil {
+				return fmt.Errorf("expt: figA5 n=%d k=%d: %w", n, k, err)
 			}
 			rows = append(rows, FigA5Row{K: k, Servers: t.NumServers(), TUB: ub.Bound, Theta: theta, Gap: gap})
 		}

@@ -13,7 +13,7 @@ import (
 // every pipeline stage plus per-round convergence points carrying the
 // certified band, one mcf.gk.gap observation per solve, and a stop
 // reason on every mcf.gk span end that the mcf.gk.backstop counter
-// agrees with.
+// agrees with, and no re-run at step ε.
 func TestFig3InstrumentedMatchesBare(t *testing.T) {
 	p := Fig3Params{
 		Family: FamilyJellyfish, Radix: 8, Servers: []int{3},
@@ -80,6 +80,10 @@ func TestFig3InstrumentedMatchesBare(t *testing.T) {
 	}
 	if n := o.Registry().Counter("mcf.gk.backstop").Value(); n != int64(backstops) {
 		t.Errorf("mcf.gk.backstop counts %d, %d spans ended on the backstop", n, backstops)
+	}
+	// Every solve here certifies at step 2ε, so none is re-run at step ε.
+	if n := o.Registry().Counter("mcf.gk.rerun").Value(); n != 0 {
+		t.Errorf("mcf.gk.rerun counts %d, want 0", n)
 	}
 	tbl := rec.Table().String()
 	if !strings.Contains(tbl, "theta_lb") || !strings.Contains(tbl, "theta_ub") || !strings.Contains(tbl, "window") || len(rec.Table().Rows) != rec.Solves() {

@@ -87,6 +87,21 @@ func TestRunFig3Small(t *testing.T) {
 	_ = r.Table().String()
 }
 
+// TestTUBGapRejectsThetaAboveTUB: a θ above TUB on the bound's own
+// matrix means the bound is too low, and tubGap reports it instead of
+// clamping the gap to 0; a θ above TUB only by rounding still reads 0.
+func TestTUBGapRejectsThetaAboveTUB(t *testing.T) {
+	if gap, err := tubGap(0.3, 0.31); err == nil || !strings.Contains(err.Error(), "exceeds TUB") {
+		t.Fatalf("tubGap(0.3, 0.31) = %v, %v; want a θ-exceeds-TUB error", gap, err)
+	}
+	if gap, err := tubGap(0.3, 0.3*(1+1e-12)); err != nil || gap != 0 {
+		t.Fatalf("tubGap at rounding distance = %v, %v; want 0, nil", gap, err)
+	}
+	if gap, err := tubGap(0.5, 0.25); err != nil || gap != 0.25 {
+		t.Fatalf("tubGap(0.5, 0.25) = %v, %v; want 0.25, nil", gap, err)
+	}
+}
+
 func TestRunFig4Small(t *testing.T) {
 	p := Fig4Params{Radix: 8, Servers: 3, Switches: []int{16, 24}, K: 4, Seed: 1}
 	r, err := RunFig4(p, RunOptions{})

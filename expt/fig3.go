@@ -82,9 +82,9 @@ func RunFig3(p Fig3Params, opt RunOptions) (_ *Fig3Result, err error) {
 		if err != nil {
 			return err
 		}
-		gap := ub.Bound - det.Theta
-		if gap < 0 {
-			gap = 0
+		gap, err := tubGap(ub.Bound, det.Theta)
+		if err != nil {
+			return fmt.Errorf("expt: fig3 %s n=%d h=%d: %w", p.Family, n, h, err)
 		}
 		rows[i] = Fig3Row{
 			H: h, Switches: t.NumSwitches(), Servers: t.NumServers(),
@@ -157,4 +157,16 @@ func (s *Fig3Set) Tables() []*Table {
 		ts = append(ts, r.Table())
 	}
 	return ts
+}
+
+// tubGap returns the throughput gap TUB − θ, with θ measured on TUB's
+// own worst-case matrix, floored at 0 for rounding. TUB bounds the
+// throughput of that matrix from above, so a θ above TUB·(1+1e-9) means
+// the bound came out too low, and tubGap reports it as an error rather
+// than a zero gap.
+func tubGap(tub, theta float64) (float64, error) {
+	if theta > tub*(1+1e-9) {
+		return 0, fmt.Errorf("θ %v exceeds TUB %v on the bound's own matrix: the bound is too low", theta, tub)
+	}
+	return max(0, tub-theta), nil
 }

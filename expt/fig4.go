@@ -95,9 +95,8 @@ func RunFig4(p Fig4Params, opt RunOptions) (_ *Fig4Result, err error) {
 		if total > 0 {
 			row.ShortestFrac = onShortest / total
 		}
-		row.Gap = ub.Bound - det.Theta
-		if row.Gap < 0 {
-			row.Gap = 0
+		if row.Gap, err = tubGap(ub.Bound, det.Theta); err != nil {
+			return fmt.Errorf("expt: fig4 n=%d: %w", n, err)
 		}
 
 		// (b) pairwise path-count classes for the maximal permutation.

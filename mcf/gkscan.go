@@ -13,7 +13,14 @@ import (
 // routes every demand's full amount; a phase proceeds in rounds, where a
 // round (1) scans, against the frozen length function, the cheapest path
 // of every still-active demand, then (2) applies one augmentation per
-// demand in demand order, updating the length function as it goes.
+// demand in demand order, growing each edge's length by the factor
+// 1 + step·g/c_e as it goes.
+//
+// eps is the certificate's tolerance and sets the initial lengths δ;
+// step is the update rate. They are separate because the certificate
+// below holds whatever the step: ThroughputDetail runs step = 2·eps,
+// which certifies in fewer phases, and re-runs at step = eps, the
+// textbook rate, only when that solve ends on the D ≥ 1 backstop.
 //
 // The solve certifies its own answer and stops as soon as it can. The
 // first round of every phase scans all demands under one frozen length
@@ -33,14 +40,15 @@ import (
 // factor 1+eps of the path-restricted optimum θ*. The classical
 // termination D ≥ 1 stays as the backstop: it returns whichever of the
 // full history and the kept windows rescales to the larger θ, so the
-// full history's worst-case ≈(1−3ε) guarantee holds; thetaUB is a valid
-// bound either way. Lengths never depend on the checkpoints, so the
-// windows can only move the stop earlier.
+// full history's worst-case guarantee holds — ≈(1−3ε) at step = eps,
+// only ≈(1−6ε) at step = 2·eps; thetaUB is a valid bound either way.
+// Lengths never depend on the checkpoints, so the windows can only move
+// the stop earlier.
 //
 // The scan re-sums every path fresh, left to right in edge order, and
 // the kernel stays bit-identical to the reference solveGKSimple kept in
-// gkscan_test.go: identical path choices, flows, θ, θ_ub and stop
-// (phase, window, backstop or not). That is a deliberate design constraint — these
+// gkscan_test.go at every step: identical path choices, flows, θ, θ_ub
+// and stop (phase, window, backstop or not). That is a deliberate design constraint — these
 // instances are full of cheapest-path ties (uniform capacities, equal
 // hop counts), ties are broken by comparing rounded float sums, and any
 // cache maintained by accumulating per-edge deltas — while within ~1e-13
@@ -56,7 +64,7 @@ import (
 // theta_lb (the best of k/λ and the window bounds), the checkpoint
 // phase k₀ of the window giving it (0 = full history) and theta_ub.
 // Observation never changes the arithmetic.
-func (inst *instance) solveGK(eps float64, o *obs.Obs) (theta, thetaUB float64, flow []float64, stop gkStop) {
+func (inst *instance) solveGK(eps, step float64, o *obs.Obs) (theta, thetaUB float64, flow []float64, stop gkStop) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -111,7 +119,10 @@ func (inst *instance) solveGK(eps float64, o *obs.Obs) (theta, thetaUB float64, 
 
 	// scan picks the cheapest path of each active demand under the
 	// current lengths, and records its length; ties keep the lowest path
-	// id.
+	// id. It sums the candidates after the first two at a time, in two
+	// independent accumulators the core can overlap; each path is still
+	// summed left to right and compared in path-id order, so the sums
+	// and the choice are those of one path at a time.
 	scan := func() {
 		for _, j := range active {
 			pids := inst.pathsOf[j]
@@ -120,14 +131,35 @@ func (inst *instance) solveGK(eps float64, o *obs.Obs) (theta, thetaUB float64, 
 			for _, e := range inst.edgeList[best] {
 				bl += length[e]
 			}
-			for _, pid := range pids[1:] {
+			x := 1
+			for ; x+1 < len(pids); x += 2 {
+				pa, pb := inst.edgeList[pids[x]], inst.edgeList[pids[x+1]]
+				n := min(len(pa), len(pb))
+				sa, sb := 0.0, 0.0
+				for i, e := range pa[:n] {
+					sa += length[e]
+					sb += length[pb[i]]
+				}
+				for _, e := range pa[n:] {
+					sa += length[e]
+				}
+				for _, e := range pb[n:] {
+					sb += length[e]
+				}
+				if sa < bl {
+					bl, best = sa, pids[x]
+				}
+				if sb < bl {
+					bl, best = sb, pids[x+1]
+				}
+			}
+			if x < len(pids) {
 				s := 0.0
-				for _, e := range inst.edgeList[pid] {
+				for _, e := range inst.edgeList[pids[x]] {
 					s += length[e]
 				}
 				if s < bl {
-					bl = s
-					best = pid
+					bl, best = s, pids[x]
 				}
 			}
 			choice[j] = best
@@ -197,7 +229,7 @@ phases:
 				flow[pid] += g
 				rem[j] -= g
 				for _, e := range inst.edgeList[pid] {
-					grow := eps * g / inst.capOf[e]
+					grow := step * g / inst.capOf[e]
 					d += inst.capOf[e] * length[e] * grow
 					length[e] *= 1 + grow
 					load[e] += g

@@ -22,7 +22,8 @@ import (
 // where a round (1) scans, against the frozen length function, the
 // cheapest path of every still-active demand, then (2) applies one
 // augmentation per demand in demand order, updating the length function
-// as it goes. It stops at the end of the first complete phase whose
+// as it goes, each edge's length by the factor 1 + step·g/c_e. It
+// stops at the end of the first complete phase whose
 // certified gap closes — the least dual bound D/α seen at a phase start
 // is within a factor 1+eps of the best primal bound: the full history's
 // phases/λ, or the flow routed since one of the two most recent
@@ -38,7 +39,7 @@ import (
 // rather than per-edge loads kept during the apply loop. It carries no
 // instrumentation — the production kernel's obs hooks never touch the
 // arithmetic.
-func (inst *instance) solveGKSimple(eps float64) (theta, thetaUB float64, flow []float64, stop gkStop) {
+func (inst *instance) solveGKSimple(eps, step float64) (theta, thetaUB float64, flow []float64, stop gkStop) {
 	mEdges := float64(inst.numEdges)
 	delta := (1 + eps) * math.Pow((1+eps)*mEdges, -1/eps)
 	if delta <= 0 || math.IsNaN(delta) {
@@ -164,7 +165,7 @@ func (inst *instance) solveGKSimple(eps float64) (theta, thetaUB float64, flow [
 				flow[pid] += g
 				rem[j] -= g
 				for _, e := range inst.edgeList[pid] {
-					grow := eps * g / inst.capOf[e]
+					grow := step * g / inst.capOf[e]
 					d += inst.capOf[e] * length[e] * grow
 					length[e] *= 1 + grow
 				}
@@ -207,28 +208,41 @@ func (inst *instance) solveGKSimple(eps float64) (theta, thetaUB float64, flow [
 }
 
 // checkKernelsAgree solves paths with the reference and production
-// kernels on separate instances and fails the test unless θ, θ_ub, the
-// stop (phase, certifying window, backstop or not) and every path flow
-// are bitwise identical. It returns the production answer.
+// kernels on separate instances, the way ThroughputDetail does — at step
+// 2ε, then again at step ε if that ends on the backstop — and fails the
+// test unless θ, θ_ub, the stop (phase, certifying window, backstop or
+// not) and every path flow are bitwise identical at each step. It
+// returns the production answer the solve would keep.
 func checkKernelsAgree(t *testing.T, top *topo.Topology, tm *traffic.Matrix, paths *Paths, opt Options) (theta, thetaUB float64, stop gkStop) {
 	t.Helper()
-	st, sub, sflow, sstop := newInstance(top, tm, paths).solveGKSimple(opt.eps())
-	pt, pub, pflow, pstop := newInstance(top, tm, paths).solveGK(opt.eps(), nil)
+	eps := opt.eps()
+	theta, thetaUB, stop = checkKernelsAgreeAt(t, top, tm, paths, eps, 2*eps)
+	if stop.backstop {
+		theta, thetaUB, stop = checkKernelsAgreeAt(t, top, tm, paths, eps, eps)
+	}
+	return theta, thetaUB, stop
+}
+
+// checkKernelsAgreeAt is checkKernelsAgree at one step.
+func checkKernelsAgreeAt(t *testing.T, top *topo.Topology, tm *traffic.Matrix, paths *Paths, eps, step float64) (theta, thetaUB float64, stop gkStop) {
+	t.Helper()
+	st, sub, sflow, sstop := newInstance(top, tm, paths).solveGKSimple(eps, step)
+	pt, pub, pflow, pstop := newInstance(top, tm, paths).solveGK(eps, step, nil)
 	if st != pt {
-		t.Fatalf("theta diverged: simple=%.17g production=%.17g", st, pt)
+		t.Fatalf("step %v: theta diverged: simple=%.17g production=%.17g", step, st, pt)
 	}
 	if sub != pub {
-		t.Fatalf("theta_ub diverged: simple=%.17g production=%.17g", sub, pub)
+		t.Fatalf("step %v: theta_ub diverged: simple=%.17g production=%.17g", step, sub, pub)
 	}
 	if sstop != pstop {
-		t.Fatalf("stop diverged: simple=%+v production=%+v", sstop, pstop)
+		t.Fatalf("step %v: stop diverged: simple=%+v production=%+v", step, sstop, pstop)
 	}
 	if len(sflow) != len(pflow) {
-		t.Fatalf("flow shape diverged: %d vs %d paths", len(sflow), len(pflow))
+		t.Fatalf("step %v: flow shape diverged: %d vs %d paths", step, len(sflow), len(pflow))
 	}
 	for pid, f := range sflow {
 		if pflow[pid] != f {
-			t.Fatalf("path %d: flow diverged: simple=%.17g production=%.17g", pid, f, pflow[pid])
+			t.Fatalf("step %v: path %d: flow diverged: simple=%.17g production=%.17g", step, pid, f, pflow[pid])
 		}
 	}
 	return pt, pub, pstop

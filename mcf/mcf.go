@@ -30,16 +30,19 @@ type Options struct {
 	// Eps is the Garg–Könemann tolerance in (0, 1); any other value, NaN
 	// included, means the default 0.02. The solver stops once its
 	// certified duality gap is within it, Detail.ThetaUB ≤
-	// (1+Eps)·Detail.Theta. It also sets the FPTAS step size and initial
-	// lengths.
+	// (1+Eps)·Detail.Theta. It also sets the initial lengths. Lengths
+	// grow at twice Eps; a solve that ends on the D ≥ 1 backstop instead
+	// of the certificate is re-run at step Eps, so the backstop keeps
+	// the textbook (1−3ε) guarantee.
 	Eps float64
 	// Obs, when non-nil, receives an "mcf.solve" span with a per-backend
 	// child span; the Garg–Könemann child emits one "mcf.round" point
 	// event per round (round, phase, active, dual, lambda, theta_lb,
-	// window, theta_ub), ends with theta, theta_ub, phases, window and
-	// stop (cert or backstop), records θ_ub/θ − 1 in the "mcf.gk.gap"
-	// histogram and counts backstop stops on "mcf.gk.backstop".
-	// Instrumentation never changes the solution.
+	// window, theta_ub), ends with theta, theta_ub, phases, window, step
+	// and stop (cert or backstop) of the returned solve, records
+	// θ_ub/θ − 1 in the "mcf.gk.gap" histogram, counts re-runs at step
+	// Eps on "mcf.gk.rerun" and backstop stops of the returned solve on
+	// "mcf.gk.backstop". Instrumentation never changes the solution.
 	Obs *obs.Obs
 }
 
@@ -69,8 +72,9 @@ type Detail struct {
 	// Phases, Window and Stop say how a Garg–Könemann solve ended: the
 	// phase it stopped in, the checkpoint phase whose window flow it
 	// returned (0 = the full history), and "cert" when the certificate
-	// stopped it or "backstop" when the D ≥ 1 termination did. All three
-	// are zero for the exact backend.
+	// stopped it or "backstop" when the D ≥ 1 termination did. When the
+	// step-2ε solve ends on the backstop they describe the step-ε re-run
+	// whose answer is returned. All three are zero for the exact backend.
 	Phases, Window int
 	Stop           string
 }
@@ -123,15 +127,25 @@ func ThroughputDetail(t *topo.Topology, m *traffic.Matrix, p *Paths, opt Options
 	}
 	d := &Detail{}
 	approx := func() (float64, float64, []float64) {
-		gko, sp := mo.Start("mcf.gk", obs.Float("eps", opt.eps()))
-		theta, thetaUB, flat, stop := inst.solveGK(opt.eps(), gko)
+		eps := opt.eps()
+		gko, sp := mo.Start("mcf.gk", obs.Float("eps", eps))
+		step := 2 * eps
+		theta, thetaUB, flat, stop := inst.solveGK(eps, step, gko)
+		if stop.backstop {
+			// Step 2ε backs the backstop with only (1−6ε); the
+			// textbook step ε restores (1−3ε).
+			gko.Counter("mcf.gk.rerun").Add(1)
+			step = eps
+			theta, thetaUB, flat, stop = inst.solveGK(eps, step, gko)
+		}
 		d.Phases, d.Window, d.Stop = stop.phase, stop.window, "cert"
 		if stop.backstop {
 			d.Stop = "backstop"
 			gko.Counter("mcf.gk.backstop").Add(1)
 		}
 		sp.End(obs.Float("theta", theta), obs.Float("theta_ub", thetaUB),
-			obs.Int("phases", d.Phases), obs.Int("window", d.Window), obs.String("stop", d.Stop))
+			obs.Int("phases", d.Phases), obs.Int("window", d.Window),
+			obs.Float("step", step), obs.String("stop", d.Stop))
 		if theta > 0 {
 			// Parts per million, so the histogram's *_ms statistics read
 			// as the relative gap itself.
