@@ -294,10 +294,8 @@ func newBenchReport(benchmark string) *benchReport {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				rep.Commit = s.Value
-			}
+		if rev, _ := buildRevision(bi.Settings); rev != "" {
+			rep.Commit = rev
 		}
 	}
 	return rep

@@ -264,8 +264,5 @@ func benchCommitLabel(doc *benchDiffDoc) string {
 	if doc.Commit == "" {
 		return "no commit"
 	}
-	if len(doc.Commit) > 12 {
-		return doc.Commit[:12]
-	}
-	return doc.Commit
+	return shortRevision(doc.Commit)
 }

@@ -143,32 +143,51 @@ func printVersion(w io.Writer) {
 	if ver == "" || ver == "(devel)" {
 		ver = "devel"
 	}
-	var rev, at string
-	dirty := ""
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.time":
-			at = s.Value
-		case "vcs.modified":
-			if s.Value == "true" {
-				dirty = "+dirty"
-			}
-		}
-	}
+	rev, at := buildRevision(bi.Settings)
 	fmt.Fprintf(w, "topobench %s", ver)
 	if rev != "" {
-		if len(rev) > 12 {
-			rev = rev[:12]
-		}
-		fmt.Fprintf(w, " (%s%s", rev, dirty)
+		fmt.Fprintf(w, " (%s", shortRevision(rev))
 		if at != "" {
 			fmt.Fprintf(w, ", %s", at)
 		}
 		fmt.Fprint(w, ")")
 	}
 	fmt.Fprintf(w, " %s\n", bi.GoVersion)
+}
+
+// buildRevision reads the VCS stamp out of the build settings: the
+// commit, suffixed "+dirty" when the tree it was built from had
+// uncommitted changes, and the commit time. Both are empty when the
+// binary carries no VCS info (go run, test binaries).
+func buildRevision(settings []debug.BuildSetting) (rev, at string) {
+	dirty := false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.time":
+			at = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev != "" && dirty {
+		rev += "+dirty"
+	}
+	return rev, at
+}
+
+// shortRevision abbreviates a commit hash to 12 digits, keeping any
+// "+dirty" suffix.
+func shortRevision(rev string) string {
+	hash, suffix, _ := strings.Cut(rev, "+")
+	if len(hash) > 12 {
+		hash = hash[:12]
+	}
+	if suffix != "" {
+		return hash + "+" + suffix
+	}
+	return hash
 }
 
 // topoFlags registers the shared topology-construction flags.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -84,8 +85,20 @@ func TestCmdWhatIf(t *testing.T) {
 	if err := cmdWhatIf(&buf, append(base, "-all", "-top", "3")); err != nil {
 		t.Fatalf("whatif -all: %v", err)
 	}
-	if !strings.Contains(buf.String(), "top 3 by TUB drop") {
-		t.Errorf("sweep output missing ranking header:\n%s", buf.String())
+	// The sweep prints the whatif experiment's ranking table: its title,
+	// then exactly -top rows between the rule and the first note.
+	out := buf.String()
+	_, rank, ok := strings.Cut(out, "== What-if: critical links of jellyfish (20 switches, R=8, H=3)")
+	if !ok {
+		t.Fatalf("sweep output missing the ranking table title:\n%s", out)
+	}
+	rank, _, _ = strings.Cut(rank, "note: ")
+	_, rows, _ := strings.Cut(rank, "---\n")
+	if n := strings.Count(rows, "\n"); n != 3 {
+		t.Errorf("ranking has %d rows, want 3:\n%s", n, out)
+	}
+	if !strings.Contains(out, "== What-if: single-link degradation CDF") {
+		t.Errorf("sweep output missing the CDF table:\n%s", out)
 	}
 	if err := cmdWhatIf(io.Discard, append(base, "-link", "0:1")); err != nil {
 		// Link (0,1) may not exist in this random instance; only a parse
@@ -222,6 +235,35 @@ func TestPrintVersion(t *testing.T) {
 	printVersion(&buf)
 	if !strings.HasPrefix(buf.String(), "topobench ") {
 		t.Fatalf("unexpected version output: %q", buf.String())
+	}
+}
+
+// TestBuildRevision: a binary built from a modified tree stamps its
+// BENCH records and version line with <rev>+dirty, and the benchdiff
+// header keeps the suffix when it abbreviates the hash.
+func TestBuildRevision(t *testing.T) {
+	const hash = "0123456789abcdef0123456789abcdef01234567"
+	for _, tc := range []struct {
+		modified, want string
+	}{{"true", hash + "+dirty"}, {"false", hash}} {
+		rev, at := buildRevision([]debug.BuildSetting{
+			{Key: "vcs", Value: "git"},
+			{Key: "vcs.revision", Value: hash},
+			{Key: "vcs.time", Value: "2026-01-02T03:04:05Z"},
+			{Key: "vcs.modified", Value: tc.modified},
+		})
+		if rev != tc.want || at != "2026-01-02T03:04:05Z" {
+			t.Errorf("modified=%s: got (%q, %q), want (%q, the commit time)", tc.modified, rev, at, tc.want)
+		}
+	}
+	if rev, at := buildRevision([]debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}); rev != "" || at != "" {
+		t.Errorf("no revision: got (%q, %q), want empty", rev, at)
+	}
+	if got := benchCommitLabel(&benchDiffDoc{Commit: hash + "+dirty"}); got != "0123456789ab+dirty" {
+		t.Errorf("benchCommitLabel = %q, want 0123456789ab+dirty", got)
+	}
+	if got := benchCommitLabel(&benchDiffDoc{Commit: hash}); got != "0123456789ab" {
+		t.Errorf("benchCommitLabel = %q, want 0123456789ab", got)
 	}
 }
 

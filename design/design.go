@@ -74,7 +74,7 @@ func Cheapest(s Spec) (*Result, error) {
 			continue
 		}
 		n := (s.Servers + h - 1) / h
-		t, err := expt.Build(s.Family, n, s.Radix, h, s.Seed)
+		t, err := expt.BuildAny(string(s.Family), n, s.Radix, h, s.Seed, nil)
 		if err != nil {
 			continue
 		}
@@ -82,7 +82,7 @@ func Cheapest(s Spec) (*Result, error) {
 			// Families with sparse size grids (FatClique, Xpander) can
 			// land short; retry once with a proportionally larger request.
 			n = n*s.Servers/t.NumServers() + 1
-			if t, err = expt.Build(s.Family, n, s.Radix, h, s.Seed); err != nil {
+			if t, err = expt.BuildAny(string(s.Family), n, s.Radix, h, s.Seed, nil); err != nil {
 				continue
 			}
 			if t.NumServers() < s.Servers {
@@ -164,7 +164,7 @@ func PlanExpansion(s Spec, targetServers int) (*ExpansionPlan, error) {
 func tubAtSizes(s Spec, h, targetServers int) (initTUB, targetTUB float64, err error) {
 	for i, servers := range []int{s.Servers, targetServers} {
 		n := (servers + h - 1) / h
-		t, err := expt.Build(s.Family, n, s.Radix, h, s.Seed)
+		t, err := expt.BuildAny(string(s.Family), n, s.Radix, h, s.Seed, nil)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -23,7 +23,7 @@ func TestCheapestFullThroughput(t *testing.T) {
 	if h := r.ServersPerSwitch + 1; h <= 8 {
 		spec := Spec{Family: expt.FamilyJellyfish, Servers: 512, Radix: 16, Seed: 1}
 		n := (spec.Servers + h - 1) / h
-		top, err := expt.Build(spec.Family, n, spec.Radix, h, spec.Seed)
+		top, err := expt.BuildAny(string(spec.Family), n, spec.Radix, h, spec.Seed, nil)
 		if err == nil && top.NumServers() >= spec.Servers {
 			ub, err := tub.Bound(top, tub.Options{})
 			if err != nil {

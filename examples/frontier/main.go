@@ -33,7 +33,7 @@ func main() {
 		}
 		var tubFrontier, bbwFrontier int
 		for n := 32; n <= *maxSwitches; n += max(1, n*3/20) {
-			t, err := expt.Build(expt.FamilyJellyfish, n, *radix, h, *seed)
+			t, err := expt.BuildAny(string(expt.FamilyJellyfish), n, *radix, h, *seed, nil)
 			if err != nil {
 				continue
 			}

@@ -102,7 +102,7 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Family identifies a uni-regular topology generator family.
+// Family names a topology generator family; BuildAny resolves it.
 type Family string
 
 // Topology families used across experiments.
@@ -112,25 +112,26 @@ const (
 	FamilyFatClique Family = "fatclique"
 )
 
-// Build generates a uni-regular family member with ~switches switches of
-// the given radix and servers per switch. For FatClique, the
-// best-connected enumerable shape near the requested size is used (per the
-// paper, FatClique sizes are not dense) and H may differ by one across
-// switches.
-func Build(f Family, switches, radix, servers int, seed uint64) (*topo.Topology, error) {
-	return BuildObs(f, switches, radix, servers, seed, nil)
-}
-
-// BuildObs is Build with instrumentation: when o is non-nil the
-// construction runs under a "topo.build" span and the random generators
-// count their repair work (swap repairs, lift retries) in o's registry.
-// The topology is identical with or without o.
-func BuildObs(f Family, switches, radix, servers int, seed uint64, o *obs.Obs) (t *topo.Topology, err error) {
+// BuildAny generates a named topology family with ~switches switches of
+// the given radix and servers per switch: the uni-regular families
+// (jellyfish, xpander, fatclique) plus the structured baselines
+// "fattree" and "clos" (3-layer, sized by radix alone). For FatClique,
+// the best-connected enumerable shape near the requested size is used
+// (per the paper, FatClique sizes are not dense) and H may differ by one
+// across switches. This is the one resolver behind the experiment
+// drivers, the memo, the CLI topology flags and the serve /v1/whatif
+// endpoint, so a family name means the same thing everywhere. An
+// unknown family wraps ErrParams.
+//
+// When o is non-nil the construction runs under a "topo.build" span and
+// the random generators count their repair work (swap repairs, lift
+// retries) in o's registry. The topology is identical with or without o.
+func BuildAny(family string, switches, radix, servers int, seed uint64, o *obs.Obs) (t *topo.Topology, err error) {
 	bo, sp := o.Start("topo.build",
-		obs.String("family", string(f)), obs.Int("switches", switches),
+		obs.String("family", family), obs.Int("switches", switches),
 		obs.Int("radix", radix), obs.Int("servers", servers))
 	defer func() { sp.End(obs.Bool("ok", err == nil)) }()
-	switch f {
+	switch Family(family) {
 	case FamilyJellyfish:
 		return topo.Jellyfish(topo.JellyfishConfig{Switches: switches, Radix: radix, Servers: servers, Seed: seed, Obs: bo})
 	case FamilyXpander:
@@ -153,26 +154,12 @@ func BuildObs(f Family, switches, radix, servers int, seed uint64, o *obs.Obs) (
 		}
 		best.TotalServers = best.Switches() * servers
 		return topo.FatClique(best)
-	}
-	return nil, fmt.Errorf("expt: unknown family %q", f)
-}
-
-// BuildAny generates any named topology family, extending BuildObs with
-// the structured baselines: "fattree" (3-layer, sized by radix alone)
-// and "clos" (3-layer folded Clos, sized by radix alone). This is the
-// one resolver the CLI topology flags and the serve /v1/whatif endpoint
-// share, so a family name means the same thing over HTTP as on the
-// command line.
-func BuildAny(family string, switches, radix, servers int, seed uint64, o *obs.Obs) (*topo.Topology, error) {
-	switch family {
-	case string(FamilyJellyfish), string(FamilyXpander), string(FamilyFatClique):
-		return BuildObs(Family(family), switches, radix, servers, seed, o)
 	case "fattree":
 		return topo.FatTree(radix)
 	case "clos":
 		return topo.Clos(topo.ClosConfig{Radix: radix, Layers: 3})
 	}
-	return nil, fmt.Errorf("expt: unknown family %q", family)
+	return nil, fmt.Errorf("%w: unknown family %q", ErrParams, family)
 }
 
 // fatCliqueCutScore estimates a shape's balanced-bisection capacity per

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestBuildFamilies(t *testing.T) {
 	for _, f := range []Family{FamilyJellyfish, FamilyXpander, FamilyFatClique} {
-		top, err := Build(f, 24, 10, 4, 1)
+		top, err := BuildAny(string(f), 24, 10, 4, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
@@ -43,8 +44,17 @@ func TestBuildFamilies(t *testing.T) {
 			t.Errorf("%s: not uni-regular", f)
 		}
 	}
-	if _, err := Build(Family("nope"), 10, 10, 4, 1); err == nil {
-		t.Error("expected error for unknown family")
+	for _, f := range []string{"fattree", "clos"} {
+		top, err := BuildAny(f, 0, 4, 0, 1, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if !top.BiRegular() {
+			t.Errorf("%s: not bi-regular", f)
+		}
+	}
+	if _, err := BuildAny("nope", 10, 10, 4, 1, nil); !errors.Is(err, ErrParams) {
+		t.Errorf("unknown family: err = %v, want ErrParams", err)
 	}
 }
 

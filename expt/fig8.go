@@ -90,7 +90,7 @@ func RunFig8(p Fig8Params, opt RunOptions) (_ *Fig8Result, err error) {
 		n := sizes[i%len(sizes)]
 		jo, jsp := ro.Start("fig8.job", obs.Int("h", h), obs.Int("n", n))
 		defer jsp.End()
-		t, err := BuildObs(p.Family, n, p.Radix, h, p.Seed, jo)
+		t, err := BuildAny(string(p.Family), n, p.Radix, h, p.Seed, jo)
 		if err != nil {
 			return nil // shape not constructible at this size
 		}

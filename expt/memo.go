@@ -9,8 +9,8 @@ import (
 	"dctopo/tub"
 )
 
-// Memo caches expensive per-topology artifacts (built topologies, TUB
-// results and their host distances, KSP path sets) across the jobs of
+// Memo caches expensive per-topology artifacts (built topologies and
+// their TUB results, host distances included) across the jobs of
 // one experiment run, so sweeps that revisit a topology — e.g. the
 // failure fractions of Figure 10, which all degrade the same base
 // instance — compute each artifact exactly once no matter how many
@@ -68,20 +68,20 @@ func (m *Memo) Do(key string, fn func() (interface{}, error)) (interface{}, erro
 	return c.val, c.err
 }
 
-// buildKey names a uni-regular instance unambiguously: every parameter
+// buildKey names an instance unambiguously: every parameter
 // that feeds the generator is in the key, so two experiments share a
 // cached build only when they would construct the identical topology.
 func buildKey(f Family, switches, radix, servers int, seed uint64) string {
 	return fmt.Sprintf("build|%s|n=%d|r=%d|h=%d|seed=%d", f, switches, radix, servers, seed)
 }
 
-// BuildTopo returns the memoized topology for a uni-regular instance,
+// BuildTopo returns the memoized BuildAny topology for an instance,
 // building it on first request. Topologies are never mutated after
 // construction (Expand and WithLinkFailures both copy), so the shared
 // pointer is safe to hand to concurrent experiments.
 func (m *Memo) BuildTopo(f Family, switches, radix, servers int, seed uint64, o *obs.Obs) (*topo.Topology, error) {
 	v, err := m.Do(buildKey(f, switches, radix, servers, seed), func() (interface{}, error) {
-		return BuildObs(f, switches, radix, servers, seed, o)
+		return BuildAny(string(f), switches, radix, servers, seed, o)
 	})
 	if err != nil {
 		return nil, err
@@ -90,7 +90,7 @@ func (m *Memo) BuildTopo(f Family, switches, radix, servers int, seed uint64, o 
 }
 
 // BuildBound returns the memoized (topology, default-matcher TUB result)
-// pair for a uni-regular instance. The tub.Result is read-only after
+// pair for an instance. The tub.Result is read-only after
 // Bound returns (Matrix, LowerBound and TheoreticalGap are pure), so it
 // too is shared safely. Bounds computed with non-default tub.Options
 // (e.g. the wedge's greedy matcher) must not go through this cache.

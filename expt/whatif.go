@@ -36,17 +36,6 @@ func DefaultWhatIf() WhatIfParams {
 	}
 }
 
-// WhatIfLink is one link's sweep entry.
-type WhatIfLink struct {
-	U, V, Capacity int
-	Bound          float64 // damaged TUB (0 when Disconnected)
-	Drop           float64 // base TUB − damaged TUB
-	Disconnected   bool
-	ChangedRows    int    // host distance rows the removal touched
-	Frontier       int    // largest repair cone across those rows
-	Mode           string // query path: trunk/unchanged/warm/disconnected
-}
-
 // WhatIfPct is one point of the degradation CDF: Pct percent of links
 // cause a TUB drop of at most Drop.
 type WhatIfPct struct {
@@ -62,7 +51,7 @@ type WhatIfResult struct {
 	// sampling); TotalLinks counts them before sampling.
 	Links, TotalLinks int
 	// Ranking lists the Top most critical links, largest TUB drop first.
-	Ranking []WhatIfLink
+	Ranking []tub.LinkImpact
 	// CDF is the degradation distribution over all swept links.
 	CDF []WhatIfPct
 	// Modes counts queries per answer path (trunk, unchanged, warm,
@@ -105,19 +94,8 @@ func RunWhatIf(p WhatIfParams, opt RunOptions) (_ *WhatIfResult, err error) {
 		BaseBound:  eng.Base().Bound,
 		Links:      len(impacts),
 		TotalLinks: bundles,
+		Ranking:    tub.RankByDrop(impacts, p.Top),
 		Modes:      map[string]int{},
-	}
-	ranked := tub.RankByDrop(impacts)
-	top := p.Top
-	if top <= 0 || top > len(ranked) {
-		top = len(ranked)
-	}
-	for _, im := range ranked[:top] {
-		res.Ranking = append(res.Ranking, WhatIfLink{
-			U: im.U, V: im.V, Capacity: im.Capacity,
-			Bound: im.Bound, Drop: im.Drop, Disconnected: im.Disconnected,
-			ChangedRows: im.ChangedRows, Frontier: im.Frontier, Mode: im.Mode,
-		})
 	}
 	drops := make([]float64, len(impacts))
 	for i, im := range impacts {
@@ -138,9 +116,13 @@ func RunWhatIf(p WhatIfParams, opt RunOptions) (_ *WhatIfResult, err error) {
 // Tables implements Result: the critical-link ranking and the
 // degradation CDF.
 func (r *WhatIfResult) Tables() []*Table {
+	size := fmt.Sprintf("%d switches, R=%d, H=%d", r.Params.Switches, r.Params.Radix, r.Params.Servers)
+	if r.Params.Family == "fattree" || r.Params.Family == "clos" {
+		size = fmt.Sprintf("R=%d", r.Params.Radix) // sized by radix alone
+	}
 	rank := &Table{
-		Title: fmt.Sprintf("What-if: critical links of %s (%d switches, R=%d, H=%d), base TUB %.3f",
-			r.Params.Family, r.Params.Switches, r.Params.Radix, r.Params.Servers, r.BaseBound),
+		Title: fmt.Sprintf("What-if: critical links of %s (%s), base TUB %.3f",
+			r.Params.Family, size, r.BaseBound),
 		Columns: []string{"link", "cap", "TUB after", "drop", "rows", "frontier", "mode"},
 	}
 	for _, l := range r.Ranking {

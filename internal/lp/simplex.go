@@ -64,12 +64,6 @@ func NewProblem(nvars int) *Problem {
 	return &Problem{nv: nvars, obj: make([]float64, nvars)}
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.nv }
-
-// NumConstraints returns the number of constraint rows added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // SetObjective sets the objective coefficient of variable j.
 func (p *Problem) SetObjective(j int, c float64) {
 	p.obj[j] = c

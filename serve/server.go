@@ -396,14 +396,11 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if req.Mode == "rank" {
-			impacts = tub.RankByDrop(impacts)
 			top := req.Top
 			if top == 0 {
 				top = 10
 			}
-			if top > 0 && len(impacts) > top {
-				impacts = impacts[:top]
-			}
+			impacts = tub.RankByDrop(impacts, top)
 		}
 		resp.Impacts = impacts
 	}

@@ -437,6 +437,59 @@ func TestWhatIfUnbuildableSpec(t *testing.T) {
 	}
 }
 
+// TestWhatIfExperimentFamilies: the whatif experiment resolves a family
+// exactly as /v1/whatif does. An unknown family is the caller's mistake
+// (400, not a failed job's 500), and the structured fabrics build.
+func TestWhatIfExperimentFamilies(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	if resp, body := post(t, ts, "/v1/experiments/whatif", []byte(`{"Family":"bogus"}`)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown family: status %d (%s), want 400", resp.StatusCode, body)
+	}
+	if resp, body := post(t, ts, "/v1/experiments/whatif", []byte(`{"Family":"clos","Radix":4}`)); resp.StatusCode != http.StatusOK {
+		t.Errorf("clos: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	if n := metric(t, ts, "serve.http.status.500"); n != 0 {
+		t.Errorf("serve.http.status.500 = %v, want 0", n)
+	}
+}
+
+// TestWhatIfRankMatchesExperiment: mode rank and the whatif experiment
+// cut the same ranking — same links, bounds and drops, in the same
+// order.
+func TestWhatIfRankMatchesExperiment(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	spec := TopoSpec{Family: "jellyfish", Switches: 24, Radix: 6, Servers: 2, Seed: 3}
+	req, err := json.Marshal(WhatIfRequest{Topo: spec, Mode: "rank", Top: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, ts, "/v1/whatif", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rank: status %d: %s", resp.StatusCode, body)
+	}
+	var got WhatIfResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := expt.RunWhatIf(expt.WhatIfParams{
+		Family: expt.Family(spec.Family), Switches: spec.Switches, Radix: spec.Radix,
+		Servers: spec.Servers, Seed: spec.Seed, Top: 5,
+	}, expt.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Impacts) != 5 || len(want.Ranking) != 5 {
+		t.Fatalf("rank returned %d links, the experiment %d; want 5 each", len(got.Impacts), len(want.Ranking))
+	}
+	for i, w := range want.Ranking {
+		g := got.Impacts[i]
+		if g.U != w.U || g.V != w.V || g.Bound != w.Bound || g.Drop != w.Drop {
+			t.Errorf("row %d: rank %d-%d bound %v drop %v, experiment %d-%d bound %v drop %v",
+				i, g.U, g.V, g.Bound, g.Drop, w.U, w.V, w.Bound, w.Drop)
+		}
+	}
+}
+
 // TestEngineLRU pins the eviction bound: a third spec through a
 // max-2 cache evicts the least-recently-used engine.
 func TestEngineLRU(t *testing.T) {

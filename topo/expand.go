@@ -101,14 +101,10 @@ func Expand(t *Topology, addSwitches int, seed uint64) (*Topology, error) {
 		}
 	}
 
-	g := b.Build()
-	if !g.Connected() {
-		return nil, errors.New("topo: expansion disconnected the topology (retry with another seed)")
-	}
 	servers := make([]int, nn)
 	for i := range servers {
 		servers[i] = h
 	}
 	name := fmt.Sprintf("%s+%dsw", t.name, addSwitches)
-	return New(name, g, servers)
+	return derive(name, b.Build(), servers, errors.New("topo: expansion disconnected the topology (retry with another seed)"))
 }

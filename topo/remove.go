@@ -34,11 +34,7 @@ func (t *Topology) RemoveLink(u, v int) (*Topology, error) {
 	}
 	b := t.g.CopyBuilder()
 	b.RemoveEdge(u, v)
-	g := b.Build()
-	if !g.Connected() {
-		return nil, ErrRemovalDisconnects
-	}
-	return New(fmt.Sprintf("%s-cut%d:%d", t.name, u, v), g, t.servers)
+	return derive(fmt.Sprintf("%s-cut%d:%d", t.name, u, v), b.Build(), t.servers, ErrRemovalDisconnects)
 }
 
 // RemoveSwitch returns a copy of t with switch w and every link touching
@@ -71,17 +67,13 @@ func (t *Topology) RemoveSwitch(w int) (*Topology, []int, error) {
 		}
 		b.AddEdgeMult(idx[u], idx[v], c)
 	})
-	g := b.Build()
-	if !g.Connected() {
-		return nil, nil, ErrRemovalDisconnects
-	}
 	servers := make([]int, 0, n-1)
 	for old, h := range t.servers {
 		if old != w {
 			servers = append(servers, h)
 		}
 	}
-	nt, err := New(fmt.Sprintf("%s-drop%d", t.name, w), g, servers)
+	nt, err := derive(fmt.Sprintf("%s-drop%d", t.name, w), b.Build(), servers, ErrRemovalDisconnects)
 	if err != nil {
 		return nil, nil, err
 	}

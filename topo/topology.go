@@ -50,9 +50,23 @@ func New(name string, g *graph.Graph, servers []int) (*Topology, error) {
 		return nil, errors.New("topo: no servers")
 	}
 	if !g.Connected() {
-		return nil, errors.New("topo: switch graph is disconnected")
+		return nil, errDisconnected
 	}
 	return t, nil
+}
+
+// errDisconnected is New's connectivity failure.
+var errDisconnected = errors.New("topo: switch graph is disconnected")
+
+// derive is New for a topology derived from an existing one (a removal,
+// failures, an expansion): New's connectivity search is the only one,
+// and a disconnected graph reports the caller's disconnected error.
+func derive(name string, g *graph.Graph, servers []int, disconnected error) (*Topology, error) {
+	t, err := New(name, g, servers)
+	if errors.Is(err, errDisconnected) {
+		return nil, disconnected
+	}
+	return t, err
 }
 
 // Name returns the topology's descriptive name.
@@ -150,12 +164,8 @@ func (t *Topology) WithLinkFailures(f float64, seed uint64) (*Topology, error) {
 	for _, idx := range r.Sample(len(links), kill) {
 		b.RemoveEdge(links[idx].u, links[idx].v)
 	}
-	g := b.Build()
-	if !g.Connected() {
-		return nil, errors.New("topo: failures disconnected the topology")
-	}
 	name := fmt.Sprintf("%s-fail%.0f%%", t.name, f*100)
-	return New(name, g, t.servers)
+	return derive(name, b.Build(), t.servers, errors.New("topo: failures disconnected the topology"))
 }
 
 // spreadServers distributes n servers over k switches as evenly as

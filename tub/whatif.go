@@ -518,8 +518,9 @@ func (e *WhatIf) SweepLinks(sample int) ([]LinkImpact, error) {
 }
 
 // RankByDrop orders impacts by TUB drop, largest first (ties by link
-// id), without modifying the input — the critical-link ranking.
-func RankByDrop(impacts []LinkImpact) []LinkImpact {
+// id), and keeps the first top of them (top <= 0 keeps all), without
+// modifying the input — the critical-link ranking.
+func RankByDrop(impacts []LinkImpact, top int) []LinkImpact {
 	out := append([]LinkImpact(nil), impacts...)
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Drop != out[b].Drop {
@@ -530,5 +531,10 @@ func RankByDrop(impacts []LinkImpact) []LinkImpact {
 		}
 		return out[a].V < out[b].V
 	})
+	if top > 0 && top < len(out) {
+		// Copy the head: a ranking kept in a result must not pin the
+		// whole sorted sweep behind it.
+		out = append([]LinkImpact(nil), out[:top]...)
+	}
 	return out
 }

@@ -390,7 +390,7 @@ func TestWhatIfSweepDeterministic(t *testing.T) {
 				t.Fatalf("%s: link (%d,%d): negative drop %v — removal cannot raise TUB", tp.Name(), ref[i].U, ref[i].V, ref[i].Drop)
 			}
 		}
-		ranked := RankByDrop(ref)
+		ranked := RankByDrop(ref, 0)
 		for i := 1; i < len(ranked); i++ {
 			if ranked[i].Drop > ranked[i-1].Drop {
 				t.Fatalf("%s: ranking not sorted at %d: %v after %v", tp.Name(), i, ranked[i].Drop, ranked[i-1].Drop)
@@ -539,4 +539,35 @@ func FuzzWhatIfEquivalence(f *testing.F) {
 			t.Fatalf("implausible bound %v", q.Bound)
 		}
 	})
+}
+
+// TestRankByDropTop pins the one ranking cut: drop descending, ties by
+// (U, V), the first top kept in a slice of their own, top <= 0 or past
+// the end keeping all, and the input left in sweep order.
+func TestRankByDropTop(t *testing.T) {
+	in := []LinkImpact{
+		{U: 2, V: 5, Drop: 0.1},
+		{U: 0, V: 3, Drop: 0.4},
+		{U: 1, V: 4, Drop: 0.1},
+		{U: 1, V: 2, Drop: 0.1},
+		{U: 0, V: 1, Drop: 0.2},
+	}
+	order := [][2]int{{0, 3}, {0, 1}, {1, 2}, {1, 4}, {2, 5}}
+	for _, tc := range []struct{ top, want int }{{-1, 5}, {0, 5}, {3, 3}, {len(in) + 2, 5}} {
+		got := RankByDrop(in, tc.top)
+		if len(got) != tc.want {
+			t.Fatalf("top %d: %d rows, want %d", tc.top, len(got), tc.want)
+		}
+		if tc.want < len(in) && cap(got) >= len(in) {
+			t.Fatalf("top %d: cap %d keeps the whole sorted sweep alive", tc.top, cap(got))
+		}
+		for i, im := range got {
+			if [2]int{im.U, im.V} != order[i] {
+				t.Fatalf("top %d: row %d is %d-%d, want %d-%d", tc.top, i, im.U, im.V, order[i][0], order[i][1])
+			}
+		}
+	}
+	if in[0].U != 2 || in[1].U != 0 {
+		t.Fatal("RankByDrop reordered its input")
+	}
 }
