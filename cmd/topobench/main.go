@@ -226,14 +226,6 @@ func checkPositive(flags ...intFlag) error {
 	return nil
 }
 
-func (tf *topoFlags) validate() error {
-	return checkPositive(
-		intFlag{"switches", tf.switches},
-		intFlag{"radix", tf.radix},
-		intFlag{"servers", tf.servers},
-	)
-}
-
 // runFlags registers the shared execution flags: pprof profiles and the
 // observability sinks (-v, -progress, -trace, -metrics). The parallel
 // stages size their worker pools from GOMAXPROCS.
@@ -420,9 +412,6 @@ func (rf *runFlags) observe(extra ...obs.Sink) (*obs.Obs, func(), error) {
 }
 
 func (tf *topoFlags) build(o *obs.Obs) (*topo.Topology, error) {
-	if err := tf.validate(); err != nil {
-		return nil, err
-	}
 	return expt.BuildAny(tf.family, tf.switches, tf.radix, tf.servers, tf.seed, o)
 }
 

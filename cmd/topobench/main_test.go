@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"runtime/debug"
@@ -269,6 +270,8 @@ func TestBuildRevision(t *testing.T) {
 
 // TestFlagValidation: non-positive integer flags must fail fast with an
 // error naming the flag, before any topology is built or solver runs.
+// The topology flags are checked by expt.BuildAny, whose params error
+// names the parameter the flag sets, without the dash.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -281,9 +284,9 @@ func TestFlagValidation(t *testing.T) {
 		{"mcf eps=0", func() error { return cmdMCF(io.Discard, []string{"-eps", "0"}) }, "-eps"},
 		{"mcf eps>=1", func() error { return cmdMCF(io.Discard, []string{"-eps", "1.5"}) }, "-eps"},
 		{"mcf eps=NaN", func() error { return cmdMCF(io.Discard, []string{"-eps", "NaN"}) }, "-eps"},
-		{"gen switches=0", func() error { return cmdGen(io.Discard, []string{"-switches", "0"}) }, "-switches"},
-		{"tub radix=0", func() error { return cmdTub(io.Discard, []string{"-radix", "0"}) }, "-radix"},
-		{"mcf servers<0", func() error { return cmdMCF(io.Discard, []string{"-servers", "-1"}) }, "-servers"},
+		{"gen switches=0", func() error { return cmdGen(io.Discard, []string{"-switches", "0"}) }, "switches"},
+		{"tub radix=0", func() error { return cmdTub(io.Discard, []string{"-radix", "0"}) }, "radix"},
+		{"mcf servers<0", func() error { return cmdMCF(io.Discard, []string{"-servers", "-1"}) }, "servers"},
 		{"design radix=0", func() error { return cmdDesign(io.Discard, []string{"-radix", "0"}) }, "-radix"},
 	}
 	for _, tc := range cases {
@@ -294,6 +297,9 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.flag) {
 				t.Fatalf("error %q does not name flag %s", err, tc.flag)
+			}
+			if !strings.HasPrefix(tc.flag, "-") && !errors.Is(err, expt.ErrParams) {
+				t.Fatalf("topology flag error %q does not wrap expt.ErrParams", err)
 			}
 		})
 	}

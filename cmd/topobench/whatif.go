@@ -46,9 +46,6 @@ func cmdWhatIf(w io.Writer, args []string) error {
 	}
 	defer stop()
 	if *link == "" && *sw < 0 {
-		if err := tf.validate(); err != nil {
-			return err
-		}
 		start := time.Now()
 		res, err := expt.RunWhatIf(expt.WhatIfParams{
 			Family: expt.Family(tf.family), Switches: tf.switches, Radix: tf.radix,

@@ -112,37 +112,72 @@ const (
 	FamilyFatClique Family = "fatclique"
 )
 
-// BuildAny generates a named topology family with ~switches switches of
-// the given radix and servers per switch: the uni-regular families
-// (jellyfish, xpander, fatclique) plus the structured baselines
-// "fattree" and "clos" (3-layer, sized by radix alone). For FatClique,
-// the best-connected enumerable shape near the requested size is used
-// (per the paper, FatClique sizes are not dense) and H may differ by one
-// across switches. This is the one resolver behind the experiment
-// drivers, the memo, the CLI topology flags and the serve /v1/whatif
-// endpoint, so a family name means the same thing everywhere. An
-// unknown family wraps ErrParams.
+// radixOnly is BuildAny's family lookup: true for "fattree" and "clos",
+// sized by radix alone, false for the uni-regular families. An unknown
+// name wraps ErrParams.
+func radixOnly(family string) (bool, error) {
+	switch Family(family) {
+	case FamilyJellyfish, FamilyXpander, FamilyFatClique:
+		return false, nil
+	case "fattree", "clos":
+		return true, nil
+	}
+	return false, fmt.Errorf("%w: unknown family %q", ErrParams, family)
+}
+
+// TopoKey is the canonical identity of a BuildAny spec,
+// "family|switches|radix|servers|seed", with the fields a radix-only
+// family ignores zeroed, so one fabric has one key in the Memo and the
+// serve engine cache however the request spells it.
+func TopoKey(family string, switches, radix, servers int, seed uint64) string {
+	if ro, _ := radixOnly(family); ro {
+		switches, servers, seed = 0, 0, 0
+	}
+	return fmt.Sprintf("%s|%d|%d|%d|%d", family, switches, radix, servers, seed)
+}
+
+// BuildAny generates a named topology family: the uni-regular
+// jellyfish, xpander and fatclique read ~switches switches, the radix,
+// servers per switch and the seed, and need switches >= 2, radix >= 3
+// and 1 <= servers < radix; the 3-layer "fattree" and "clos" read only
+// the radix, which must be even and >= 4. FatClique uses the
+// best-connected enumerable shape near the requested size (per the
+// paper, FatClique sizes are not dense), and H may differ by one across
+// switches. BuildAny and TopoKey are the only code that names, checks
+// and keys a fabric; every error BuildAny returns wraps ErrParams.
 //
 // When o is non-nil the construction runs under a "topo.build" span and
 // the random generators count their repair work (swap repairs, lift
 // retries) in o's registry. The topology is identical with or without o.
 func BuildAny(family string, switches, radix, servers int, seed uint64, o *obs.Obs) (t *topo.Topology, err error) {
+	ro, err := radixOnly(family)
+	switch {
+	case err != nil:
+		return nil, err
+	case ro: // the generators check the radix
+	case switches < 2:
+		return nil, fmt.Errorf("%w: %s needs switches >= 2, got %d", ErrParams, family, switches)
+	case radix < 3:
+		return nil, fmt.Errorf("%w: %s needs radix >= 3, got %d", ErrParams, family, radix)
+	case servers < 1 || servers >= radix:
+		return nil, fmt.Errorf("%w: %s needs 1 <= servers < radix, got servers %d at radix %d", ErrParams, family, servers, radix)
+	}
 	bo, sp := o.Start("topo.build",
 		obs.String("family", family), obs.Int("switches", switches),
 		obs.Int("radix", radix), obs.Int("servers", servers))
 	defer func() { sp.End(obs.Bool("ok", err == nil)) }()
 	switch Family(family) {
 	case FamilyJellyfish:
-		return topo.Jellyfish(topo.JellyfishConfig{Switches: switches, Radix: radix, Servers: servers, Seed: seed, Obs: bo})
+		t, err = topo.Jellyfish(topo.JellyfishConfig{Switches: switches, Radix: radix, Servers: servers, Seed: seed, Obs: bo})
 	case FamilyXpander:
-		return topo.Xpander(topo.XpanderConfig{Switches: switches, Radix: radix, Servers: servers, Seed: seed, Obs: bo})
+		t, err = topo.Xpander(topo.XpanderConfig{Switches: switches, Radix: radix, Servers: servers, Seed: seed, Obs: bo})
 	case FamilyFatClique:
 		shapes := topo.FatCliqueShapes(radix-servers, max(2, switches*4/5), switches*6/5)
 		if len(shapes) == 0 {
 			shapes = topo.FatCliqueShapes(radix-servers, 2, switches*2)
 		}
 		if len(shapes) == 0 {
-			return nil, fmt.Errorf("expt: no fatclique shape near %d switches at degree %d", switches, radix-servers)
+			return nil, fmt.Errorf("%w: no fatclique shape near %d switches at degree %d", ErrParams, switches, radix-servers)
 		}
 		best := shapes[0]
 		bestScore := fatCliqueCutScore(best)
@@ -153,13 +188,16 @@ func BuildAny(family string, switches, radix, servers int, seed uint64, o *obs.O
 			}
 		}
 		best.TotalServers = best.Switches() * servers
-		return topo.FatClique(best)
+		t, err = topo.FatClique(best)
 	case "fattree":
-		return topo.FatTree(radix)
-	case "clos":
-		return topo.Clos(topo.ClosConfig{Radix: radix, Layers: 3})
+		t, err = topo.FatTree(radix)
+	default: // "clos", the last name radixOnly admits
+		t, err = topo.Clos(topo.ClosConfig{Radix: radix, Layers: 3})
 	}
-	return nil, fmt.Errorf("%w: unknown family %q", ErrParams, family)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrParams, err)
+	}
+	return t, nil
 }
 
 // fatCliqueCutScore estimates a shape's balanced-bisection capacity per

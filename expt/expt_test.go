@@ -53,8 +53,29 @@ func TestBuildFamilies(t *testing.T) {
 			t.Errorf("%s: not bi-regular", f)
 		}
 	}
-	if _, err := BuildAny("nope", 10, 10, 4, 1, nil); !errors.Is(err, ErrParams) {
-		t.Errorf("unknown family: err = %v, want ErrParams", err)
+	// Every rejection wraps ErrParams: BuildAny's own checks (unknown
+	// family, fatclique below 2 switches) and the generators' (odd clos
+	// radix, jellyfish degree above the switch count).
+	for _, c := range []struct {
+		family                   string
+		switches, radix, servers int
+	}{
+		{"nope", 10, 10, 4},
+		{"clos", 0, 3, 0},
+		{"jellyfish", 3, 6, 1},
+		{"fatclique", 1, 4, 1},
+	} {
+		if _, err := BuildAny(c.family, c.switches, c.radix, c.servers, 1, nil); !errors.Is(err, ErrParams) {
+			t.Errorf("%+v: err = %v, want ErrParams", c, err)
+		}
+	}
+	// The key zeroes what a radix-only family ignores, and keeps the
+	// family|switches|radix|servers|seed form.
+	if a, b := TopoKey("clos", 10, 4, 3, 7), TopoKey("clos", 0, 4, 0, 0); a != b || a != "clos|0|4|0|0" {
+		t.Errorf("clos keys %q, %q; want both clos|0|4|0|0", a, b)
+	}
+	if k := TopoKey("jellyfish", 24, 6, 2, 1); k != "jellyfish|24|6|2|1" {
+		t.Errorf("jellyfish key %q, want jellyfish|24|6|2|1", k)
 	}
 }
 
@@ -177,6 +198,15 @@ func TestRunFig8Small(t *testing.T) {
 		t.Errorf("frontier should shrink with H: %+v", r.Rows)
 	}
 	_ = r.Table().String()
+}
+
+// TestRunFig8UnknownFamily: an unknown family is a params error, not an
+// empty frontier of unconstructible probes.
+func TestRunFig8UnknownFamily(t *testing.T) {
+	p := Fig8Params{Family: "bogus", Radix: 32, Servers: []int{9}, MinSwitches: 24, MaxSwitches: 30, Seed: 1}
+	if r, err := RunFig8(p, RunOptions{}); !errors.Is(err, ErrParams) {
+		t.Fatalf("RunFig8(bogus) = %+v, %v; want ErrParams", r, err)
+	}
 }
 
 func TestRunFatCliqueFrontierSmall(t *testing.T) {

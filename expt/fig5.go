@@ -139,6 +139,9 @@ func RunFig5(p Fig5Params, opt RunOptions) (_ *Fig5Result, err error) {
 			if err != nil {
 				return err
 			}
+			if _, err := tubGap(row.TUB, theta); err != nil {
+				return fmt.Errorf("expt: fig5 n=%d: %w", n, err)
+			}
 			row.Theta, row.MCFTime = theta, time.Since(start)
 		}
 		rows[i] = row

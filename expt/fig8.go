@@ -73,8 +73,13 @@ func fig8ProbeSizes(minSwitches, maxSwitches int) []int {
 // its probes by max, so the frontier is identical for any worker count.
 // Probe topologies are built directly (not through the Memo): no other
 // experiment revisits them, and caching every probe of the scan would
-// pin hundreds of throwaway instances in memory.
+// pin hundreds of throwaway instances in memory. A probe BuildAny
+// rejects is a size the family cannot build and is skipped, so an
+// unknown family is rejected before the sweep.
 func RunFig8(p Fig8Params, opt RunOptions) (_ *Fig8Result, err error) {
+	if _, err := radixOnly(string(p.Family)); err != nil {
+		return nil, err
+	}
 	sizes := fig8ProbeSizes(p.MinSwitches, p.MaxSwitches)
 	type probe struct {
 		servers         int

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"fmt"
 	"sync"
 
 	"dctopo/obs"
@@ -68,19 +67,14 @@ func (m *Memo) Do(key string, fn func() (interface{}, error)) (interface{}, erro
 	return c.val, c.err
 }
 
-// buildKey names an instance unambiguously: every parameter
-// that feeds the generator is in the key, so two experiments share a
-// cached build only when they would construct the identical topology.
-func buildKey(f Family, switches, radix, servers int, seed uint64) string {
-	return fmt.Sprintf("build|%s|n=%d|r=%d|h=%d|seed=%d", f, switches, radix, servers, seed)
-}
-
 // BuildTopo returns the memoized BuildAny topology for an instance,
-// building it on first request. Topologies are never mutated after
-// construction (Expand and WithLinkFailures both copy), so the shared
-// pointer is safe to hand to concurrent experiments.
+// building it on first request. Cells are keyed by TopoKey, so two
+// experiments share a build exactly when they name the same fabric.
+// Topologies are never mutated after construction (Expand and
+// WithLinkFailures both copy), so the shared pointer is safe to hand to
+// concurrent experiments.
 func (m *Memo) BuildTopo(f Family, switches, radix, servers int, seed uint64, o *obs.Obs) (*topo.Topology, error) {
-	v, err := m.Do(buildKey(f, switches, radix, servers, seed), func() (interface{}, error) {
+	v, err := m.Do("build|"+TopoKey(string(f), switches, radix, servers, seed), func() (interface{}, error) {
 		return BuildAny(string(f), switches, radix, servers, seed, o)
 	})
 	if err != nil {
@@ -99,8 +93,7 @@ func (m *Memo) BuildBound(f Family, switches, radix, servers int, seed uint64, o
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fmt.Sprintf("tub|%s|n=%d|r=%d|h=%d|seed=%d", f, switches, radix, servers, seed)
-	v, err := m.Do(key, func() (interface{}, error) {
+	v, err := m.Do("tub|"+TopoKey(string(f), switches, radix, servers, seed), func() (interface{}, error) {
 		return tub.Bound(t, tub.Options{Obs: o})
 	})
 	if err != nil {

@@ -143,16 +143,26 @@ func paramsAs[P any](id string, def interface{}) func([]byte) (interface{}, erro
 		if len(raw) == 0 {
 			return *p, nil
 		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(p); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrParams, id, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("%w: %s: trailing data after params object", ErrParams, id)
+		if err := DecodeStrict(raw, p, id); err != nil {
+			return nil, err
 		}
 		return *p, nil
 	}
+}
+
+// DecodeStrict unmarshals one JSON document from raw into v, rejecting
+// unknown fields, type mismatches and trailing data. Every failure
+// wraps ErrParams, prefixed with what (the name of the document).
+func DecodeStrict(raw []byte, v interface{}, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrParams, what, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("%w: %s: trailing data after the JSON object", ErrParams, what)
+	}
+	return nil
 }
 
 // asResult adapts a typed driver return to the Result interface.

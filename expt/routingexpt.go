@@ -72,6 +72,9 @@ func RunRouting(p RoutingParams, opt RunOptions) (_ *RoutingResult, err error) {
 		if row.MCF, err = mcf.Throughput(t, tm, paths, mcf.Options{Method: mcf.Approx, Eps: 0.02, Obs: jo}); err != nil {
 			return err
 		}
+		if _, err := tubGap(ub.Bound, row.MCF); err != nil {
+			return fmt.Errorf("expt: routing n=%d: %w", p.Switches[i], err)
+		}
 		e, err := routing.ECMP(t, tm)
 		if err != nil {
 			return err

@@ -117,8 +117,8 @@ func RunWhatIf(p WhatIfParams, opt RunOptions) (_ *WhatIfResult, err error) {
 // degradation CDF.
 func (r *WhatIfResult) Tables() []*Table {
 	size := fmt.Sprintf("%d switches, R=%d, H=%d", r.Params.Switches, r.Params.Radix, r.Params.Servers)
-	if r.Params.Family == "fattree" || r.Params.Family == "clos" {
-		size = fmt.Sprintf("R=%d", r.Params.Radix) // sized by radix alone
+	if ro, _ := radixOnly(string(r.Params.Family)); ro {
+		size = fmt.Sprintf("R=%d", r.Params.Radix)
 	}
 	rank := &Table{
 		Title: fmt.Sprintf("What-if: critical links of %s (%s), base TUB %.3f",

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 
 	"dctopo/expt"
@@ -9,47 +8,22 @@ import (
 	"dctopo/tub"
 )
 
-// TopoSpec names a topology for the what-if endpoint: a generator
-// family plus its sizing knobs. The same spec always builds the same
-// topology (the generators are seed-deterministic), which is what lets
-// the engine cache key on the spec alone.
+// TopoSpec names a topology for the what-if endpoint: the arguments of
+// expt.BuildAny, which alone checks a spec, and of expt.TopoKey, which
+// keys the engine cache. The generators are seed-deterministic, so one
+// key always names one topology.
 type TopoSpec struct {
 	// Family is jellyfish, xpander, fatclique, fattree or clos.
 	Family string `json:"family"`
-	// Switches sizes the random families (ignored by fattree/clos,
-	// which are fully determined by Radix).
+	// Switches sizes the uni-regular families (ignored by fattree and
+	// clos, which are fully determined by Radix).
 	Switches int `json:"switches,omitempty"`
-	// Radix is the switch port count.
+	// Radix is the switch port count (every family).
 	Radix int `json:"radix"`
-	// Servers is hosts per switch (random families only).
+	// Servers is hosts per switch (uni-regular families only).
 	Servers int `json:"servers,omitempty"`
-	// Seed selects the random instance.
+	// Seed selects the random instance (uni-regular families only).
 	Seed uint64 `json:"seed,omitempty"`
-}
-
-// key is the canonical cache identity of the spec.
-func (ts TopoSpec) key() string {
-	return fmt.Sprintf("%s|%d|%d|%d|%d", ts.Family, ts.Switches, ts.Radix, ts.Servers, ts.Seed)
-}
-
-// validate rejects specs the builder would loop or panic on, mapping
-// operator typos to 400s instead of 500s.
-func (ts TopoSpec) validate() error {
-	switch ts.Family {
-	case "jellyfish", "xpander", "fatclique":
-		if ts.Switches < 2 || ts.Radix < 3 || ts.Servers < 1 || ts.Servers >= ts.Radix {
-			return fmt.Errorf("%w: %s needs switches >= 2, radix >= 3, 1 <= servers < radix", expt.ErrParams, ts.Family)
-		}
-	case "fattree", "clos":
-		if ts.Radix < 4 || ts.Radix%2 != 0 {
-			return fmt.Errorf("%w: %s needs an even radix >= 4", expt.ErrParams, ts.Family)
-		}
-	case "":
-		return fmt.Errorf("%w: missing topo.family", expt.ErrParams)
-	default:
-		return fmt.Errorf("%w: unknown family %q", expt.ErrParams, ts.Family)
-	}
-	return nil
 }
 
 // engineCell is one resident engine, built once under singleflight:
@@ -93,10 +67,7 @@ func NewEngines(o *obs.Obs, max int) *Engines {
 // response surfaces it so clients can tell a cold answer from a warm
 // one).
 func (es *Engines) Get(spec TopoSpec) (eng *tub.WhatIf, built bool, err error) {
-	if err := spec.validate(); err != nil {
-		return nil, false, err
-	}
-	k := spec.key()
+	k := expt.TopoKey(spec.Family, spec.Switches, spec.Radix, spec.Servers, spec.Seed)
 	es.mu.Lock()
 	es.clock++
 	if c := es.cells[k]; c != nil {
@@ -113,13 +84,8 @@ func (es *Engines) Get(spec TopoSpec) (eng *tub.WhatIf, built bool, err error) {
 	es.mu.Unlock()
 
 	t, err := expt.BuildAny(spec.Family, spec.Switches, spec.Radix, spec.Servers, spec.Seed, es.o)
-	if err == nil {
+	if c.err = err; err == nil {
 		c.eng, c.err = tub.NewWhatIf(t, tub.WhatIfOptions{Obs: es.o})
-	} else {
-		// validate admits only well-typed specs; the generator is the
-		// authority on which of them are buildable, and a spec it
-		// rejects is still the client's error.
-		c.err = fmt.Errorf("%w: %v", expt.ErrParams, err)
 	}
 	es.mu.Lock()
 	if c.err != nil {

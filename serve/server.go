@@ -16,7 +16,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -332,9 +331,9 @@ type WhatIfRequest struct {
 	Sample int `json:"sample,omitempty"`
 }
 
-// WhatIfResponse is the answer: base bound, engine provenance (built
-// reports whether this request paid the base build), and the query or
-// sweep payload.
+// WhatIfResponse is the answer: base bound, engine provenance (the
+// engine's expt.TopoKey, and whether this request paid the base build),
+// and the query or sweep payload.
 type WhatIfResponse struct {
 	Engine      string           `json:"engine"`
 	EngineBuilt bool             `json:"engine_built"`
@@ -350,14 +349,8 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req WhatIfRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, fmt.Errorf("%w: %v", expt.ErrParams, err))
-		return
-	}
-	if dec.More() {
-		s.fail(w, fmt.Errorf("%w: trailing data after what-if request", expt.ErrParams))
+	if err := expt.DecodeStrict(body, &req, "what-if request"); err != nil {
+		s.fail(w, err)
 		return
 	}
 	// Check the query before building (and caching) an engine, so a bad
@@ -372,7 +365,8 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := WhatIfResponse{
-		Engine: req.Topo.key(), EngineBuilt: built, BaseBound: eng.Base().Bound,
+		Engine:      expt.TopoKey(req.Topo.Family, req.Topo.Switches, req.Topo.Radix, req.Topo.Servers, req.Topo.Seed),
+		EngineBuilt: built, BaseBound: eng.Base().Bound,
 	}
 	switch req.Mode {
 	case "link":

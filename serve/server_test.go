@@ -438,18 +438,50 @@ func TestWhatIfUnbuildableSpec(t *testing.T) {
 }
 
 // TestWhatIfExperimentFamilies: the whatif experiment resolves a family
-// exactly as /v1/whatif does. An unknown family is the caller's mistake
-// (400, not a failed job's 500), and the structured fabrics build.
+// exactly as /v1/whatif does. An unknown family or a size the generator
+// rejects is the caller's mistake (400, not a failed job's 500), and the
+// structured fabrics build.
 func TestWhatIfExperimentFamilies(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	if resp, body := post(t, ts, "/v1/experiments/whatif", []byte(`{"Family":"bogus"}`)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown family: status %d (%s), want 400", resp.StatusCode, body)
+	}
+	if resp, body := post(t, ts, "/v1/experiments/whatif", []byte(`{"Family":"clos","Radix":3}`)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("clos radix 3: status %d (%s), want 400", resp.StatusCode, body)
 	}
 	if resp, body := post(t, ts, "/v1/experiments/whatif", []byte(`{"Family":"clos","Radix":4}`)); resp.StatusCode != http.StatusOK {
 		t.Errorf("clos: status %d (%s), want 200", resp.StatusCode, body)
 	}
 	if n := metric(t, ts, "serve.http.status.500"); n != 0 {
 		t.Errorf("serve.http.status.500 = %v, want 0", n)
+	}
+}
+
+// TestWhatIfRadixOnlyKey: fat-tree and Clos read the radix alone, so a
+// spec that also sets switches, servers and seed names the same fabric:
+// one engine build, one engine string.
+func TestWhatIfRadixOnlyKey(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	var engines []string
+	for _, spec := range []string{
+		`{"family":"clos","radix":4}`,
+		`{"family":"clos","radix":4,"switches":10,"servers":3,"seed":7}`,
+	} {
+		resp, body := post(t, ts, "/v1/whatif", []byte(`{"topo":`+spec+`,"mode":"rank","top":1}`))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", spec, resp.StatusCode, body)
+		}
+		var got WhatIfResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, got.Engine)
+	}
+	if engines[0] != engines[1] {
+		t.Errorf("engine strings %q and %q, want one", engines[0], engines[1])
+	}
+	if builds := metric(t, ts, "serve.whatif.builds"); builds != 1 {
+		t.Errorf("serve.whatif.builds = %v, want 1", builds)
 	}
 }
 
