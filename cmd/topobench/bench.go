@@ -60,6 +60,9 @@ type benchOut struct {
 	paths   int // paths found (paths_per_sec)
 	theta   float64
 	phases  int // Garg–Könemann stop phase
+	// changedRows, changedPairs and frontier sum the what-if work
+	// counters over an op's queries.
+	changedRows, changedPairs, frontier int
 	// exact holds the op's exact integer results (one per unit);
 	// weighted_len records their sum.
 	exact []int64
@@ -177,7 +180,10 @@ func whatifSample(t *topo.Topology) [][2]int {
 }
 
 // whatifWarmOp times one prebuilt tub.WhatIf engine answering
-// QueryLink for every sampled link; the engine build is setup.
+// QueryLink for every sampled link; the engine build is setup. Its
+// work counters (changed rows and pairs, repair cones) are exact for
+// the seeded instance, so a timing change that keeps them is a change
+// of speed alone.
 func whatifWarmOp(t *topo.Topology) (benchOp, error) {
 	eng, err := tub.NewWhatIf(t, tub.WhatIfOptions{})
 	if err != nil {
@@ -186,14 +192,18 @@ func whatifWarmOp(t *topo.Topology) (benchOp, error) {
 	sample := whatifSample(t)
 	wl := make([]int64, whatifLinks)
 	return func() (benchOut, error) {
+		out := benchOut{exact: wl}
 		for i, l := range sample {
 			q, err := eng.QueryLink(l[0], l[1])
 			if err != nil {
 				return benchOut{}, err
 			}
 			wl[i] = q.WeightedLen
+			out.changedRows += q.ChangedRows
+			out.changedPairs += q.ChangedPairs
+			out.frontier += q.Frontier
 		}
-		return benchOut{exact: wl}, nil
+		return out, nil
 	}, nil
 }
 
@@ -271,6 +281,9 @@ type benchEntry struct {
 	Theta         float64 `json:"theta,omitempty"`
 	WeightedLen   int64   `json:"weighted_len,omitempty"`
 	Phases        int     `json:"phases,omitempty"`
+	ChangedRows   int     `json:"changed_rows,omitempty"`
+	ChangedPairs  int     `json:"changed_pairs,omitempty"`
+	Frontier      int     `json:"frontier,omitempty"`
 }
 
 // benchReport is one BENCH_<file>.json document. The commit is the VCS
@@ -328,6 +341,9 @@ func runBench(c benchCase) (benchEntry, benchOut, error) {
 		PathsPerSec:   float64(out.paths) * opsPerSec,
 		Theta:         out.theta,
 		Phases:        out.phases,
+		ChangedRows:   out.changedRows,
+		ChangedPairs:  out.changedPairs,
+		Frontier:      out.frontier,
 	}
 	for _, x := range out.exact {
 		e.WeightedLen += x

@@ -56,7 +56,8 @@ type benchDelta struct {
 // and cost metrics warn when they move more than the case threshold.
 // Result metrics are determinism evidence, not performance: theta warns
 // on any change (floats may differ across architectures), while
-// weighted_len and phases are exact integers from a seeded instance, so
+// weighted_len, phases and the what-if work counters (changed_rows,
+// changed_pairs, frontier) are exact integers from a seeded instance, so
 // any change fails the diff: a bug, or a change of the work that the
 // committed file must be re-recorded for.
 var benchDiffMetricKeys = []struct {
@@ -72,6 +73,9 @@ var benchDiffMetricKeys = []struct {
 	{"theta", false, true, false},
 	{"weighted_len", false, true, true},
 	{"phases", false, true, true},
+	{"changed_rows", false, true, true},
+	{"changed_pairs", false, true, true},
+	{"frontier", false, true, true},
 }
 
 // cmdBenchDiff implements `topobench benchdiff OLD.json NEW.json`: align

@@ -147,11 +147,11 @@ func TestBenchDiffResultMetricsWarnOnly(t *testing.T) {
 	}
 }
 
-// TestBenchDiffExactResultFails: weighted_len and phases are exact
-// integers from a seeded instance, so a changed value fails the diff
-// even when the timing is unchanged.
+// TestBenchDiffExactResultFails: weighted_len, phases and the what-if
+// work counters are exact integers from a seeded instance, so a changed
+// value fails the diff even when the timing is unchanged.
 func TestBenchDiffExactResultFails(t *testing.T) {
-	for _, key := range []string{"weighted_len", "phases"} {
+	for _, key := range []string{"weighted_len", "phases", "changed_rows", "changed_pairs", "frontier"} {
 		dir := t.TempDir()
 		oldF, newF := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
 		writeBenchFile(t, oldF, benchEntryJSON("case/a", 100e6, map[string]float64{key: 16000}))

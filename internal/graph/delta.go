@@ -69,6 +69,15 @@ type RepairArena struct {
 	buckets  [][]int32
 }
 
+// Cone returns the affected cone of the last successful RepairRow that
+// used a: the vertices it re-levelled, in discovery order (empty when
+// the row was provably unchanged). Every entry that repair changed is in
+// the cone, except a removed switch's own tombstone, and no entry
+// decreased: a removal only lengthens distances. Callers can read a
+// repaired row's changes from the cone instead of diffing the whole row.
+// The slice is the arena's and is overwritten by its next repair.
+func (a *RepairArena) Cone() []int32 { return a.queue }
+
 // reset prepares the arena for a graph of n vertices and starts a fresh
 // epoch, so stale stamps from prior repairs read as unmarked.
 func (a *RepairArena) reset(n int) {

@@ -110,8 +110,10 @@ func removalOf(t testing.TB, g *Graph, u, v, w int) Removal {
 // switch w when w >= 0, and checks it against a cold BFS on the damaged
 // graph: the row is bit-identical (the removed switch's entry a
 // tombstone), Changed and Disconnected agree with it, a repair that
-// changes more than the tombstone reports a non-empty cone, and
-// RepairNeeded is false exactly when nothing but the tombstone changed.
+// changes more than the tombstone reports a non-empty cone,
+// RepairNeeded is false exactly when nothing but the tombstone changed,
+// and the arena's Cone holds every other changed entry, none of which
+// decreased. A nil arena also runs a one-shot repair against it.
 func checkRepair(t testing.TB, g *Graph, src, u, v, w int, arena *RepairArena) {
 	t.Helper()
 	r := removalOf(t, g, u, v, w)
@@ -119,6 +121,18 @@ func checkRepair(t testing.TB, g *Graph, src, u, v, w int, arena *RepairArena) {
 	want := damagedRefRow(g, src, u, v, w)
 	got := append([]uint8(nil), base...)
 	need := g.RepairNeeded(base, r)
+	if arena == nil {
+		// One-shot use: the repair must agree with an arena-backed one,
+		// whose cone the checks below read.
+		oneShot := append([]uint8(nil), base...)
+		if _, err := g.RepairRow(oneShot, r, nil); err != nil {
+			t.Fatalf("src %d removal (%d,%d) w=%d: one-shot repair: %v", src, u, v, w, err)
+		}
+		if !bytes.Equal(oneShot, want) {
+			t.Fatalf("src %d removal (%d,%d) w=%d: one-shot repair differs from cold BFS", src, u, v, w)
+		}
+		arena = &RepairArena{}
+	}
 	st, err := g.RepairRow(got, r, arena)
 	if err != nil {
 		t.Fatalf("src %d removal (%d,%d) w=%d: %v", src, u, v, w, err)
@@ -143,6 +157,26 @@ func checkRepair(t testing.TB, g *Graph, src, u, v, w int, arena *RepairArena) {
 	if need != (moved > 0) {
 		t.Fatalf("src %d removal (%d,%d) w=%d: RepairNeeded = %v, but %d entries besides the tombstone changed",
 			src, u, v, w, need, moved)
+	}
+	// The cone is the whole change: every changed entry but the
+	// tombstone is in it, and no entry decreased.
+	inCone := make(map[int]bool)
+	for _, x := range arena.Cone() {
+		inCone[int(x)] = true
+	}
+	if len(inCone) != st.Affected {
+		t.Fatalf("src %d removal (%d,%d) w=%d: cone has %d vertices, Affected = %d", src, u, v, w, len(inCone), st.Affected)
+	}
+	for x := range got {
+		if x == w || got[x] == base[x] {
+			continue
+		}
+		if !inCone[x] {
+			t.Fatalf("src %d removal (%d,%d) w=%d: entry %d changed %d -> %d outside the cone", src, u, v, w, x, base[x], got[x])
+		}
+		if got[x] < base[x] {
+			t.Fatalf("src %d removal (%d,%d) w=%d: entry %d decreased %d -> %d", src, u, v, w, x, base[x], got[x])
+		}
 	}
 }
 

@@ -12,8 +12,9 @@
 //     (U8Weights), with dual steps for any rows the row-max tight graph
 //     leaves unmatched.
 //   - Rematch: the what-if engine's warm rematch. It resumes Tight's
-//     completion from a previous result's duals after some rows change,
-//     freeing only the changed rows whose matched edge is no longer tight.
+//     completion from a previous result's duals after some entries grow
+//     (Grown lists them), freeing only the grown rows whose matched edge
+//     is no longer tight.
 //   - Greedy: the paper's Algorithm 1 (farthest-pair pairing), a heuristic
 //     used in the proof of Theorem 4.1, in the wedge experiment and in
 //     the matcher ablation.

@@ -32,10 +32,14 @@
 // are tested one by one from a sorted exception list. Non-uniform
 // multipliers take a scalar scan.
 //
-// Rematch resumes the same completion after some rows change. Rows
-// outside the changed set keep feasible duals and tight matched edges.
-// Each changed row gets uᵢ = maxⱼ (wᵢⱼ − vⱼ), the least feasible value,
-// and is freed only when its matched edge is no longer tight.
+// Rematch resumes the same completion after some entries grow. At any
+// optimum Tight or Rematch returns, the duals are feasible and every
+// matched edge is tight, so each uᵢ is exactly maxⱼ (wᵢⱼ − vⱼ). Rows
+// without grown entries keep feasible duals and tight matched edges.
+// Each row with grown entries gets the larger of uᵢ and the grown
+// columns' wᵢⱼ − vⱼ, its new least feasible value, found without
+// scanning the row, and is freed only when its matched edge is no
+// longer tight.
 package match
 
 import (
@@ -90,13 +94,31 @@ func Tight(n int, uw U8Weights) (*Result, TightStats) {
 	return tg.result(), st
 }
 
+// Grown lists the weight entries that grew since a base result: the
+// rows in Rows, and in row Rows[k] the columns Cols[Off[k]:Off[k+1]].
+// Off has len(Rows)+1 entries starting at 0; a row may list no columns.
+// Rows may repeat, in any order. The zero value lists nothing.
+type Grown struct {
+	Rows []int
+	Off  []int32
+	Cols []int32
+}
+
 // Rematch computes the exact maximum-weight perfect matching for
-// weights uw that differ from base's only in the rows listed in changed
-// (duplicates and order don't matter); changed rows may change
-// arbitrarily. base must be a Tight or Rematch result. The result may
-// share arrays with base, so neither may be modified. The total always
-// equals a cold Tight's; the permutation attaining it may differ.
-func Rematch(n int, uw U8Weights, base *Result, changed []int) (*Result, RematchStats) {
+// weights uw that differ from base's only by growth at the entries
+// grown lists: no other entry changes and no entry shrinks, which is all
+// a link or switch removal does to distances. base must be a Tight or
+// Rematch result. The result may share arrays with base, so neither may
+// be modified. The total always equals a cold Tight's; the permutation
+// attaining it may differ.
+//
+// At base's optimum every dual is feasible and every matched edge tight,
+// so uᵢ = maxⱼ (wᵢⱼ − vⱼ) holds exactly: the row maximum, attained at
+// row i's partner. Entries only grow, so row i's new least feasible dual
+// is the larger of uᵢ and the grown columns' wᵢⱼ − vⱼ, and Rematch reads
+// only those columns. A change that could shrink an entry, such as a
+// link addition, would need the full-row maximum back.
+func Rematch(n int, uw U8Weights, base *Result, grown Grown) (*Result, RematchStats) {
 	tg := newTightGraph(n, uw)
 	tg.u, tg.v, tg.assign, tg.owner = make([]int64, n), base.v, base.Col, base.Row
 	for j, v := range tg.v {
@@ -109,8 +131,8 @@ func Rematch(n int, uw U8Weights, base *Result, changed []int) (*Result, Rematch
 	}
 	tg.matched = n
 	var st RematchStats
-	for _, i := range changed {
-		tg.setU(i, tg.rowMax(i))
+	for k, i := range grown.Rows {
+		tg.setU(i, tg.grownMax(i, grown.Cols[grown.Off[k]:grown.Off[k+1]]))
 		if j := tg.assign[i]; j >= 0 && tg.weight(i, j) != tg.u[i]+tg.v[j] {
 			if st.Freed == 0 { // the matching changes: stop sharing base's
 				tg.assign = append([]int(nil), tg.assign...)
@@ -214,6 +236,18 @@ func (tg *tightGraph) rowMax(i int) int64 {
 	m := int64(math.MinInt64)
 	for j := range row {
 		m = max(m, tg.uw.weightInRow(row, i, j)-tg.v[j])
+	}
+	return m
+}
+
+// grownMax returns max(u[i], maxⱼ (w(i, j) − v[j]) over cols): row i's
+// least feasible dual once only its cols grew, given u[i] is its row
+// maximum before they did.
+func (tg *tightGraph) grownMax(i int, cols []int32) int64 {
+	row := tg.uw.Rows(i)
+	m := tg.u[i]
+	for _, j := range cols {
+		m = max(m, tg.uw.weightInRow(row, i, int(j))-tg.v[j])
 	}
 	return m
 }

@@ -129,7 +129,7 @@ func tight(t testing.TB, m [][]uint8, h []int64) (*Result, TightStats) {
 // at the Jonker–Volgenant optimum; on a perfect tight matching, Total
 // equal to the row-max sum with no dual steps, and on a deficit at least
 // one; and a certificate that needs no repair — a Rematch with every
-// row listed as changed frees none.
+// row listed, none of its entries grown, frees none.
 func checkTight(t *testing.T, label string, d [][]uint8, h []int64) TightStats {
 	t.Helper()
 	n := len(d)
@@ -149,7 +149,7 @@ func checkTight(t *testing.T, label string, d [][]uint8, h []int64) TightStats {
 	for i := range all {
 		all[i] = i
 	}
-	again, rs := Rematch(n, U8Weights{Rows: u8Rows(d), H: h}, res, all)
+	again, rs := Rematch(n, U8Weights{Rows: u8Rows(d), H: h}, res, Grown{Rows: all, Off: make([]int32, n+1)})
 	CheckCertificate(t, n, w, again)
 	if rs.Freed != 0 || rs.DualSteps != 0 || again.Total != res.Total {
 		t.Fatalf("%s: a full-change Rematch on unchanged weights did work: %+v (total %d vs %d)", label, rs, again.Total, res.Total)
@@ -333,11 +333,12 @@ func TestAuctionBlockedAllocs(t *testing.T) {
 // non-uniform multipliers. Any Total mismatch is a bug — all are exact —
 // and every result must carry a valid dual certificate. Tight is checked
 // on both of its paths: a perfect tight matching (no dual steps, Total
-// = the row-max sum) and a deficit closed by dual steps. It then redraws
-// the rows rowMask selects (bit i for row i) from a range widened by
-// workersRaw's high nibble, so it may exceed the base maximum, and
-// rematches from Tight's result: the Total must equal Jonker–Volgenant
-// on the perturbed weights.
+// = the row-max sum) and a deficit closed by dual steps. It then grows
+// about half the entries of the rows rowMask selects (bit i for row i),
+// each re-drawn from [old, maxD'] with maxD' widened by workersRaw's high
+// nibble, so it may exceed the base maximum, and rematches from Tight's
+// result with the grown columns listed: the Total must equal
+// Jonker–Volgenant on the grown weights.
 func FuzzMatching(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(6), uint8(1), uint32(0b101))
 	f.Add(uint64(2), uint8(1), uint8(0), uint8(4), uint32(0))
@@ -375,9 +376,9 @@ func FuzzMatching(f *testing.F) {
 				changed = append(changed, i)
 			}
 		}
-		pert := perturbU8Rows(d, changed, maxD+int(workersRaw>>4), seed+1)
+		pert, grown := growU8Rows(d, changed, maxD+int(workersRaw>>4), seed+1)
 		pw := u8Fn(pert, h)
-		rs, rst := Rematch(n, U8Weights{Rows: u8Rows(pert), H: h}, tr, changed)
+		rs, rst := Rematch(n, U8Weights{Rows: u8Rows(pert), H: h}, tr, grown)
 		CheckCertificate(t, n, pw, rs)
 		if pwant := Exact(n, pw).Total; rs.Total != pwant {
 			t.Fatalf("n=%d maxD=%d seed=%d changed=%v: rematched total %d != JV %d (%+v)",

@@ -19,14 +19,18 @@
 //     copy-on-write overlays, bit-identical to a cold BFS on the
 //     damaged graph. The engine numbers switches
 //     host-first, so a row's first n bytes are its host-column row and
-//     the matcher reads repaired rows in place;
-//  3. match.Rematch, which resets each changed host row's dual to its
-//     least feasible value in one pass over the row, frees only the rows
-//     whose matched partner is no longer tight, and completes the
-//     matching by the same Hungarian dual steps as a cold Tight — exact
-//     by the same complementary-slackness argument. At the base's row-max
-//     duals the check asks whether the row's partner is still at its
-//     largest distance.
+//     the matcher reads repaired rows in place. A repair changes only
+//     its cone (graph.RepairArena.Cone), so each row's changed host
+//     columns are the cone vertices with id < n whose byte moved, listed
+//     without a pass over the row;
+//  3. match.Rematch, which raises each changed host row's dual to its
+//     least feasible value from those changed columns alone (a removal
+//     only lengthens distances, and the base duals are row maxima),
+//     frees only the rows whose matched partner is no longer tight, and
+//     completes the matching by the same Hungarian dual steps as a cold
+//     Tight — exact by the same complementary-slackness argument. At the
+//     base's row-max duals the check asks whether the row's partner is
+//     still at its largest distance.
 //
 // Removals that disconnect a host pair short-circuit to Bound 0 with
 // Disconnected set (the worst-case permutation pairs unreachable
@@ -74,7 +78,9 @@ type QueryResult struct {
 	// "warm", "switch-host", "disconnected".
 	Mode string
 	// ChangedRows is the number of host distance rows the removal
-	// touched; ChangedPairs counts changed host-pair entries in them.
+	// touched; ChangedPairs counts changed host-pair entries in them,
+	// including a removed host switch's own column (a tombstone) in
+	// each.
 	ChangedRows, ChangedPairs int
 	// Frontier is the largest repair cone across changed rows.
 	Frontier int
@@ -115,9 +121,10 @@ type whatifScratch struct {
 	overlays  [][]uint8 // repaired full-width rows
 	used      int       // overlays handed out this query
 	overlayOf []int32   // host index -> overlay slot + 1, 0 = base row
-	changed   []int
-	red       []uint8 // reduced host×host matrix for switch-host queries
-	redH      []int64 // reduced multipliers, ditto
+	changed   []int     // repaired host rows, in overlay order
+	off, cols []int32   // changed[k]'s changed host columns are cols[off[k]:off[k+1]]
+	red       []uint8   // reduced host×host matrix for switch-host queries
+	redH      []int64   // reduced multipliers, ditto
 }
 
 // reset clears the per-query state while keeping the buffers for reuse.
@@ -324,7 +331,11 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 		return nil, err
 	}
 	q := &QueryResult{TwoE: e.base.TwoE - 2*e.g.Degree(w)}
-	if err := e.repair(q, sc, r, w); err != nil {
+	host := -1
+	if wHost {
+		host = w
+	}
+	if err := e.repair(q, sc, r, host); err != nil {
 		return nil, err
 	}
 
@@ -381,13 +392,19 @@ func (e *WhatIf) QuerySwitch(w int) (*QueryResult, error) {
 }
 
 // repair overlays and repairs every host row in which the removal
-// orphans a vertex, folding each into the query accumulators. Host
-// skip's row is left out: when skip is the removed host switch, its row
-// no longer exists (pass -1 to repair every row).
-func (e *WhatIf) repair(q *QueryResult, sc *whatifScratch, r graph.Removal, skip int) error {
+// orphans a vertex, folding each into the query accumulators and
+// listing its changed host columns in sc.off/sc.cols. host is the
+// removed host switch (-1 for none): its own row no longer exists, and
+// its column in every repaired row is a tombstone, listed as changed.
+//
+// A repair changes only its cone, so the changed host columns are the
+// cone's vertices with internal id < n whose byte moved: O(cone) per
+// row, not O(n).
+func (e *WhatIf) repair(q *QueryResult, sc *whatifScratch, r graph.Removal, host int) error {
+	sc.cols, sc.off = sc.cols[:0], append(sc.off[:0], 0)
 	for i := 0; i < e.n; i++ {
 		base := e.rows[i*e.nsw : (i+1)*e.nsw]
-		if i == skip || !e.g.RepairNeeded(base, r) {
+		if i == host || !e.g.RepairNeeded(base, r) {
 			continue
 		}
 		row := sc.overlay(e, i)
@@ -395,30 +412,34 @@ func (e *WhatIf) repair(q *QueryResult, sc *whatifScratch, r graph.Removal, skip
 		if err != nil {
 			return err
 		}
-		q.ChangedRows++
-		q.Frontier = max(q.Frontier, st.Affected)
-		for j, d := range row[:e.n] {
-			if base[j] != d {
-				q.ChangedPairs++
+		for _, x := range sc.arena.Cone() {
+			if int(x) < e.n && row[x] != base[x] {
+				sc.cols = append(sc.cols, x)
 			}
 		}
+		if host >= 0 {
+			sc.cols = append(sc.cols, int32(host))
+		}
+		sc.off = append(sc.off, int32(len(sc.cols)))
+		q.ChangedRows++
+		q.Frontier = max(q.Frontier, st.Affected)
 		q.Disconnected = q.Disconnected || st.Disconnected
 	}
+	q.ChangedPairs = len(sc.cols)
 	return nil
 }
 
 // disconnectedPair reports whether any surviving host pair is
-// unreachable under the overlays (skipHost < 0 checks all hosts).
+// unreachable under the overlays (skipHost < 0 checks all hosts). Base
+// rows carry no sentinel, so only the changed columns can.
 func (e *WhatIf) disconnectedPair(q *QueryResult, sc *whatifScratch, skipHost int) bool {
 	if !q.Disconnected {
 		return false
 	}
-	for _, i := range sc.changed {
-		if i == skipHost {
-			continue
-		}
-		for j, d := range e.hostRow(sc, i) {
-			if j != skipHost && d == graph.UnreachableDist {
+	for k, i := range sc.changed {
+		row := e.hostRow(sc, i)
+		for _, j := range sc.cols[sc.off[k]:sc.off[k+1]] {
+			if int(j) != skipHost && row[j] == graph.UnreachableDist {
 				return true
 			}
 		}
@@ -452,9 +473,10 @@ func (e *WhatIf) finish(q *QueryResult, sc *whatifScratch, start time.Time) (*Qu
 		return q, nil
 	}
 
-	// Warm rematch from the changed host rows: Rematch frees those whose
-	// partner is no longer tight under the base duals.
-	res, _ := match.Rematch(e.n, e.u8At(sc), e.sol, sc.changed)
+	// Warm rematch from the changed host columns: a removal only grows
+	// distances, so Rematch takes each changed row's new dual from its
+	// changed columns and frees the rows whose partner is no longer tight.
+	res, _ := match.Rematch(e.n, e.u8At(sc), e.sol, match.Grown{Rows: sc.changed, Off: sc.off, Cols: sc.cols})
 	if res.Total <= 0 {
 		return nil, errors.New("tub: degenerate maximal permutation after removal")
 	}

@@ -64,6 +64,83 @@ func coldQuery(t *testing.T, tp *topo.Topology, u, v int) (bound float64, weight
 	return r.Bound, r.WeightedLen, r.TwoE, false
 }
 
+// queryCounters is what a query reports about its own path: the mode
+// that answered it and the host rows and pairs the removal changed.
+type queryCounters struct {
+	Mode                      string
+	ChangedRows, ChangedPairs int
+}
+
+// coldCounters is the oracle for a query's counters, from cold BFS rows
+// of the damaged graph against the base (pass v < 0 for switch removal
+// of u; disc is the cold disconnection verdict). A host row changed when
+// any entry but the removed switch's differs; ChangedPairs counts the
+// host columns that differ in those rows, a removed host switch's own
+// column among them. The mode follows: a parallel link is a trunk (no
+// row repaired), then a disconnection, a host-switch removal, and
+// otherwise warm when a host pair changed, unchanged when none did.
+func coldCounters(t *testing.T, tp *topo.Topology, u, v int, disc bool) queryCounters {
+	t.Helper()
+	g := tp.Graph()
+	if v >= 0 && g.Capacity(u, v) > 1 {
+		return queryCounters{Mode: "trunk"}
+	}
+	w := -1
+	b := graph.NewBuilder(g.N())
+	if v >= 0 {
+		b = g.CopyBuilder()
+		b.RemoveEdge(u, v)
+	} else {
+		w = u
+		g.Edges(func(x, y, c int) {
+			if x != w && y != w {
+				b.AddEdgeMult(x, y, c)
+			}
+		})
+	}
+	damaged := b.Build()
+	var c queryCounters
+	for _, s := range tp.Hosts() {
+		if s == w {
+			continue
+		}
+		base, after := g.BFS(s, nil), damaged.BFS(s, nil)
+		changed := false
+		for x := range base {
+			changed = changed || (x != w && after[x] != base[x])
+		}
+		if !changed {
+			continue
+		}
+		c.ChangedRows++
+		for _, j := range tp.Hosts() {
+			if j == w || after[j] != base[j] {
+				c.ChangedPairs++
+			}
+		}
+	}
+	switch {
+	case disc:
+		c.Mode = "disconnected"
+	case w >= 0 && tp.Servers(w) > 0:
+		c.Mode = "switch-host"
+	case c.ChangedPairs > 0:
+		c.Mode = "warm"
+	default:
+		c.Mode = "unchanged"
+	}
+	return c
+}
+
+// requireCounters checks a query's mode and change counts against
+// coldCounters.
+func requireCounters(t *testing.T, label string, q *QueryResult, want queryCounters) {
+	t.Helper()
+	if got := (queryCounters{q.Mode, q.ChangedRows, q.ChangedPairs}); got != want {
+		t.Fatalf("%s: counters %+v, cold oracle %+v", label, got, want)
+	}
+}
+
 // requireLinkMonotone checks the invariant that removing a link never
 // raises TUB: 2E shrinks and no host distance shrinks, so the
 // maximal-permutation weight can only grow. Applies to connected link
@@ -102,11 +179,13 @@ func TestWhatIfLinkDifferential(t *testing.T) {
 		}
 		tp.Graph().Edges(func(u, v, c int) {
 			wantB, wantWL, wantE, wantDisc := coldQuery(t, tp, u, v)
+			wantC := coldCounters(t, tp, u, v, wantDisc)
 			for i, e := range engs {
 				q, err := e.QueryLink(u, v)
 				if err != nil {
 					t.Fatalf("%s GOMAXPROCS=%d link (%d,%d): %v", tp.Name(), procs[i], u, v, err)
 				}
+				requireCounters(t, fmt.Sprintf("%s GOMAXPROCS=%d link (%d,%d)", tp.Name(), procs[i], u, v), q, wantC)
 				if q.Disconnected != wantDisc {
 					t.Fatalf("%s GOMAXPROCS=%d link (%d,%d): Disconnected = %v, cold says %v",
 						tp.Name(), procs[i], u, v, q.Disconnected, wantDisc)
@@ -156,6 +235,7 @@ func TestWhatIfSwitchDifferential(t *testing.T) {
 			if q.Disconnected != wantDisc {
 				t.Fatalf("%s switch %d: Disconnected = %v, cold says %v", tp.Name(), w, q.Disconnected, wantDisc)
 			}
+			requireCounters(t, fmt.Sprintf("%s switch %d", tp.Name(), w), q, coldCounters(t, tp, w, -1, wantDisc))
 			if wantDisc {
 				continue
 			}
@@ -503,6 +583,7 @@ func FuzzWhatIfEquivalence(f *testing.F) {
 		var wantB float64
 		var wantWL int64
 		var wantDisc bool
+		var wantC queryCounters
 		if bySwitch {
 			w := int(pick) % tp.NumSwitches()
 			q, err = e.QuerySwitch(w)
@@ -510,6 +591,7 @@ func FuzzWhatIfEquivalence(f *testing.F) {
 				t.Skip() // e.g. removing one of the last host pair
 			}
 			wantB, wantWL, _, wantDisc = coldQuery(t, tp, w, -1)
+			wantC = coldCounters(t, tp, w, -1, wantDisc)
 		} else {
 			var links [][2]int
 			tp.Graph().Edges(func(u, v, c int) { links = append(links, [2]int{u, v}) })
@@ -519,10 +601,12 @@ func FuzzWhatIfEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			wantB, wantWL, _, wantDisc = coldQuery(t, tp, l[0], l[1])
+			wantC = coldCounters(t, tp, l[0], l[1], wantDisc)
 		}
 		if q.Disconnected != wantDisc {
 			t.Fatalf("Disconnected = %v, cold says %v (%+v)", q.Disconnected, wantDisc, q)
 		}
+		requireCounters(t, "fuzz", q, wantC)
 		if wantDisc {
 			if q.Bound != 0 {
 				t.Fatalf("disconnected bound %v, want 0", q.Bound)
