@@ -4,6 +4,12 @@
 // the full-throughput frontier — the trap of §5.1 (random-rewiring
 // expansion at fixed H can drop a fabric below full throughput long
 // before bisection bandwidth notices).
+//
+// Every size comes from expt's one fabric-sizing search: Memo.SizeFor
+// builds the instance of a family with at least N servers at a given H,
+// and Memo.Cheapest walks H down from R/2 to the first instance that
+// meets a predicate. Cheapest and Compare run the same search as
+// Figure 9 (expt.RunFig9), so `topobench design` and the figure agree.
 package design
 
 import (
@@ -40,6 +46,17 @@ type Spec struct {
 	Seed   uint64
 }
 
+// check rejects a spec no search can answer.
+func (s Spec) check() error {
+	if s.Servers < 2 || s.Radix < 4 {
+		return errors.New("design: need Servers >= 2 and Radix >= 4")
+	}
+	if s.Objective == ThroughputAtLeast && s.Target <= 0 {
+		return errors.New("design: ThroughputAtLeast needs a positive Target")
+	}
+	return nil
+}
+
 func (s Spec) floor() float64 {
 	if s.Objective == ThroughputAtLeast {
 		return s.Target
@@ -59,46 +76,31 @@ type Result struct {
 	Switches int
 }
 
-// Cheapest finds the largest H (fewest switches) whose ~N-server instance
-// of the family meets the objective, walking H downward from Radix/2.
-// It returns an error when no H in [1, Radix/2] qualifies.
+// Cheapest finds the largest H (fewest switches) whose instance with at
+// least N servers meets the objective, through expt's Memo.Cheapest
+// (the search Figure 9 runs too). It returns an error when no H in
+// [1, Radix/2] qualifies.
 func Cheapest(s Spec) (*Result, error) {
-	if s.Servers < 2 || s.Radix < 4 {
-		return nil, errors.New("design: need Servers >= 2 and Radix >= 4")
+	if err := s.check(); err != nil {
+		return nil, err
 	}
-	if s.Objective == ThroughputAtLeast && s.Target <= 0 {
-		return nil, errors.New("design: ThroughputAtLeast needs a positive Target")
-	}
-	for h := s.Radix / 2; h >= 1; h-- {
-		if s.Radix-h < 2 {
-			continue
-		}
-		n := (s.Servers + h - 1) / h
-		t, err := expt.BuildAny(string(s.Family), n, s.Radix, h, s.Seed, nil)
+	var ub float64
+	c, ok, err := (&expt.Memo{}).Cheapest(s.Family, s.Servers, s.Radix, 1, s.Seed, nil, func(c expt.Sized) (bool, error) {
+		r, err := tub.Bound(c.Topo, tub.Options{})
 		if err != nil {
-			continue
+			return false, err
 		}
-		if t.NumServers() < s.Servers {
-			// Families with sparse size grids (FatClique, Xpander) can
-			// land short; retry once with a proportionally larger request.
-			n = n*s.Servers/t.NumServers() + 1
-			if t, err = expt.BuildAny(string(s.Family), n, s.Radix, h, s.Seed, nil); err != nil {
-				continue
-			}
-			if t.NumServers() < s.Servers {
-				continue
-			}
-		}
-		ub, err := tub.Bound(t, tub.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if ub.Bound >= s.floor() {
-			return &Result{Topology: t, ServersPerSwitch: h, TUB: ub.Bound, Switches: t.NumSwitches()}, nil
-		}
+		ub = r.Bound
+		return ub >= s.floor(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("design: no %s configuration with R=%d meets TUB >= %.2f at N=%d",
-		s.Family, s.Radix, s.floor(), s.Servers)
+	if !ok {
+		return nil, fmt.Errorf("design: no %s configuration with R=%d meets TUB >= %.2f at N=%d",
+			s.Family, s.Radix, s.floor(), s.Servers)
+	}
+	return &Result{Topology: c.Topo, ServersPerSwitch: c.H, TUB: ub, Switches: c.Topo.NumSwitches()}, nil
 }
 
 // ExpansionPlan is the §5.1 advance-planning answer: the H to deploy
@@ -120,65 +122,44 @@ type ExpansionPlan struct {
 
 // PlanExpansion chooses the largest H such that BOTH the initial and the
 // target size meet the objective, and quantifies what the naive choice
-// (sized only for day one) would cost at the target.
+// (sized only for day one) would cost at the target. Both sizes are
+// found by expt's Memo.SizeFor.
 func PlanExpansion(s Spec, targetServers int) (*ExpansionPlan, error) {
+	if err := s.check(); err != nil {
+		return nil, err
+	}
 	if targetServers < s.Servers {
 		return nil, errors.New("design: target must be at least the initial size")
 	}
-	planned := -1
-	var initTUB, targetTUB float64
-	for h := s.Radix / 2; h >= 1; h-- {
-		if s.Radix-h < 2 {
-			continue
+	memo := &expt.Memo{}
+	// tubAt sizes the family for n servers at h and bounds it; TUB 0
+	// means no instance fits or it could not be bounded.
+	tubAt := func(n, h int) (switches int, bound float64) {
+		c, err := memo.SizeFor(s.Family, n, s.Radix, h, s.Seed, nil)
+		if err == nil {
+			if ub, err := tub.Bound(c.Topo, tub.Options{}); err == nil {
+				return c.Topo.NumSwitches(), ub.Bound
+			}
 		}
-		it, tt, err := tubAtSizes(s, h, targetServers)
-		if err != nil {
-			continue
-		}
-		if it >= s.floor() && tt >= s.floor() {
-			planned, initTUB, targetTUB = h, it, tt
-			break
-		}
+		return 0, 0
 	}
-	if planned < 0 {
+	var plan ExpansionPlan
+	// The predicate never errs (tubAt reads failures as TUB 0).
+	_, ok, _ := memo.Cheapest(s.Family, s.Servers, s.Radix, 1, s.Seed, nil, func(c expt.Sized) (bool, error) {
+		plan.ServersPerSwitch = c.H
+		plan.InitialSwitches, plan.TUBAtInitial = tubAt(s.Servers, c.H)
+		plan.TargetSwitches, plan.TUBAtTarget = tubAt(targetServers, c.H)
+		return plan.TUBAtInitial >= s.floor() && plan.TUBAtTarget >= s.floor(), nil
+	})
+	if !ok {
 		return nil, fmt.Errorf("design: no H sustains the objective from %d to %d servers", s.Servers, targetServers)
 	}
-	plan := &ExpansionPlan{
-		ServersPerSwitch: planned,
-		InitialSwitches:  (s.Servers + planned - 1) / planned,
-		TargetSwitches:   (targetServers + planned - 1) / planned,
-		TUBAtInitial:     initTUB,
-		TUBAtTarget:      targetTUB,
-	}
 	// What would the naive designer (ignoring the target) deploy?
-	naive, err := Cheapest(s)
-	if err == nil {
+	if naive, err := Cheapest(s); err == nil {
 		plan.NaiveH = naive.ServersPerSwitch
-		if _, tt, err := tubAtSizes(s, naive.ServersPerSwitch, targetServers); err == nil {
-			plan.NaiveTUBTarget = tt
-		}
+		_, plan.NaiveTUBTarget = tubAt(targetServers, naive.ServersPerSwitch)
 	}
-	return plan, nil
-}
-
-func tubAtSizes(s Spec, h, targetServers int) (initTUB, targetTUB float64, err error) {
-	for i, servers := range []int{s.Servers, targetServers} {
-		n := (servers + h - 1) / h
-		t, err := expt.BuildAny(string(s.Family), n, s.Radix, h, s.Seed, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		ub, err := tub.Bound(t, tub.Options{})
-		if err != nil {
-			return 0, 0, err
-		}
-		if i == 0 {
-			initTUB = ub.Bound
-		} else {
-			targetTUB = ub.Bound
-		}
-	}
-	return initTUB, targetTUB, nil
+	return &plan, nil
 }
 
 // CompareRow is one family's entry in a cost comparison.

@@ -21,11 +21,9 @@ func TestCheapestFullThroughput(t *testing.T) {
 	// H+1 must NOT meet the objective (otherwise Cheapest wasn't
 	// cheapest) — unless H is already at the Radix/2 cap.
 	if h := r.ServersPerSwitch + 1; h <= 8 {
-		spec := Spec{Family: expt.FamilyJellyfish, Servers: 512, Radix: 16, Seed: 1}
-		n := (spec.Servers + h - 1) / h
-		top, err := expt.BuildAny(string(spec.Family), n, spec.Radix, h, spec.Seed, nil)
-		if err == nil && top.NumServers() >= spec.Servers {
-			ub, err := tub.Bound(top, tub.Options{})
+		c, err := (&expt.Memo{}).SizeFor(expt.FamilyJellyfish, 512, 16, h, 1, nil)
+		if err == nil {
+			ub, err := tub.Bound(c.Topo, tub.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,10 +86,33 @@ func TestPlanExpansionCatchesTheTrap(t *testing.T) {
 	}
 }
 
+func TestPlanExpansionRejectsBadSpec(t *testing.T) {
+	s := Spec{Family: expt.FamilyJellyfish, Servers: 512, Radix: 16, Objective: ThroughputAtLeast, Seed: 1}
+	if _, err := PlanExpansion(s, 1024); err == nil {
+		t.Error("expected error for ThroughputAtLeast without a Target")
+	}
+}
+
 func TestPlanExpansionRejectsShrink(t *testing.T) {
 	s := Spec{Family: expt.FamilyJellyfish, Servers: 512, Radix: 16, Seed: 1}
 	if _, err := PlanExpansion(s, 128); err == nil {
 		t.Error("expected error for target smaller than initial")
+	}
+}
+
+// TestCompareMatchesFig9 requires the design aid and Figure 9 to find
+// the same cheapest full-throughput instance per family.
+func TestCompareMatchesFig9(t *testing.T) {
+	fig9, err := expt.RunFig9(expt.Fig9Params{Servers: 256, Radix: 12, MinH: 2, Seed: 1}, expt.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := Compare(Spec{Servers: 256, Radix: 12, Seed: 1})
+	for i, f := range fig9.Rows {
+		c := rows[i]
+		if c.Name != f.Name || c.Err != nil || c.Switches != f.SwitchesTUB || c.H != f.HTUB {
+			t.Errorf("Compare row %+v, Figure 9 row %+v: want the same switches and H", c, f)
+		}
 	}
 }
 

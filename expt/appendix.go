@@ -155,29 +155,12 @@ func RunFigA2(p FigA2Params, opt RunOptions) (_ *FigA2Result, err error) {
 		}
 		row.AdvantagePct = 100 * (float64(row.JFServers)/float64(row.FatTreeServers) - 1)
 		// Xpander carrying the fat-tree's servers with fewest switches.
-		for h := k / 2; h >= 1; h-- {
-			if k-h < 2 {
-				continue
-			}
-			n := (row.FatTreeServers + h - 1) / h
-			t, err := memo.BuildTopo(FamilyXpander, n, k, h, p.Seed, jo)
-			if err != nil {
-				continue
-			}
-			if t.NumServers() < row.FatTreeServers {
-				continue
-			}
-			_, ub, err := memo.BuildBound(FamilyXpander, n, k, h, p.Seed, jo)
-			if err != nil {
-				return err
-			}
-			if ub.Bound >= 1 {
-				row.XpanderSwitches = t.NumSwitches()
-				break
-			}
+		xp, ok, err := memo.Cheapest(FamilyXpander, row.FatTreeServers, k, 1, p.Seed, jo, memo.TUBAtLeast(1, jo))
+		if ok {
+			row.XpanderSwitches = xp.Topo.NumSwitches()
 		}
 		rows[i] = row
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -240,6 +240,40 @@ func TestRunFig9Small(t *testing.T) {
 	_ = r.Table().String()
 }
 
+// TestCheapestCarriesTarget runs Memo.Cheapest on two fabrics whose
+// first ⌈N/H⌉ build falls short of N, and requires every instance it
+// offers the predicate, and the one it returns, to carry N servers.
+func TestCheapestCarriesTarget(t *testing.T) {
+	for _, tc := range []struct {
+		f              Family
+		servers, radix int
+	}{
+		{FamilyFatClique, 256, 12},
+		{FamilyXpander, 1024, 16},
+	} {
+		memo := &Memo{}
+		full := memo.TUBAtLeast(1, nil)
+		short := false
+		got, ok, err := memo.Cheapest(tc.f, tc.servers, tc.radix, 1, 1, nil, func(s Sized) (bool, error) {
+			if n := s.Topo.NumServers(); n < tc.servers {
+				t.Errorf("%s H=%d: offered %d servers < %d", tc.f, s.H, n, tc.servers)
+			}
+			first, err := memo.BuildTopo(tc.f, (tc.servers+s.H-1)/s.H, tc.radix, s.H, 1, nil)
+			short = short || (err == nil && first.NumServers() < tc.servers)
+			return full(s)
+		})
+		if err != nil || !ok {
+			t.Fatalf("%s N=%d R=%d: ok=%v err=%v", tc.f, tc.servers, tc.radix, ok, err)
+		}
+		if n := got.Topo.NumServers(); n < tc.servers {
+			t.Errorf("%s: returned H=%d with %d servers < %d", tc.f, got.H, n, tc.servers)
+		}
+		if !short {
+			t.Errorf("%s N=%d R=%d: no first build fell short, so the re-request went untested", tc.f, tc.servers, tc.radix)
+		}
+	}
+}
+
 func TestRunFig10Small(t *testing.T) {
 	p := Fig10Params{
 		Family: FamilyJellyfish, Radix: 12, Servers: 4,

@@ -49,13 +49,12 @@ type Fig9Result struct {
 // fig9Families is the fixed family order of the cost comparison.
 var fig9Families = []Family{FamilyJellyfish, FamilyXpander, FamilyFatClique}
 
-// RunFig9 searches, for each uni-regular family, the largest H (fewest
-// switches) whose instance with ~N servers has each property, and
-// compares against the cheapest Clos deployment for N servers. The three
-// families search concurrently in one sweep (the H walk inside a
-// family is inherently sequential: it stops at the first success);
-// builds and bounds go through the Memo, so the report's other R=32
-// consumers of the same instances reuse them.
+// RunFig9 finds, for each uni-regular family and each property, the
+// cheapest instance carrying at least N servers (Memo.Cheapest, the
+// search design.Compare runs too), and compares against the cheapest
+// Clos deployment for N servers. The three families search
+// concurrently in one sweep; builds and bounds go through the Memo, so
+// the report's other R=32 consumers of the same instances reuse them.
 func RunFig9(p Fig9Params, opt RunOptions) (_ *Fig9Result, err error) {
 	ro, rsp := opt.Obs.Start("expt.fig9", obs.Int("servers", p.Servers), obs.Int("radix", p.Radix))
 	defer func() { rsp.End(obs.Bool("ok", err == nil)) }()
@@ -66,33 +65,19 @@ func RunFig9(p Fig9Params, opt RunOptions) (_ *Fig9Result, err error) {
 		jo, jsp := ro.Start("fig9.job", obs.String("family", string(f)))
 		defer jsp.End()
 		row := Fig9Row{Name: string(f)}
-		for h := p.Radix / 2; h >= p.MinH; h-- {
-			if p.Radix-h < 2 {
-				continue
-			}
-			n := (p.Servers + h - 1) / h
-			t, err := memo.BuildTopo(f, n, p.Radix, h, p.Seed, jo)
-			if err != nil {
-				continue
-			}
-			if row.SwitchesBBW == 0 && estimators.Bisection(t, p.Seed).Full {
-				row.SwitchesBBW, row.HBBW = t.NumSwitches(), h
-			}
-			if row.SwitchesTUB == 0 {
-				_, ub, err := memo.BuildBound(f, n, p.Radix, h, p.Seed, jo)
-				if err != nil {
-					return err
-				}
-				if ub.Bound >= 1 {
-					row.SwitchesTUB, row.HTUB = t.NumSwitches(), h
-				}
-			}
-			if row.SwitchesBBW != 0 && row.SwitchesTUB != 0 {
-				break
-			}
+		// The bisection predicate never errs, so neither does its walk.
+		bbw, ok, _ := memo.Cheapest(f, p.Servers, p.Radix, p.MinH, p.Seed, jo, func(s Sized) (bool, error) {
+			return estimators.Bisection(s.Topo, p.Seed).Full, nil
+		})
+		if ok {
+			row.SwitchesBBW, row.HBBW = bbw.Topo.NumSwitches(), bbw.H
+		}
+		full, ok, err := memo.Cheapest(f, p.Servers, p.Radix, p.MinH, p.Seed, jo, memo.TUBAtLeast(1, jo))
+		if ok {
+			row.SwitchesTUB, row.HTUB = full.Topo.NumSwitches(), full.H
 		}
 		rows[i] = row
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"fmt"
 	"sync"
 
 	"dctopo/obs"
@@ -100,4 +101,59 @@ func (m *Memo) BuildBound(f Family, switches, radix, servers int, seed uint64, o
 		return nil, nil, err
 	}
 	return t, v.(*tub.Result), nil
+}
+
+// Sized is an instance SizeFor found. Switches is the switch count its
+// BuildTopo request asked for (the Memo key), not Topo.NumSwitches().
+type Sized struct {
+	Topo               *topo.Topology
+	Family             Family
+	Switches, Radix, H int
+	Seed               uint64
+}
+
+// SizeFor builds, through the memo, the instance of family f with at
+// least total servers at h servers per switch. It asks for ⌈total/h⌉
+// switches; when a sparse size grid (FatClique, Xpander) lands short,
+// it asks once more at a proportionally larger size, and errs if that
+// is short too.
+func (m *Memo) SizeFor(f Family, total, radix, h int, seed uint64, o *obs.Obs) (Sized, error) {
+	s := Sized{Family: f, Switches: (total + h - 1) / h, Radix: radix, H: h, Seed: seed}
+	t, err := m.BuildTopo(f, s.Switches, radix, h, seed, o)
+	if err == nil && t.NumServers() < total {
+		s.Switches = s.Switches*total/t.NumServers() + 1
+		t, err = m.BuildTopo(f, s.Switches, radix, h, seed, o)
+	}
+	if err == nil && t.NumServers() < total {
+		err = fmt.Errorf("expt: no %s instance with R=%d, H=%d carries %d servers", f, radix, h, total)
+	}
+	s.Topo = t
+	return s, err
+}
+
+// Cheapest walks H down from radix/2 (at most R−2, keeping two network
+// ports) to minH and returns the first SizeFor instance accept takes:
+// the family's fewest switches that carry total servers with accept's
+// property. H values no instance fits are skipped; an accept error
+// stops the walk. The bool is false when no H qualifies.
+func (m *Memo) Cheapest(f Family, total, radix, minH int, seed uint64, o *obs.Obs, accept func(Sized) (bool, error)) (Sized, bool, error) {
+	for h := min(radix/2, radix-2); h >= max(minH, 1); h-- {
+		s, err := m.SizeFor(f, total, radix, h, seed, o)
+		if err != nil {
+			continue
+		}
+		if ok, err := accept(s); ok || err != nil {
+			return s, ok, err
+		}
+	}
+	return Sized{}, false, nil
+}
+
+// TUBAtLeast is the Cheapest predicate TUB >= floor, bounded through
+// the memo (BuildBound).
+func (m *Memo) TUBAtLeast(floor float64, o *obs.Obs) func(Sized) (bool, error) {
+	return func(s Sized) (bool, error) {
+		_, ub, err := m.BuildBound(s.Family, s.Switches, s.Radix, s.H, s.Seed, o)
+		return err == nil && ub.Bound >= floor, err
+	}
 }

@@ -18,7 +18,7 @@ import (
 // Result type's JSON shape changes incompatibly or a solver's answers
 // move: old cache directories then read as misses instead of decoding
 // garbage or serving stale numbers.
-const storeVersion = 7
+const storeVersion = 8
 
 // StoreKey returns the full content address for (id, params): sha256
 // over (store version, experiment ID, canonical params JSON). This is

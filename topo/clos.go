@@ -3,6 +3,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"dctopo/internal/graph"
@@ -166,27 +167,15 @@ func ClosSizes(radix, maxLayers, maxServers int) []ClosSize {
 }
 
 // SmallestClosFor returns the cheapest (fewest switches) Clos deployment
-// with at least n servers, searching up to maxLayers layers.
+// with at least n servers, searching ClosSizes up to maxLayers layers.
 func SmallestClosFor(n, radix, maxLayers int) (ClosSize, error) {
-	best := ClosSize{}
-	found := false
-	m := radix / 2
-	for l := 2; l <= maxLayers; l++ {
-		for p := 2; p <= 2*m; p += 2 {
-			if (2*m)%p != 0 {
-				continue
-			}
-			c := ClosConfig{Radix: radix, Layers: l, Pods: p}
-			if c.NumServers() >= n {
-				if !found || c.NumSwitches() < best.Switches {
-					best = ClosSize{c, c.NumServers(), c.NumSwitches()}
-					found = true
-				}
-				break // larger p only adds switches at this layer count
-			}
+	var best ClosSize
+	for _, c := range ClosSizes(radix, maxLayers, math.MaxInt) {
+		if c.Servers >= n && (best.Switches == 0 || c.Switches < best.Switches) {
+			best = c
 		}
 	}
-	if !found {
+	if best.Switches == 0 {
 		return best, errors.New("topo: no Clos deployment reaches the requested size")
 	}
 	return best, nil

@@ -40,11 +40,8 @@ func Xpander(cfg XpanderConfig) (*Topology, error) {
 	case cfg.Switches < d+1:
 		return nil, fmt.Errorf("topo: xpander needs at least d+1=%d switches", d+1)
 	}
-	k := (cfg.Switches + (d+1)/2) / (d + 1)
-	if k < 1 {
-		k = 1
-	}
-	n := (d + 1) * k
+	n := XpanderSize(cfg.Switches, cfg.Radix, cfg.Servers)
+	k := n / (d + 1)
 	rnd := rng.New(cfg.Seed)
 
 	var g *graph.Graph
